@@ -10,6 +10,7 @@ stationarity diagnostics, benchmark problems) live in their own modules.
 from .diagnostics import (
     StationarityReport,
     export_trace,
+    reference_batch,
     reference_stationarity,
     stationarity_error,
     write_run_csv,
@@ -20,7 +21,15 @@ from .driver import (
     run_algorithm1,
     run_algorithm2,
 )
-from .lp import LpProblem, LpSolution, LpStatus, solve_lp, verify_lp
+from .lp import (
+    LpBatchSolution,
+    LpProblem,
+    LpSolution,
+    LpStatus,
+    solve_lp,
+    solve_lp_multi_rhs,
+    verify_lp,
+)
 from .model import (
     ConstrainedStochasticProblem,
     LocalModel,
@@ -34,6 +43,7 @@ from .qp import BoxPolyhedron, QpProblem, QpSolution, QpStatus, solve_qp
 from .sampling import (
     AdaptiveSize,
     FixedSize,
+    OracleError,
     PolynomialSize,
     SampleStats,
     aggregate,
@@ -49,9 +59,11 @@ __all__ = [
     "FixedSize",
     "IterationTrace",
     "LocalModel",
+    "LpBatchSolution",
     "LpProblem",
     "LpSolution",
     "LpStatus",
+    "OracleError",
     "PolynomialSize",
     "QpProblem",
     "QpSolution",
@@ -67,10 +79,12 @@ __all__ = [
     "next_sample_size",
     "predicted_decrease",
     "predicted_decrease_with_step",
+    "reference_batch",
     "reference_stationarity",
     "run_algorithm1",
     "run_algorithm2",
     "solve_lp",
+    "solve_lp_multi_rhs",
     "solve_qp",
     "stationarity_error",
     "upper_c2_gap",

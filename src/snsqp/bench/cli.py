@@ -16,6 +16,7 @@ import numpy as np
 from ..diagnostics import (
     REFERENCE_SEED,
     fill_stationarity,
+    reference_batch,
     reference_stationarity,
     write_run_csv,
 )
@@ -163,7 +164,8 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise ConfigError("config", str(exc))
 
-    fill_stationarity(trace)
+    reference = reference_batch(problem)
+    fill_stationarity(trace, reference)
     out_dir = Path(cfg.get("out", "run_out"))
     run_id = cfg.get("run_id",
                      f"{cfg['problem']}_{cfg['strategy'].replace(':', '-')}_seed{seed}")
@@ -171,7 +173,7 @@ def _cmd_run(args) -> int:
     if not isinstance(epoch, int) or epoch < 1:
         raise ConfigError("config.epoch", "expected positive integer")
     trace_path, epochs_path = write_run_csv(trace, out_dir, run_id, epoch_size=epoch)
-    final_stat = reference_stationarity(problem, trace.final_x)
+    final_stat = reference_stationarity(problem, trace.final_x, reference)
     print(f"run {run_id}: stop={trace.stop_reason} iterations={len(trace.records)} "
           f"oracle_calls={trace.oracle_calls} final_stationarity={final_stat!r}")
     print(f"trace: {trace_path}")
@@ -194,8 +196,6 @@ def _cmd_curve(args) -> int:
     instance = pps.build_pps_instance()
     scenarios = draw_scenarios(pps.scenario_sampler(instance), args.seed, 0,
                                args.batch)
-    slopes = np.stack([s.slopes for s in scenarios])
-    intercepts = np.stack([s.intercepts for s in scenarios])
     p_lo, p_hi = instance.price_bounds
     grid = np.linspace(p_lo, p_hi, args.points)
 
@@ -203,8 +203,7 @@ def _cmd_curve(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,value,derivative\n")
         for p in grid:
-            values, derivs = pps.recourse_closed_form(instance, float(p),
-                                                      slopes, intercepts)
+            values, derivs = pps.recourse_lp(instance, float(p), scenarios)
             fh.write(f"{float(p)!r},{float(values.mean())!r},"
                      f"{float(derivs.mean())!r}\n")
     print(f"curve: {args.out} ({args.points} points, batch {args.batch})")

@@ -16,7 +16,9 @@ with the LP value function's derivative in p (envelope theorem: the explicit
 
 Scenario coordinates are truncated normals on the stated intervals with
 mean = midpoint and sigma = width/4 (the distribution's center and spread
-are an assumption; the source data only names the intervals).
+are an assumption; the source data only names the intervals).  A batch of
+scenarios is an array of shape (N, 2*stores): the slopes, then the
+intercepts.
 """
 
 from __future__ import annotations
@@ -73,12 +75,6 @@ class PpsInstance:
             raise ValueError("intercept intervals must be positive")
 
 
-@dataclass(frozen=True)
-class PpsScenario:
-    slopes: np.ndarray
-    intercepts: np.ndarray
-
-
 def build_pps_instance() -> PpsInstance:
     """The five-factory five-store instance with the reference data."""
     return PpsInstance(
@@ -129,8 +125,13 @@ def _truncated_normal(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
+def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:
+    """(slopes, intercepts) views of a scenario batch, or of one scenario row."""
+    return scenarios[..., :instance.stores], scenarios[..., instance.stores:]
+
+
 def scenario_sampler(instance: PpsInstance):
-    """Sampler callback: (rng, count) -> list of PpsScenario."""
+    """Sampler callback: (rng, count) -> array of shape (count, 2*stores)."""
     slope_lo = instance.slope_intervals[:, 0]
     slope_hi = instance.slope_intervals[:, 1]
     int_lo = instance.intercept_intervals[:, 0]
@@ -139,8 +140,7 @@ def scenario_sampler(instance: PpsInstance):
     def sample(rng: np.random.Generator, count: int):
         slopes = _truncated_normal(rng, slope_lo, slope_hi, count)
         intercepts = _truncated_normal(rng, int_lo, int_hi, count)
-        return [PpsScenario(slopes=slopes[i], intercepts=intercepts[i])
-                for i in range(count)]
+        return np.hstack([slopes, intercepts])
 
     return sample
 
@@ -170,52 +170,78 @@ def _recourse_rows(instance: PpsInstance) -> np.ndarray:
     return rows
 
 
-def second_stage_lp(instance: PpsInstance, p: float, scenario: PpsScenario,
+def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray,
                     rows: np.ndarray = None) -> lp.LpProblem:
-    """Assemble the recourse LP at price p; variables are (y, z-flattened)."""
+    """Assemble the recourse LP at price p for one scenario row.
+
+    Variables are (y, z-flattened); only the demand right-hand side depends
+    on the scenario.
+    """
     m, n = instance.factories, instance.stores
     nz = m * n
     cost = np.concatenate([instance.production_costs,
                            (instance.shipment_costs - p).ravel()])
     if rows is None:
         rows = _recourse_rows(instance)
-    rhs = np.concatenate([scenario.slopes * p + scenario.intercepts, np.zeros(m)])
     lower = np.concatenate([np.full(m, instance.quantity_floor), np.zeros(nz)])
     upper = np.full(m + nz, np.inf)
-    return lp.LpProblem(cost=cost, ineq_matrix=rows, ineq_rhs=rhs,
+    return lp.LpProblem(cost=cost, ineq_matrix=rows,
+                        ineq_rhs=_recourse_rhs(instance, p, scenario),
                         lower=lower, upper=upper)
 
 
-def pps_oracle(instance: PpsInstance, first_stage, scenario: PpsScenario,
-               rows: np.ndarray = None) -> tuple:
-    """Sampled total objective and its subgradient over (x, p).
+def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.ndarray:
+    """Recourse right-hand sides at price p: demand caps, then zeros for the
+    capacity rows; one row per scenario (a 1-D scenario gives a 1-D rhs)."""
+    slopes, intercepts = split_scenarios(instance, scenarios)
+    capacity = np.zeros(scenarios.shape[:-1] + (instance.factories,))
+    return np.concatenate([slopes * p + intercepts, capacity], axis=-1)
 
-    The p-derivative of the recourse value comes from the envelope theorem:
-    the z part of the cost vector has derivative -1 per unit shipped, and the
-    demand right-hand sides have derivative slope_j, weighted by their duals.
+
+def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
+                rows: np.ndarray = None) -> tuple:
+    """Recourse values and their p-derivatives for a batch, by linear programming.
+
+    At one price every scenario's recourse LP has the same cost, rows and
+    bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
+    bases.  The p-derivative comes from the envelope theorem: the z part of
+    the cost vector has derivative -1 per unit shipped, and the demand
+    right-hand sides have derivative slope_j, weighted by their duals.
+    Returns two (batch,) arrays; raises RuntimeError naming the first
+    scenario whose LP is not solved to optimality.
     """
+    template = second_stage_lp(instance, p, scenarios[0], rows=rows)
+    sol = lp.solve_lp_multi_rhs(template, _recourse_rhs(instance, p, scenarios))
+    failed = np.flatnonzero(sol.status != lp.LpStatus.OPTIMAL)
+    if failed.size:
+        raise RuntimeError(f"second-stage LP of scenario {failed[0]} ended "
+                           f"{sol.status[failed[0]].value}")
+    shipped = np.sum(sol.primal[:, instance.factories:], axis=1)
+    demand_duals = sol.duals[:, :instance.stores]
+    slopes, _ = split_scenarios(instance, scenarios)
+    return sol.objective, -shipped - np.einsum("ij,ij->i", demand_duals, slopes)
+
+
+def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,
+               rows: np.ndarray = None) -> tuple:
+    """Sampled total objectives (N,) and subgradients over (x, p), (N, 2)."""
     x, p = float(first_stage[0]), float(first_stage[1])
-    problem = second_stage_lp(instance, p, scenario, rows=rows)
-    sol = lp.solve_lp(problem)
-    if sol.status is not lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"second-stage LP ended {sol.status.value}")
-    m = instance.factories
-    total_shipped = float(np.sum(sol.primal[m:]))
-    demand_duals = sol.duals[:instance.stores]
-    dr_dp = -total_shipped - float(demand_duals @ scenario.slopes)
-    value = (instance.first_stage_cost - p) * x + sol.objective
-    grad = np.array([instance.first_stage_cost - p, -x + dr_dp])
-    return value, grad
+    recourse, dr_dp = recourse_lp(instance, p, scenarios, rows=rows)
+    grads = np.empty((len(scenarios), 2))
+    grads[:, 0] = instance.first_stage_cost - p
+    grads[:, 1] = -x + dr_dp
+    return (instance.first_stage_cost - p) * x + recourse, grads
 
 
 def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
                          intercepts: np.ndarray) -> tuple:
     """Vectorized recourse values and d/dp for a batch of scenarios.
 
-    Valid only for uniform shipment costs (the reference data has s_ij = 2):
-    with a single margin m = p - s, the optimal policy ships up to capacity
-    from the mandatory production floor and tops up at the cheapest factory,
-    so the value is piecewise quadratic in p with explicit breakpoints.
+    Valid only for uniform shipment costs (the reference data has s_ij = 2);
+    kept as an independent check of recourse_lp.  With a single margin
+    m = p - s, the optimal policy ships up to capacity from the mandatory
+    production floor and tops up at the cheapest factory, so the value is
+    piecewise quadratic in p with explicit breakpoints.
     slopes/intercepts have shape (batch, stores); returns two (batch,) arrays.
     """
     ship = float(instance.shipment_costs.flat[0])
@@ -247,21 +273,6 @@ def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
     return value, deriv
 
 
-def pps_batch_oracle(instance: PpsInstance):
-    """Bulk oracle callback: (first_stage, scenarios) -> (mean value, mean grad)."""
-
-    def evaluate(first_stage, scenarios) -> tuple:
-        x, p = float(first_stage[0]), float(first_stage[1])
-        slopes = np.stack([s.slopes for s in scenarios])
-        intercepts = np.stack([s.intercepts for s in scenarios])
-        values, derivs = recourse_closed_form(instance, p, slopes, intercepts)
-        mean_value = (instance.first_stage_cost - p) * x + float(values.mean())
-        grad = np.array([instance.first_stage_cost - p, -x + float(derivs.mean())])
-        return mean_value, grad
-
-    return evaluate
-
-
 def build_pps_problem(instance: PpsInstance = None,
                       rho_estimate: float = DEFAULT_RHO) -> ConstrainedStochasticProblem:
     """Assemble the full stochastic problem around an instance."""
@@ -269,8 +280,8 @@ def build_pps_problem(instance: PpsInstance = None,
         instance = build_pps_instance()
     rows = _recourse_rows(instance)
 
-    def oracle(point, scenario):
-        return pps_oracle(instance, point, scenario, rows=rows)
+    def oracle(point, scenarios):
+        return pps_oracle(instance, point, scenarios, rows=rows)
 
     return ConstrainedStochasticProblem(
         dimension=2,
@@ -279,7 +290,6 @@ def build_pps_problem(instance: PpsInstance = None,
         set=first_stage_set(instance),
         rho_estimate=rho_estimate,
         lipschitz_h=0.0,
-        batch_oracle=pps_batch_oracle(instance),
     )
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from ..diagnostics import (
     fill_stationarity,
+    reference_batch,
     reference_objective,
     reference_stationarity,
     write_run_csv,
@@ -62,16 +63,18 @@ def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
         eta_alpha=eta_alpha,
     )
     trace = run_algorithm1(problem, config)
+    reference = reference_batch(problem)
     # one reference solve per epoch keeps small-batch runs (thousands of
     # iterations) from dominating the wall clock
-    fill_stationarity(trace, epoch_size=epoch)
+    fill_stationarity(trace, reference, epoch_size=epoch)
     write_run_csv(trace, out_dir, run_id_for(strategy_text, seed), epoch_size=epoch)
     final_x = trace.final_x
     return {
         "strategy": strategy_text,
         "seed": seed,
-        "final_stationarity": repr(reference_stationarity(problem, final_x)),
-        "final_objective": repr(reference_objective(problem, final_x)),
+        "final_stationarity": repr(reference_stationarity(problem, final_x,
+                                                          reference)),
+        "final_objective": repr(reference_objective(problem, final_x, reference)),
         "oracle_calls": trace.oracle_calls,
         "iterations": len(trace.records),
         "stop_reason": trace.stop_reason,

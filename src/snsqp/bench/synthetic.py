@@ -71,17 +71,32 @@ def piecewise_min(spec: SyntheticUc2Spec, x: np.ndarray, shift=None) -> tuple:
 
     shift, when given, is added to every piece's linear coefficient.
     """
+    shifts = np.zeros((1, spec.dimension)) if shift is None else np.atleast_2d(shift)
+    values, grads, index = piecewise_min_batch(spec, x, shifts)
+    return float(values[0]), grads[0], int(index[0])
+
+
+def piecewise_min_batch(spec: SyntheticUc2Spec, x: np.ndarray,
+                        shifts: np.ndarray) -> tuple:
+    """piecewise_min at one x for every row of shifts (shape (N, n)).
+
+    Returns values (N,), gradients (N, n) and attaining piece indices (N,).
+    Pieces are scanned in order and a later piece takes over only when it is
+    lower by more than 1e-15, so exact ties go to the lowest index.
+    """
     x = np.asarray(x, dtype=float)
-    best_val, best_idx = np.inf, -1
+    best_val = np.full(len(shifts), np.inf)
+    best_idx = np.full(len(shifts), -1)
+    best_grad = np.zeros(np.shape(shifts))
     for t, piece in enumerate(spec.pieces):
-        lin = piece.linear if shift is None else piece.linear + shift
-        val = piece.offset + lin @ x + 0.5 * x @ (piece.curvature_matrix @ x)
-        if val < best_val - 1e-15:
-            best_val, best_idx = val, t
-    piece = spec.pieces[best_idx]
-    lin = piece.linear if shift is None else piece.linear + shift
-    grad = lin + piece.curvature_matrix @ x
-    return float(best_val), grad, best_idx
+        lin = piece.linear + shifts
+        curved = piece.curvature_matrix @ x
+        val = piece.offset + lin @ x + 0.5 * x @ curved
+        wins = val < best_val - 1e-15
+        best_val[wins] = val[wins]
+        best_idx[wins] = t
+        best_grad[wins] = lin[wins] + curved
+    return best_val, best_grad, best_idx
 
 
 def true_value_and_gradient(spec: SyntheticUc2Spec, x: np.ndarray) -> tuple:
@@ -107,11 +122,11 @@ def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
     half = 0.5 * noise_width
 
     def sampler(rng: np.random.Generator, count: int):
-        return list(rng.uniform(-half, half, size=(count, n)))
+        return rng.uniform(-half, half, size=(count, n))
 
-    def oracle(x, xi):
-        value, grad, _ = piecewise_min(spec, x, shift=xi)
-        return value, grad
+    def oracle(x, shifts):
+        values, grads, _ = piecewise_min_batch(spec, x, shifts)
+        return values, grads
 
     rho = spec.rho if rho_estimate is None else rho_estimate
     # a flat family (all pieces affine) still needs a positive modulus
@@ -134,15 +149,16 @@ def suggest_rho(problem: ConstrainedStochasticProblem, n_pairs: int = 10 ** 4,
     rng = np.random.Generator(np.random.Philox(key=seed))
     scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, n_pairs)
     worst = 0.0
-    for xi in scenarios:
+    for i in range(n_pairs):
         x = rng.uniform(box.lower, box.upper)
         x_alt = rng.uniform(box.lower, box.upper)
         d = x_alt - x
         d_sq = float(d @ d)
         if d_sq < 1e-16:
             continue
-        val_x, grad_x = problem.oracle(x, xi)
-        val_alt, _ = problem.oracle(x_alt, xi)
+        batch = scenarios[i:i + 1]
+        (val_x,), (grad_x,) = problem.oracle(x, batch)
+        (val_alt,), _ = problem.oracle(x_alt, batch)
         gap = val_alt - val_x - float(grad_x @ d)
         worst = max(worst, 2.0 * gap / d_sq)
     return worst
@@ -171,12 +187,14 @@ def build_affine_equality_problem(noise_width: float = 0.4) -> ConstrainedStocha
     """
 
     def sampler(rng: np.random.Generator, count: int):
-        return list(rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=count))
+        return rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=count)
 
     def oracle(x, xi):
         u = x[0] - xi
+        grads = np.zeros((u.size, 2))
         # -|u| = min(u, -u); the attaining piece's gradient, zero at the tie
-        return -abs(u), np.array([-np.sign(u), 0.0])
+        grads[:, 0] = -np.sign(u)
+        return -np.abs(u), grads
 
     def constraints(x):
         return np.array([x[0] + x[1] - 1.0]), np.array([[1.0], [1.0]])
@@ -200,11 +218,12 @@ def build_quadratic_equality_problem(noise_width: float = 0.5) -> ConstrainedSto
     """
 
     def sampler(rng: np.random.Generator, count: int):
-        return list(rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=(count, 2)))
+        return rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=(count, 2))
 
     def oracle(x, xi):
         diff = x - xi
-        return float(diff @ diff), 2.0 * diff
+        # batched matmul gives each row exactly the value of diff[i] @ diff[i]
+        return (diff[:, None, :] @ diff[:, :, None]).ravel(), 2.0 * diff
 
     def constraints(x):
         return np.array([x[0] * x[0] - 1.0]), np.array([[2.0 * x[0]], [0.0]])

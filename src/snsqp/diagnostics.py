@@ -94,44 +94,29 @@ def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
     return np.concatenate(values), np.hstack(columns)
 
 
-_reference_batches: dict = {}
+def reference_batch(problem, batch_size: int = REFERENCE_BATCH,
+                    seed: int = REFERENCE_SEED) -> np.ndarray:
+    """The frozen scenario batch behind every reported stationarity value.
+
+    It depends only on (problem.scenario_sampler, seed, batch_size); a run
+    draws it once and passes it to every reference evaluation.
+    """
+    return draw_scenarios(problem.scenario_sampler, seed, 0, batch_size)
 
 
-def _reference_batch(problem, seed: int, batch_size: int):
-    key = (problem.scenario_sampler, seed, batch_size)
-    if key not in _reference_batches:
-        _reference_batches[key] = draw_scenarios(problem.scenario_sampler, seed, 0,
-                                                 batch_size)
-    return _reference_batches[key]
-
-
-def reference_objective(problem, x: np.ndarray,
-                        batch_size: int = REFERENCE_BATCH,
-                        seed: int = REFERENCE_SEED) -> float:
-    """Objective estimate at x over the frozen reference batch."""
-    scenarios = _reference_batch(problem, seed, batch_size)
-    if problem.batch_oracle is not None:
-        value, _ = problem.batch_oracle(x, scenarios)
-        return float(value)
+def reference_objective(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
+    """Objective estimate at x over the reference batch."""
     return aggregate(problem, x, scenarios).mean_value
 
 
-def reference_stationarity(problem, x: np.ndarray,
-                           batch_size: int = REFERENCE_BATCH,
-                           seed: int = REFERENCE_SEED,
+def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray,
                            activity_tol: float = DEFAULT_ACTIVITY_TOL) -> float:
-    """Stationarity residual at x using a frozen large-batch subgradient.
+    """Stationarity residual at x using the reference batch's mean subgradient.
 
-    The batch depends only on (problem.scenario_sampler, seed, batch_size), so
-    every call across a benchmark sees the same scenarios; this is an estimate
-    of the true-subgradient measure, labeled as such in the docs.
+    With the frozen batch of reference_batch this estimates the
+    true-subgradient measure, and is labeled as such in the docs.
     """
-    scenarios = _reference_batch(problem, seed, batch_size)
-    if problem.batch_oracle is not None:
-        _, g = problem.batch_oracle(x, scenarios)
-    else:
-        g = aggregate(problem, x, scenarios).mean_subgradient
-
+    g = aggregate(problem, x, scenarios).mean_subgradient
     values, columns = polyhedron_constraint_rows(problem.set, x)
     if problem.eq_constraints is not None:
         # equality rows enter as opposing pairs, giving their multiplier free sign
@@ -141,11 +126,10 @@ def reference_stationarity(problem, x: np.ndarray,
     return stationarity_error(g, values, columns, activity_tol).residual
 
 
-def fill_stationarity(trace: IterationTrace, batch_size: int = REFERENCE_BATCH,
-                      seed: int = REFERENCE_SEED,
+def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
                       activity_tol: float = DEFAULT_ACTIVITY_TOL,
                       epoch_size: Optional[int] = None) -> None:
-    """Populate the stationarity column in place.
+    """Populate the stationarity column in place, over the reference batch.
 
     With epoch_size set, only the last record of each epoch is evaluated;
     those are exactly the records the epoch table carries, so the epoch CSV
@@ -163,9 +147,8 @@ def fill_stationarity(trace: IterationTrace, batch_size: int = REFERENCE_BATCH,
                   or ((records[i + 1].oracle_calls - 1) // epoch_size
                       > (rec.oracle_calls - 1) // epoch_size)]
     for rec in chosen:
-        rec.stationarity = reference_stationarity(
-            trace.problem, rec.x, batch_size=batch_size, seed=seed,
-            activity_tol=activity_tol)
+        rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios,
+                                                  activity_tol=activity_tol)
 
 
 def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tuple:

@@ -10,12 +10,17 @@ mu in the Lagrangian L = c.x + mu.(A x - b).  The value-function subgradient
 formulas downstream rely on this sign, so it is part of the contract.
 bound_duals holds the reduced cost of each variable at the optimum:
 nonnegative at an active lower bound, nonpositive at an active upper bound.
+
+LPs that share cost, rows and bounds and differ only in the right-hand side
+are solved together by solve_lp_multi_rhs, which reuses optimal bases across
+them ("bunching", Birge & Louveaux, Introduction to Stochastic Programming,
+L-shaped chapter).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,12 +78,40 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
+    """Solution of one LP.
+
+    At an optimum, basis lists the basic columns of [ineq_matrix | I]
+    (structural variables, then one slack per row) and at_upper the nonbasic
+    structural variables that sit at their upper bound; together they
+    determine the vertex for any right-hand side.
+    """
+
     primal: np.ndarray
     duals: np.ndarray
     bound_duals: np.ndarray
     objective: float
     status: LpStatus
     iterations: int = 0
+    basis: np.ndarray = None
+    at_upper: np.ndarray = None
+
+
+@dataclass
+class LpBatchSolution:
+    """Solutions of LPs that differ only in their right-hand side, one row each.
+
+    status is an object array of LpStatus; rows that are not OPTIMAL hold
+    zeros and a nan objective.
+    cold_solves counts the solve_lp calls made; every other row reused the
+    optimal basis of one of those solves.
+    """
+
+    primal: np.ndarray
+    duals: np.ndarray
+    bound_duals: np.ndarray
+    objective: np.ndarray
+    status: np.ndarray
+    cold_solves: int
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -100,6 +133,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x = problem.lower + vals[:q]
     y = core.dual_y()
     reduced = core.cost - y @ core.cols
+    # a basic artificial sits at zero; its row's slack (the negated column)
+    # spans the same basis with the same duals
+    basis = core.basis.copy()
+    artificial = basis >= q + s
+    basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
     return LpSolution(
         primal=x,
         duals=-y,
@@ -107,7 +145,67 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         objective=float(problem.cost @ x),
         status=LpStatus.OPTIMAL,
         iterations=core.pivots,
+        basis=basis,
+        at_upper=np.flatnonzero(core.at_upper[:q] & ~core.in_basis[:q]),
     )
+
+
+def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
+    """Solve `problem` once per row of rhs (shape (N, rows)), reusing bases.
+
+    The LPs share cost, rows and bounds (problem.ineq_rhs is not used), so an
+    optimal basis of one is dual feasible for all of them, and it is optimal
+    for every right-hand side that keeps its basic values within bounds.  The
+    first unresolved row is cold-solved by solve_lp; B^-1 (b0 - N_U u_U) is
+    formed for every other unresolved row in one product; rows whose basic
+    values lie within their bounds to FEAS_TOL are accepted with the cold
+    solve's duals; the rest repeat from the first rejected row.
+    """
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
+    n_lp, s = rhs.shape
+    if s != problem.n_rows:
+        raise ValueError("rhs must have one column per inequality row")
+    q = problem.n_vars
+    cols = np.hstack([problem.ineq_matrix, np.eye(s)])
+    rng = np.concatenate([problem.upper - problem.lower, np.full(s, np.inf)])
+    shifted = rhs - problem.ineq_matrix @ problem.lower
+
+    primal = np.zeros((n_lp, q))
+    duals = np.zeros((n_lp, s))
+    bound_duals = np.zeros((n_lp, q))
+    objective = np.full(n_lp, np.nan)
+    status = np.full(n_lp, None, dtype=object)
+    cold_solves = 0
+    pending = np.arange(n_lp)
+    while pending.size:
+        first, rest = pending[0], pending[1:]
+        sol = solve_lp(replace(problem, ineq_rhs=rhs[first]))
+        cold_solves += 1
+        status[first] = sol.status
+        if sol.status is not LpStatus.OPTIMAL:
+            pending = rest
+            continue
+        primal[first], objective[first] = sol.primal, sol.objective
+        duals[first], bound_duals[first] = sol.duals, sol.bound_duals
+        if not rest.size:
+            break
+
+        basis, upper = sol.basis, sol.at_upper
+        b_inv = np.linalg.inv(cols[:, basis])
+        xb = (shifted[rest] - cols[:, upper] @ rng[upper]) @ b_inv.T
+        fits = np.all((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL), axis=1)
+        won = rest[fits]
+        z = np.zeros((won.size, q + s))
+        z[:, upper] = rng[upper]
+        z[:, basis] = xb[fits]
+        primal[won] = problem.lower + z[:, :q]
+        objective[won] = primal[won] @ problem.cost
+        duals[won], bound_duals[won] = sol.duals, sol.bound_duals
+        status[won] = LpStatus.OPTIMAL
+        pending = rest[~fits]
+    return LpBatchSolution(primal=primal, duals=duals, bound_duals=bound_duals,
+                           objective=objective, status=status,
+                           cold_solves=cold_solves)
 
 
 def verify_lp(problem: LpProblem, solution: LpSolution) -> dict:
@@ -156,7 +254,8 @@ def _solve_box_only(problem: LpProblem) -> LpSolution:
                                   LpStatus.UNBOUNDED)
             x[j] = problem.upper[j]
     return LpSolution(x, np.zeros(0), problem.cost.copy(), float(problem.cost @ x),
-                      LpStatus.OPTIMAL)
+                      LpStatus.OPTIMAL, basis=np.zeros(0, dtype=int),
+                      at_upper=np.flatnonzero(x != problem.lower))
 
 
 class _Simplex:

@@ -5,6 +5,10 @@ subgradients, optional smooth equality constraints, the convex feasible set,
 and the two scalars the algorithms need: a weak-convexity modulus estimate
 (rho_estimate) and a constraint-gradient Lipschitz constant (lipschitz_h).
 
+The oracle works on batches: a batch of N scenarios is an array whose first
+axis indexes the scenarios, and one call returns the N sampled values and
+the N subgradients at x.
+
 The local model at an iterate is the quadratic
     value_at_center + gradient.d + (curvature/2) |d|^2,
 whose minimizer over the translated feasible set is the search direction.
@@ -13,32 +17,29 @@ whose minimizer over the translated feasible set is the search direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .qp import BoxPolyhedron
 
-#: oracle signature: (x, scenario) -> (value, subgradient)
-Oracle = Callable[[np.ndarray, object], tuple]
-#: sampler signature: (rng, count) -> list of scenarios
-Sampler = Callable[[np.random.Generator, int], Sequence]
+#: oracle signature: (x, scenarios) -> (values of shape (N,), subgradients (N, n))
+Oracle = Callable[[np.ndarray, np.ndarray], tuple]
+#: sampler signature: (rng, count) -> array of count scenarios along axis 0
+Sampler = Callable[[np.random.Generator, int], np.ndarray]
 #: equality constraints: x -> (c(x) of length m, jacobian of shape (n, m))
 EqConstraints = Callable[[np.ndarray], tuple]
-#: optional bulk oracle: (x, scenarios) -> (mean value, mean subgradient)
-BatchOracle = Callable[[np.ndarray, Sequence], tuple]
 
 
 @dataclass(frozen=True)
 class ConstrainedStochasticProblem:
     """min E[R(x, xi)] over x in C, subject to c(x) = 0.
 
-    The oracle must be a pure function of (x, scenario): repeated calls with
-    identical arguments return identical results, so batches may be evaluated
-    in any order or in parallel.  Scenarios are opaque to the library.
-
-    batch_oracle, when given, must agree with averaging the plain oracle over
-    the batch; diagnostics use it to evaluate large reference batches cheaply.
+    The oracle must be a pure function of (x, scenarios): repeated calls
+    with identical arguments return identical results, so runs reproduce
+    bitwise wherever they are evaluated.  Row i of its output is a sampled
+    value and subgradient for scenario i.  The library only takes len() of
+    a batch and slices it along its first axis.
     """
 
     dimension: int
@@ -48,7 +49,6 @@ class ConstrainedStochasticProblem:
     rho_estimate: float
     lipschitz_h: float = 0.0
     eq_constraints: Optional[EqConstraints] = None
-    batch_oracle: Optional[BatchOracle] = None
 
     def __post_init__(self):
         if self.dimension < 1:

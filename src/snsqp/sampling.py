@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class OracleError(RuntimeError):
-    """Raised when a per-scenario oracle evaluation fails."""
+    """Raised when the oracle fails or returns a non-finite result on a batch."""
 
 
 @dataclass
@@ -110,7 +110,7 @@ def substream_key(master_seed: int, iteration: int) -> int:
     return (a << 64) | b
 
 
-def draw_scenarios(sampler, master_seed: int, iteration: int, count: int) -> Sequence:
+def draw_scenarios(sampler, master_seed: int, iteration: int, count: int) -> np.ndarray:
     """Draw an i.i.d. batch from the substream owned by (master_seed, iteration)."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -119,22 +119,31 @@ def draw_scenarios(sampler, master_seed: int, iteration: int, count: int) -> Seq
 
 
 def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
-              scenarios: Sequence) -> SampleStats:
-    """Evaluate the oracle over the batch and reduce in scenario order.
+              scenarios: np.ndarray) -> SampleStats:
+    """Evaluate the oracle on the batch and reduce in scenario order.
 
-    The reduction order is fixed by scenario index, so the result is
-    independent of how the per-scenario evaluations are scheduled.
+    The oracle is called once for the whole batch.  A failure, or a nan/inf
+    in its values or subgradients, raises OracleError naming the first
+    scenario index at fault; an oracle that raises is re-run one scenario at
+    a time to find it.
     """
     n_scen = len(scenarios)
     if n_scen < 2:
         raise ValueError("a batch needs at least 2 scenarios")
-    values = np.empty(n_scen)
-    grads = np.empty((n_scen, problem.dimension))
-    for i, xi in enumerate(scenarios):
-        try:
-            values[i], grads[i] = problem.oracle(x, xi)
-        except Exception as exc:
-            raise OracleError(f"oracle failed at scenario index {i}: {exc}") from exc
+    try:
+        values, grads = problem.oracle(x, scenarios)
+    except Exception as exc:
+        raise OracleError(f"oracle failed at scenario index "
+                          f"{_first_failure(problem, x, scenarios)}: {exc}") from exc
+    values = np.asarray(values, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
+        raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
+                          f"for {n_scen} scenarios in dimension {problem.dimension}")
+    finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        raise OracleError(f"oracle returned a non-finite value or subgradient at "
+                          f"scenario index {int(np.argmin(finite))}")
     mean_grad = grads.mean(axis=0)
     dev = grads - mean_grad
     return SampleStats(
@@ -143,6 +152,16 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
         sum_sq_dev=float(np.sum(dev * dev)),
         batch_size=n_scen,
     )
+
+
+def _first_failure(problem, x, scenarios):
+    """Index of the first scenario the oracle fails on by itself, or None."""
+    for i in range(len(scenarios)):
+        try:
+            problem.oracle(x, scenarios[i:i + 1])
+        except Exception:
+            return i
+    return None
 
 
 def variance_test(stats: SampleStats, alpha: float, step_norm_sq: float,

@@ -19,6 +19,7 @@ from snsqp.diagnostics import (
     export_trace,
     fill_stationarity,
     polyhedron_constraint_rows,
+    reference_batch,
     reference_objective,
     reference_stationarity,
     stationarity_error,
@@ -237,22 +238,30 @@ class TestReferenceMeasure:
         from snsqp.bench.pps import build_pps_problem
         problem = build_pps_problem()
         x = np.array([2.0, 7.0])
-        a = reference_stationarity(problem, x)
-        b = reference_stationarity(problem, x)
+        batch = reference_batch(problem)
+        assert len(batch) == REFERENCE_BATCH
+        # a freshly built problem (a new sampler closure) draws the same batch
+        assert np.array_equal(batch, reference_batch(build_pps_problem()))
+        a = reference_stationarity(problem, x, batch)
+        b = reference_stationarity(problem, x, reference_batch(problem))
         assert a == b
-        assert reference_objective(problem, x) == reference_objective(problem, x)
+        assert (reference_objective(problem, x, batch)
+                == reference_objective(problem, x, reference_batch(problem)))
 
     def test_batch_oracle_agrees_with_scenario_loop(self):
-        from snsqp.bench.pps import build_pps_instance, build_pps_problem
-        instance = build_pps_instance()
-        fast = build_pps_problem(instance)
-        slow = build_pps_problem(instance)
-        object.__setattr__(slow, "batch_oracle", None)
+        from snsqp.bench.pps import build_pps_problem
+        problem = build_pps_problem()
         x = np.array([3.0, 6.0])
-        assert reference_objective(fast, x, batch_size=200) == pytest.approx(
-            reference_objective(slow, x, batch_size=200), abs=1e-9)
-        assert reference_stationarity(fast, x, batch_size=200) == pytest.approx(
-            reference_stationarity(slow, x, batch_size=200), abs=1e-9)
+        batch = reference_batch(problem, batch_size=200)
+        loop = [problem.oracle(x, batch[i:i + 1]) for i in range(len(batch))]
+        loop_value = np.mean([values[0] for values, _ in loop])
+        loop_grad = np.mean([grads[0] for _, grads in loop], axis=0)
+        values, columns = polyhedron_constraint_rows(problem.set, x)
+        loop_measure = stationarity_error(loop_grad, values, columns).residual
+        assert reference_objective(problem, x, batch) == pytest.approx(
+            loop_value, abs=1e-9)
+        assert reference_stationarity(problem, x, batch) == pytest.approx(
+            loop_measure, abs=1e-9)
 
     def test_interior_point_measure_is_gradient_norm(self):
         """Strictly inside the set no rows are active, so the measure is |g|."""
@@ -260,10 +269,9 @@ class TestReferenceMeasure:
                                            two_piece_crossing_spec)
         problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.2)
         x = np.array([0.7, -0.4])
-        scenarios_measure = reference_stationarity(problem, x, batch_size=64)
+        batch = reference_batch(problem, batch_size=64, seed=REFERENCE_SEED)
+        scenarios_measure = reference_stationarity(problem, x, batch)
         from snsqp.sampling import aggregate
-        from snsqp.diagnostics import _reference_batch
-        batch = _reference_batch(problem, REFERENCE_SEED, 64)
         g = aggregate(problem, x, batch).mean_subgradient
         assert scenarios_measure == pytest.approx(float(np.linalg.norm(g)))
 
@@ -276,7 +284,7 @@ class TestReferenceMeasure:
                               strategy=FixedSize(5), budget=100, master_seed=6)
         trace = run_algorithm1(problem, config)
         assert all(math.isnan(rec.stationarity) for rec in trace.records)
-        fill_stationarity(trace, batch_size=64)
+        fill_stationarity(trace, reference_batch(problem, batch_size=64))
         assert all(math.isfinite(rec.stationarity) for rec in trace.records)
         assert all(rec.stationarity >= 0.0 for rec in trace.records)
 
@@ -287,5 +295,6 @@ class TestReferenceMeasure:
         # at x = (1, 0): c = 0, constraint gradient (2, 0); the reference
         # subgradient of |x - xi|^2 at x is 2x = (2, 0), exactly J * 1
         x = np.array([1.0, 0.0])
-        measure = reference_stationarity(problem, x, batch_size=16)
+        measure = reference_stationarity(problem, x,
+                                         reference_batch(problem, batch_size=16))
         assert measure <= 1e-8

@@ -221,11 +221,11 @@ class TestFullStepLoop:
         """E[-|x1 - xi|] pushes x1 to a box edge; compare with a grid scan."""
 
         def sampler(rng, count):
-            return list(rng.uniform(-0.5, 0.5, size=count))
+            return rng.uniform(-0.5, 0.5, size=count)
 
         def oracle(x, xi):
             u = x[0] - xi
-            return -abs(u), np.array([-np.sign(u)])
+            return -np.abs(u), -np.sign(u)[:, None]
 
         box = BoxPolyhedron(lower=[-1.0], upper=[1.0])
         problem = ConstrainedStochasticProblem(
@@ -293,8 +293,9 @@ class TestFullStepLoop:
 
         problem = ConstrainedStochasticProblem(
             dimension=2,
-            scenario_sampler=lambda rng, count: [0.0] * count,
-            oracle=lambda x, xi: (float(x @ x), 2.0 * x),
+            scenario_sampler=lambda rng, count: np.zeros(count),
+            oracle=lambda x, xi: (np.full(len(xi), float(x @ x)),
+                                  np.tile(2.0 * x, (len(xi), 1))),
             set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
             rho_estimate=2.0, lipschitz_h=2.0, eq_constraints=constraints)
         config = SolverConfig(x0=np.zeros(2), alpha0=2.0, strategy=FixedSize(2),

@@ -6,11 +6,21 @@ Dual variables are checked both through the KKT residuals and by pricing
 finite right-hand-side perturbations.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 from scipy.optimize import linprog
 
-from snsqp.lp import LpProblem, LpStatus, solve_lp, verify_lp
+from snsqp.lp import (
+    LpProblem,
+    LpSolution,
+    LpStatus,
+    solve_lp,
+    solve_lp_multi_rhs,
+    verify_lp,
+)
 from snsqp.bench.reference import enumerate_lp
 
 
@@ -33,6 +43,73 @@ def random_instance(rng, q, s, inf_uppers=False):
     rhs = a_mat @ interior + rng.uniform(0.1, 2.0, s)
     return LpProblem(cost=cost, ineq_matrix=a_mat, ineq_rhs=rhs,
                      lower=lower, upper=upper)
+
+
+def shared_rows_family(seed, q, s, n_rhs, inf_uppers):
+    """LPs that share cost, rows and bounds, and right-hand sides for them.
+
+    Each right-hand side is built from its own point spread over the whole
+    box (width 3 on coordinates without an upper bound), so different rows
+    often need different optimal bases.
+    """
+    rng = np.random.default_rng(seed)
+    problem = random_instance(rng, q, s, inf_uppers=inf_uppers)
+    width = np.where(np.isfinite(problem.upper), problem.upper - problem.lower, 3.0)
+    points = problem.lower + width * rng.uniform(0.0, 1.0, (n_rhs, q))
+    rhs = points @ problem.ineq_matrix.T + rng.uniform(0.0, 2.0, (n_rhs, s))
+    return problem, rhs
+
+
+class TestMultiRhs:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 6),
+           s=st.integers(0, 5), n_rhs=st.integers(1, 12),
+           inf_uppers=st.booleans())
+    def test_every_row_matches_its_own_solve(self, seed, q, s, n_rhs, inf_uppers):
+        problem, rhs = shared_rows_family(seed, q, s, n_rhs, inf_uppers)
+        batch = solve_lp_multi_rhs(problem, rhs)
+        target(float(batch.cold_solves), label="cold solves")
+        assert 1 <= batch.cold_solves <= n_rhs
+        for i in range(n_rhs):
+            row_problem = replace(problem, ineq_rhs=rhs[i])
+            cold = solve_lp(row_problem)
+            assert batch.status[i] is LpStatus.OPTIMAL
+            assert abs(batch.objective[i] - cold.objective) <= 1e-8
+            row = LpSolution(batch.primal[i], batch.duals[i], batch.bound_duals[i],
+                             batch.objective[i], batch.status[i])
+            residuals = verify_lp(row_problem, row)
+            assert residuals["gap"] <= 1e-8
+            assert residuals["primal_res"] <= 1e-8
+            assert residuals["dual_res"] <= 1e-7
+
+    def test_rejected_rows_get_a_cold_solve(self):
+        """max x1 + x2 under x1 <= b1, x2 <= b2, x1 + x2 <= b3 in [0, 10]^2:
+        the first rhs has the two bound rows active, the second the sum row."""
+        problem = LpProblem(cost=[-1.0, -1.0],
+                            ineq_matrix=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                            ineq_rhs=np.zeros(3), lower=[0.0, 0.0],
+                            upper=[10.0, 10.0])
+        rhs = np.array([[1.0, 1.0, 5.0], [4.0, 4.0, 5.0], [2.0, 1.5, 9.0]])
+        batch = solve_lp_multi_rhs(problem, rhs)
+        assert batch.cold_solves == 2
+        np.testing.assert_allclose(batch.objective, [-2.0, -5.0, -3.5], atol=1e-12)
+        # the third row reused the first basis, and with it its duals
+        np.testing.assert_array_equal(batch.duals[2], batch.duals[0])
+
+    def test_infeasible_row_keeps_the_others(self):
+        problem = LpProblem(cost=[1.0], ineq_matrix=[[-1.0]], ineq_rhs=[0.0],
+                            lower=[0.0], upper=[10.0])
+        batch = solve_lp_multi_rhs(problem, np.array([[-1.0], [-20.0], [-2.0]]))
+        assert list(batch.status) == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE,
+                                      LpStatus.OPTIMAL]
+        np.testing.assert_allclose(batch.objective[[0, 2]], [1.0, 2.0])
+        assert np.isnan(batch.objective[1])
+
+    def test_rhs_width_must_match_rows(self):
+        problem = LpProblem(cost=[1.0], ineq_matrix=[[1.0]], ineq_rhs=[1.0],
+                            lower=[0.0], upper=[1.0])
+        with pytest.raises(ValueError):
+            solve_lp_multi_rhs(problem, np.ones((3, 2)))
 
 
 class TestAgainstVertexEnumeration:

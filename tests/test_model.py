@@ -176,10 +176,10 @@ def test_problem_validation():
     box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
 
     def sampler(rng, count):
-        return [None] * count
+        return np.zeros(count)
 
-    def oracle(x, scenario):
-        return 0.0, np.zeros(2)
+    def oracle(x, scenarios):
+        return np.zeros(len(scenarios)), np.zeros((len(scenarios), 2))
 
     with pytest.raises(ValueError):
         ConstrainedStochasticProblem(dimension=0, scenario_sampler=sampler,

@@ -8,20 +8,20 @@ shipping margin and the production premium change sign).
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from snsqp import lp
 from snsqp.bench.pps import (
     X0,
-    PpsScenario,
     build_pps_instance,
     build_pps_problem,
     first_stage_set,
-    pps_batch_oracle,
     pps_oracle,
     recourse_closed_form,
     sample_truncated_normal,
     scenario_sampler,
     second_stage_lp,
+    split_scenarios,
 )
 from snsqp.bench.reference import truncated_normal_moments
 from snsqp.sampling import OracleError, aggregate, draw_scenarios
@@ -35,6 +35,11 @@ def instance():
 @pytest.fixture(scope="module")
 def problem():
     return build_pps_problem()
+
+
+def scenario(slopes, intercepts):
+    """One scenario row: the slopes, then the intercepts."""
+    return np.concatenate([slopes, intercepts])
 
 
 class TestInstanceData:
@@ -78,8 +83,8 @@ class TestInstanceData:
 class TestScenarioDistribution:
     def test_draws_stay_inside_intervals(self, instance, problem):
         scenarios = draw_scenarios(problem.scenario_sampler, 9, 1, 2000)
-        slopes = np.stack([s.slopes for s in scenarios])
-        intercepts = np.stack([s.intercepts for s in scenarios])
+        assert scenarios.shape == (2000, 10)
+        slopes, intercepts = split_scenarios(instance, scenarios)
         assert np.all(slopes >= instance.slope_intervals[:, 0])
         assert np.all(slopes <= instance.slope_intervals[:, 1])
         assert np.all(intercepts >= instance.intercept_intervals[:, 0])
@@ -107,16 +112,14 @@ class TestScenarioDistribution:
     def test_sampler_is_deterministic(self, problem):
         a = draw_scenarios(problem.scenario_sampler, 4, 11, 50)
         b = draw_scenarios(problem.scenario_sampler, 4, 11, 50)
-        for s, t in zip(a, b):
-            assert np.array_equal(s.slopes, t.slopes)
-            assert np.array_equal(s.intercepts, t.intercepts)
+        assert np.array_equal(a, b)
 
 
 class TestRecourseLp:
     def test_zero_demand_corner_by_hand(self, instance):
         """All demand caps zero: nothing ships, production sits at the floor."""
-        scenario = PpsScenario(slopes=np.full(5, -1.6), intercepts=np.full(5, 16.0))
-        sol = lp.solve_lp(second_stage_lp(instance, 10.0, scenario))
+        corner = scenario(np.full(5, -1.6), np.full(5, 16.0))
+        sol = lp.solve_lp(second_stage_lp(instance, 10.0, corner))
         assert sol.status is lp.LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.primal[:5], np.ones(5), atol=1e-9)
         np.testing.assert_allclose(sol.primal[5:], np.zeros(25), atol=1e-9)
@@ -125,8 +128,7 @@ class TestRecourseLp:
     def test_matches_closed_form(self, instance, problem):
         rng = np.random.default_rng(31)
         scenarios = draw_scenarios(problem.scenario_sampler, 8, 2, 100)
-        slopes = np.stack([s.slopes for s in scenarios])
-        intercepts = np.stack([s.intercepts for s in scenarios])
+        slopes, intercepts = split_scenarios(instance, scenarios)
         for p in (1.0, 2.5, 4.0, 6.0, 8.5, 10.0):
             values, derivs = recourse_closed_form(instance, p, slopes, intercepts)
             for i in (0, 17, 56, 99):
@@ -137,12 +139,43 @@ class TestRecourseLp:
         scenarios = draw_scenarios(problem.scenario_sampler, 5, 3, 60)
         point = np.array([2.5, 7.0])
         stats = aggregate(problem, point, scenarios)
-        bulk_value, bulk_grad = pps_batch_oracle(instance)(point, scenarios)
-        assert bulk_value == pytest.approx(stats.mean_value, abs=1e-9)
-        np.testing.assert_allclose(bulk_grad, stats.mean_subgradient, atol=1e-9)
+        loop = [pps_oracle(instance, point, scenarios[i:i + 1])
+                for i in range(len(scenarios))]
+        loop_values = np.array([values[0] for values, _ in loop])
+        loop_grads = np.array([grads[0] for _, grads in loop])
+        assert loop_values.mean() == pytest.approx(stats.mean_value, abs=1e-9)
+        np.testing.assert_allclose(loop_grads.mean(axis=0), stats.mean_subgradient,
+                                   atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.0, 10.0), x=st.floats(1.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40))
+    def test_batch_oracle_matches_cold_lp_and_closed_form(self, instance, problem,
+                                                           p, x, seed, size):
+        """Values against one cold LP per scenario; d/dp against the closed
+        form, away from the price breakpoints p = 2 and p = 4.2."""
+        assume(abs(p - 2.0) > 1e-6 and abs(p - 4.2) > 1e-6)
+        scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, size)
+        values, grads = pps_oracle(instance, np.array([x, p]), scenarios)
+        first_stage = (instance.first_stage_cost - p) * x
+        cold = np.array([lp.solve_lp(second_stage_lp(instance, p, row)).objective
+                         for row in scenarios])
+        np.testing.assert_allclose(values, first_stage + cold, rtol=0, atol=1e-8)
+        _, derivs = recourse_closed_form(instance, p,
+                                         *split_scenarios(instance, scenarios))
+        np.testing.assert_allclose(grads[:, 1], -x + derivs, rtol=0, atol=1e-8)
+        assert np.all(grads[:, 0] == instance.first_stage_cost - p)
+
+    def test_one_cold_solve_serves_a_batch(self, instance, problem):
+        scenarios = draw_scenarios(problem.scenario_sampler, 0, 1, 1000)
+        slopes, intercepts = split_scenarios(instance, scenarios)
+        for p in (1.5, 3.0, 5.0, 6.5, 8.0):
+            template = second_stage_lp(instance, p, scenarios[0])
+            rhs = np.hstack([slopes * p + intercepts, np.zeros((1000, 5))])
+            assert lp.solve_lp_multi_rhs(template, rhs).cold_solves == 1
 
     def test_closed_form_requires_uniform_costs(self, instance):
-        lopsided = PpsScenario(slopes=np.full(5, -1.0), intercepts=np.full(5, 20.0))
+        slopes, intercepts = np.full(5, -1.0), np.full(5, 20.0)
         bad = build_pps_instance().__class__(
             factories=instance.factories, stores=instance.stores,
             first_stage_cost=instance.first_stage_cost,
@@ -153,8 +186,7 @@ class TestRecourseLp:
             slope_intervals=instance.slope_intervals,
             intercept_intervals=instance.intercept_intervals)
         with pytest.raises(ValueError):
-            recourse_closed_form(bad, 5.0, lopsided.slopes[None, :],
-                                 lopsided.intercepts[None, :])
+            recourse_closed_form(bad, 5.0, slopes[None, :], intercepts[None, :])
 
 
 class TestOracle:
@@ -162,34 +194,33 @@ class TestOracle:
         """Central differences in (x, p) away from the p breakpoints."""
         scenarios = draw_scenarios(problem.scenario_sampler, 21, 4, 6)
         h = 1e-5
-        for scenario in scenarios:
-            for x, p in ((1.5, 3.0), (2.0, 6.5), (4.0, 8.0)):
-                _, grad = pps_oracle(instance, np.array([x, p]), scenario)
-                fd_x = (pps_oracle(instance, np.array([x + h, p]), scenario)[0]
-                        - pps_oracle(instance, np.array([x - h, p]), scenario)[0]
-                        ) / (2 * h)
-                fd_p = (pps_oracle(instance, np.array([x, p + h]), scenario)[0]
-                        - pps_oracle(instance, np.array([x, p - h]), scenario)[0]
-                        ) / (2 * h)
-                assert grad[0] == pytest.approx(fd_x, abs=1e-6)
-                assert grad[1] == pytest.approx(fd_p, abs=1e-4)
+        for x, p in ((1.5, 3.0), (2.0, 6.5), (4.0, 8.0)):
+            _, grads = pps_oracle(instance, np.array([x, p]), scenarios)
+            fd_x = (pps_oracle(instance, np.array([x + h, p]), scenarios)[0]
+                    - pps_oracle(instance, np.array([x - h, p]), scenarios)[0]
+                    ) / (2 * h)
+            fd_p = (pps_oracle(instance, np.array([x, p + h]), scenarios)[0]
+                    - pps_oracle(instance, np.array([x, p - h]), scenarios)[0]
+                    ) / (2 * h)
+            np.testing.assert_allclose(grads[:, 0], fd_x, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(grads[:, 1], fd_p, rtol=0, atol=1e-4)
 
     def test_value_decomposition(self, instance, problem):
-        scenario = draw_scenarios(problem.scenario_sampler, 2, 1, 1)[0]
+        batch = draw_scenarios(problem.scenario_sampler, 2, 1, 1)
         x, p = 3.0, 7.0
-        value, _ = pps_oracle(instance, np.array([x, p]), scenario)
-        recourse = lp.solve_lp(second_stage_lp(instance, p, scenario)).objective
+        (value,), _ = pps_oracle(instance, np.array([x, p]), batch)
+        recourse = lp.solve_lp(second_stage_lp(instance, p, batch[0])).objective
         assert value == pytest.approx((instance.first_stage_cost - p) * x
                                       + recourse)
 
     def test_infeasible_recourse_surfaces_as_oracle_error(self, instance, problem):
         # negative demand cap contradicts z >= 0
-        bad = PpsScenario(slopes=np.full(5, -2.0), intercepts=np.full(5, 1.0))
-        good = PpsScenario(slopes=np.full(5, -1.0), intercepts=np.full(5, 20.0))
+        bad = scenario(np.full(5, -2.0), np.full(5, 1.0))
+        good = scenario(np.full(5, -1.0), np.full(5, 20.0))
         with pytest.raises(RuntimeError):
-            pps_oracle(instance, np.array([2.0, 10.0]), bad)
+            pps_oracle(instance, np.array([2.0, 10.0]), bad[None, :])
         with pytest.raises(OracleError, match="scenario index 1"):
-            aggregate(problem, np.array([2.0, 10.0]), [good, bad, good])
+            aggregate(problem, np.array([2.0, 10.0]), np.stack([good, bad, good]))
 
 
 class TestCurvatureBudget:
@@ -221,11 +252,11 @@ class TestCurvatureBudget:
         rng = np.random.default_rng(606)
         scenarios = draw_scenarios(problem.scenario_sampler, 77, 1, 400)
         box = problem.set
-        for xi in scenarios:
+        for i in range(len(scenarios)):
             x = rng.uniform(box.lower, box.upper)
             x_alt = rng.uniform(box.lower, box.upper)
             d = x_alt - x
-            val, grad = problem.oracle(x, xi)
-            val_alt, _ = problem.oracle(x_alt, xi)
+            (val,), (grad,) = problem.oracle(x, scenarios[i:i + 1])
+            (val_alt,), _ = problem.oracle(x_alt, scenarios[i:i + 1])
             gap = val_alt - val - float(grad @ d)
             assert gap <= 0.5 * ceiling * float(d @ d) + 1e-9

@@ -6,6 +6,7 @@ cases of the adaptive growth rule.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -27,14 +28,25 @@ from snsqp.sampling import (
 
 
 def uniform_sampler(rng, count):
-    return list(rng.uniform(-1.0, 1.0, size=(count, 3)))
+    return rng.uniform(-1.0, 1.0, size=(count, 3))
 
 
-def toy_problem(oracle):
+def batched(per_scenario):
+    """Lift a per-scenario (value, subgradient) function to the batch oracle."""
+
+    def oracle(x, scenarios):
+        pairs = [per_scenario(x, xi) for xi in scenarios]
+        return (np.array([value for value, _ in pairs]),
+                np.array([grad for _, grad in pairs]))
+
+    return oracle
+
+
+def toy_problem(per_scenario):
     return ConstrainedStochasticProblem(
         dimension=2,
-        scenario_sampler=lambda rng, count: list(range(count)),
-        oracle=oracle,
+        scenario_sampler=lambda rng, count: np.arange(count),
+        oracle=batched(per_scenario),
         set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
         rho_estimate=1.0,
     )
@@ -79,7 +91,7 @@ class TestScenarioStreams:
 class TestAggregate:
     def test_identical_scenarios_have_zero_scatter(self):
         problem = toy_problem(lambda x, xi: (1.5, np.array([2.0, -1.0])))
-        stats = aggregate(problem, np.zeros(2), [0, 0, 0, 0])
+        stats = aggregate(problem, np.zeros(2), np.zeros(4))
         assert stats.mean_value == pytest.approx(1.5)
         np.testing.assert_allclose(stats.mean_subgradient, [2.0, -1.0])
         assert stats.sum_sq_dev == pytest.approx(0.0)
@@ -89,7 +101,7 @@ class TestAggregate:
         # grads (0,0) and (2,0): mean (1,0), deviations (-1,0),(1,0), scatter 2
         problem = toy_problem(
             lambda x, xi: (float(xi), np.array([float(xi), 0.0])))
-        stats = aggregate(problem, np.zeros(2), [0.0, 2.0])
+        stats = aggregate(problem, np.zeros(2), np.array([0.0, 2.0]))
         np.testing.assert_allclose(stats.mean_subgradient, [1.0, 0.0])
         assert stats.sum_sq_dev == pytest.approx(2.0)
         assert stats.mean_value == pytest.approx(1.0)
@@ -97,7 +109,7 @@ class TestAggregate:
     def test_order_independent_mean(self):
         problem = toy_problem(
             lambda x, xi: (float(xi), np.array([float(xi), float(xi) ** 2])))
-        batch = [0.5, -1.0, 2.0, 0.25]
+        batch = np.array([0.5, -1.0, 2.0, 0.25])
         a = aggregate(problem, np.zeros(2), batch)
         b = aggregate(problem, np.zeros(2), batch[::-1])
         np.testing.assert_allclose(a.mean_subgradient, b.mean_subgradient,
@@ -112,12 +124,43 @@ class TestAggregate:
 
         problem = toy_problem(oracle)
         with pytest.raises(OracleError, match="scenario index 3"):
-            aggregate(problem, np.zeros(2), [0, 1, 2, 3, 4])
+            aggregate(problem, np.zeros(2), np.arange(5))
+
+    def test_non_finite_output_names_scenario_index(self):
+        def nan_at_2(x, xi):
+            return (math.nan if xi == 2 else 0.0), np.zeros(2)
+
+        def inf_grad_at_1(x, xi):
+            return 0.0, np.array([math.inf if xi == 1 else 0.0, 0.0])
+
+        with pytest.raises(OracleError, match="non-finite.*scenario index 2"):
+            aggregate(toy_problem(nan_at_2), np.zeros(2), np.arange(4))
+        with pytest.raises(OracleError, match="non-finite.*scenario index 1"):
+            aggregate(toy_problem(inf_grad_at_1), np.zeros(2), np.arange(4))
+
+    def test_one_oracle_call_per_batch(self):
+        calls = []
+
+        def oracle(x, scenarios):
+            calls.append(len(scenarios))
+            return np.zeros(len(scenarios)), np.zeros((len(scenarios), 2))
+
+        problem = ConstrainedStochasticProblem(
+            dimension=2, scenario_sampler=lambda rng, count: np.arange(count),
+            oracle=oracle, set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+            rho_estimate=1.0)
+        aggregate(problem, np.zeros(2), np.arange(7))
+        assert calls == [7]
+
+    def test_wrong_output_shape_rejected(self):
+        problem = toy_problem(lambda x, xi: (0.0, np.zeros(3)))
+        with pytest.raises(OracleError, match="shapes"):
+            aggregate(problem, np.zeros(2), np.arange(3))
 
     def test_rejects_tiny_batches(self):
         problem = toy_problem(lambda x, xi: (0.0, np.zeros(2)))
         with pytest.raises(ValueError):
-            aggregate(problem, np.zeros(2), [0])
+            aggregate(problem, np.zeros(2), np.zeros(1))
 
 
 class TestVarianceTest:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snsqp.bench.synthetic import (
     QuadraticPiece,
@@ -74,6 +75,72 @@ class TestPiecewiseMin:
             SyntheticUc2Spec(pieces=[])
 
 
+def scalar_piecewise_min(spec, x, shift):
+    """The attaining-piece rule, one scenario at a time: pieces are scanned in
+    order and a later one wins only when lower by more than 1e-15."""
+    best_val, best_idx = np.inf, -1
+    for t, piece in enumerate(spec.pieces):
+        lin = piece.linear + shift
+        val = piece.offset + lin @ x + 0.5 * x @ (piece.curvature_matrix @ x)
+        if val < best_val - 1e-15:
+            best_val, best_idx = val, t
+    piece = spec.pieces[best_idx]
+    return best_val, piece.linear + shift + piece.curvature_matrix @ x
+
+
+#: quarter-integers keep every value exact, so distinct pieces tie often
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+def quarter_vectors(n):
+    return st.lists(quarters, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def tie_prone_cases(draw):
+    n = draw(st.integers(1, 3))
+    pieces = [QuadraticPiece(offset=draw(quarters), linear=draw(quarter_vectors(n)),
+                             curvature_matrix=np.diag(draw(st.lists(
+                                 st.integers(0, 4), min_size=n, max_size=n))) / 2.0)
+              for _ in range(draw(st.integers(1, 4)))]
+    shifts = np.array(draw(st.lists(quarter_vectors(n), min_size=1, max_size=6)))
+    return SyntheticUc2Spec(pieces=pieces), draw(quarter_vectors(n)), shifts
+
+
+class TestBatchOracleTieRule:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tie_prone_cases())
+    def test_matches_scalar_scan(self, case):
+        spec, x, shifts = case
+        values, grads = build_synthetic_uc2(spec, noise_width=0.0).oracle(x, shifts)
+        for i, shift in enumerate(shifts):
+            want_value, want_grad = scalar_piecewise_min(spec, x, shift)
+            assert values[i] == want_value
+            np.testing.assert_array_equal(grads[i], want_grad)
+
+    def test_exact_tie_goes_to_lowest_index(self):
+        """On the crossing plane x1 = 0 both pieces take the same value, with
+        x1-derivatives +2 and -2; every scenario must get piece 0's."""
+        problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.0)
+        shifts = np.array([[0.0, 0.0], [0.0, 0.1], [0.25, -0.1]])
+        _, grads = problem.oracle(np.array([0.0, 0.3]), shifts)
+        np.testing.assert_array_equal(grads[:, 0], 2.0 + shifts[:, 0])
+
+    def test_later_piece_needs_a_margin_above_1e_15(self):
+        def spec(offset):
+            flat = np.zeros((1, 1))
+            return SyntheticUc2Spec(pieces=[
+                QuadraticPiece(offset=0.0, linear=np.array([1.0]), curvature_matrix=flat),
+                QuadraticPiece(offset=offset, linear=np.array([-1.0]),
+                               curvature_matrix=flat)])
+
+        x, shifts = np.zeros(1), np.zeros((2, 1))
+        _, grads = build_synthetic_uc2(spec(-1e-15), 0.0).oracle(x, shifts)
+        np.testing.assert_array_equal(grads[:, 0], [1.0, 1.0])
+        _, grads = build_synthetic_uc2(spec(-4e-15), 0.0).oracle(x, shifts)
+        np.testing.assert_array_equal(grads[:, 0], [-1.0, -1.0])
+
+
 class TestTrueExpectation:
     def test_matches_monte_carlo(self):
         """Zero-mean shifts leave the expectation at the unshifted value."""
@@ -83,7 +150,7 @@ class TestTrueExpectation:
         scenarios = draw_scenarios(problem.scenario_sampler, 12, 1, 40_000)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, 2)
-            vals = np.array([problem.oracle(x, xi)[0] for xi in scenarios])
+            vals, _ = problem.oracle(x, scenarios)
             true_val, _ = true_value_and_gradient(spec, x)
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - true_val) <= 4.0 * se + 1e-12
@@ -135,7 +202,7 @@ class TestEqualityCompanions:
         assert c.shape == (1,) and jac.shape == (2, 1)
         assert c[0] == pytest.approx(-0.25)
         np.testing.assert_allclose(jac, [[1.0], [1.0]])
-        val, grad = problem.oracle(np.array([0.7, 0.0]), 0.2)
+        (val,), (grad,) = problem.oracle(np.array([0.7, 0.0]), np.array([0.2]))
         assert val == pytest.approx(-0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
@@ -148,7 +215,7 @@ class TestEqualityCompanions:
         assert c[0] == pytest.approx(-0.75)
         np.testing.assert_allclose(jac, [[1.0], [0.0]])
         xi = np.array([0.1, -0.1])
-        val, grad = problem.oracle(x, xi)
+        (val,), (grad,) = problem.oracle(x, xi[None, :])
         diff = x - xi
         assert val == pytest.approx(float(diff @ diff))
         np.testing.assert_allclose(grad, 2.0 * diff)
