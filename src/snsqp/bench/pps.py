@@ -31,8 +31,7 @@ from .. import lp
 from ..model import ConstrainedStochasticProblem
 from ..qp import BoxPolyhedron
 
-#: rejection-sampling fallbacks taken so far (cap hit, midpoint used)
-TRUNCNORM_FALLBACKS = 0
+#: each round accepts about 95.4% of the pending draws, so the cap is never reached
 _MAX_REJECTION_ROUNDS = 10 ** 4
 
 #: weak-convexity modulus estimate used for this benchmark's runs; together
@@ -106,23 +105,22 @@ def _truncated_normal(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
 
     lo/hi have shape (m,); the result has shape (count, m).  Acceptance is
     about 95.4% per attempt (2-sigma window), so a handful of rounds suffice;
-    a hard cap falls back to the midpoint and counts the event.
+    exhausting the hard cap means a broken generator and raises.
     """
-    global TRUNCNORM_FALLBACKS
     mean = 0.5 * (lo + hi)
     sigma = (hi - lo) / 4.0
     out = np.empty((count, lo.size))
     pending = np.ones((count, lo.size), dtype=bool)
     for _ in range(_MAX_REJECTION_ROUNDS):
-        if not pending.any():
-            return out
         draw = mean + sigma * rng.standard_normal((count, lo.size))
         ok = pending & (draw >= lo) & (draw <= hi)
         out[ok] = draw[ok]
         pending &= ~ok
-    TRUNCNORM_FALLBACKS += int(pending.sum())
-    out[pending] = np.broadcast_to(mean, out.shape)[pending]
-    return out
+        if not pending.any():
+            return out
+    a, b = (float(v[pending.any(axis=0)][0]) for v in (lo, hi))
+    raise RuntimeError(f"truncated-normal rejection sampling on [{a!r}, {b!r}] "
+                       f"accepted no draw in {_MAX_REJECTION_ROUNDS} rounds")
 
 
 def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:

@@ -161,13 +161,9 @@ def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tupl
     """
     if epoch_size < 1:
         raise ValueError("epoch_size must be a positive integer")
-    dim = trace.problem.dimension if trace.problem is not None else (
-        trace.records[0].x.size if trace.records else 0)
-    header = list(TRACE_COLUMNS) + [f"x{i}" for i in range(dim)]
-
     iter_rows = []
     for rec in trace.records:
-        iter_rows.append(_row(rec, (rec.oracle_calls - 1) // epoch_size, header))
+        iter_rows.append(_row(rec, (rec.oracle_calls - 1) // epoch_size))
 
     epoch_rows = []
     if trace.records:
@@ -183,7 +179,7 @@ def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tupl
                    and (trace.records[idx].oracle_calls - 1) // epoch_size <= e):
                 current = trace.records[idx]
                 idx += 1
-            epoch_rows.append(_row(current, e, header))
+            epoch_rows.append(_row(current, e))
     return iter_rows, epoch_rows
 
 
@@ -207,7 +203,7 @@ def write_run_csv(trace: IterationTrace, out_dir, run_id: str,
     return trace_path, epochs_path
 
 
-def _row(rec, epoch: int, header) -> dict:
+def _row(rec, epoch: int) -> dict:
     row = {
         "k": rec.k,
         "epoch": epoch,

@@ -62,7 +62,6 @@ class SolverConfig:
     nu: Optional[Callable[[int], float]] = None
     mu: Optional[Callable[[int], float]] = None
     max_iterations: int = 10 ** 6
-    qp_tol: float = 1e-8
     alpha_growth: float = 1.0
 
     def __post_init__(self):
@@ -267,7 +266,7 @@ def _run(problem, config, with_equalities):
         sub = QpProblem(gradient=model.gradient, curvature=state.alpha,
                         set=problem.set.translate(state.x),
                         eq_jacobian=jac, eq_residual=c_val)
-        sol = solve_qp(sub, tol=config.qp_tol)
+        sol = solve_qp(sub)
         if sol.status is QpStatus.INFEASIBLE:
             trace.stop_reason = "subproblem_infeasible"
             break

@@ -6,8 +6,12 @@ Solves
     s.t. eq_jacobian.T @ d = -eq_residual     (optional linearized equalities)
          d in set                             (translated feasible set)
 
-with a dense primal active-set method, returning the step together with
-equality multipliers and the decomposed normal-cone element of the set,
+with a dense primal active-set method over free variables.  With scalar
+curvature an active bound just fixes its coordinate: the face step is
+-(d + g/alpha) on the free coordinates, projected onto the null space of the
+working equality and inequality rows there, and a bound's multiplier is the
+stationarity residual on its coordinate.  The solve returns the step together
+with equality multipliers and the decomposed normal-cone element of the set,
 certified by a KKT residual.  Problems here are small (a few dozen
 variables); exact active-set identification is preferred over iterative
 methods because the multipliers feed merit and stationarity formulas.
@@ -16,13 +20,18 @@ methods because the multipliers feed merit and stationarity formulas.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-8
+#: KKT tolerance, relative to max(1, |g|_inf)
+TOL = 1e-8
+#: active-set iterations allowed per variable and constraint row
+MAX_ITER_PER_ROW = 50
 #: relative singular-value threshold marking dependent working-set rows
 RANK_THRESHOLD = 1e-12
+#: distance from the linearized equalities and the set accepted at the start point
+START_TOL = 1e-12
 #: phase-1 l1 equality violation above this value means the subproblem is infeasible
 PHASE1_VIOLATION_TOL = 1e-6
 
@@ -145,79 +154,76 @@ class QpSolution:
     iterations: int = 0
 
 
-def _null_space_step(work_rows: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Projection of -u onto the null space of the working-set rows.
+def solve_qp(problem: QpProblem) -> QpSolution:
+    """Solve the subproblem with a primal active-set loop over free variables.
 
-    Returns the step and whether the rows were rank deficient (dependent
-    rows are harmless for the geometry but worth flagging).
-    """
-    if work_rows.shape[0] == 0:
-        return -u, False
-    svd_u, sig, vt = np.linalg.svd(work_rows, full_matrices=True)
-    cutoff = RANK_THRESHOLD * max(1.0, sig[0] if sig.size else 0.0)
-    rank = int(np.sum(sig > cutoff))
-    deficient = rank < work_rows.shape[0]
-    null_basis = vt[rank:].T
-    if null_basis.shape[1] == 0:
-        return np.zeros_like(u), deficient
-    return -null_basis @ (null_basis.T @ u), deficient
-
-
-def solve_qp(problem: QpProblem, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> QpSolution:
-    """Solve the subproblem with a primal active-set loop.
-
-    Equality rows stay in every working set; bound and inequality rows enter
-    on the lowest-index blocking constraint and leave on the most negative
-    multiplier.  Infeasibility of the linearized equalities inside the set is
-    detected by an l1 phase-1 solve (see _phase1_start).
+    The working state is d, a side per coordinate (-1 at its lower bound, +1
+    at its upper bound, 0 free) and the active inequality rows; the equality
+    rows are always in.  An active bound fixes its coordinate, so only the
+    general working rows, restricted to the free coordinates, are factored.
+    The lowest-id blocking constraint enters (coordinate i has id i,
+    inequality row r id n + r) and the most negative multiplier leaves.
+    Infeasibility of the linearized equalities inside the set is detected by
+    an l1 phase-1 solve (see _starting_point).
     """
     box = problem.set
     n, m, p = box.dim, problem.n_eq, box.n_ineq
-    if max_iter is None:
-        max_iter = 50 * (n + m + p)
     alpha = problem.curvature
     g = problem.gradient
-
-    eq_rows = np.zeros((0, n)) if m == 0 else problem.eq_jacobian.T
-    eq_rhs = np.zeros(0) if m == 0 else -problem.eq_residual
 
     d, infeasible = _starting_point(problem)
     if infeasible:
         return _failed_solution(problem, QpStatus.INFEASIBLE)
 
-    # Working set of bound/inequality constraints, identified by integer ids:
-    # 0..n-1 lower bounds, n..2n-1 upper bounds, 2n..2n+p-1 inequality rows.
-    active: list[int] = []
+    eq_rows = problem.eq_jacobian.T if m else np.zeros((0, n))
+    side = np.zeros(n)
+    free = np.ones(n)  # 1.0 on free coordinates, 0.0 on fixed ones
+    rows: list[int] = []  # active inequality rows, in order of entry
     rank_warning = False
-    it = 0
     # stationarity-unit scale shared with the final certification
     scale = max(1.0, float(np.linalg.norm(g, ord=np.inf)))
-    while True:
-        if it > max_iter:
-            return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, it)
-        it += 1
-        work = np.vstack([eq_rows, _normal_rows(box, active)]) if (m or active) else np.zeros((0, n))
-        u = d + g / alpha
-        q, deficient = _null_space_step(work, u)
-        rank_warning = rank_warning or deficient
-        if alpha * np.linalg.norm(q, ord=np.inf) <= 0.25 * tol * scale:
-            # minimizer of the current face reached: check multipliers
-            rhs = -(g + alpha * d)
-            if work.shape[0]:
-                mults = np.linalg.lstsq(work.T, rhs, rcond=None)[0]
-            else:
-                mults = np.zeros(0)
-            ineq_mults = mults[m:]
-            worst = _most_negative(ineq_mults, tol)
-            if worst is None:
-                return _assemble_solution(problem, d, mults[:m], active, ineq_mults,
-                                          rank_warning, it, tol)
-            active.pop(worst)
+    max_iter = MAX_ITER_PER_ROW * (n + m + p)
+    for it in range(1, max_iter + 1):
+        # the face step is -u projected onto the null space of the working
+        # rows on the free coordinates; -alpha * z are those rows' multipliers
+        u = (d + g / alpha) * free
+        if m or rows:
+            work = np.vstack([eq_rows, box.ineq_matrix[rows]]) if rows else eq_rows
+            free_rows = work * free
+            z, _, rank, _ = np.linalg.lstsq(free_rows.T, u, rcond=RANK_THRESHOLD)
+            q = free_rows.T @ z - u
+            rank_warning = rank_warning or rank < m + len(rows)
         else:
-            ratio, blocking = _ratio_test(box, active, d, q)
-            d = d + min(1.0, ratio) * q
-            if blocking is not None and ratio < 1.0:
-                active.append(blocking)
+            q = -u
+        if alpha * np.linalg.norm(q, ord=np.inf) <= 0.25 * TOL * scale:
+            # minimizer of the current face reached: check multipliers
+            resid = -(g + alpha * d)
+            row_mults = np.zeros(0)
+            if m or rows:
+                row_mults = -alpha * z
+                resid -= work.T @ row_mults
+            # on a fixed coordinate the stationarity residual is its bound's term
+            mults = np.concatenate([side * resid, row_mults[m:]])
+            worst = int(np.argmin(mults))
+            if mults[worst] >= -10.0 * TOL:
+                return _assemble_solution(problem, d, side, rows, mults, row_mults[:m],
+                                          rank_warning, it)
+            if worst < n:
+                side[worst], free[worst] = 0.0, 1.0
+            else:
+                rows.pop(worst - n)
+        else:
+            ratio, blocking = _ratio_test(box, rows, d, q)
+            d = d + ratio * q
+            if blocking is None:
+                continue
+            if blocking < n:
+                side[blocking] = np.sign(q[blocking])
+                free[blocking] = 0.0
+                d[blocking] = box.upper[blocking] if side[blocking] > 0.0 else box.lower[blocking]
+            else:
+                rows.append(blocking - n)
+    return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, max_iter)
 
 
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
@@ -274,77 +280,52 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
     return max(stationarity, primal, dual, comp)
 
 
-def _normal_rows(box: BoxPolyhedron, active: list[int]) -> np.ndarray:
-    """Outward normals (<= form) for the given active bound/inequality ids."""
-    n = box.dim
-    rows = np.zeros((len(active), n))
-    for j, cid in enumerate(active):
-        if cid < n:
-            rows[j, cid] = -1.0
-        elif cid < 2 * n:
-            rows[j, cid - n] = 1.0
-        else:
-            rows[j] = box.ineq_matrix[cid - 2 * n]
-    return rows
-
-
-def _most_negative(mults: np.ndarray, tol: float) -> int | None:
-    """Index of the most negative multiplier (lowest index on ties), or None."""
-    if mults.size == 0:
-        return None
-    cutoff = -10.0 * tol
-    worst = None
-    worst_val = cutoff
-    for j, val in enumerate(mults):
-        if val < worst_val:
-            worst, worst_val = j, val
-    return worst
-
-
-def _ratio_test(box: BoxPolyhedron, active: list[int], d: np.ndarray,
+def _ratio_test(box: BoxPolyhedron, rows: list[int], d: np.ndarray,
                 q: np.ndarray) -> tuple[float, int | None]:
-    """Largest feasible fraction of q, and the lowest-id blocking constraint."""
-    n = box.dim
+    """Largest feasible fraction of q (at most 1), and the lowest-id blocking constraint.
+
+    Fixed coordinates have q_i = 0 and never block, nor do the active rows.
+    """
     tiny = 1e-13
-    active_set = set(active)
-    candidates: list[tuple[float, int]] = []
-    for i in range(n):
-        if q[i] < -tiny and i not in active_set:
-            candidates.append((max(d[i] - box.lower[i], 0.0) / -q[i], i))
-        elif q[i] > tiny and (n + i) not in active_set:
-            candidates.append((max(box.upper[i] - d[i], 0.0) / q[i], n + i))
+    best, blocking = 1.0, None
+    for i, (di, qi, lo, up) in enumerate(zip(d.tolist(), q.tolist(), box.lower.tolist(),
+                                             box.upper.tolist())):
+        if qi < -tiny:
+            ratio = max(di - lo, 0.0) / -qi
+        elif qi > tiny:
+            ratio = max(up - di, 0.0) / qi
+        else:
+            continue
+        if ratio < best:
+            best, blocking = ratio, i
     if box.n_ineq:
-        row_dir = box.ineq_matrix @ q
-        row_slack = box.ineq_rhs - box.ineq_matrix @ d
+        row_dir = (box.ineq_matrix @ q).tolist()
+        row_slack = (box.ineq_rhs - box.ineq_matrix @ d).tolist()
         for r in range(box.n_ineq):
-            cid = 2 * n + r
-            if row_dir[r] > tiny and cid not in active_set:
-                candidates.append((max(row_slack[r], 0.0) / row_dir[r], cid))
-    if not candidates:
-        return 1.0, None
-    best = min(ratio for ratio, _ in candidates)
-    if best >= 1.0:
-        return 1.0, None
-    blocking = min(cid for ratio, cid in candidates if ratio <= best)
+            if row_dir[r] > tiny and r not in rows:
+                ratio = max(row_slack[r], 0.0) / row_dir[r]
+                if ratio < best:
+                    best, blocking = ratio, box.dim + r
     return best, blocking
 
 
 def _starting_point(problem: QpProblem) -> tuple[np.ndarray, bool]:
-    """Feasible start: d = 0 when possible, else a phase-1 point.
+    """Feasible start: the least-norm solution of the linearized equalities
+    (d = 0 without them) when it satisfies them and lies in the set, each
+    within START_TOL; otherwise a phase-1 point.
 
-    d = 0 handles the common case of a set translated around a feasible
-    iterate (equality residual zero, nonnegative row right-hand sides);
-    anything else goes through the phase-1 LP.
+    The tolerance absorbs roundoff of the caller's translation, such as a row
+    right-hand side of -1e-15 at an iterate on that row.
     """
-    n = problem.set.dim
-    eq_ok = (problem.n_eq == 0
-             or np.linalg.norm(problem.eq_residual, ord=np.inf) <= 1e-12)
-    rows_ok = (problem.set.n_ineq == 0
-               or float(np.min(problem.set.ineq_rhs)) >= 0.0)
-    box_ok = bool(np.all(problem.set.lower <= 0.0)
-                  and np.all(problem.set.upper >= 0.0))
-    if eq_ok and rows_ok and box_ok:
-        return np.zeros(n), False
+    box = problem.set
+    if problem.n_eq:
+        et = problem.eq_jacobian.T
+        d = np.linalg.lstsq(et, -problem.eq_residual, rcond=None)[0]
+        on_rows = np.linalg.norm(et @ d + problem.eq_residual, ord=np.inf) <= START_TOL
+    else:
+        d, on_rows = np.zeros(box.dim), True
+    if on_rows and box.membership(d, tol=START_TOL):
+        return d, False
     return _phase1_start(problem)
 
 
@@ -389,49 +370,27 @@ def _phase1_start(problem: QpProblem) -> tuple[np.ndarray, bool]:
     return sol.primal[:n], False
 
 
-def _assemble_solution(problem: QpProblem, d: np.ndarray, eq_mults: np.ndarray,
-                       active: list[int], ineq_mults: np.ndarray, rank_warning: bool,
-                       iterations: int, tol: float) -> QpSolution:
-    box = problem.set
-    n, p = box.dim, box.n_ineq
+def _assemble_solution(problem: QpProblem, d: np.ndarray, side: np.ndarray,
+                       rows: list[int], mults: np.ndarray, eq_mults: np.ndarray,
+                       rank_warning: bool, iterations: int) -> QpSolution:
+    """Certified solution from the final working state.
+
+    mults holds the bound multipliers (zero on free coordinates), then those
+    of the active rows in the order of rows.
+    """
+    n, p = problem.set.dim, problem.set.n_ineq
+    rows = np.asarray(rows, dtype=int)
     set_multiplier = np.zeros(n + p)
-    active_lower = np.zeros(n, dtype=bool)
-    active_upper = np.zeros(n, dtype=bool)
+    set_multiplier[:n] = mults[:n]
+    set_multiplier[n + rows] = mults[n:]
     active_ineq = np.zeros(p, dtype=bool)
-
-    # net signed bound multiplier per coordinate: +upper, -lower; a coordinate
-    # with both sides active (degenerate box) collapses to the dominant side
-    signed_bounds = np.zeros(n)
-    for cid, mult in zip(active, ineq_mults):
-        if cid < n:
-            signed_bounds[cid] -= mult
-        elif cid < 2 * n:
-            signed_bounds[cid - n] += mult
-        else:
-            r = cid - 2 * n
-            active_ineq[r] = True
-            set_multiplier[n + r] += mult
-    for i in range(n):
-        if signed_bounds[i] > 0.0:
-            active_upper[i] = True
-            set_multiplier[i] = signed_bounds[i]
-        elif signed_bounds[i] < 0.0:
-            active_lower[i] = True
-            set_multiplier[i] = -signed_bounds[i]
-        else:
-            # zero multiplier: keep the activity mark if the bound is binding
-            for cid in active:
-                if cid == i:
-                    active_lower[i] = True
-                elif cid == n + i:
-                    active_upper[i] = True
-
+    active_ineq[rows] = True
     solution = QpSolution(
         step=d,
-        eq_multipliers=np.asarray(eq_mults, dtype=float),
+        eq_multipliers=eq_mults,
         set_multiplier=set_multiplier,
-        active_lower=active_lower,
-        active_upper=active_upper,
+        active_lower=side < 0.0,
+        active_upper=side > 0.0,
         active_ineq=active_ineq,
         kkt_residual=0.0,
         status=QpStatus.OPTIMAL,
@@ -440,7 +399,7 @@ def _assemble_solution(problem: QpProblem, d: np.ndarray, eq_mults: np.ndarray,
     )
     solution.kkt_residual = kkt_residual(problem, solution)
     scale = max(1.0, float(np.linalg.norm(problem.gradient, ord=np.inf)))
-    if solution.kkt_residual > tol * scale:
+    if solution.kkt_residual > TOL * scale:
         solution.status = QpStatus.NUMERICAL_FAILURE
     return solution
 

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snsqp
 from snsqp.bench.cli import cli_main
 from snsqp.bench.runner import parse_strategy, run_id_for
 from snsqp.sampling import AdaptiveSize, FixedSize, PolynomialSize
@@ -177,8 +180,12 @@ def test_selftest_command_passes():
 
 def test_console_script_wiring():
     """The module is runnable as an executable entry point."""
+    # the child imports the package the tests import, installed or not
+    src = str(Path(snsqp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "snsqp.bench.cli",
                            "curve", "--points", "5", "--batch", "16",
                            "--out", "/tmp/_cli_probe_curve.csv"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

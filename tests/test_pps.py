@@ -109,6 +109,14 @@ class TestScenarioDistribution:
         with pytest.raises(ValueError):
             sample_truncated_normal((2.0, 2.0), rng)
 
+    def test_exhausted_rejection_cap_names_the_interval(self):
+        class OutOfRange:
+            def standard_normal(self, shape):
+                return np.full(shape, 10.0)
+
+        with pytest.raises(RuntimeError, match=r"\[16\.0, 17\.0\]"):
+            sample_truncated_normal((16.0, 17.0), OutOfRange())
+
     def test_sampler_is_deterministic(self, problem):
         a = draw_scenarios(problem.scenario_sampler, 4, 11, 50)
         b = draw_scenarios(problem.scenario_sampler, 4, 11, 50)

@@ -5,9 +5,13 @@ box-only case additionally has the closed form clip(-g/alpha, lower, upper).
 Every optimum is re-certified through the standalone kkt_residual check.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from snsqp import lp
 from snsqp.qp import (
     BoxPolyhedron,
     QpProblem,
@@ -218,3 +222,119 @@ def test_scaling_consistency():
     for t in (0.5, 3.0, 40.0):
         scaled = solve_qp(QpProblem(gradient=t * g, curvature=t * 2.0, set=box))
         np.testing.assert_allclose(scaled.step, base.step, atol=1e-7)
+
+
+def quarters(lo, hi):
+    """Multiples of 1/4 in [lo/4, hi/4]: exact data whose infeasible cases
+    miss feasibility by far more than any solver tolerance."""
+    return st.integers(lo, hi).map(lambda k: k / 4.0)
+
+
+@st.composite
+def box_data(draw, n, around_origin=False):
+    """Bounds with some lower == upper coordinates, and a point of the box."""
+    lower = np.array([draw(quarters(-8, 0 if around_origin else 4)) for _ in range(n)])
+    width = np.array([draw(st.one_of(st.just(0.0), quarters(1, 8))) for _ in range(n)])
+    if around_origin:
+        width = np.maximum(width, -lower)
+    frac = np.array([draw(quarters(0, 4)) for _ in range(n)])
+    return lower, lower + width, lower + width * frac
+
+
+def integer_matrix(draw, rows, cols):
+    return np.array([[draw(st.integers(-3, 3)) for _ in range(cols)]
+                     for _ in range(rows)], dtype=float).reshape(rows, cols)
+
+
+def make_problem(draw, lower, upper, rows, rhs, jac, residual):
+    box = BoxPolyhedron(lower=lower, upper=upper,
+                        ineq_matrix=rows if len(rhs) else None,
+                        ineq_rhs=rhs if len(rhs) else None)
+    g = np.array([draw(quarters(-16, 16)) for _ in range(lower.size)])
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    if jac.shape[1] == 0:
+        return QpProblem(gradient=g, curvature=alpha, set=box)
+    return QpProblem(gradient=g, curvature=alpha, set=box,
+                     eq_jacobian=jac, eq_residual=residual)
+
+
+@st.composite
+def random_qps(draw):
+    """0-2 rows and 0-2 equalities, consistent with a box point or arbitrary."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(0, 2))
+    m = draw(st.integers(0, min(2, n)))
+    lower, upper, point = draw(box_data(n))
+    rows = integer_matrix(draw, p, n)
+    jac = integer_matrix(draw, n, m)
+    assume(np.linalg.matrix_rank(jac) == m)
+    if draw(st.booleans()):
+        rhs = rows @ point + np.array([draw(quarters(0, 8)) for _ in range(p)])
+        residual = -(jac.T @ point)
+    else:
+        rhs = np.array([draw(quarters(-8, 12)) for _ in range(p)])
+        residual = np.array([draw(quarters(-8, 8)) for _ in range(m)])
+    return make_problem(draw, lower, upper, rows, rhs, jac, residual)
+
+
+@st.composite
+def roundoff_row_qps(draw):
+    """d = 0 violates the first row by 1e-15, as after a step onto that row."""
+    n = draw(st.integers(1, 4))
+    lower, upper, _ = draw(box_data(n, around_origin=True))
+    rows = integer_matrix(draw, draw(st.integers(1, 2)), n)
+    assume(np.any(rows[0]))
+    rhs = np.array([-1e-15] + [draw(quarters(0, 8)) for _ in rows[1:]])
+    return make_problem(draw, lower, upper, rows, rhs, np.zeros((n, 0)), None)
+
+
+@st.composite
+def far_equality_qps(draw):
+    """Equalities met inside the box, but not at their least-norm point."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    lower, upper, point = draw(box_data(n))
+    jac = integer_matrix(draw, n, m)
+    assume(np.linalg.matrix_rank(jac) == m)
+    residual = -(jac.T @ point)
+    least_norm = np.linalg.lstsq(jac.T, -residual, rcond=None)[0]
+    assume(not BoxPolyhedron(lower, upper).membership(least_norm, tol=1e-12))
+    return make_problem(draw, lower, upper, np.zeros((0, n)), np.zeros(0), jac, residual)
+
+
+def solve_against_enumeration(problem):
+    """Solve, certify against enumeration, and count the phase-1 LP solves."""
+    with mock.patch.object(lp, "solve_lp", wraps=lp.solve_lp) as spy:
+        sol = solve_qp(problem)
+    best_val, best_d = enumerate_qp(problem)
+    if best_d is None:
+        assert sol.status is QpStatus.INFEASIBLE
+    else:
+        assert sol.status is QpStatus.OPTIMAL
+        d = sol.step
+        got = problem.gradient @ d + 0.5 * problem.curvature * (d @ d)
+        assert abs(got - best_val) <= 1e-8
+        scale = max(1.0, float(np.max(np.abs(problem.gradient))))
+        assert sol.kkt_residual <= 1e-8 * scale
+    return sol, spy.call_count
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=random_qps())
+    def test_random_box_polyhedra(self, problem):
+        solve_against_enumeration(problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=roundoff_row_qps())
+    def test_roundoff_row_violation_starts_at_zero(self, problem):
+        sol, phase1_calls = solve_against_enumeration(problem)
+        assert sol.status is QpStatus.OPTIMAL
+        assert phase1_calls == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=far_equality_qps())
+    def test_least_norm_start_outside_box_takes_phase1(self, problem):
+        sol, phase1_calls = solve_against_enumeration(problem)
+        assert sol.status is QpStatus.OPTIMAL
+        assert phase1_calls == 1
