@@ -30,15 +30,7 @@ from .lp import (
     solve_lp_multi_rhs,
     verify_lp,
 )
-from .model import (
-    ConstrainedStochasticProblem,
-    LocalModel,
-    merit_value,
-    model_value,
-    predicted_decrease,
-    predicted_decrease_with_step,
-    upper_c2_gap,
-)
+from .model import ConstrainedStochasticProblem, merit_value, predicted_decrease
 from .qp import BoxPolyhedron, QpProblem, QpSolution, QpStatus, solve_qp
 from .sampling import (
     AdaptiveSize,
@@ -58,7 +50,6 @@ __all__ = [
     "ConstrainedStochasticProblem",
     "FixedSize",
     "IterationTrace",
-    "LocalModel",
     "LpBatchSolution",
     "LpProblem",
     "LpSolution",
@@ -75,10 +66,8 @@ __all__ = [
     "draw_scenarios",
     "export_trace",
     "merit_value",
-    "model_value",
     "next_sample_size",
     "predicted_decrease",
-    "predicted_decrease_with_step",
     "reference_batch",
     "reference_stationarity",
     "run_algorithm1",
@@ -87,7 +76,6 @@ __all__ = [
     "solve_lp_multi_rhs",
     "solve_qp",
     "stationarity_error",
-    "upper_c2_gap",
     "variance_test",
     "verify_lp",
     "write_run_csv",

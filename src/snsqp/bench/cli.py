@@ -133,15 +133,13 @@ def _cmd_run(args) -> int:
     builder, default_alpha0, default_x0 = _PROBLEM_BUILDERS[cfg["problem"]]
     problem = builder()
 
-    budget = cfg["budget"]
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigError("config.budget", "expected positive integer")
+    budget = _positive_int(cfg, "budget")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("config.seed", "expected integer")
+    strategy_text = _nonempty_str(cfg, "strategy")
     try:
-        strategy = runner.parse_strategy(cfg["strategy"],
-                                         eta=float(cfg.get("eta", 1.0)))
+        strategy = runner.parse_strategy(strategy_text, eta=_as_float(cfg, "eta", 1.0))
     except ValueError as exc:
         raise ConfigError("config.strategy", str(exc))
     x0 = np.asarray(cfg.get("x0", default_x0), dtype=float)
@@ -151,9 +149,12 @@ def _cmd_run(args) -> int:
         if key in cfg:
             kwargs[key] = _as_float(cfg, key)
     if "max_iterations" in cfg:
-        if not isinstance(cfg["max_iterations"], int) or cfg["max_iterations"] < 1:
-            raise ConfigError("config.max_iterations", "expected positive integer")
-        kwargs["max_iterations"] = cfg["max_iterations"]
+        kwargs["max_iterations"] = _positive_int(cfg, "max_iterations")
+    # every output setting is checked before the solve, which can take minutes
+    epoch = _positive_int(cfg, "epoch", 500)
+    out_dir = Path(_nonempty_str(cfg, "out", "run_out"))
+    run_id = _nonempty_str(
+        cfg, "run_id", f"{cfg['problem']}_{strategy_text.replace(':', '-')}_seed{seed}")
 
     try:
         config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
@@ -166,12 +167,6 @@ def _cmd_run(args) -> int:
 
     reference = reference_batch(problem)
     fill_stationarity(trace, reference)
-    out_dir = Path(cfg.get("out", "run_out"))
-    run_id = cfg.get("run_id",
-                     f"{cfg['problem']}_{cfg['strategy'].replace(':', '-')}_seed{seed}")
-    epoch = cfg.get("epoch", 500)
-    if not isinstance(epoch, int) or epoch < 1:
-        raise ConfigError("config.epoch", "expected positive integer")
     trace_path, epochs_path = write_run_csv(trace, out_dir, run_id, epoch_size=epoch)
     final_stat = reference_stationarity(problem, trace.final_x, reference)
     print(f"run {run_id}: stop={trace.stop_reason} iterations={len(trace.records)} "
@@ -179,6 +174,20 @@ def _cmd_run(args) -> int:
     print(f"trace: {trace_path}")
     print(f"epochs: {epochs_path}")
     return 0
+
+
+def _positive_int(cfg: dict, key: str, default: int = None) -> int:
+    value = cfg.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"config.{key}", "expected positive integer")
+    return value
+
+
+def _nonempty_str(cfg: dict, key: str, default: str = None) -> str:
+    value = cfg.get(key, default)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"config.{key}", "expected non-empty string")
+    return value
 
 
 def _as_float(cfg: dict, key: str, default: float = None) -> float:

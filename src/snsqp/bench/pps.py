@@ -36,7 +36,7 @@ _MAX_REJECTION_ROUNDS = 10 ** 4
 
 #: weak-convexity modulus estimate used for this benchmark's runs; together
 #: with eta_alpha = 1.5 it makes the reference curvature alpha0 = 15 admissible
-DEFAULT_RHO = 10.0
+RHO_ESTIMATE = 10.0
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,9 @@ class PpsInstance:
             raise ValueError("slope intervals must be strictly negative")
         if np.any(self.intercept_intervals <= 0):
             raise ValueError("intercept intervals must be positive")
+        for intervals in (self.slope_intervals, self.intercept_intervals):
+            if not np.all(intervals[:, 0] < intervals[:, 1]):
+                raise ValueError("each interval's lower end must lie below its upper end")
 
 
 def build_pps_instance() -> PpsInstance:
@@ -89,14 +92,6 @@ def build_pps_instance() -> PpsInstance:
         intercept_intervals=np.array([[16.0, 17.0], [21.0, 22.0], [26.0, 27.0],
                                       [31.0, 32.0], [26.0, 27.0]]),
     )
-
-
-def sample_truncated_normal(interval, stream: np.random.Generator) -> float:
-    """One draw from N(midpoint, (width/4)^2) conditioned on [a, b]."""
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    return float(_truncated_normal(stream, np.array([a]), np.array([b]), 1)[0, 0])
 
 
 def _truncated_normal(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
@@ -271,11 +266,9 @@ def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
     return value, deriv
 
 
-def build_pps_problem(instance: PpsInstance = None,
-                      rho_estimate: float = DEFAULT_RHO) -> ConstrainedStochasticProblem:
-    """Assemble the full stochastic problem around an instance."""
-    if instance is None:
-        instance = build_pps_instance()
+def build_pps_problem() -> ConstrainedStochasticProblem:
+    """Assemble the full stochastic problem around the reference instance."""
+    instance = build_pps_instance()
     rows = _recourse_rows(instance)
 
     def oracle(point, scenarios):
@@ -286,7 +279,7 @@ def build_pps_problem(instance: PpsInstance = None,
         scenario_sampler=scenario_sampler(instance),
         oracle=oracle,
         set=first_stage_set(instance),
-        rho_estimate=rho_estimate,
+        rho_estimate=RHO_ESTIMATE,
         lipschitz_h=0.0,
     )
 

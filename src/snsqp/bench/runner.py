@@ -28,17 +28,20 @@ SUMMARY_COLUMNS = ("strategy", "seed", "final_stationarity", "final_objective",
                    "oracle_calls", "iterations")
 
 
-def parse_strategy(text: str, eta: float = 1.0, cap: int = 1000, floor: int = 2):
+#: batch-size cap of the adaptive strategy
+ADAPTIVE_CAP = 1000
+
+
+def parse_strategy(text: str, eta: float = 1.0):
     """Parse 'fixed:N', 'poly:EXP:CAP' or 'adaptive' into a strategy object."""
     parts = text.split(":")
     try:
         if parts[0] == "fixed" and len(parts) == 2:
             return FixedSize(size=int(parts[1]))
         if parts[0] == "poly" and len(parts) == 3:
-            return PolynomialSize(exponent=float(parts[1]), cap=int(parts[2]),
-                                  floor=floor)
+            return PolynomialSize(exponent=float(parts[1]), cap=int(parts[2]))
         if parts[0] == "adaptive" and len(parts) == 1:
-            return AdaptiveSize(eta=eta, cap=cap, floor=floor)
+            return AdaptiveSize(eta=eta, cap=ADAPTIVE_CAP)
     except ValueError as exc:
         raise ValueError(f"bad strategy '{text}': {exc}") from exc
     raise ValueError(f"bad strategy '{text}': expected fixed:N, poly:EXP:CAP "
@@ -50,8 +53,7 @@ def run_id_for(strategy_text: str, seed: int) -> str:
 
 
 def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
-               out_dir, alpha0: float = 15.0, eta: float = 1.0,
-               eta_alpha: float = 1.5) -> dict:
+               out_dir, alpha0: float = 15.0, eta: float = 1.0) -> dict:
     """One benchmark run; writes its CSVs and returns the summary row."""
     problem = pps.build_pps_problem()
     config = SolverConfig(
@@ -60,7 +62,6 @@ def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
         strategy=parse_strategy(strategy_text, eta=eta),
         budget=budget,
         master_seed=seed,
-        eta_alpha=eta_alpha,
     )
     trace = run_algorithm1(problem, config)
     reference = reference_batch(problem)

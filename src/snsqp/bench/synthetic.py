@@ -178,16 +178,16 @@ def two_piece_crossing_spec() -> SyntheticUc2Spec:
     ])
 
 
-def build_affine_equality_problem(noise_width: float = 0.4) -> ConstrainedStochasticProblem:
+def build_affine_equality_problem() -> ConstrainedStochasticProblem:
     """min E[-|x1 - xi|] on [-2, 2]^2 subject to x1 + x2 = 1.
 
-    xi is uniform on [-noise_width/2, noise_width/2].  The objective rewards
+    xi is uniform on [-0.2, 0.2].  The objective rewards
     pushing x1 away from the noise interval, so the constrained minimizer
     sits at the box corner (2, -1).  The constraint is affine: H = 0.
     """
 
     def sampler(rng: np.random.Generator, count: int):
-        return rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=count)
+        return rng.uniform(-0.2, 0.2, size=count)
 
     def oracle(x, xi):
         u = x[0] - xi
@@ -210,15 +210,16 @@ def build_affine_equality_problem(noise_width: float = 0.4) -> ConstrainedStocha
     )
 
 
-def build_quadratic_equality_problem(noise_width: float = 0.5) -> ConstrainedStochasticProblem:
+def build_quadratic_equality_problem() -> ConstrainedStochasticProblem:
     """min E[|x - xi|^2] on [-3, 3]^2 subject to x1^2 = 1.
 
-    The objective is smooth with Hessian 2I (rho = 2) and the constraint
-    gradient (2 x1, 0) has Lipschitz constant exactly 2.
+    xi is uniform on [-0.25, 0.25]^2.  The objective is smooth with Hessian
+    2I (rho = 2) and the constraint gradient (2 x1, 0) has Lipschitz
+    constant exactly 2.
     """
 
     def sampler(rng: np.random.Generator, count: int):
-        return rng.uniform(-0.5 * noise_width, 0.5 * noise_width, size=(count, 2))
+        return rng.uniform(-0.25, 0.25, size=(count, 2))
 
     def oracle(x, xi):
         diff = x - xi

@@ -6,7 +6,7 @@ combination of active constraint gradients:
 
     residual = min_{lam >= 0} |g - J lam|,  lam_j = 0 on inactive rows.
 
-Inactivity is relative: |c_j| > activity_tol * (1 + |c_j|).  The reduced
+Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  The reduced
 nonnegative least-squares problem is solved exactly by scipy's NNLS.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
@@ -33,7 +33,7 @@ from .sampling import aggregate, draw_scenarios
 #: seed of the frozen scenario batch behind every reported stationarity value
 REFERENCE_SEED = 715517
 REFERENCE_BATCH = 1000
-DEFAULT_ACTIVITY_TOL = 1e-6
+ACTIVITY_TOL = 1e-6
 DEFAULT_EPOCH = 500
 
 TRACE_COLUMNS = ("k", "epoch", "oracle_calls", "step_norm", "pred_decrease",
@@ -46,26 +46,22 @@ class StationarityReport:
     residual: float
     multipliers: np.ndarray
     active_mask: np.ndarray
-    activity_tol: float
 
 
 def stationarity_error(g: np.ndarray, constraints_value: np.ndarray,
-                       constraints_jacobian: np.ndarray,
-                       activity_tol: float = DEFAULT_ACTIVITY_TOL) -> StationarityReport:
+                       constraints_jacobian: np.ndarray) -> StationarityReport:
     """Distance from g to the cone spanned by active constraint gradients.
 
     constraints_jacobian has one column per constraint (shape n x J), matching
     the c_j(x) >= 0 orientation of the rows.
     """
-    if not activity_tol > 0:
-        raise ValueError("activity_tol must be positive")
     g = np.asarray(g, dtype=float)
     c = np.atleast_1d(np.asarray(constraints_value, dtype=float))
     jac = np.asarray(constraints_jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape != (g.size, c.size):
         raise ValueError("jacobian must have shape (len(g), len(constraints_value))")
 
-    active = np.abs(c) <= activity_tol * (1.0 + np.abs(c))
+    active = np.abs(c) <= ACTIVITY_TOL * (1.0 + np.abs(c))
     multipliers = np.zeros(c.size)
     if not active.any():
         residual = float(np.linalg.norm(g))
@@ -74,7 +70,7 @@ def stationarity_error(g: np.ndarray, constraints_value: np.ndarray,
         multipliers[active] = lam
         residual = float(residual)
     return StationarityReport(residual=residual, multipliers=multipliers,
-                              active_mask=active, activity_tol=activity_tol)
+                              active_mask=active)
 
 
 def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
@@ -94,14 +90,13 @@ def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
     return np.concatenate(values), np.hstack(columns)
 
 
-def reference_batch(problem, batch_size: int = REFERENCE_BATCH,
-                    seed: int = REFERENCE_SEED) -> np.ndarray:
+def reference_batch(problem) -> np.ndarray:
     """The frozen scenario batch behind every reported stationarity value.
 
-    It depends only on (problem.scenario_sampler, seed, batch_size); a run
-    draws it once and passes it to every reference evaluation.
+    It depends only on problem.scenario_sampler; a run draws it once and
+    passes it to every reference evaluation.
     """
-    return draw_scenarios(problem.scenario_sampler, seed, 0, batch_size)
+    return draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, REFERENCE_BATCH)
 
 
 def reference_objective(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
@@ -109,8 +104,7 @@ def reference_objective(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
     return aggregate(problem, x, scenarios).mean_value
 
 
-def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray,
-                           activity_tol: float = DEFAULT_ACTIVITY_TOL) -> float:
+def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
     """Stationarity residual at x using the reference batch's mean subgradient.
 
     With the frozen batch of reference_batch this estimates the
@@ -123,11 +117,10 @@ def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray,
         c_eq, jac_eq = problem.eq_constraints(x)
         values = np.concatenate([values, c_eq, -c_eq])
         columns = np.hstack([columns, jac_eq, -jac_eq])
-    return stationarity_error(g, values, columns, activity_tol).residual
+    return stationarity_error(g, values, columns).residual
 
 
 def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
-                      activity_tol: float = DEFAULT_ACTIVITY_TOL,
                       epoch_size: Optional[int] = None) -> None:
     """Populate the stationarity column in place, over the reference batch.
 
@@ -147,8 +140,7 @@ def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
                   or ((records[i + 1].oracle_calls - 1) // epoch_size
                       > (rec.oracle_calls - 1) // epoch_size)]
     for rec in chosen:
-        rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios,
-                                                  activity_tol=activity_tol)
+        rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios)
 
 
 def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tuple:

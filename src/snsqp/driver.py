@@ -15,18 +15,14 @@ decision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .model import (
-    ConstrainedStochasticProblem,
-    LocalModel,
-    merit_value,
-    predicted_decrease,
-)
+from .model import ConstrainedStochasticProblem, merit_value, predicted_decrease
 from .qp import QpProblem, QpStatus, solve_qp
 from .sampling import (
     SamplingStrategy,
@@ -88,26 +84,6 @@ class SolverConfig:
 
     def mu_at(self, k: int) -> float:
         return 0.0 if self.mu is None else float(self.mu(k))
-
-
-@dataclass
-class IterateState:
-    """Mutable loop state; x is always a member of the feasible set."""
-
-    x: np.ndarray
-    alpha: float
-    theta: float
-    sample_size: int
-    oracle_calls: int = 0
-    iteration: int = 0
-
-
-@dataclass
-class StepResult:
-    zeta: float
-    pi: float
-    beta: float
-    backtracks: int
 
 
 @dataclass
@@ -236,35 +212,33 @@ def _run(problem, config, with_equalities):
     if not problem.set.membership(x0):
         raise ValueError("x0 lies outside the feasible set")
 
-    state = IterateState(x=x0.copy(), alpha=config.alpha0, theta=config.theta0,
-                         sample_size=config.strategy.initial_size())
+    x = x0.copy()   # always a member of the feasible set
+    alpha, theta = config.alpha0, config.theta0
+    sample_size = config.strategy.initial_size()
+    oracle_calls = 0
     trace = IterationTrace(problem=problem, config=config)
     # the constraint count enters the step floor; frozen from the start point
     n_eq = len(problem.eq_constraints(x0)[0]) if with_equalities else 0
 
-    while True:
-        if state.oracle_calls >= config.budget:
+    for k in itertools.count(1):
+        if oracle_calls >= config.budget:
             trace.stop_reason = "budget"
             break
-        if state.iteration >= config.max_iterations:
+        if k > config.max_iterations:
             trace.stop_reason = "max_iterations"
             break
-        k = state.iteration + 1
 
         scenarios = draw_scenarios(problem.scenario_sampler, config.master_seed,
-                                   k, state.sample_size)
-        stats = aggregate(problem, state.x, scenarios)
-        state.oracle_calls += stats.batch_size
-        model = LocalModel(value_at_center=stats.mean_value,
-                           gradient=stats.mean_subgradient,
-                           curvature=state.alpha)
+                                   k, sample_size)
+        stats = aggregate(problem, x, scenarios)
+        oracle_calls += stats.batch_size
 
         if with_equalities:
-            c_val, jac = problem.eq_constraints(state.x)
+            c_val, jac = problem.eq_constraints(x)
         else:
             c_val, jac = None, None
-        sub = QpProblem(gradient=model.gradient, curvature=state.alpha,
-                        set=problem.set.translate(state.x),
+        sub = QpProblem(gradient=stats.mean_subgradient, curvature=alpha,
+                        set=problem.set.translate(x),
                         eq_jacobian=jac, eq_residual=c_val)
         sol = solve_qp(sub)
         if sol.status is QpStatus.INFEASIBLE:
@@ -276,42 +250,38 @@ def _run(problem, config, with_equalities):
         d = sol.step
 
         if with_equalities:
-            state.theta = update_theta(state.theta, sol.eq_multipliers, config.gamma)
-            zeta, backtracks = line_search(problem, state.x, d, sol.eq_multipliers,
-                                           state.theta, state.alpha, config.eta_beta)
-            pi = compute_pi(config.eta_beta, state.alpha, problem.lipschitz_h,
-                            state.theta, n_eq)
+            theta = update_theta(theta, sol.eq_multipliers, config.gamma)
+            zeta, backtracks = line_search(problem, x, d, sol.eq_multipliers,
+                                           theta, alpha, config.eta_beta)
+            pi = compute_pi(config.eta_beta, alpha, problem.lipschitz_h, theta, n_eq)
             nu_k, mu_k = config.nu_at(k), config.mu_at(k)
-            step = StepResult(zeta=zeta, pi=pi,
-                              beta=min(nu_k * zeta, nu_k * (pi + mu_k)),
-                              backtracks=backtracks)
-            merit = merit_value(stats.mean_value, c_val, state.theta)
-            theta_col = state.theta
+            beta = min(nu_k * zeta, nu_k * (pi + mu_k))
+            merit = merit_value(stats.mean_value, c_val, theta)
+            theta_col = theta
         else:
-            step = StepResult(zeta=1.0, pi=1.0, beta=1.0, backtracks=0)
+            zeta, pi, beta, backtracks = 1.0, 1.0, 1.0, 0
             merit = stats.mean_value
             theta_col = 0.0
 
-        state.x = state.x + step.beta * d
+        x = x + beta * d
         # kill roundoff drift across the box faces; the step itself is feasible
-        np.clip(state.x, problem.set.lower, problem.set.upper, out=state.x)
-        state.iteration = k
+        np.clip(x, problem.set.lower, problem.set.upper, out=x)
 
         trace.records.append(IterationRecord(
-            k=k, x=state.x.copy(),
+            k=k, x=x.copy(),
             step_norm=float(np.linalg.norm(d)),
-            pred_decrease=predicted_decrease(model, d),
-            zeta=step.zeta, beta=step.beta, alpha=state.alpha, theta=theta_col,
-            batch_size=stats.batch_size, oracle_calls=state.oracle_calls,
+            pred_decrease=predicted_decrease(stats.mean_subgradient, alpha, d),
+            zeta=zeta, beta=beta, alpha=alpha, theta=theta_col,
+            batch_size=stats.batch_size, oracle_calls=oracle_calls,
             merit=merit, objective_estimate=stats.mean_value,
             direction=d.copy(), eq_multipliers=np.copy(sol.eq_multipliers),
-            pi=step.pi, backtracks=step.backtracks, sum_sq_dev=stats.sum_sq_dev,
+            pi=pi, backtracks=backtracks, sum_sq_dev=stats.sum_sq_dev,
         ))
 
         # the adaptive rule sizes the NEXT batch from this iteration's stats
-        state.sample_size = next_sample_size(config.strategy, stats, state.alpha,
-                                             float(d @ d), k + 1)
-        state.alpha = update_alpha(state.alpha, config, rho)
+        sample_size = next_sample_size(config.strategy, stats, alpha,
+                                       float(d @ d), k + 1)
+        alpha = update_alpha(alpha, config, rho)
 
         if len(trace.records) >= STALL_WINDOW:
             recent = trace.records[-STALL_WINDOW:]

@@ -1,4 +1,4 @@
-"""Problem definition and the proximal quadratic model of the objective.
+"""Problem definition, model decrease and merit value.
 
 A problem bundles the stochastic oracle r(x) = E[R(x, xi)] with its sampled
 subgradients, optional smooth equality constraints, the convex feasible set,
@@ -10,7 +10,7 @@ axis indexes the scenarios, and one call returns the N sampled values and
 the N subgradients at x.
 
 The local model at an iterate is the quadratic
-    value_at_center + gradient.d + (curvature/2) |d|^2,
+    value + gradient.d + (curvature/2) |d|^2,
 whose minimizer over the translated feasible set is the search direction.
 """
 
@@ -61,39 +61,9 @@ class ConstrainedStochasticProblem:
             raise ValueError("lipschitz_h must be nonnegative")
 
 
-@dataclass
-class LocalModel:
-    """Quadratic model of the objective around the current iterate."""
-
-    value_at_center: float
-    gradient: np.ndarray
-    curvature: float
-
-    def __post_init__(self):
-        self.gradient = np.asarray(self.gradient, dtype=float)
-        if not self.curvature > 0:
-            raise ValueError("curvature must be positive")
-
-
-def model_value(model: LocalModel, d: np.ndarray) -> float:
-    d = np.asarray(d, dtype=float)
-    return float(model.value_at_center + model.gradient @ d
-                 + 0.5 * model.curvature * (d @ d))
-
-
-def predicted_decrease(model: LocalModel, d: np.ndarray) -> float:
+def predicted_decrease(gradient: np.ndarray, curvature: float, d: np.ndarray) -> float:
     """Model decrease for the full step d (positive means the model improves)."""
-    d = np.asarray(d, dtype=float)
-    return float(-(model.gradient @ d) - 0.5 * model.curvature * (d @ d))
-
-
-def predicted_decrease_with_step(model: LocalModel, d: np.ndarray, beta: float) -> float:
-    """Model decrease for the scaled step beta*d, beta in (0, 1]."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    d = np.asarray(d, dtype=float)
-    return float(-beta * (model.gradient @ d)
-                 - 0.5 * model.curvature * beta * beta * (d @ d))
+    return float(-(gradient @ d) - 0.5 * curvature * (d @ d))
 
 
 def merit_value(objective_value: float, c_value: np.ndarray, theta: float) -> float:
@@ -102,13 +72,3 @@ def merit_value(objective_value: float, c_value: np.ndarray, theta: float) -> fl
         raise ValueError("theta must be positive")
     return float(objective_value + theta * np.sum(np.abs(c_value)))
 
-
-def upper_c2_gap(r_at_x: float, r_at_xd: float, g: np.ndarray, d: np.ndarray) -> float:
-    """Linearization excess r(x+d) - r(x) - g.d.
-
-    For an objective that is a pointwise minimum of smooth pieces this is at
-    most (rho/2)|d|^2 for every subgradient g at x; tests probe the bound.
-    """
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    return float(r_at_xd - r_at_x - g @ d)

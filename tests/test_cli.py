@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import snsqp
+from snsqp.bench import cli
 from snsqp.bench.cli import cli_main
-from snsqp.bench.runner import parse_strategy, run_id_for
+from snsqp.bench.runner import ADAPTIVE_CAP, parse_strategy, run_id_for
 from snsqp.sampling import AdaptiveSize, FixedSize, PolynomialSize
 
 
@@ -21,8 +22,8 @@ class TestParseStrategy:
         assert parse_strategy("fixed:25") == FixedSize(25)
         assert parse_strategy("poly:1.25:800") == PolynomialSize(exponent=1.25,
                                                                  cap=800)
-        assert parse_strategy("adaptive", eta=0.5, cap=600) == AdaptiveSize(
-            eta=0.5, cap=600)
+        assert parse_strategy("adaptive", eta=0.5) == AdaptiveSize(
+            eta=0.5, cap=ADAPTIVE_CAP)
 
     def test_rejects_garbage(self):
         for text in ("fixed", "fixed:x", "poly:1.25", "exact:3", ""):
@@ -80,6 +81,26 @@ class TestRunCommand:
                                     "budget": 100}))
         assert cli_main(["run", str(path)]) == 2
         assert "config.strategy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("epoch", 0), ("epoch", "500"), ("epoch", True),
+        ("out", 5), ("out", ""), ("run_id", 7), ("run_id", None),
+        ("strategy", 10),
+    ])
+    def test_bad_output_field_fails_before_the_solve(self, capsys, tmp_path,
+                                                     monkeypatch, field, value):
+        def no_solve(problem, config):
+            raise AssertionError("the solver ran on an invalid config")
+
+        monkeypatch.setattr(cli, "run_algorithm1", no_solve)
+        monkeypatch.setattr(cli, "run_algorithm2", no_solve)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 30000,
+            "out": str(tmp_path / "runs"), field: value}))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"error: config.{field}: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_equality_problem_runs_and_writes_csvs(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from snsqp.diagnostics import (
+    ACTIVITY_TOL,
     DEFAULT_EPOCH,
     REFERENCE_BATCH,
     REFERENCE_SEED,
@@ -27,7 +28,7 @@ from snsqp.diagnostics import (
 )
 from snsqp.driver import IterationRecord, IterationTrace, SolverConfig
 from snsqp.qp import BoxPolyhedron
-from snsqp.sampling import FixedSize
+from snsqp.sampling import FixedSize, draw_scenarios
 
 
 class TestStationarityError:
@@ -84,15 +85,16 @@ class TestStationarityError:
         assert report.multipliers[1] == 0.0
 
     def test_relative_activity_threshold(self):
+        """Active iff |c| <= tol*(1+|c|), i.e. |c| <= tol/(1-tol) = 1.000001e-6."""
+        assert ACTIVITY_TOL == 1e-6
         g = np.array([1.0])
         jac = np.array([[1.0, 1.0]])
-        # |c| = 2e-6 > tol*(1+|c|) at tol=1e-6, but not at tol=1e-5
-        c = np.array([2e-6, 1.0])
-        tight = stationarity_error(g, c, jac, activity_tol=1e-6)
-        loose = stationarity_error(g, c, jac, activity_tol=1e-5)
-        assert not tight.active_mask[0] and loose.active_mask[0]
-        assert tight.residual == pytest.approx(1.0)
-        assert loose.residual == pytest.approx(0.0)
+        # 1.0000005e-6 is above tol itself but inside the relative margin
+        for value, active in ((-1.0000005e-6, True), (1.0000005e-6, True),
+                              (1.0000015e-6, False), (-1.0000015e-6, False)):
+            report = stationarity_error(g, np.array([value, 1.0]), jac)
+            assert report.active_mask.tolist() == [active, False]
+            assert report.residual == pytest.approx(0.0 if active else 1.0)
 
     def test_scaling_property(self):
         """The cone is scale-invariant: residual(t g) = t residual(g)."""
@@ -107,9 +109,6 @@ class TestStationarityError:
     def test_validation(self):
         with pytest.raises(ValueError):
             stationarity_error(np.zeros(2), np.zeros(2), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            stationarity_error(np.zeros(2), np.zeros(1), np.zeros((2, 1)),
-                               activity_tol=0.0)
 
 
 class TestPolyhedronRows:
@@ -252,7 +251,7 @@ class TestReferenceMeasure:
         from snsqp.bench.pps import build_pps_problem
         problem = build_pps_problem()
         x = np.array([3.0, 6.0])
-        batch = reference_batch(problem, batch_size=200)
+        batch = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, 200)
         loop = [problem.oracle(x, batch[i:i + 1]) for i in range(len(batch))]
         loop_value = np.mean([values[0] for values, _ in loop])
         loop_grad = np.mean([grads[0] for _, grads in loop], axis=0)
@@ -269,7 +268,7 @@ class TestReferenceMeasure:
                                            two_piece_crossing_spec)
         problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.2)
         x = np.array([0.7, -0.4])
-        batch = reference_batch(problem, batch_size=64, seed=REFERENCE_SEED)
+        batch = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, 64)
         scenarios_measure = reference_stationarity(problem, x, batch)
         from snsqp.sampling import aggregate
         g = aggregate(problem, x, batch).mean_subgradient
@@ -284,17 +283,18 @@ class TestReferenceMeasure:
                               strategy=FixedSize(5), budget=100, master_seed=6)
         trace = run_algorithm1(problem, config)
         assert all(math.isnan(rec.stationarity) for rec in trace.records)
-        fill_stationarity(trace, reference_batch(problem, batch_size=64))
+        fill_stationarity(trace, draw_scenarios(problem.scenario_sampler,
+                                                REFERENCE_SEED, 0, 64))
         assert all(math.isfinite(rec.stationarity) for rec in trace.records)
         assert all(rec.stationarity >= 0.0 for rec in trace.records)
 
     def test_equality_rows_relax_the_measure(self):
         """A gradient normal to the constraint manifold counts as stationary."""
         from snsqp.bench.synthetic import build_quadratic_equality_problem
-        problem = build_quadratic_equality_problem(noise_width=0.0)
-        # at x = (1, 0): c = 0, constraint gradient (2, 0); the reference
-        # subgradient of |x - xi|^2 at x is 2x = (2, 0), exactly J * 1
+        problem = build_quadratic_equality_problem()
+        # at x = (1, 0): c = 0, constraint gradient (2, 0); over a batch of
+        # zero shifts the subgradient of |x - xi|^2 at x is 2x = (2, 0),
+        # exactly J * 1
         x = np.array([1.0, 0.0])
-        measure = reference_stationarity(problem, x,
-                                         reference_batch(problem, batch_size=16))
+        measure = reference_stationarity(problem, x, np.zeros((16, 2)))
         assert measure <= 1e-8

@@ -6,6 +6,8 @@ value function away from its breakpoints (p = 2 and p = 4.2, where the
 shipping margin and the production premium change sign).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,8 +19,8 @@ from snsqp.bench.pps import (
     build_pps_problem,
     first_stage_set,
     pps_oracle,
+    _truncated_normal,
     recourse_closed_form,
-    sample_truncated_normal,
     scenario_sampler,
     second_stage_lp,
     split_scenarios,
@@ -79,6 +81,20 @@ class TestInstanceData:
                 slope_intervals=np.abs(good.slope_intervals),
                 intercept_intervals=good.intercept_intervals)
 
+    def test_rejects_reversed_or_empty_intervals(self):
+        """Lower end not below the upper end fails at construction, not at
+        the first draw (which would spin through the rejection cap)."""
+        good = build_pps_instance()
+        for j, bad in ((0, [-0.5, -1.5]), (2, [-2.0, -2.0])):
+            slopes = good.slope_intervals.copy()
+            slopes[j] = bad
+            with pytest.raises(ValueError, match="lower end"):
+                dataclasses.replace(good, slope_intervals=slopes)
+        intercepts = good.intercept_intervals.copy()
+        intercepts[1] = [22.0, 21.0]
+        with pytest.raises(ValueError, match="lower end"):
+            dataclasses.replace(good, intercept_intervals=intercepts)
+
 
 class TestScenarioDistribution:
     def test_draws_stay_inside_intervals(self, instance, problem):
@@ -95,8 +111,7 @@ class TestScenarioDistribution:
         a, b = instance.slope_intervals[3]
         mean_q, var_q = truncated_normal_moments(a, b)
         rng = np.random.default_rng(2718)
-        draws = np.array([sample_truncated_normal((a, b), rng)
-                          for _ in range(40_000)])
+        draws = _truncated_normal(rng, np.array([a]), np.array([b]), 40_000)[:, 0]
         se = np.sqrt(var_q / draws.size)
         assert abs(draws.mean() - mean_q) <= 4.0 * se
         assert draws.var(ddof=1) == pytest.approx(var_q, rel=0.03)
@@ -104,10 +119,8 @@ class TestScenarioDistribution:
     def test_single_draw_respects_interval(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            u = sample_truncated_normal((16.0, 17.0), rng)
+            (u,), = _truncated_normal(rng, np.array([16.0]), np.array([17.0]), 1)
             assert 16.0 <= u <= 17.0
-        with pytest.raises(ValueError):
-            sample_truncated_normal((2.0, 2.0), rng)
 
     def test_exhausted_rejection_cap_names_the_interval(self):
         class OutOfRange:
@@ -115,7 +128,7 @@ class TestScenarioDistribution:
                 return np.full(shape, 10.0)
 
         with pytest.raises(RuntimeError, match=r"\[16\.0, 17\.0\]"):
-            sample_truncated_normal((16.0, 17.0), OutOfRange())
+            _truncated_normal(OutOfRange(), np.array([16.0]), np.array([17.0]), 1)
 
     def test_sampler_is_deterministic(self, problem):
         a = draw_scenarios(problem.scenario_sampler, 4, 11, 50)

@@ -193,6 +193,42 @@ class TestRho:
             build_synthetic_uc2(two_piece_crossing_spec(), noise_width=-0.1)
 
 
+class TestUpperC2Gap:
+    """The linearization excess r(x+d) - r(x) - g.d against (rho/2)|d|^2."""
+
+    def test_bound_holds_over_piecewise_family(self):
+        """gap <= (rho/2) |d|^2 with rho the largest piece curvature."""
+        spec = two_piece_crossing_spec()
+        rho = spec.rho
+        rng = np.random.default_rng(2024)
+        worst_ratio = 0.0
+        for _ in range(10_000):
+            x = rng.uniform(-2.0, 2.0, 2)
+            d = rng.uniform(-1.0, 1.0, 2) * rng.choice([0.05, 0.5, 2.0])
+            r_x, g, _ = piecewise_min(spec, x)
+            r_xd, _, _ = piecewise_min(spec, x + d)
+            gap = r_xd - r_x - g @ d
+            nd2 = float(d @ d)
+            assert gap <= 0.5 * rho * nd2 + 1e-10
+            if nd2 > 1e-12:
+                worst_ratio = max(worst_ratio, gap / (0.5 * nd2))
+        # the bound is sharp: some pair must come close to rho itself,
+        # so no smaller modulus (e.g. rho/2) would have passed
+        assert worst_ratio > 0.9 * rho
+
+    def test_bound_sharp_along_top_curvature_direction(self):
+        spec = two_piece_crossing_spec()
+        rho = spec.rho
+        # deep inside one piece's region, stepping along its top eigenvector
+        x = np.array([-1.5, 0.0])
+        d = np.array([0.05, 0.0])
+        r_x, g, idx_x = piecewise_min(spec, x)
+        r_xd, _, idx_xd = piecewise_min(spec, x + d)
+        assert idx_x == idx_xd
+        gap = r_xd - r_x - g @ d
+        assert gap == pytest.approx(0.5 * rho * float(d @ d), rel=1e-9)
+
+
 class TestEqualityCompanions:
     def test_affine_problem_shapes_and_constants(self):
         problem = build_affine_equality_problem()
