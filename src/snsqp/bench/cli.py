@@ -203,6 +203,7 @@ def _cmd_curve(args) -> int:
     if args.batch < 1:
         raise ConfigError("batch", "expected positive integer")
     instance = pps.build_pps_instance()
+    template = pps.recourse_template(instance)
     scenarios = draw_scenarios(pps.scenario_sampler(instance), args.seed, 0,
                                args.batch)
     p_lo, p_hi = instance.price_bounds
@@ -212,7 +213,8 @@ def _cmd_curve(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,value,derivative\n")
         for p in grid:
-            values, derivs = pps.recourse_lp(instance, float(p), scenarios)
+            values, derivs = pps.recourse_lp(instance, float(p), scenarios,
+                                             template=template)
             fh.write(f"{float(p)!r},{float(values.mean())!r},"
                      f"{float(derivs.mean())!r}\n")
     print(f"curve: {args.out} ({args.points} points, batch {args.batch})")

@@ -163,24 +163,35 @@ def _recourse_rows(instance: PpsInstance) -> np.ndarray:
     return rows
 
 
-def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray,
-                    rows: np.ndarray = None) -> lp.LpProblem:
-    """Assemble the recourse LP at price p for one scenario row.
+def recourse_template(instance: PpsInstance) -> lp.LpProblem:
+    """The recourse LP's rows and bounds, built and checked once per instance.
 
-    Variables are (y, z-flattened); only the demand right-hand side depends
-    on the scenario.
+    Variables are (y, z-flattened).  Its cost is the one at p = 0 and its
+    right-hand side is zero: second_stage_lp and recourse_lp set both per
+    price.  The problem is immutable, so sharing it keeps the oracle a pure
+    function of (x, batch).
     """
     m, n = instance.factories, instance.stores
     nz = m * n
-    cost = np.concatenate([instance.production_costs,
+    return lp.LpProblem(cost=_recourse_cost(instance, 0.0),
+                        ineq_matrix=_recourse_rows(instance),
+                        ineq_rhs=np.zeros(n + m),
+                        lower=np.concatenate([np.full(m, instance.quantity_floor),
+                                              np.zeros(nz)]),
+                        upper=np.full(m + nz, np.inf))
+
+
+def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray) -> lp.LpProblem:
+    """The recourse LP at price p for one scenario row; only the demand
+    right-hand side depends on the scenario."""
+    return recourse_template(instance).with_vectors(
+        cost=_recourse_cost(instance, p), ineq_rhs=_recourse_rhs(instance, p, scenario))
+
+
+def _recourse_cost(instance: PpsInstance, p: float) -> np.ndarray:
+    """Production costs, then the shipment costs less the price."""
+    return np.concatenate([instance.production_costs,
                            (instance.shipment_costs - p).ravel()])
-    if rows is None:
-        rows = _recourse_rows(instance)
-    lower = np.concatenate([np.full(m, instance.quantity_floor), np.zeros(nz)])
-    upper = np.full(m + nz, np.inf)
-    return lp.LpProblem(cost=cost, ineq_matrix=rows,
-                        ineq_rhs=_recourse_rhs(instance, p, scenario),
-                        lower=lower, upper=upper)
 
 
 def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.ndarray:
@@ -192,19 +203,22 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
 
 
 def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
-                rows: np.ndarray = None) -> tuple:
+                template: lp.LpProblem = None) -> tuple:
     """Recourse values and their p-derivatives for a batch, by linear programming.
 
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
-    bases.  The p-derivative comes from the envelope theorem: the z part of
-    the cost vector has derivative -1 per unit shipped, and the demand
-    right-hand sides have derivative slope_j, weighted by their duals.
+    bases; only the cost and the right-hand sides are built per call.  The
+    p-derivative comes from the envelope theorem: the z part of the cost
+    vector has derivative -1 per unit shipped, and the demand right-hand
+    sides have derivative slope_j, weighted by their duals.
     Returns two (batch,) arrays; raises RuntimeError naming the first
     scenario whose LP is not solved to optimality.
     """
-    template = second_stage_lp(instance, p, scenarios[0], rows=rows)
-    sol = lp.solve_lp_multi_rhs(template, _recourse_rhs(instance, p, scenarios))
+    if template is None:
+        template = recourse_template(instance)
+    problem = template.with_vectors(cost=_recourse_cost(instance, p))
+    sol = lp.solve_lp_multi_rhs(problem, _recourse_rhs(instance, p, scenarios))
     failed = np.flatnonzero(sol.status != lp.LpStatus.OPTIMAL)
     if failed.size:
         raise RuntimeError(f"second-stage LP of scenario {failed[0]} ended "
@@ -216,10 +230,10 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
 
 
 def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,
-               rows: np.ndarray = None) -> tuple:
+               template: lp.LpProblem = None) -> tuple:
     """Sampled total objectives (N,) and subgradients over (x, p), (N, 2)."""
     x, p = float(first_stage[0]), float(first_stage[1])
-    recourse, dr_dp = recourse_lp(instance, p, scenarios, rows=rows)
+    recourse, dr_dp = recourse_lp(instance, p, scenarios, template=template)
     grads = np.empty((len(scenarios), 2))
     grads[:, 0] = instance.first_stage_cost - p
     grads[:, 1] = -x + dr_dp
@@ -269,10 +283,10 @@ def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
 def build_pps_problem() -> ConstrainedStochasticProblem:
     """Assemble the full stochastic problem around the reference instance."""
     instance = build_pps_instance()
-    rows = _recourse_rows(instance)
+    template = recourse_template(instance)
 
     def oracle(point, scenarios):
-        return pps_oracle(instance, point, scenarios, rows=rows)
+        return pps_oracle(instance, point, scenarios, template=template)
 
     return ConstrainedStochasticProblem(
         dimension=2,

@@ -5,12 +5,24 @@ bounded-variable pivoting (variables may sit at either bound when nonbasic)
 and Bland's rule engaged after a pivot budget to guarantee termination on
 degenerate instances.
 
+Pivot rules.  Pricing keeps one sign per column: -1 for a nonbasic variable
+at its lower bound, +1 at its upper bound, 0 for a basic or fixed one, so
+sign * reduced cost is each column's violation.  The column with the largest
+violation above PIVOT_TOL enters (the first one on ties); under Bland's rule
+the first column above PIVOT_TOL does.  The leaving variable has the smallest
+ratio, ties going to the smallest variable index, unless the entering
+variable reaches its own other bound first (a bound flip).  The sign vector
+is bookkeeping only, updated as variables enter, leave and flip: its
+products are exactly the reduced costs masked by basis status and bound, so
+it changes no pivot.
+
 Dual sign convention: inequality rows A x <= b carry nonnegative multipliers
 mu in the Lagrangian L = c.x + mu.(A x - b).  The value-function subgradient
 formulas downstream rely on this sign, so it is part of the contract.
 bound_duals holds the reduced cost of each variable at the optimum:
 nonnegative at an active lower bound, nonpositive at an active upper bound.
 
+LpProblem builds the column block [A | I] and the column ranges once;
 LPs that share cost, rows and bounds and differ only in the right-hand side
 are solved together by solve_lp_multi_rhs, which reuses optimal bases across
 them ("bunching", Birge & Louveaux, Introduction to Stochastic Programming,
@@ -20,7 +32,8 @@ L-shaped chapter).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +51,16 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpProblem:
     """min cost.x  s.t.  ineq_matrix @ x <= ineq_rhs,  lower <= x <= upper.
 
-    Lower bounds must be finite; upper bounds may be +inf.
+    Every entry must be finite, except that upper bounds may be +inf.  The
+    arrays are copied and made read-only.  Construction also builds what
+    every solve of these rows and bounds shares: the column block
+    [ineq_matrix | I], the column ranges (upper - lower, then +inf per
+    slack) and ineq_matrix @ lower.  with_vectors swaps in a new cost or
+    right-hand side and keeps them.
     """
 
     cost: np.ndarray
@@ -50,22 +68,36 @@ class LpProblem:
     ineq_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    ranges: np.ndarray = field(init=False, repr=False, compare=False)
+    lower_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.cost = np.atleast_1d(np.asarray(self.cost, dtype=float))
-        self.ineq_matrix = np.atleast_2d(np.asarray(self.ineq_matrix, dtype=float))
-        self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=float))
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        q = self.cost.size
-        if self.ineq_matrix.shape[1] != q or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
+        cost = _frozen(np.atleast_1d(self.cost))
+        ineq_matrix = _frozen(np.atleast_2d(self.ineq_matrix))
+        ineq_rhs = _frozen(np.atleast_1d(self.ineq_rhs))
+        lower = _frozen(np.atleast_1d(self.lower))
+        upper = _frozen(np.atleast_1d(self.upper))
+        q, s = cost.size, ineq_rhs.size
+        if ineq_matrix.shape[1] != q or ineq_matrix.shape[0] != s:
             raise ValueError("ineq_matrix must be (s, q) with ineq_rhs of length s")
-        if self.lower.size != q or self.upper.size != q:
+        if lower.size != q or upper.size != q:
             raise ValueError("bounds must have the same length as cost")
-        if not np.isfinite(self.lower).all():
-            raise ValueError("lower bounds must be finite")
-        if np.any(self.lower > self.upper):
+        for name, values in (("cost", cost), ("ineq_matrix", ineq_matrix),
+                             ("ineq_rhs", ineq_rhs), ("lower bounds", lower)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if np.isnan(upper).any():
+            raise ValueError("upper bounds must not be nan")
+        if np.any(lower > upper):
             raise ValueError("requires lower <= upper")
+        for name, value in (
+                ("cost", cost), ("ineq_matrix", ineq_matrix), ("ineq_rhs", ineq_rhs),
+                ("lower", lower), ("upper", upper),
+                ("columns", _frozen(np.hstack([ineq_matrix, np.eye(s)]))),
+                ("ranges", _frozen(np.concatenate([upper - lower, np.full(s, np.inf)]))),
+                ("lower_rows", _frozen(ineq_matrix @ lower))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -74,6 +106,41 @@ class LpProblem:
     @property
     def n_rows(self) -> int:
         return self.ineq_rhs.size
+
+    def with_vectors(self, cost=None, ineq_rhs=None) -> LpProblem:
+        """This LP with a new cost and/or right-hand side.
+
+        The rows, bounds and the arrays built from them are shared; only the
+        new vectors are checked.
+        """
+        changes = {}
+        if cost is not None:
+            changes["cost"] = _finite_vector(cost, self.n_vars, "cost")
+        if ineq_rhs is not None:
+            changes["ineq_rhs"] = _finite_vector(ineq_rhs, self.n_rows, "ineq_rhs")
+        return self._with(**changes)
+
+    def _with(self, **vectors) -> LpProblem:
+        """A copy with some vectors replaced, unchecked: the caller checked them."""
+        copy = object.__new__(LpProblem)
+        copy.__dict__.update(self.__dict__, **vectors)
+        return copy
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _finite_vector(values, size: int, name: str) -> np.ndarray:
+    out = _frozen(np.atleast_1d(values))
+    if out.shape != (size,):
+        raise ValueError(f"{name} must have length {size}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 @dataclass
@@ -120,10 +187,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if s == 0:
         return _solve_box_only(problem)
 
-    rng_x = problem.upper - problem.lower
-    b0 = problem.ineq_rhs - problem.ineq_matrix @ problem.lower
-
-    core = _Simplex(problem.ineq_matrix, b0, rng_x, problem.cost)
+    core = _Simplex(problem, problem.ineq_rhs - problem.lower_rows)
     status = core.run(bland_after=BLAND_AFTER_FACTOR * (q + s))
     if status is not LpStatus.OPTIMAL:
         return LpSolution(np.zeros(q), np.zeros(s), np.zeros(q), np.nan, status,
@@ -136,8 +200,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # a basic artificial sits at zero; its row's slack (the negated column)
     # spans the same basis with the same duals
     basis = core.basis.copy()
-    artificial = basis >= q + s
-    basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
+    if core.neg_rows.size:
+        artificial = basis >= q + s
+        basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
     return LpSolution(
         primal=x,
         duals=-y,
@@ -165,10 +230,11 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
     n_lp, s = rhs.shape
     if s != problem.n_rows:
         raise ValueError("rhs must have one column per inequality row")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs must be finite")
     q = problem.n_vars
-    cols = np.hstack([problem.ineq_matrix, np.eye(s)])
-    rng = np.concatenate([problem.upper - problem.lower, np.full(s, np.inf)])
-    shifted = rhs - problem.ineq_matrix @ problem.lower
+    cols, rng = problem.columns, problem.ranges
+    shifted = rhs - problem.lower_rows
 
     primal = np.zeros((n_lp, q))
     duals = np.zeros((n_lp, s))
@@ -179,7 +245,7 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
     pending = np.arange(n_lp)
     while pending.size:
         first, rest = pending[0], pending[1:]
-        sol = solve_lp(replace(problem, ineq_rhs=rhs[first]))
+        sol = solve_lp(problem._with(ineq_rhs=rhs[first]))
         cold_solves += 1
         status[first] = sol.status
         if sol.status is not LpStatus.OPTIMAL:
@@ -192,8 +258,11 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
 
         basis, upper = sol.basis, sol.at_upper
         b_inv = np.linalg.inv(cols[:, basis])
-        xb = (shifted[rest] - cols[:, upper] @ rng[upper]) @ b_inv.T
-        fits = np.all((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL), axis=1)
+        b_rest = shifted[rest]
+        if upper.size:  # subtracting the empty product's zeros changes no bit
+            b_rest = b_rest - cols[:, upper] @ rng[upper]
+        xb = b_rest @ b_inv.T
+        fits = ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all(axis=1)
         won = rest[fits]
         z = np.zeros((won.size, q + s))
         z[:, upper] = rng[upper]
@@ -267,24 +336,25 @@ class _Simplex:
     them to value zero without basis surgery.
     """
 
-    def __init__(self, a_matrix, b0, rng_x, structural_cost):
-        s, q = a_matrix.shape
+    def __init__(self, problem: LpProblem, b0: np.ndarray):
+        s, q = problem.n_rows, problem.n_vars
         self.s, self.q = s, q
         neg_rows = np.flatnonzero(b0 < 0.0)
         n_art = neg_rows.size
-        cols = np.hstack([a_matrix, np.eye(s)])
+        # the problem's own arrays, read-only; phase 1 extends both
+        cols, rng = problem.columns, problem.ranges
         if n_art:
             art = np.zeros((s, n_art))
             art[neg_rows, np.arange(n_art)] = -1.0
             cols = np.hstack([cols, art])
+            rng = np.concatenate([rng, np.full(n_art, np.inf)])
         self.cols = cols
         self.b0 = b0
         self.nv = q + s + n_art
-        self.rng = np.concatenate([rng_x, np.full(s + n_art, np.inf)])
+        self.rng = rng
         self.art_slice = slice(q + s, self.nv)
         self.neg_rows = neg_rows
-        self.structural_cost = structural_cost
-        self.cost = np.zeros(self.nv)
+        self.structural_cost = problem.cost
         self.max_pivots = 1000 * (q + s) + 10000
 
         # starting basis: slacks, except artificials on negative rows
@@ -294,11 +364,19 @@ class _Simplex:
         self.in_basis = np.zeros(self.nv, dtype=bool)
         self.in_basis[self.basis] = True
         self.at_upper = np.zeros(self.nv, dtype=bool)
+        # pricing sign: -1 nonbasic at lower, +1 nonbasic at upper, 0 basic or fixed
+        self.sign = np.where(~self.in_basis & (rng > 0.0), -1.0, 0.0)
+        self._basic_ranges()
         self.b_inv = np.eye(s)
         if n_art:
             self.b_inv[neg_rows, neg_rows] = -1.0
         self.xb = np.abs(b0)
+        self.no_ratio = np.full(s, np.inf)
         self.pivots = 0
+
+    def _basic_ranges(self):
+        self.rng_b = self.rng[self.basis]
+        self.finite_b = int(np.isfinite(self.rng_b).sum())
 
     def run(self, bland_after: int) -> LpStatus:
         if self.neg_rows.size:
@@ -309,6 +387,8 @@ class _Simplex:
             if self._objective() > FEAS_TOL:
                 return LpStatus.INFEASIBLE
             self.rng[self.art_slice] = 0.0
+            self.sign[self.art_slice] = 0.0
+            self._basic_ranges()
         real = np.zeros(self.nv)
         real[:self.q] = self.structural_cost
         self.cost = real
@@ -329,7 +409,7 @@ class _Simplex:
         while True:
             y = self.cost[self.basis] @ self.b_inv
             reduced = self.cost - y @ self.cols
-            j = self._entering(reduced, bland=self.pivots > bland_after)
+            j = self._entering(self.sign * reduced, bland=self.pivots > bland_after)
             if j is None:
                 return LpStatus.OPTIMAL
             if not self._pivot(j):
@@ -337,58 +417,63 @@ class _Simplex:
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded")
 
-    def _entering(self, reduced: np.ndarray, bland: bool) -> int | None:
-        movable = ~self.in_basis & (self.rng > 0.0)
-        viol = np.where(movable & ~self.at_upper, -reduced, 0.0)
-        viol = np.where(movable & self.at_upper, reduced, viol)
-        viol[viol <= PIVOT_TOL] = 0.0
+    @staticmethod
+    def _entering(viol: np.ndarray, bland: bool) -> int | None:
         if bland:
-            nz = np.flatnonzero(viol)
+            nz = (viol > PIVOT_TOL).nonzero()[0]
             return int(nz[0]) if nz.size else None
-        j = int(np.argmax(viol))
-        return j if viol[j] > 0.0 else None
+        j = int(viol.argmax())
+        return j if viol[j] > PIVOT_TOL else None
 
     def _pivot(self, j: int) -> bool:
         """Bring column j toward the basis; False signals an unbounded ray."""
         col = self.b_inv @ self.cols[:, j]
-        sigma = -1.0 if self.at_upper[j] else 1.0
-        delta = sigma * col
+        from_upper = bool(self.at_upper[j])
+        delta = -col if from_upper else col
 
-        rng_b = self.rng[self.basis]
-        ratios = np.full(self.s, np.inf)
-        to_lower = delta > PIVOT_TOL
-        ratios[to_lower] = np.maximum(self.xb[to_lower], 0.0) / delta[to_lower]
-        to_upper = (delta < -PIVOT_TOL) & np.isfinite(rng_b)
-        ratios[to_upper] = (np.maximum(rng_b[to_upper] - self.xb[to_upper], 0.0)
-                            / -delta[to_upper])
+        ratios = self.no_ratio.copy()
+        np.divide(np.maximum(self.xb, 0.0), delta, out=ratios, where=delta > PIVOT_TOL)
+        if self.finite_b:
+            to_upper = (delta < -PIVOT_TOL) & np.isfinite(self.rng_b)
+            np.divide(np.maximum(self.rng_b - self.xb, 0.0), -delta, out=ratios,
+                      where=to_upper)
 
-        min_ratio = float(ratios.min())
-        flip_t = self.rng[j]
-        if not (np.isfinite(min_ratio) or np.isfinite(flip_t)):
+        leave_pos = int(ratios.argmin())
+        min_ratio = float(ratios[leave_pos])
+        flip_t = float(self.rng[j])
+        if not (math.isfinite(min_ratio) or math.isfinite(flip_t)):
             return False
         self.pivots += 1
 
         if flip_t < min_ratio:
-            self.xb = self.xb - flip_t * delta
-            self.at_upper[j] = not self.at_upper[j]
+            self.xb -= flip_t * delta
+            self.at_upper[j] = not from_upper
+            self.sign[j] = -self.sign[j]
             return True
 
         # leaving: smallest variable index among the minimal ratios (Bland-safe)
-        tied = np.flatnonzero(ratios == min_ratio)
-        leave_pos = int(tied[np.argmin(self.basis[tied])])
-        leave = self.basis[leave_pos]
+        tied = (ratios == min_ratio).nonzero()[0]
+        if tied.size > 1:
+            leave_pos = int(tied[self.basis[tied].argmin()])
+        leave = int(self.basis[leave_pos])
 
-        self.xb = self.xb - min_ratio * delta
-        self.xb[leave_pos] = min_ratio if sigma > 0 else self.rng[j] - min_ratio
+        self.xb -= min_ratio * delta
+        self.xb[leave_pos] = flip_t - min_ratio if from_upper else min_ratio
         self.at_upper[leave] = delta[leave_pos] < 0  # it left toward its upper bound
         self.at_upper[j] = False
         self.in_basis[leave] = False
         self.in_basis[j] = True
         self.basis[leave_pos] = j
+        leave_rng = float(self.rng_b[leave_pos])
+        self.sign[j] = 0.0
+        if leave_rng > 0.0:
+            self.sign[leave] = 1.0 if self.at_upper[leave] else -1.0
+        self.rng_b[leave_pos] = flip_t
+        self.finite_b += math.isfinite(flip_t) - math.isfinite(leave_rng)
 
         piv = col[leave_pos]
         row = self.b_inv[leave_pos] / piv
-        self.b_inv = self.b_inv - np.outer(col, row)
+        self.b_inv -= col[:, None] * row
         self.b_inv[leave_pos] = row
 
         if self.pivots % REFACTOR_EVERY == 0:

@@ -6,6 +6,7 @@ Dual variables are checked both through the KKT residuals and by pricing
 finite right-hand-side perturbations.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 from scipy.optimize import linprog
 
+from snsqp import lp
 from snsqp.lp import (
     LpProblem,
     LpSolution,
@@ -295,3 +297,180 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LpProblem(cost=[1.0], ineq_matrix=np.zeros((0, 1)), ineq_rhs=np.zeros(0),
                   lower=[2.0], upper=[1.0])
+
+
+class TestNonFiniteInputs:
+    """min -x0 - x1  s.t.  x0 + x1 <= 4  on [0, 3]^2, with one entry made
+    non-finite.  Before these checks a nan upper bound made its variable
+    fixed (OPTIMAL at [0, 4]), a nan cost gave a nan objective, and a nan
+    right-hand side failed inside the ratio test."""
+
+    @staticmethod
+    def make(**changes):
+        data = dict(cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[4.0],
+                    lower=[0.0, 0.0], upper=[3.0, 3.0])
+        data.update(changes)
+        return LpProblem(**data)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"upper": [np.nan, 5.0]}, "upper bounds must not be nan"),
+        ({"cost": [np.nan, -1.0]}, "cost must be finite"),
+        ({"cost": [-np.inf, -1.0]}, "cost must be finite"),
+        ({"ineq_rhs": [np.nan]}, "ineq_rhs must be finite"),
+        ({"ineq_rhs": [np.inf]}, "ineq_rhs must be finite"),
+        ({"ineq_matrix": [[1.0, np.nan]]}, "ineq_matrix must be finite"),
+        ({"ineq_matrix": [[np.inf, 1.0]]}, "ineq_matrix must be finite"),
+    ])
+    def test_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(**changes)
+
+    def test_infinite_upper_still_allowed(self):
+        sol = solve_lp(self.make(upper=[np.inf, 3.0]))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(-4.0)
+
+    def test_with_vectors_checks_the_new_vectors(self):
+        problem = self.make()
+        with pytest.raises(ValueError, match="cost must be finite"):
+            problem.with_vectors(cost=[np.nan, -1.0])
+        with pytest.raises(ValueError, match="ineq_rhs must be finite"):
+            problem.with_vectors(ineq_rhs=[np.nan])
+        with pytest.raises(ValueError, match="length 2"):
+            problem.with_vectors(cost=[-1.0])
+        moved = problem.with_vectors(ineq_rhs=[2.0])
+        assert solve_lp(moved).objective == pytest.approx(-2.0)
+        assert moved.columns is problem.columns
+        assert solve_lp(problem).objective == pytest.approx(-4.0)
+
+    def test_multi_rhs_checks_the_batch(self):
+        problem = self.make()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="rhs must be finite"):
+                solve_lp_multi_rhs(problem, np.array([[4.0], [bad]]))
+
+    def test_problem_arrays_are_read_only_copies(self):
+        cost = np.array([-1.0, -1.0])
+        problem = self.make(cost=cost)
+        cost[0] = 5.0
+        assert problem.cost[0] == -1.0
+        with pytest.raises(ValueError):
+            problem.ineq_rhs[0] = 1.0
+
+
+@st.composite
+def kernel_lps(draw):
+    """Bounded feasible LPs that reach every branch of the simplex kernel.
+
+    Finite upper bounds on coordinates with negative cost give bound flips;
+    rows with only negative coefficients exclude the lower corner, so their
+    shifted right-hand side is negative and phase 1 adds an artificial;
+    small-integer data gives degenerate vertices, so ratio ties.
+    Feasibility: every row holds at a point inside the box.  Boundedness:
+    coordinates without an upper bound have positive cost.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    q = draw(st.integers(1, 5))
+    s = draw(st.integers(1, 4))
+    unbounded_share = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        lower = rng.integers(-2, 1, q).astype(float)
+        width = 2.0 * rng.integers(1, 3, q)
+        point = lower + width / 2
+        cost = rng.integers(-3, 4, q).astype(float)
+        a_mat = rng.integers(-2, 3, (s, q)).astype(float)
+        slack = rng.integers(0, 2, s).astype(float)
+    else:
+        lower = rng.uniform(-2.0, 0.0, q)
+        width = rng.uniform(0.5, 3.0, q)
+        point = lower + width * rng.uniform(0.1, 0.9, q)
+        cost = rng.normal(size=q)
+        a_mat = rng.normal(size=(s, q))
+        slack = rng.uniform(0.0, 0.5, s)
+    unbounded = rng.random(q) < unbounded_share
+    upper = np.where(unbounded, np.inf, lower + width)
+    cost = np.where(unbounded, np.abs(cost) + 0.5, cost)
+    covering = rng.random(s) < 0.5
+    a_mat[covering] = -np.abs(a_mat[covering])
+    return LpProblem(cost=cost, ineq_matrix=a_mat, ineq_rhs=a_mat @ point + slack,
+                     lower=lower, upper=upper)
+
+
+class TestKernelBranches:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_lps())
+    def test_bland_from_the_first_pivot_and_refactor_every_pivot(self, problem):
+        """Bland's rule from pivot 0 and a fresh basis inverse after every
+        pivot, against vertex enumeration."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "BLAND_AFTER_FACTOR", 0)
+            patch.setattr(lp, "REFACTOR_EVERY", 1)
+            sol = solve_lp(problem)
+        target(float(sol.iterations), label="pivots")
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective - enumerate_lp(problem)) <= 1e-8
+        residuals = verify_lp(problem, sol)
+        assert residuals["primal_res"] <= 1e-8
+        assert residuals["dual_res"] <= 1e-8
+        assert residuals["gap"] <= 1e-8
+
+
+def pinned_lps(integral):
+    """Seeded LPs with finite and infinite uppers and rows with negative
+    shifted right-hand sides; with integral data most vertices are
+    degenerate, so the ratio test ties often."""
+    rng = np.random.default_rng(31 if integral else 2718)
+    for _ in range(300 if integral else 200):
+        if integral:
+            q = int(rng.integers(2, 6))
+            s = int(rng.integers(2, 6))
+            lower = rng.integers(-2, 1, q).astype(float)
+            width = 2.0 * rng.integers(1, 3, q)
+            upper = np.where(rng.random(q) < 0.3, np.inf, lower + width)
+            cost = rng.integers(-3, 4, q).astype(float)
+            cost = np.where(np.isinf(upper), np.abs(cost) + 1.0, cost)
+            a_mat = rng.integers(-2, 3, (s, q)).astype(float)
+            rhs = a_mat @ (lower + width / 2) + rng.integers(0, 2, s)
+        else:
+            q = int(rng.integers(1, 7))
+            s = int(rng.integers(1, 6))
+            lower = rng.uniform(-2, 0, q)
+            width = rng.uniform(0.5, 3, q)
+            upper = np.where(rng.random(q) < 0.4, np.inf, lower + width)
+            cost = rng.normal(size=q)
+            cost = np.where(np.isinf(upper), np.abs(cost) + 0.1, cost)
+            a_mat = rng.normal(size=(s, q))
+            point = lower + np.where(np.isfinite(upper), width, 1.0) * rng.uniform(0, 1, q)
+            rhs = a_mat @ point + rng.uniform(-0.5, 1.0, s)
+        yield LpProblem(cost, a_mat, rhs, lower, upper)
+
+
+@pytest.mark.parametrize("integral, overrides, expected", [
+    (False, {}, (521, "dcde7acd64ae12d6bd3cde1d111a3f05b41231ecb7542d53811843c58cf29b7a")),
+    (False, {"BLAND_AFTER_FACTOR": 0, "REFACTOR_EVERY": 1},
+     (603, "9d7d6855ebab89edf27d0706b5af595eab25d7bf47e912a061c528e81adbdcb4")),
+    (True, {}, (983, "a580aaec1a525d3afb944ba252115927f9fa8bbdff8b95eb333757abc5655ae9")),
+    (True, {"BLAND_AFTER_FACTOR": 0, "REFACTOR_EVERY": 1},
+     (1064, "5f123e6b915361e9ceccc8a2b9a488e12352dda3a1e82dc70c690c7a3edb89c8")),
+])
+def test_pivots_are_pinned(integral, overrides, expected, monkeypatch):
+    """Total pivots and a sha256 over every status, basis and at_upper list.
+
+    The constants were recorded with the earlier kernel, which priced by
+    masking the reduced costs with np.where; they pin every pivot rule,
+    including the smallest-index tie break of the ratio test, which the
+    integral family reaches.
+    """
+    for name, value in overrides.items():
+        monkeypatch.setattr(lp, name, value)
+    digest = hashlib.sha256()
+    pivots = 0
+    for problem in pinned_lps(integral):
+        sol = solve_lp(problem)
+        pivots += sol.iterations
+        digest.update(sol.status.value.encode())
+        if sol.basis is not None:
+            digest.update(np.asarray(sol.basis, dtype=np.int64).tobytes() + b"|")
+            digest.update(np.asarray(sol.at_upper, dtype=np.int64).tobytes() + b"/")
+    assert (pivots, digest.hexdigest()) == expected

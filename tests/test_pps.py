@@ -21,11 +21,13 @@ from snsqp.bench.pps import (
     pps_oracle,
     _truncated_normal,
     recourse_closed_form,
+    recourse_lp,
     scenario_sampler,
     second_stage_lp,
     split_scenarios,
 )
 from snsqp.bench.reference import truncated_normal_moments
+from snsqp.diagnostics import REFERENCE_SEED, reference_batch
 from snsqp.sampling import OracleError, aggregate, draw_scenarios
 
 
@@ -210,6 +212,77 @@ class TestRecourseLp:
             recourse_closed_form(bad, 5.0, slopes[None, :], intercepts[None, :])
 
 
+#: prices of the pinned cold solves, 0.25 apart
+PIN_PRICES = np.linspace(1.5, 8.0, 27)
+#: (pivots, basis) of the recourse LP's cold solve at each of PIN_PRICES,
+#: recorded with the earlier simplex kernel, which priced by masking the
+#: reduced costs with np.where.  At p <= 2 nothing ships (the slack basis);
+#: up to p = 4.2 the factories ship their floor production; above it the
+#: cheapest factory tops up.  Every upper bound is +inf, so no variable
+#: ends at one.
+NOTHING_SHIPS = (0, tuple(range(30, 40)))
+FLOOR_SHIPS = (5, (30, 31, 32, 33, 34, 5, 10, 15, 20, 25))
+CHEAPEST_TOPS_UP = (10, (0, 6, 7, 8, 9, 5, 10, 15, 20, 25))
+PINNED_SOLVES = [NOTHING_SHIPS] * 3 + [FLOOR_SHIPS] * 8 + [CHEAPEST_TOPS_UP] * 16
+
+
+def record_solves(monkeypatch):
+    """Wrap snsqp.lp.solve_lp and solve_lp_multi_rhs, as the benchmark's span
+    tracer wraps solve_lp; returns the lists the two wrappers append to."""
+    solves, batches = [], []
+    solve_lp, solve_lp_multi_rhs = lp.solve_lp, lp.solve_lp_multi_rhs
+
+    def counted(problem):
+        solves.append(solve_lp(problem))
+        return solves[-1]
+
+    def recorded(problem, rhs):
+        batches.append(solve_lp_multi_rhs(problem, rhs))
+        return batches[-1]
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    monkeypatch.setattr(lp, "solve_lp_multi_rhs", recorded)
+    return solves, batches
+
+
+class TestPinnedPivots:
+    def test_cold_solves_on_a_price_grid(self, instance, problem):
+        """Scenario k of the reference batch at PIN_PRICES[k]."""
+        batch = reference_batch(problem)
+        pivots = 0
+        for k, p in enumerate(PIN_PRICES):
+            sol = lp.solve_lp(second_stage_lp(instance, p, batch[k]))
+            assert (sol.iterations, tuple(sol.basis)) == PINNED_SOLVES[k], f"p = {p}"
+            assert sol.at_upper.size == 0
+            pivots += sol.iterations
+        assert pivots == 200
+
+    def test_one_cold_solve_per_price_on_the_reference_batch(self, instance, problem,
+                                                             monkeypatch):
+        batch = reference_batch(problem)
+        solves, _ = record_solves(monkeypatch)
+        for k, p in enumerate(PIN_PRICES):
+            recourse_lp(instance, p, batch)
+            (sol,) = solves[k:]
+            assert (sol.iterations, tuple(sol.basis)) == PINNED_SOLVES[k], f"p = {p}"
+
+
+@pytest.mark.parametrize("size", [10, 1000])
+def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, size):
+    """The benchmark's lp.recourse_* spans time the recourse LP by wrapping
+    snsqp.lp.solve_lp.  A cold solve that bypassed that name would drop out
+    of them without any error, so the wrapped name must see every cold solve
+    that LpBatchSolution.cold_solves counts, through recourse_lp and through
+    the problem's oracle."""
+    scenarios = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, size)
+    solves, batches = record_solves(monkeypatch)
+    for p in (1.5, 3.0, 6.5):
+        recourse_lp(instance, p, scenarios)
+        problem.oracle(np.array([2.0, p]), scenarios)
+    assert len(batches) == 6
+    assert len(solves) == sum(batch.cold_solves for batch in batches) >= 6
+
+
 class TestOracle:
     def test_gradient_matches_finite_differences(self, instance, problem):
         """Central differences in (x, p) away from the p breakpoints."""
@@ -225,6 +298,18 @@ class TestOracle:
                     ) / (2 * h)
             np.testing.assert_allclose(grads[:, 0], fd_x, rtol=0, atol=1e-6)
             np.testing.assert_allclose(grads[:, 1], fd_p, rtol=0, atol=1e-4)
+
+    def test_calls_share_no_state(self, problem):
+        """The oracle shares one immutable recourse template across calls;
+        a call's bytes do not depend on the calls made before it."""
+        batch = draw_scenarios(problem.scenario_sampler, 9, 2, 50)
+        point = np.array([2.0, 5.0])
+        first_values, first_grads = problem.oracle(point, batch)
+        for p in (1.5, 3.0, 9.5):
+            problem.oracle(np.array([2.0, p]), batch[::-1])
+        values, grads = problem.oracle(point, batch)
+        assert values.tobytes() == first_values.tobytes()
+        assert grads.tobytes() == first_grads.tobytes()
 
     def test_value_decomposition(self, instance, problem):
         batch = draw_scenarios(problem.scenario_sampler, 2, 1, 1)
