@@ -28,7 +28,6 @@ from .lp import (
     LpStatus,
     solve_lp,
     solve_lp_multi_rhs,
-    verify_lp,
 )
 from .model import ConstrainedStochasticProblem, merit_value, predicted_decrease
 from .qp import BoxPolyhedron, QpProblem, QpSolution, QpStatus, solve_qp
@@ -77,7 +76,6 @@ __all__ = [
     "solve_qp",
     "stationarity_error",
     "variance_test",
-    "verify_lp",
     "write_run_csv",
 ]
 

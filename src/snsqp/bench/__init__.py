@@ -1,1 +1,1 @@
-"""Benchmark problems, reference oracles, the experiment runner and the CLI."""
+"""Benchmark problems, the experiment runner and the CLI."""

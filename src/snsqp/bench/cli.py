@@ -1,7 +1,7 @@
 """Command line entry points: benchmark grids, single runs, curve data.
 
-Exit codes: 0 on success, 1 on a failed selftest, 2 on malformed input with
-a one-line `error: <field>: <reason>` diagnostic on stderr.
+Exit codes: 0 on success, 2 on malformed input with a one-line
+`error: <field>: <reason>` diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -61,17 +61,13 @@ def cli_main(argv=None) -> int:
     curve.add_argument("--seed", type=int, default=REFERENCE_SEED)
     curve.add_argument("--out", type=Path, default=Path("curve.csv"))
 
-    sub.add_parser("selftest", help="fast invariant checks of the solvers")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "bench-pps":
             return _cmd_bench(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        return _cmd_selftest()
+        return _cmd_curve(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -81,6 +77,9 @@ def cli_main(argv=None) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for flag in ("seeds", "budget", "epoch", "workers"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag}", "expected positive integer")
     strategies = args.strategy or list(runner.DEFAULT_STRATEGIES)
     for text in strategies:
         runner.parse_strategy(text, eta=args.eta)  # fail fast before any run
@@ -219,13 +218,6 @@ def _cmd_curve(args) -> int:
                      f"{float(derivs.mean())!r}\n")
     print(f"curve: {args.out} ({args.points} points, batch {args.batch})")
     return 0
-
-
-def _cmd_selftest() -> int:
-    from . import selftest
-
-    failures = selftest.run_all()
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

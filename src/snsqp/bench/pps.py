@@ -167,8 +167,7 @@ def recourse_template(instance: PpsInstance) -> lp.LpProblem:
     """The recourse LP's rows and bounds, built and checked once per instance.
 
     Variables are (y, z-flattened).  Its cost is the one at p = 0 and its
-    right-hand side is zero: second_stage_lp and recourse_lp set both per
-    price.  The problem is immutable, so sharing it keeps the oracle a pure
+    right-hand side is zero: recourse_lp sets both per price.  The problem is immutable, so sharing it keeps the oracle a pure
     function of (x, batch).
     """
     m, n = instance.factories, instance.stores
@@ -179,13 +178,6 @@ def recourse_template(instance: PpsInstance) -> lp.LpProblem:
                         lower=np.concatenate([np.full(m, instance.quantity_floor),
                                               np.zeros(nz)]),
                         upper=np.full(m + nz, np.inf))
-
-
-def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray) -> lp.LpProblem:
-    """The recourse LP at price p for one scenario row; only the demand
-    right-hand side depends on the scenario."""
-    return recourse_template(instance).with_vectors(
-        cost=_recourse_cost(instance, p), ineq_rhs=_recourse_rhs(instance, p, scenario))
 
 
 def _recourse_cost(instance: PpsInstance, p: float) -> np.ndarray:
@@ -238,46 +230,6 @@ def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,
     grads[:, 0] = instance.first_stage_cost - p
     grads[:, 1] = -x + dr_dp
     return (instance.first_stage_cost - p) * x + recourse, grads
-
-
-def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
-                         intercepts: np.ndarray) -> tuple:
-    """Vectorized recourse values and d/dp for a batch of scenarios.
-
-    Valid only for uniform shipment costs (the reference data has s_ij = 2);
-    kept as an independent check of recourse_lp.  With a single margin
-    m = p - s, the optimal policy ships up to capacity from the mandatory
-    production floor and tops up at the cheapest factory, so the value is
-    piecewise quadratic in p with explicit breakpoints.
-    slopes/intercepts have shape (batch, stores); returns two (batch,) arrays.
-    """
-    ship = float(instance.shipment_costs.flat[0])
-    if np.ptp(instance.shipment_costs) != 0.0:
-        raise ValueError("closed form requires uniform shipment costs")
-    floor_capacity = instance.quantity_floor * instance.factories
-    c_min = float(np.min(instance.production_costs))
-    base = float(np.sum(instance.production_costs)) * instance.quantity_floor
-
-    demand = slopes * p + intercepts
-    if np.any(demand < 0):
-        raise ValueError("closed form requires nonnegative demand caps")
-    total = demand.sum(axis=1)
-    d_total = slopes.sum(axis=1)
-
-    margin = p - ship
-    premium = margin - c_min
-    shipped = np.minimum(floor_capacity, total)
-    extra = np.maximum(total - floor_capacity, 0.0)
-
-    value = base - max(margin, 0.0) * shipped - max(premium, 0.0) * extra
-    deriv = np.zeros_like(total)
-    if margin > 0:
-        deriv -= shipped
-        deriv -= margin * np.where(total < floor_capacity, d_total, 0.0)
-    if premium > 0:
-        deriv -= extra
-        deriv -= premium * np.where(total > floor_capacity, d_total, 0.0)
-    return value, deriv
 
 
 def build_pps_problem() -> ConstrainedStochasticProblem:

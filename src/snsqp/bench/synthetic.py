@@ -22,7 +22,6 @@ import numpy as np
 
 from ..model import ConstrainedStochasticProblem
 from ..qp import BoxPolyhedron
-from ..sampling import draw_scenarios
 
 
 @dataclass(frozen=True)
@@ -66,21 +65,12 @@ class SyntheticUc2Spec:
                    for p in self.pieces)
 
 
-def piecewise_min(spec: SyntheticUc2Spec, x: np.ndarray, shift=None) -> tuple:
-    """(value, gradient, piece index) of the attaining piece, lowest index wins.
-
-    shift, when given, is added to every piece's linear coefficient.
-    """
-    shifts = np.zeros((1, spec.dimension)) if shift is None else np.atleast_2d(shift)
-    values, grads, index = piecewise_min_batch(spec, x, shifts)
-    return float(values[0]), grads[0], int(index[0])
-
-
 def piecewise_min_batch(spec: SyntheticUc2Spec, x: np.ndarray,
                         shifts: np.ndarray) -> tuple:
-    """piecewise_min at one x for every row of shifts (shape (N, n)).
+    """The attaining piece at one x, for every row of shifts (shape (N, n)).
 
-    Returns values (N,), gradients (N, n) and attaining piece indices (N,).
+    Row i adds shifts[i] to every piece's linear coefficient.  Returns
+    values (N,), gradients (N, n) and attaining piece indices (N,).
     Pieces are scanned in order and a later piece takes over only when it is
     lower by more than 1e-15, so exact ties go to the lowest index.
     """
@@ -97,12 +87,6 @@ def piecewise_min_batch(spec: SyntheticUc2Spec, x: np.ndarray,
         best_idx[wins] = t
         best_grad[wins] = lin[wins] + curved
     return best_val, best_grad, best_idx
-
-
-def true_value_and_gradient(spec: SyntheticUc2Spec, x: np.ndarray) -> tuple:
-    """Exact expectation and expected subgradient under the zero-mean noise."""
-    value, grad, _ = piecewise_min(spec, x)
-    return value, grad
 
 
 def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
@@ -138,30 +122,6 @@ def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
         rho_estimate=max(rho, 1e-12),
         lipschitz_h=0.0,
     )
-
-
-def suggest_rho(problem: ConstrainedStochasticProblem, n_pairs: int = 10 ** 4,
-                seed: int = 0) -> float:
-    """Brute-force modulus estimate: the largest sampled ratio
-    2 * (R(x', xi) - R(x, xi) - G(x, xi).(x' - x)) / |x' - x|^2 over random
-    feasible pairs, one scenario each.  A lower bound on the true modulus."""
-    box = problem.set
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, n_pairs)
-    worst = 0.0
-    for i in range(n_pairs):
-        x = rng.uniform(box.lower, box.upper)
-        x_alt = rng.uniform(box.lower, box.upper)
-        d = x_alt - x
-        d_sq = float(d @ d)
-        if d_sq < 1e-16:
-            continue
-        batch = scenarios[i:i + 1]
-        (val_x,), (grad_x,) = problem.oracle(x, batch)
-        (val_alt,), _ = problem.oracle(x_alt, batch)
-        gap = val_alt - val_x - float(grad_x @ d)
-        worst = max(worst, 2.0 * gap / d_sq)
-    return worst
 
 
 def two_piece_crossing_spec() -> SyntheticUc2Spec:

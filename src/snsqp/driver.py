@@ -5,7 +5,10 @@ draws a batch, builds the quadratic model, solves the subproblem over the
 translated set and takes the full step.  run_algorithm2 adds smooth equality
 constraints: the subproblem linearizes them, an l1 merit line search picks
 zeta, and the actual step length is beta = min(nu*zeta, nu*(pi + mu)) where
-pi is a computable floor on the acceptable step.
+pi is a computable floor on the acceptable step.  The paper allows bounded
+schedules nu_k and mu_k and a curvature alpha_k in [rho, eta_alpha*rho];
+this implementation fixes nu_k = 1, mu_k = 0 and alpha_k = alpha0 (clamped
+to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 
 Both record one trace row per iteration and stop on an oracle-call budget,
 an iteration cap, or a stall (ten consecutive steps of norm <= 1e-8).  The
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -38,13 +41,7 @@ MAX_HALVINGS = 64
 
 @dataclass
 class SolverConfig:
-    """Run settings shared by both loops.
-
-    nu and mu are per-iteration schedules (1-based); None means the constant
-    schedules nu=1, mu=0.  alpha_growth is the per-iteration factor of the
-    curvature update; 1.0 keeps alpha constant, larger values grow it
-    geometrically up to eta_alpha * rho.
-    """
+    """Run settings shared by both loops."""
 
     x0: np.ndarray
     alpha0: float
@@ -55,10 +52,7 @@ class SolverConfig:
     eta_beta: float = 0.5
     gamma: float = 1.0
     theta0: float = 1.0
-    nu: Optional[Callable[[int], float]] = None
-    mu: Optional[Callable[[int], float]] = None
     max_iterations: int = 10 ** 6
-    alpha_growth: float = 1.0
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -76,14 +70,6 @@ class SolverConfig:
             raise ValueError("budget must be a positive integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
-        if self.alpha_growth < 1:
-            raise ValueError("alpha_growth below 1 would shrink alpha")
-
-    def nu_at(self, k: int) -> float:
-        return 1.0 if self.nu is None else float(self.nu(k))
-
-    def mu_at(self, k: int) -> float:
-        return 0.0 if self.mu is None else float(self.mu(k))
 
 
 @dataclass
@@ -179,11 +165,6 @@ def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, d: np.ndar
         "likely underestimated for this problem")
 
 
-def update_alpha(alpha: float, config: SolverConfig, rho: float) -> float:
-    """Next curvature in [alpha, eta_alpha * rho]; identity by default."""
-    return min(alpha * config.alpha_growth, config.eta_alpha * rho)
-
-
 def run_algorithm1(problem: ConstrainedStochasticProblem,
                    config: SolverConfig) -> IterationTrace:
     """Full-step loop for problems with no equality constraints."""
@@ -254,8 +235,7 @@ def _run(problem, config, with_equalities):
             zeta, backtracks = line_search(problem, x, d, sol.eq_multipliers,
                                            theta, alpha, config.eta_beta)
             pi = compute_pi(config.eta_beta, alpha, problem.lipschitz_h, theta, n_eq)
-            nu_k, mu_k = config.nu_at(k), config.mu_at(k)
-            beta = min(nu_k * zeta, nu_k * (pi + mu_k))
+            beta = min(zeta, pi)
             merit = merit_value(stats.mean_value, c_val, theta)
             theta_col = theta
         else:
@@ -281,7 +261,8 @@ def _run(problem, config, with_equalities):
         # the adaptive rule sizes the NEXT batch from this iteration's stats
         sample_size = next_sample_size(config.strategy, stats, alpha,
                                        float(d @ d), k + 1)
-        alpha = update_alpha(alpha, config, rho)
+        # alpha0 may sit up to 1e-12 above eta_alpha*rho; later iterations do not
+        alpha = min(alpha, config.eta_alpha * rho)
 
         if len(trace.records) >= STALL_WINDOW:
             recent = trace.records[-STALL_WINDOW:]

@@ -277,41 +277,6 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
                            cold_solves=cold_solves)
 
 
-def verify_lp(problem: LpProblem, solution: LpSolution) -> dict:
-    """Primal residual, dual residual and duality gap of a claimed optimum."""
-    x = solution.primal
-    mu = solution.duals
-    r = solution.bound_duals
-    pi_lower = np.maximum(r, 0.0)
-    pi_upper = np.maximum(-r, 0.0)
-
-    primal_res = max(
-        float(np.max(problem.ineq_matrix @ x - problem.ineq_rhs, initial=0.0)),
-        float(np.max(problem.lower - x, initial=0.0)),
-        float(np.max(np.where(np.isfinite(problem.upper), x - problem.upper, 0.0),
-                     initial=0.0)),
-    )
-
-    stationarity = problem.cost + problem.ineq_matrix.T @ mu - pi_lower + pi_upper
-    slack = problem.ineq_rhs - problem.ineq_matrix @ x
-    finite_up = np.isfinite(problem.upper)
-    up_gap = np.where(finite_up, problem.upper - x, 0.0)
-    dual_res = max(
-        float(np.linalg.norm(stationarity, ord=np.inf)),
-        max(0.0, -float(np.min(mu, initial=0.0))),
-        float(np.max(np.abs(mu * slack), initial=0.0)),
-        float(np.max(np.abs(pi_lower * (x - problem.lower)), initial=0.0)),
-        # an upper multiplier on an infinite bound is pure dual infeasibility
-        float(np.max(np.abs(np.where(finite_up, pi_upper * up_gap, pi_upper)),
-                     initial=0.0)),
-    )
-
-    dual_objective = (-mu @ problem.ineq_rhs + pi_lower @ problem.lower
-                      - float(pi_upper @ np.where(finite_up, problem.upper, 0.0)))
-    gap = abs(solution.objective - dual_objective)
-    return {"primal_res": primal_res, "dual_res": dual_res, "gap": gap}
-
-
 def _solve_box_only(problem: LpProblem) -> LpSolution:
     """No rows: minimize a linear function over a box."""
     q = problem.n_vars

@@ -81,12 +81,16 @@ class BoxPolyhedron:
         return 0 if self.ineq_matrix is None else self.ineq_rhs.size
 
     def membership(self, x, tol: float = 1e-9) -> bool:
-        """Whether x lies in the set, within an absolute tolerance."""
+        """Whether x lies in the set, within an absolute tolerance.
+
+        Every test is phrased so that a NaN coordinate fails it; the bounds
+        are finite, so an infinite one fails too.
+        """
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
+        if not (np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)):
             return False
         if self.ineq_matrix is not None:
-            if np.any(self.ineq_matrix @ x > self.ineq_rhs + tol):
+            if not np.all(self.ineq_matrix @ x <= self.ineq_rhs + tol):
                 return False
         return True
 

@@ -65,7 +65,7 @@ class PolynomialSize:
     floor: int = 2
 
     def __post_init__(self):
-        if self.exponent <= 0:
+        if not self.exponent > 0:
             raise ValueError("exponent must be positive")
         if not self.cap >= self.floor >= 2:
             raise ValueError("requires cap >= floor >= 2")
@@ -83,7 +83,7 @@ class AdaptiveSize:
     floor: int = 2
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
         if not self.cap >= self.floor >= 2:
             raise ValueError("requires cap >= floor >= 2")

@@ -1,9 +1,12 @@
-"""Brute-force reference oracles: slow, exhaustive, used to certify solvers.
+"""Brute-force reference oracles the tests certify the solver against.
 
 Nothing here is clever on purpose.  The QP reference enumerates every
 combination of active bounds and rows and solves the resulting equality
 systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
+The rest are independent checks: LP optimality residuals, finite
+differences, quadrature moments, grid minima, the closed-form PPS recourse
+and a sampled weak-convexity modulus.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from ..lp import LpProblem
-from ..qp import QpProblem
+from snsqp.bench import pps
+from snsqp.bench.pps import PpsInstance
+from snsqp.lp import LpProblem, LpSolution
+from snsqp.model import ConstrainedStochasticProblem
+from snsqp.qp import QpProblem
+from snsqp.sampling import draw_scenarios
 
 
 def enumerate_qp(problem: QpProblem, tol: float = 1e-9) -> tuple:
@@ -135,6 +142,42 @@ def enumerate_lp(problem: LpProblem, tol: float = 1e-9) -> float:
     return float(np.min(points[feasible] @ c))
 
 
+
+def verify_lp(problem: LpProblem, solution: LpSolution) -> dict:
+    """Primal residual, dual residual and duality gap of a claimed optimum."""
+    x = solution.primal
+    mu = solution.duals
+    r = solution.bound_duals
+    pi_lower = np.maximum(r, 0.0)
+    pi_upper = np.maximum(-r, 0.0)
+
+    primal_res = max(
+        float(np.max(problem.ineq_matrix @ x - problem.ineq_rhs, initial=0.0)),
+        float(np.max(problem.lower - x, initial=0.0)),
+        float(np.max(np.where(np.isfinite(problem.upper), x - problem.upper, 0.0),
+                     initial=0.0)),
+    )
+
+    stationarity = problem.cost + problem.ineq_matrix.T @ mu - pi_lower + pi_upper
+    slack = problem.ineq_rhs - problem.ineq_matrix @ x
+    finite_up = np.isfinite(problem.upper)
+    up_gap = np.where(finite_up, problem.upper - x, 0.0)
+    dual_res = max(
+        float(np.linalg.norm(stationarity, ord=np.inf)),
+        max(0.0, -float(np.min(mu, initial=0.0))),
+        float(np.max(np.abs(mu * slack), initial=0.0)),
+        float(np.max(np.abs(pi_lower * (x - problem.lower)), initial=0.0)),
+        # an upper multiplier on an infinite bound is pure dual infeasibility
+        float(np.max(np.abs(np.where(finite_up, pi_upper * up_gap, pi_upper)),
+                     initial=0.0)),
+    )
+
+    dual_objective = (-mu @ problem.ineq_rhs + pi_lower @ problem.lower
+                      - float(pi_upper @ np.where(finite_up, problem.upper, 0.0)))
+    gap = abs(solution.objective - dual_objective)
+    return {"primal_res": primal_res, "dual_res": dual_res, "gap": gap}
+
+
 def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences, one coordinate at a time."""
     x = np.asarray(x, dtype=float)
@@ -171,3 +214,73 @@ def grid_minimum(fn, lower: np.ndarray, upper: np.ndarray, steps: int) -> tuple:
         if val < best_val:
             best_val, best_x = val, np.array(point)
     return best_x, best_val
+
+
+def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
+                         intercepts: np.ndarray) -> tuple:
+    """Vectorized recourse values and d/dp for a batch of scenarios.
+
+    Valid only for uniform shipment costs (the reference data has s_ij = 2);
+    kept as an independent check of recourse_lp.  With a single margin
+    m = p - s, the optimal policy ships up to capacity from the mandatory
+    production floor and tops up at the cheapest factory, so the value is
+    piecewise quadratic in p with explicit breakpoints.
+    slopes/intercepts have shape (batch, stores); returns two (batch,) arrays.
+    """
+    ship = float(instance.shipment_costs.flat[0])
+    if np.ptp(instance.shipment_costs) != 0.0:
+        raise ValueError("closed form requires uniform shipment costs")
+    floor_capacity = instance.quantity_floor * instance.factories
+    c_min = float(np.min(instance.production_costs))
+    base = float(np.sum(instance.production_costs)) * instance.quantity_floor
+
+    demand = slopes * p + intercepts
+    if np.any(demand < 0):
+        raise ValueError("closed form requires nonnegative demand caps")
+    total = demand.sum(axis=1)
+    d_total = slopes.sum(axis=1)
+
+    margin = p - ship
+    premium = margin - c_min
+    shipped = np.minimum(floor_capacity, total)
+    extra = np.maximum(total - floor_capacity, 0.0)
+
+    value = base - max(margin, 0.0) * shipped - max(premium, 0.0) * extra
+    deriv = np.zeros_like(total)
+    if margin > 0:
+        deriv -= shipped
+        deriv -= margin * np.where(total < floor_capacity, d_total, 0.0)
+    if premium > 0:
+        deriv -= extra
+        deriv -= premium * np.where(total > floor_capacity, d_total, 0.0)
+    return value, deriv
+
+
+def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray) -> LpProblem:
+    """The recourse LP at price p for one scenario row, for cold solves."""
+    return pps.recourse_template(instance).with_vectors(
+        cost=pps._recourse_cost(instance, p), ineq_rhs=pps._recourse_rhs(instance, p, scenario))
+
+
+def suggest_rho(problem: ConstrainedStochasticProblem, n_pairs: int = 10 ** 4,
+                seed: int = 0) -> float:
+    """Brute-force modulus estimate: the largest sampled ratio
+    2 * (R(x', xi) - R(x, xi) - G(x, xi).(x' - x)) / |x' - x|^2 over random
+    feasible pairs, one scenario each.  A lower bound on the true modulus."""
+    box = problem.set
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, n_pairs)
+    worst = 0.0
+    for i in range(n_pairs):
+        x = rng.uniform(box.lower, box.upper)
+        x_alt = rng.uniform(box.lower, box.upper)
+        d = x_alt - x
+        d_sq = float(d @ d)
+        if d_sq < 1e-16:
+            continue
+        batch = scenarios[i:i + 1]
+        (val_x,), (grad_x,) = problem.oracle(x, batch)
+        (val_alt,), _ = problem.oracle(x_alt, batch)
+        gap = val_alt - val_x - float(grad_x @ d)
+        worst = max(worst, 2.0 * gap / d_sq)
+    return worst

@@ -21,19 +21,20 @@ import math
 import numpy as np
 import pytest
 
-from snsqp.bench.reference import enumerate_lp, enumerate_qp
 from snsqp.bench.runner import run_grid, run_id_for
 from snsqp.bench.synthetic import (
     build_affine_equality_problem,
     build_quadratic_equality_problem,
     build_synthetic_uc2,
-    true_value_and_gradient,
+    piecewise_min_batch,
     two_piece_crossing_spec,
 )
 from snsqp.driver import SolverConfig, compute_pi, run_algorithm1, run_algorithm2
-from snsqp.lp import LpProblem, LpStatus, solve_lp, verify_lp
+from snsqp.lp import LpProblem, LpStatus, solve_lp
 from snsqp.qp import BoxPolyhedron, QpProblem, QpStatus, solve_qp
 from snsqp.sampling import FixedSize
+
+from reference import enumerate_lp, enumerate_qp, verify_lp
 
 BENCH_STRATEGIES = ("fixed:10", "fixed:100", "fixed:1000", "adaptive")
 BENCH_SEEDS = 5
@@ -108,8 +109,8 @@ def test_true_descent_dominates_model_decrease():
     worst = np.inf
     for rec in trace.records:
         d = rec.direction
-        r_here, g_true = true_value_and_gradient(spec, x)
-        r_next, _ = true_value_and_gradient(spec, rec.x)
+        (r_here,), (g_true,), _ = piecewise_min_batch(spec, x, np.zeros((1, 2)))
+        (r_next,), _, _ = piecewise_min_batch(spec, rec.x, np.zeros((1, 2)))
         predicted = -float(g_true @ d) - 0.5 * rec.alpha * float(d @ d)
         worst = min(worst, (r_here - r_next) - predicted)
         x = rec.x

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import snsqp
-from snsqp.bench import cli
+from snsqp import driver
+from snsqp.bench import runner
 from snsqp.bench.cli import cli_main
 from snsqp.bench.runner import ADAPTIVE_CAP, parse_strategy, run_id_for
 from snsqp.sampling import AdaptiveSize, FixedSize, PolynomialSize
@@ -85,21 +86,23 @@ class TestRunCommand:
     @pytest.mark.parametrize("field, value", [
         ("epoch", 0), ("epoch", "500"), ("epoch", True),
         ("out", 5), ("out", ""), ("run_id", 7), ("run_id", None),
-        ("strategy", 10),
+        ("strategy", 10), ("x0", [float("nan"), 1.5]),
     ])
     def test_bad_output_field_fails_before_the_solve(self, capsys, tmp_path,
                                                      monkeypatch, field, value):
-        def no_solve(problem, config):
+        def no_solve(*args):
             raise AssertionError("the solver ran on an invalid config")
 
-        monkeypatch.setattr(cli, "run_algorithm1", no_solve)
-        monkeypatch.setattr(cli, "run_algorithm2", no_solve)
+        # the solve's first action; the solver's own checks of x0 come before it
+        monkeypatch.setattr(driver, "draw_scenarios", no_solve)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 30000,
             "out": str(tmp_path / "runs"), field: value}))
         assert cli_main(["run", str(path)]) == 2
-        assert f"error: config.{field}: " in capsys.readouterr().err
+        expected = ("error: config: x0 lies outside the feasible set" if field == "x0"
+                    else f"error: config.{field}: ")
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_equality_problem_runs_and_writes_csvs(self, capsys, tmp_path):
@@ -194,12 +197,21 @@ class TestBenchCommand:
         assert rc == 2
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("flag", ["seeds", "budget", "epoch", "workers"])
+    def test_bad_integer_flag_fails_before_running(self, capsys, tmp_path,
+                                                   monkeypatch, flag):
+        def no_run(problem, config):
+            raise AssertionError("a run started with an invalid flag")
 
-def test_selftest_command_passes():
-    assert cli_main(["selftest"]) == 0
+        monkeypatch.setattr(runner, "run_algorithm1", no_run)
+        rc = cli_main(["bench-pps", "--strategy", "fixed:10", f"--{flag}", "0",
+                       "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert f"error: --{flag}: expected positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
-def test_console_script_wiring():
+def test_console_script_wiring(tmp_path):
     """The module is runnable as an executable entry point."""
     # the child imports the package the tests import, installed or not
     src = str(Path(snsqp.__file__).resolve().parents[1])
@@ -207,6 +219,7 @@ def test_console_script_wiring():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "snsqp.bench.cli",
                            "curve", "--points", "5", "--batch", "16",
-                           "--out", "/tmp/_cli_probe_curve.csv"],
+                           "--out", str(tmp_path / "curve.csv")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+    assert (tmp_path / "curve.csv").exists()

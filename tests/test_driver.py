@@ -12,7 +12,6 @@ import pytest
 
 from snsqp import driver, lp
 from snsqp.bench import pps
-from snsqp.bench.reference import grid_minimum
 from snsqp.bench.synthetic import (
     QuadraticPiece,
     SyntheticUc2Spec,
@@ -27,12 +26,13 @@ from snsqp.driver import (
     line_search,
     run_algorithm1,
     run_algorithm2,
-    update_alpha,
     update_theta,
 )
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import BoxPolyhedron, QpProblem
 from snsqp.sampling import AdaptiveSize, FixedSize
+
+from reference import grid_minimum
 
 
 class TestUpdateTheta:
@@ -102,16 +102,21 @@ class TestComputePi:
 
 class TestUpdateAlpha:
     def test_identity_by_default(self):
-        config = SolverConfig(x0=np.zeros(1), alpha0=2.0,
-                              strategy=FixedSize(4), budget=10)
-        assert update_alpha(2.0, config, rho=2.0) == pytest.approx(2.0)
-
-    def test_geometric_growth_clamped(self):
-        config = SolverConfig(x0=np.zeros(1), alpha0=2.0,
-                              strategy=FixedSize(4), budget=10,
-                              eta_alpha=1.5, alpha_growth=2.0)
-        assert update_alpha(2.0, config, rho=2.0) == pytest.approx(3.0)
-        assert update_alpha(3.0, config, rho=2.0) == pytest.approx(3.0)
+        """alpha_k stays at alpha0 in both loops: there is no alpha schedule."""
+        runs = [
+            (run_algorithm1,
+             build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.5),
+             SolverConfig(x0=np.array([1.0, 1.0]), alpha0=4.0,
+                          strategy=FixedSize(8), budget=800, master_seed=3)),
+            (run_algorithm2, build_quadratic_equality_problem(),
+             SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                          strategy=FixedSize(10), budget=300, master_seed=4)),
+        ]
+        for run, problem, config in runs:
+            trace = run(problem, config)
+            assert trace.records
+            for rec in trace.records:
+                assert rec.alpha == config.alpha0
 
 
 class TestLineSearch:
@@ -200,8 +205,6 @@ class TestRunValidation:
             SolverConfig(**{**base, "eta_beta": 1.0})
         with pytest.raises(ValueError):
             SolverConfig(**{**base, "budget": 0})
-        with pytest.raises(ValueError):
-            SolverConfig(**{**base, "alpha_growth": 0.9})
 
 
 class TestFullStepLoop:
@@ -353,15 +356,14 @@ class TestLineSearchLoop:
             theta = update_theta(theta, rec.eq_multipliers, config.gamma)
             assert rec.theta == pytest.approx(theta)
 
-    def test_nu_mu_schedules_enter_beta(self):
-        problem = build_affine_equality_problem()
-        config = SolverConfig(x0=np.array([0.0, 0.0]), alpha0=1.0,
-                              strategy=FixedSize(10), budget=300, master_seed=4,
-                              nu=lambda k: 0.5, mu=lambda k: 0.25)
+    def test_beta_is_min_of_zeta_and_pi(self):
+        problem = build_quadratic_equality_problem()
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                              strategy=FixedSize(10), budget=300, master_seed=4)
         trace = run_algorithm2(problem, config)
         for rec in trace.records:
-            expected = min(0.5 * rec.zeta, 0.5 * (rec.pi + 0.25))
-            assert rec.beta == pytest.approx(expected)
+            assert rec.beta == min(rec.zeta, rec.pi)
+        assert any(rec.beta < rec.zeta for rec in trace.records)
 
 
 class TestAdaptiveInsideLoop:

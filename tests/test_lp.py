@@ -21,9 +21,9 @@ from snsqp.lp import (
     LpStatus,
     solve_lp,
     solve_lp_multi_rhs,
-    verify_lp,
 )
-from snsqp.bench.reference import enumerate_lp
+
+from reference import enumerate_lp, verify_lp
 
 
 def random_instance(rng, q, s, inf_uppers=False):

@@ -20,15 +20,19 @@ from snsqp.bench.pps import (
     first_stage_set,
     pps_oracle,
     _truncated_normal,
-    recourse_closed_form,
     recourse_lp,
     scenario_sampler,
-    second_stage_lp,
     split_scenarios,
 )
-from snsqp.bench.reference import truncated_normal_moments
 from snsqp.diagnostics import REFERENCE_SEED, reference_batch
 from snsqp.sampling import OracleError, aggregate, draw_scenarios
+
+from reference import (
+    recourse_closed_form,
+    second_stage_lp,
+    suggest_rho,
+    truncated_normal_moments,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,7 @@ class TestInstanceData:
         assert box.membership(np.array([2.0, 10.0]))
         assert not box.membership(np.array([6.0, 7.0]))   # 6 + 7 > 12
         assert not box.membership(np.array([0.5, 5.0]))
+        assert not box.membership(np.array([np.nan, 1.5]))
 
     def test_rejects_bad_intervals(self):
         good = build_pps_instance()
@@ -340,7 +345,6 @@ class TestCurvatureBudget:
         is a smaller tuning constant, which is fine: it only has to pass the
         curvature-window validation of the runs, not bound the geometry.
         """
-        from snsqp.bench.synthetic import suggest_rho
         worst_slope_sum = float(np.sum(instance.slope_intervals[:, 0]))
         hess = np.array([[0.0, -1.0], [-1.0, -2.0 * worst_slope_sum]])
         ceiling = float(np.max(np.linalg.eigvalsh(hess)))

@@ -19,7 +19,8 @@ from snsqp.qp import (
     kkt_residual,
     solve_qp,
 )
-from snsqp.bench.reference import enumerate_qp
+
+from reference import enumerate_qp
 
 
 def random_box(rng, n, p=0):

@@ -254,8 +254,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             PolynomialSize(exponent=0.0, cap=10)
         with pytest.raises(ValueError):
+            PolynomialSize(exponent=float("nan"), cap=10)
+        with pytest.raises(ValueError):
             PolynomialSize(exponent=1.0, cap=2, floor=5)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=0.0, cap=10)
+        with pytest.raises(ValueError):
+            AdaptiveSize(eta=float("nan"), cap=10)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=1.0, cap=1, floor=2)

@@ -10,13 +10,15 @@ from snsqp.bench.synthetic import (
     build_affine_equality_problem,
     build_quadratic_equality_problem,
     build_synthetic_uc2,
-    piecewise_min,
-    suggest_rho,
-    true_value_and_gradient,
+    piecewise_min_batch,
     two_piece_crossing_spec,
 )
-from snsqp.bench.reference import finite_difference_gradient
 from snsqp.sampling import draw_scenarios
+
+from reference import finite_difference_gradient, suggest_rho
+
+#: one scenario with no shift: the noise mean, so its value is the expectation
+NO_SHIFT = np.zeros((1, 2))
 
 
 class TestPiecewiseMin:
@@ -28,25 +30,26 @@ class TestPiecewiseMin:
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.uniform(-3.0, 3.0, 2)
-            val, grad, idx = piecewise_min(spec, x)
+            (val,), (grad,), (idx,) = piecewise_min_batch(spec, x, NO_SHIFT)
             assert idx == 0
             expected = 1.0 + np.array([1.0, -1.0]) @ x + 0.5 * x @ (q_mat @ x)
             assert val == pytest.approx(expected)
             np.testing.assert_allclose(
                 grad, finite_difference_gradient(
-                    lambda u: piecewise_min(spec, u)[0], x), atol=1e-6)
+                    lambda u: piecewise_min_batch(spec, u, NO_SHIFT)[0][0], x),
+                atol=1e-6)
 
     def test_crossing_family_attains_lower_piece(self):
         spec = two_piece_crossing_spec()
         # piece 0 has linear x1-term +2, piece 1 has -2: piece 1 wins for x1>0
-        val_pos, grad_pos, idx_pos = piecewise_min(spec, np.array([1.0, 0.0]))
+        _, _, (idx_pos,) = piecewise_min_batch(spec, np.array([1.0, 0.0]), NO_SHIFT)
         assert idx_pos == 1
-        val_neg, grad_neg, idx_neg = piecewise_min(spec, np.array([-1.0, 0.0]))
+        _, _, (idx_neg,) = piecewise_min_batch(spec, np.array([-1.0, 0.0]), NO_SHIFT)
         assert idx_neg == 0
         # subgradient jumps across the crossing plane x1 = 0
         eps = 1e-9
-        _, g_left, _ = piecewise_min(spec, np.array([-eps, 0.3]))
-        _, g_right, _ = piecewise_min(spec, np.array([eps, 0.3]))
+        _, (g_left,), _ = piecewise_min_batch(spec, np.array([-eps, 0.3]), NO_SHIFT)
+        _, (g_right,), _ = piecewise_min_batch(spec, np.array([eps, 0.3]), NO_SHIFT)
         assert abs(g_left[0] - g_right[0]) > 3.0
 
     def test_shift_moves_value_by_inner_product(self):
@@ -55,8 +58,8 @@ class TestPiecewiseMin:
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, 2)
             shift = rng.uniform(-0.3, 0.3, 2)
-            base, _, idx0 = piecewise_min(spec, x)
-            shifted, _, idx1 = piecewise_min(spec, x, shift=shift)
+            (base, shifted), _, (idx0, idx1) = piecewise_min_batch(
+                spec, x, np.stack([np.zeros(2), shift]))
             # the same shift hits every piece, so the argmin cannot change
             assert idx0 == idx1
             assert shifted == pytest.approx(base + float(shift @ x), abs=1e-12)
@@ -151,16 +154,16 @@ class TestTrueExpectation:
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, 2)
             vals, _ = problem.oracle(x, scenarios)
-            true_val, _ = true_value_and_gradient(spec, x)
+            (true_val,), _, _ = piecewise_min_batch(spec, x, NO_SHIFT)
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - true_val) <= 4.0 * se + 1e-12
 
     def test_gradient_matches_finite_differences_away_from_kink(self):
         spec = two_piece_crossing_spec()
         for x in (np.array([1.2, -0.7]), np.array([-0.9, 1.1])):
-            _, grad = true_value_and_gradient(spec, x)
+            _, (grad,), _ = piecewise_min_batch(spec, x, NO_SHIFT)
             fd = finite_difference_gradient(
-                lambda u: true_value_and_gradient(spec, u)[0], x)
+                lambda u: piecewise_min_batch(spec, u, NO_SHIFT)[0][0], x)
             np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
@@ -205,8 +208,8 @@ class TestUpperC2Gap:
         for _ in range(10_000):
             x = rng.uniform(-2.0, 2.0, 2)
             d = rng.uniform(-1.0, 1.0, 2) * rng.choice([0.05, 0.5, 2.0])
-            r_x, g, _ = piecewise_min(spec, x)
-            r_xd, _, _ = piecewise_min(spec, x + d)
+            (r_x,), (g,), _ = piecewise_min_batch(spec, x, NO_SHIFT)
+            (r_xd,), _, _ = piecewise_min_batch(spec, x + d, NO_SHIFT)
             gap = r_xd - r_x - g @ d
             nd2 = float(d @ d)
             assert gap <= 0.5 * rho * nd2 + 1e-10
@@ -222,8 +225,8 @@ class TestUpperC2Gap:
         # deep inside one piece's region, stepping along its top eigenvector
         x = np.array([-1.5, 0.0])
         d = np.array([0.05, 0.0])
-        r_x, g, idx_x = piecewise_min(spec, x)
-        r_xd, _, idx_xd = piecewise_min(spec, x + d)
+        (r_x,), (g,), (idx_x,) = piecewise_min_batch(spec, x, NO_SHIFT)
+        (r_xd,), _, (idx_xd,) = piecewise_min_batch(spec, x + d, NO_SHIFT)
         assert idx_x == idx_xd
         gap = r_xd - r_x - g @ d
         assert gap == pytest.approx(0.5 * rho * float(d @ d), rel=1e-9)
