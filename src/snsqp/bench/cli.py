@@ -134,7 +134,7 @@ def _cmd_run(args) -> int:
 
     budget = _positive_int(cfg, "budget")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("config.seed", "expected integer")
     strategy_text = _nonempty_str(cfg, "strategy")
     try:

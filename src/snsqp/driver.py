@@ -56,16 +56,17 @@ class SolverConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
-        if not self.eta_alpha > 1:
-            raise ValueError("eta_alpha must exceed 1")
+        # written so that NaN and inf fail every test
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
+        if not 1 < self.eta_alpha < math.inf:
+            raise ValueError("eta_alpha must be finite and exceed 1")
         if not 0 < self.eta_beta < 1:
             raise ValueError("eta_beta must lie in (0, 1)")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.theta0 > 0:
-            raise ValueError("theta0 must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.theta0 < math.inf:
+            raise ValueError("theta0 must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be a positive integer")
         if self.max_iterations < 1:

@@ -6,13 +6,14 @@ Solves
     s.t. eq_jacobian.T @ d = -eq_residual     (optional linearized equalities)
          d in set                             (translated feasible set)
 
-with a dense primal active-set method over free variables.  With scalar
-curvature an active bound just fixes its coordinate: the face step is
--(d + g/alpha) on the free coordinates, projected onto the null space of the
-working equality and inequality rows there, and a bound's multiplier is the
-stationarity residual on its coordinate.  The solve returns the step together
-with equality multipliers and the decomposed normal-cone element of the set,
-certified by a KKT residual.  Problems here are small (a few dozen
+With scalar curvature this is the projection of -g/alpha onto a polyhedron,
+solved by the dual active-set method of Goldfarb and Idnani (Math.
+Programming 27, 1983): it starts from the unconstrained minimizer, so it
+needs no feasible point, and adds violated constraints while the working
+multipliers stay nonnegative.  An active bound fixes its coordinate, so only
+the working rows on the free coordinates are factored.  The solve returns
+the step with equality multipliers and the decomposed normal-cone element of
+the set, certified by a KKT residual.  Problems here are small (a few dozen
 variables); exact active-set identification is preferred over iterative
 methods because the multipliers feed merit and stationarity formulas.
 """
@@ -30,10 +31,8 @@ TOL = 1e-8
 MAX_ITER_PER_ROW = 50
 #: relative singular-value threshold marking dependent working-set rows
 RANK_THRESHOLD = 1e-12
-#: distance from the linearized equalities and the set accepted at the start point
-START_TOL = 1e-12
-#: phase-1 l1 equality violation above this value means the subproblem is infeasible
-PHASE1_VIOLATION_TOL = 1e-6
+#: violation of a bound, an inequality row or the linearized equalities that the solve accepts
+VIOLATION_TOL = 1e-12
 
 
 class QpStatus(enum.Enum):
@@ -159,75 +158,99 @@ class QpSolution:
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:
-    """Solve the subproblem with a primal active-set loop over free variables.
+    """Solve the subproblem with a dual active-set loop over free variables.
 
-    The working state is d, a side per coordinate (-1 at its lower bound, +1
-    at its upper bound, 0 free) and the active inequality rows; the equality
-    rows are always in.  An active bound fixes its coordinate, so only the
-    general working rows, restricted to the free coordinates, are factored.
-    The lowest-id blocking constraint enters (coordinate i has id i,
-    inequality row r id n + r) and the most negative multiplier leaves.
-    Infeasibility of the linearized equalities inside the set is detected by
-    an l1 phase-1 solve (see _starting_point).
+    The start is -g/alpha plus the least-norm correction onto the equality
+    rows; if that misses them by more than VIOLATION_TOL, the subproblem is
+    INFEASIBLE.  The working set is a side per coordinate (-1 fixed at its
+    lower bound, +1 at its upper bound, 0 free), the equality rows and the
+    working inequality rows.  Each round takes the most violated bound or
+    row and moves d along the part of its normal that the working set leaves
+    free, while the working multipliers fall.  If one reaches zero first, its
+    constraint leaves (a partial step); otherwise the violated constraint
+    joins (a full step).  A violated constraint with no primal step and
+    nothing to drop proves the subproblem INFEASIBLE.
+
+    QpSolution.iterations counts the constraints added plus those dropped.
     """
     box = problem.set
     n, m, p = box.dim, problem.n_eq, box.n_ineq
-    alpha = problem.curvature
-    g = problem.gradient
-
-    d, infeasible = _starting_point(problem)
-    if infeasible:
-        return _failed_solution(problem, QpStatus.INFEASIBLE)
-
-    eq_rows = problem.eq_jacobian.T if m else np.zeros((0, n))
+    # constraint c reads normals[c] @ d <= limits[c]: ids i and n + i are the
+    # lower and upper bounds of coordinate i, 2n + r is inequality row r, and
+    # the equality rows (met with ==) come last
+    empty = (np.zeros((0, n)), np.zeros(0))
+    ineq = (box.ineq_matrix, box.ineq_rhs) if p else empty
+    eq = (problem.eq_jacobian.T, -problem.eq_residual) if m else empty
+    eye = np.eye(n)
+    normals = np.concatenate([-eye, eye, ineq[0], eq[0]])
+    limits = np.concatenate([-box.lower, box.upper, ineq[1], eq[1]])
     side = np.zeros(n)
-    free = np.ones(n)  # 1.0 on free coordinates, 0.0 on fixed ones
-    rows: list[int] = []  # active inequality rows, in order of entry
-    rank_warning = False
-    # stationarity-unit scale shared with the final certification
-    scale = max(1.0, float(np.linalg.norm(g, ord=np.inf)))
-    max_iter = MAX_ITER_PER_ROW * (n + m + p)
-    for it in range(1, max_iter + 1):
-        # the face step is -u projected onto the null space of the working
-        # rows on the free coordinates; -alpha * z are those rows' multipliers
-        u = (d + g / alpha) * free
-        if m or rows:
-            work = np.vstack([eq_rows, box.ineq_matrix[rows]]) if rows else eq_rows
-            free_rows = work * free
-            z, _, rank, _ = np.linalg.lstsq(free_rows.T, u, rcond=RANK_THRESHOLD)
-            q = free_rows.T @ z - u
-            rank_warning = rank_warning or rank < m + len(rows)
-        else:
-            q = -u
-        if alpha * np.linalg.norm(q, ord=np.inf) <= 0.25 * TOL * scale:
-            # minimizer of the current face reached: check multipliers
-            resid = -(g + alpha * d)
-            row_mults = np.zeros(0)
-            if m or rows:
-                row_mults = -alpha * z
-                resid -= work.T @ row_mults
-            # on a fixed coordinate the stationarity residual is its bound's term
-            mults = np.concatenate([side * resid, row_mults[m:]])
-            worst = int(np.argmin(mults))
-            if mults[worst] >= -10.0 * TOL:
-                return _assemble_solution(problem, d, side, rows, mults, row_mults[:m],
-                                          rank_warning, it)
-            if worst < n:
-                side[worst], free[worst] = 0.0, 1.0
+    rows = list(range(2 * n + p, 2 * n + p + m))  # then inequality rows, in order of entry
+    d, row_mults, rank_warning = _project(problem, side, normals[rows], limits[rows])
+    if m and np.linalg.norm(normals[rows] @ d - limits[rows], ord=np.inf) > VIOLATION_TOL:
+        return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning)
+    nu = np.zeros(limits.size)  # working multipliers over alpha, by constraint id
+    entering, iterations = None, 0
+    for _ in range(MAX_ITER_PER_ROW * (n + m + p)):
+        free = side == 0.0
+        if entering is None:
+            # fixed coordinates sit on their bounds; working rows hold to roundoff
+            excess = normals @ d - limits
+            excess[rows] = 0.0
+            entering = int(np.argmax(excess))  # ties go to the lowest id
+            if excess[entering] <= VIOLATION_TOL:
+                break
+        normal, work = normals[entering], normals[rows]
+        u, s, vt = _factor(work, free)
+        rank_warning = rank_warning or s.size < len(rows)
+        # normal = work.T @ coef + (normals of the fixed bounds) + toward, with
+        # toward orthogonal to the working rows and zero on fixed coordinates
+        coords = vt @ (normal * free)
+        toward = normal * free - vt.T @ coords
+        coef = u @ (coords / s)
+        # what a unit step takes from each working multiplier; the equality
+        # rows' multipliers are free in sign and never leave
+        fixed = np.flatnonzero(side)
+        shrink = np.zeros(limits.size)
+        shrink[fixed + n * (side[fixed] > 0.0)] = (side * (normal - work.T @ coef))[fixed]
+        shrink[rows[m:]] = coef[m:]
+        # step lengths in multiplier units: onto the violated constraint, and
+        # to the first working multiplier that reaches zero
+        tiny = RANK_THRESHOLD * np.linalg.norm(normal)
+        reach = toward @ toward
+        full = (normal @ d - limits[entering]) / reach if reach > tiny * tiny else np.inf
+        falls = np.flatnonzero(shrink > tiny)
+        ratios = nu[falls] / shrink[falls]
+        partial = ratios.min(initial=np.inf)
+        t = min(full, partial)
+        if t == np.inf:
+            return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning, iterations)
+        d = d - t * toward
+        nu -= t * shrink
+        nu[entering] += t  # zero when it started to enter: it was not working
+        iterations += 1
+        if full <= partial:
+            if entering < 2 * n:
+                i = entering % n
+                side[i] = normal[i]
+                d[i] = normal[i] * limits[entering]  # the bound itself
             else:
-                rows.pop(worst - n)
+                rows.append(entering)
+            entering = None
         else:
-            ratio, blocking = _ratio_test(box, rows, d, q)
-            d = d + ratio * q
-            if blocking is None:
-                continue
-            if blocking < n:
-                side[blocking] = np.sign(q[blocking])
-                free[blocking] = 0.0
-                d[blocking] = box.upper[blocking] if side[blocking] > 0.0 else box.lower[blocking]
+            leaving = int(falls[np.argmin(ratios)])
+            nu[leaving] = 0.0
+            if leaving < 2 * n:
+                side[leaving % n] = 0.0
             else:
-                rows.append(blocking - n)
-    return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, max_iter)
+                rows.remove(leaving)
+    else:
+        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, iterations)
+    work = normals[rows]
+    if iterations:  # else d is the start: the same projection
+        d, row_mults, dependent = _project(problem, side, work, limits[rows])
+        rank_warning = rank_warning or dependent
+    return _assemble_solution(problem, side, rows, work, d, row_mults, rank_warning, iterations)
 
 
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
@@ -284,114 +307,49 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
     return max(stationarity, primal, dual, comp)
 
 
-def _ratio_test(box: BoxPolyhedron, rows: list[int], d: np.ndarray,
-                q: np.ndarray) -> tuple[float, int | None]:
-    """Largest feasible fraction of q (at most 1), and the lowest-id blocking constraint.
-
-    Fixed coordinates have q_i = 0 and never block, nor do the active rows.
-    """
-    tiny = 1e-13
-    best, blocking = 1.0, None
-    for i, (di, qi, lo, up) in enumerate(zip(d.tolist(), q.tolist(), box.lower.tolist(),
-                                             box.upper.tolist())):
-        if qi < -tiny:
-            ratio = max(di - lo, 0.0) / -qi
-        elif qi > tiny:
-            ratio = max(up - di, 0.0) / qi
-        else:
-            continue
-        if ratio < best:
-            best, blocking = ratio, i
-    if box.n_ineq:
-        row_dir = (box.ineq_matrix @ q).tolist()
-        row_slack = (box.ineq_rhs - box.ineq_matrix @ d).tolist()
-        for r in range(box.n_ineq):
-            if row_dir[r] > tiny and r not in rows:
-                ratio = max(row_slack[r], 0.0) / row_dir[r]
-                if ratio < best:
-                    best, blocking = ratio, box.dim + r
-    return best, blocking
+def _factor(rows: np.ndarray, free: np.ndarray):
+    """Thin SVD (u, s, vt) of the rows on the free coordinates, without the
+    singular values below RANK_THRESHOLD times the largest."""
+    if not len(rows):
+        return np.zeros((0, 0)), np.zeros(0), np.zeros((0, free.size))
+    u, s, vt = np.linalg.svd(rows * free, full_matrices=False)
+    keep = s > RANK_THRESHOLD * s[0]
+    return u[:, keep], s[keep], vt[keep]
 
 
-def _starting_point(problem: QpProblem) -> tuple[np.ndarray, bool]:
-    """Feasible start: the least-norm solution of the linearized equalities
-    (d = 0 without them) when it satisfies them and lies in the set, each
-    within START_TOL; otherwise a phase-1 point.
-
-    The tolerance absorbs roundoff of the caller's translation, such as a row
-    right-hand side of -1e-15 at an iterate on that row.
-    """
+def _project(problem: QpProblem, side: np.ndarray, work: np.ndarray, rhs: np.ndarray):
+    """-g/alpha with the fixed coordinates moved to their bounds, plus the
+    least-norm correction of the free ones onto the rows work @ d = rhs; the
+    rows' multipliers (-alpha times the coefficients of that correction); and
+    whether the rows are dependent on the free coordinates."""
     box = problem.set
-    if problem.n_eq:
-        et = problem.eq_jacobian.T
-        d = np.linalg.lstsq(et, -problem.eq_residual, rcond=None)[0]
-        on_rows = np.linalg.norm(et @ d + problem.eq_residual, ord=np.inf) <= START_TOL
-    else:
-        d, on_rows = np.zeros(box.dim), True
-    if on_rows and box.membership(d, tol=START_TOL):
-        return d, False
-    return _phase1_start(problem)
+    d = np.where(side < 0.0, box.lower,
+                 np.where(side > 0.0, box.upper, -problem.gradient / problem.curvature))
+    if not len(work):
+        return d, np.zeros(0), False
+    u, s, vt = _factor(work, side == 0.0)
+    coords = u.T @ (rhs - work @ d) / s
+    return d + vt.T @ coords, -problem.curvature * (u @ (coords / s)), s.size < len(work)
 
 
-def _phase1_start(problem: QpProblem) -> tuple[np.ndarray, bool]:
-    """Minimize the l1 equality violation over the set via an elastic LP.
-
-    Variables (d, u, v) with u, v >= 0 and eq.T d + u - v = -eq_residual;
-    the optimal sum u + v is the violation.  Declares infeasibility above
-    PHASE1_VIOLATION_TOL.  With no equality rows this degenerates to a pure
-    feasibility solve over the set.
-    """
-    from . import lp
-
-    box = problem.set
-    n, m = box.dim, problem.n_eq
-    if m:
-        et = problem.eq_jacobian.T  # (m, n)
-        target = -problem.eq_residual
-        big = 10.0 * (np.linalg.norm(problem.eq_residual, 1) + 1.0)
-    else:
-        et = np.zeros((0, n))
-        target = np.zeros(0)
-        big = 1.0
-
-    cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    rows = [np.hstack([et, np.eye(m), -np.eye(m)]),
-            np.hstack([-et, -np.eye(m), np.eye(m)])]
-    rhs = [target, -target]
-    if box.n_ineq:
-        rows.append(np.hstack([box.ineq_matrix, np.zeros((box.n_ineq, 2 * m))]))
-        rhs.append(box.ineq_rhs)
-    lp_problem = lp.LpProblem(
-        cost=cost,
-        ineq_matrix=np.vstack(rows),
-        ineq_rhs=np.concatenate(rhs),
-        lower=np.concatenate([box.lower, np.zeros(2 * m)]),
-        upper=np.concatenate([box.upper, np.full(2 * m, big)]),
-    )
-    sol = lp.solve_lp(lp_problem)
-    if sol.status is not lp.LpStatus.OPTIMAL or sol.objective > PHASE1_VIOLATION_TOL:
-        return np.zeros(n), True
-    return sol.primal[:n], False
-
-
-def _assemble_solution(problem: QpProblem, d: np.ndarray, side: np.ndarray,
-                       rows: list[int], mults: np.ndarray, eq_mults: np.ndarray,
+def _assemble_solution(problem: QpProblem, side: np.ndarray, rows: list[int],
+                       work: np.ndarray, d: np.ndarray, row_mults: np.ndarray,
                        rank_warning: bool, iterations: int) -> QpSolution:
-    """Certified solution from the final working state.
-
-    mults holds the bound multipliers (zero on free coordinates), then those
-    of the active rows in the order of rows.
-    """
-    n, p = problem.set.dim, problem.set.n_ineq
-    rows = np.asarray(rows, dtype=int)
+    """Certified solution from _project's step and row multipliers for the
+    final working set alone, so that the step meets its working rows to
+    roundoff; a bound's multiplier is the stationarity residual on its
+    coordinate."""
+    box = problem.set
+    n, m, p = box.dim, problem.n_eq, box.n_ineq
+    ineq = np.asarray(rows[m:], dtype=int) - 2 * n
     set_multiplier = np.zeros(n + p)
-    set_multiplier[:n] = mults[:n]
-    set_multiplier[n + rows] = mults[n:]
+    set_multiplier[:n] = -side * (problem.gradient + problem.curvature * d + work.T @ row_mults)
+    set_multiplier[n + ineq] = row_mults[m:]
     active_ineq = np.zeros(p, dtype=bool)
-    active_ineq[rows] = True
+    active_ineq[ineq] = True
     solution = QpSolution(
         step=d,
-        eq_multipliers=eq_mults,
+        eq_multipliers=row_mults[:m],
         set_multiplier=set_multiplier,
         active_lower=side < 0.0,
         active_upper=side > 0.0,

@@ -86,7 +86,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("field, value", [
         ("epoch", 0), ("epoch", "500"), ("epoch", True),
         ("out", 5), ("out", ""), ("run_id", 7), ("run_id", None),
-        ("strategy", 10), ("x0", [float("nan"), 1.5]),
+        ("strategy", 10), ("x0", [float("nan"), 1.5]), ("seed", True),
+        ("alpha0", float("inf")), ("eta_alpha", float("inf")),
+        ("gamma", float("inf")), ("theta0", float("inf")),
     ])
     def test_bad_output_field_fails_before_the_solve(self, capsys, tmp_path,
                                                      monkeypatch, field, value):
@@ -100,8 +102,14 @@ class TestRunCommand:
             "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 30000,
             "out": str(tmp_path / "runs"), field: value}))
         assert cli_main(["run", str(path)]) == 2
-        expected = ("error: config: x0 lies outside the feasible set" if field == "x0"
-                    else f"error: config.{field}: ")
+        # the solver's own checks name the field after "config: "
+        expected = {
+            "x0": "error: config: x0 lies outside the feasible set",
+            "alpha0": "error: config: alpha0 must be positive and finite",
+            "eta_alpha": "error: config: eta_alpha must be finite and exceed 1",
+            "gamma": "error: config: gamma must be positive and finite",
+            "theta0": "error: config: theta0 must be positive and finite",
+        }.get(field, f"error: config.{field}: ")
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from snsqp import driver, lp
 from snsqp.bench import pps
 from snsqp.bench.synthetic import (
     QuadraticPiece,
@@ -29,7 +28,7 @@ from snsqp.driver import (
     update_theta,
 )
 from snsqp.model import ConstrainedStochasticProblem
-from snsqp.qp import BoxPolyhedron, QpProblem
+from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import AdaptiveSize, FixedSize
 
 from reference import grid_minimum
@@ -205,6 +204,9 @@ class TestRunValidation:
             SolverConfig(**{**base, "eta_beta": 1.0})
         with pytest.raises(ValueError):
             SolverConfig(**{**base, "budget": 0})
+        for field in ("alpha0", "eta_alpha", "gamma", "theta0"):
+            with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+                SolverConfig(**{**base, field: math.inf})
 
 
 class TestFullStepLoop:
@@ -389,45 +391,14 @@ class TestAdaptiveInsideLoop:
             assert rec.batch_size == expected
 
 
-class TestSubproblemStart:
-    """Roundoff in the translated set and the equality residual of a nonlinear
-    constraint are absorbed by the QP's start point, so ordinary runs take no
-    phase-1 LP (the only solve_lp call made inside solve_qp)."""
-
-    @pytest.fixture
-    def phase1_calls(self, monkeypatch):
-        inside, calls = [False], [0]
-        real_qp, real_lp = driver.solve_qp, lp.solve_lp
-
-        def qp_probe(*args, **kwargs):
-            inside[0] = True
-            try:
-                return real_qp(*args, **kwargs)
-            finally:
-                inside[0] = False
-
-        def lp_probe(*args, **kwargs):
-            calls[0] += inside[0]
-            return real_lp(*args, **kwargs)
-
-        monkeypatch.setattr(driver, "solve_qp", qp_probe)
-        monkeypatch.setattr(lp, "solve_lp", lp_probe)
-        return calls
-
-    def test_probe_counts_a_phase1_solve(self, phase1_calls):
-        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],
-                            ineq_matrix=[[1.0, 1.0]], ineq_rhs=[-0.5])
-        driver.solve_qp(QpProblem(gradient=[1.0, 0.0], curvature=1.0, set=box))
-        assert phase1_calls[0] == 1
-
-    def test_quadratic_equality_run(self, phase1_calls):
-        trace = run_algorithm2(build_quadratic_equality_problem(), SolverConfig(
-            x0=[0.5, 0.5], alpha0=2.0, strategy=FixedSize(10), budget=500))
-        assert trace.stop_reason == "budget"
-        assert phase1_calls[0] == 0
-
-    def test_pps_run(self, phase1_calls):
-        trace = run_algorithm1(pps.build_pps_problem(), SolverConfig(
-            x0=pps.X0, alpha0=15.0, strategy=FixedSize(10), budget=2000))
-        assert trace.stop_reason == "budget"
-        assert phase1_calls[0] == 0
+def test_pps_iterates_meet_every_row():
+    """Each subproblem projects from the current iterate, so row roundoff does
+    not build up over a run: every iterate meets every row to a few ulp."""
+    problem = pps.build_pps_problem()
+    trace = run_algorithm1(problem, SolverConfig(
+        x0=pps.X0, alpha0=15.0, strategy=FixedSize(10), budget=2000))
+    assert trace.stop_reason == "budget"
+    rows, rhs = problem.set.ineq_matrix, problem.set.ineq_rhs
+    slack_tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(rhs))
+    excess = np.array([rows @ rec.x - rhs for rec in trace.records])
+    assert np.all(excess <= slack_tol), float(excess.max())

@@ -5,13 +5,10 @@ box-only case additionally has the closed form clip(-g/alpha, lower, upper).
 Every optimum is re-certified through the standalone kkt_residual check.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from snsqp import lp
 from snsqp.qp import (
     BoxPolyhedron,
     QpProblem,
@@ -140,7 +137,7 @@ class TestCertification:
 
 class TestFeasibilityHandling:
     def test_rows_cut_off_origin(self):
-        """Negative row rhs means d=0 is infeasible, forcing a phase-1 start."""
+        """Negative row rhs means d=0 is infeasible: the solve needs no feasible start."""
         rng = np.random.default_rng(64)
         for _ in range(40):
             n = 3
@@ -304,9 +301,8 @@ def far_equality_qps(draw):
 
 
 def solve_against_enumeration(problem):
-    """Solve, certify against enumeration, and count the phase-1 LP solves."""
-    with mock.patch.object(lp, "solve_lp", wraps=lp.solve_lp) as spy:
-        sol = solve_qp(problem)
+    """Solve and certify against enumeration."""
+    sol = solve_qp(problem)
     best_val, best_d = enumerate_qp(problem)
     if best_d is None:
         assert sol.status is QpStatus.INFEASIBLE
@@ -317,7 +313,7 @@ def solve_against_enumeration(problem):
         assert abs(got - best_val) <= 1e-8
         scale = max(1.0, float(np.max(np.abs(problem.gradient))))
         assert sol.kkt_residual <= 1e-8 * scale
-    return sol, spy.call_count
+    return sol
 
 
 class TestProperties:
@@ -329,13 +325,9 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(problem=roundoff_row_qps())
     def test_roundoff_row_violation_starts_at_zero(self, problem):
-        sol, phase1_calls = solve_against_enumeration(problem)
-        assert sol.status is QpStatus.OPTIMAL
-        assert phase1_calls == 0
+        assert solve_against_enumeration(problem).status is QpStatus.OPTIMAL
 
     @settings(max_examples=100, deadline=None)
     @given(problem=far_equality_qps())
     def test_least_norm_start_outside_box_takes_phase1(self, problem):
-        sol, phase1_calls = solve_against_enumeration(problem)
-        assert sol.status is QpStatus.OPTIMAL
-        assert phase1_calls == 1
+        assert solve_against_enumeration(problem).status is QpStatus.OPTIMAL

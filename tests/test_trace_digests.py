@@ -16,24 +16,25 @@ from snsqp.bench.runner import run_id_for, run_single
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("67e179605f2f694d63e97400bc0348bd207ff01fa25a8d13fbf1cba42d672b57",
-            "da6d6edbe158450dc8c2b28359cda11f51d704e81bbc17c7c7b9b8ffd64acbee"),
-    "quadratic-eq": ("6c1b1099c1ef44539aaf5090bdd9335fd4fccba84b5f212a7f755b05422a573e",
-                     "2a74991bcd194d2858586352f1866c4844bbad3c639cb46516e014474d024d86"),
-    "affine-eq": ("15be49a7d07c14d2a5894116900f956bf67f5bcb7c8251da91b3137068a21f74",
-                  "9bcebd780bde93369b817f868756b9f566a4436199cb00d04e820bfa1fbaacaa"),
+    "pps": ("56911b8917fd7e238caac71dc8601289c01a01f037e748f38653a230bad0e795",
+            "ef6bb525ad1ea9b82a25cc21f22c0d7f0837331af03853a3e704b30a37bab396"),
+    "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
+                     "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
+    "affine-eq": ("7f402b58b891773091ebca87ae871aade6f8d172a2200779cb8a159c4122423a",
+                  "2c3dc5c16e29f8362615c12ccc0b05f17804334e880dac400873ff343ad07940"),
 }
 
 
-def _digests(out_dir, run_id):
-    return tuple(
+def _check_digests(out_dir, run_id, name):
+    actual = tuple(
         hashlib.sha256((out_dir / f"{run_id}_{kind}.csv").read_bytes()).hexdigest()
         for kind in ("trace", "epochs"))
+    assert actual == PINS[name], f"{name} run: expected {PINS[name]}, got {actual}"
 
 
 def test_pps_fixed10_run(tmp_path):
     run_single("fixed:10", 0, 2000, 500, tmp_path)
-    assert _digests(tmp_path, run_id_for("fixed:10", 0)) == PINS["pps"]
+    _check_digests(tmp_path, run_id_for("fixed:10", 0), "pps")
 
 
 @pytest.mark.parametrize("problem", ["quadratic-eq", "affine-eq"])
@@ -43,4 +44,4 @@ def test_equality_run(tmp_path, capsys, problem):
         "problem": problem, "strategy": "fixed:10", "budget": 1000, "seed": 0,
         "out": str(tmp_path), "run_id": "pinned"}))
     assert cli_main(["run", str(config)]) == 0
-    assert _digests(tmp_path, "pinned") == PINS[problem]
+    _check_digests(tmp_path, "pinned", problem)
