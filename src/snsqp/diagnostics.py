@@ -7,7 +7,10 @@ combination of active constraint gradients:
     residual = min_{lam >= 0} |g - J lam|,  lam_j = 0 on inactive rows.
 
 Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  The reduced
-nonnegative least-squares problem is solved exactly by scipy's NNLS.
+nonnegative least-squares problem is solved exactly by the Lawson-Hanson
+active-set method (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
+ch. 23), whose passive-set least-squares steps are taken on the columns
+themselves, not through their Gram matrix.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
 with different batch sizes can be compared: the record with cumulative call
@@ -19,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .driver import IterationTrace
 from .qp import BoxPolyhedron
@@ -35,6 +38,7 @@ REFERENCE_SEED = 715517
 REFERENCE_BATCH = 1000
 ACTIVITY_TOL = 1e-6
 DEFAULT_EPOCH = 500
+_EPS = float(np.finfo(float).eps)
 
 TRACE_COLUMNS = ("k", "epoch", "oracle_calls", "step_norm", "pred_decrease",
                  "zeta", "beta", "alpha", "theta", "N", "stationarity",
@@ -60,17 +64,102 @@ def stationarity_error(g: np.ndarray, constraints_value: np.ndarray,
     jac = np.asarray(constraints_jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape != (g.size, c.size):
         raise ValueError("jacobian must have shape (len(g), len(constraints_value))")
+    if not np.isfinite(np.concatenate((g, c, jac.ravel()))).all():
+        raise ValueError("gradient, constraint values and jacobian must be finite")
 
     active = np.abs(c) <= ACTIVITY_TOL * (1.0 + np.abs(c))
     multipliers = np.zeros(c.size)
     if not active.any():
         residual = float(np.linalg.norm(g))
     else:
-        lam, residual = nnls(jac[:, active], g)
+        lam, residual = _nnls(jac[:, active], g)
         multipliers[active] = lam
-        residual = float(residual)
     return StationarityReport(residual=residual, multipliers=multipliers,
                               active_mask=active)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple:
+    """min |b - a lam| over lam >= 0 by Lawson-Hanson; returns (lam, residual).
+
+    The column with the largest gradient a_j . (b - a lam) above a roundoff
+    bound enters the passive set.  A least-squares step on the passive
+    columns that leaves some weight <= 0 is cut back to lam >= 0, and the
+    column that reaches zero first leaves.  The residual is |b - a lam| for
+    the final lam.
+
+    The problems here have a few rows and columns, so the method runs on
+    Python floats: a numpy call per step would cost more than its
+    arithmetic.  Each column and b are first scaled by a power of two, which
+    is exact, to a largest entry in [0.5, 1): the cone is unchanged, and
+    neither a_j . a_j nor the roundoff bound can underflow or overflow.
+    """
+    cols, col_exp = zip(*map(_unit_scaled, a.T.tolist()))
+    b, b_exp = _unit_scaled(b.tolist())
+    k = len(cols)
+    tol = (10.0 * max(a.shape) * _EPS * math.hypot(*b)
+           * math.hypot(*(v for col in cols for v in col)))
+    lam = [0.0] * k
+    passive = []
+    resid = b
+    w = [_dot(col, resid) for col in cols]
+    entered = 0
+    while True:
+        j = max((i for i in range(k) if i not in passive), key=w.__getitem__,
+                default=None)
+        if j is None or not w[j] > tol:
+            break
+        z = _passive_least_squares(cols, b, passive + [j])
+        if not z[j] > 0.0:
+            # w_j > 0 implies z_j > 0 in exact arithmetic, so this is roundoff,
+            # as on the second column of an opposing equality pair
+            w[j] = -math.inf
+            continue
+        entered += 1
+        if entered > 3 * k:
+            raise RuntimeError("NNLS did not converge")
+        passive.append(j)
+        blocked = [i for i in passive if z[i] <= 0.0]
+        while blocked:
+            ratios = [lam[i] / (lam[i] - z[i]) for i in blocked]
+            step = min(ratios)
+            lam = [old + step * (new - old) for old, new in zip(lam, z)]
+            leaving = blocked[ratios.index(step)]
+            passive = [i for i in passive if i != leaving and lam[i] > 0.0]
+            z = _passive_least_squares(cols, b, passive)
+            blocked = [i for i in passive if z[i] <= 0.0]
+        lam = z
+        resid = b
+        for i in passive:
+            resid = [r - lam[i] * c for r, c in zip(resid, cols[i])]
+        w = [_dot(col, resid) for col in cols]
+    return (np.ldexp(lam, [b_exp - e for e in col_exp]),
+            math.ldexp(math.hypot(*resid), b_exp))
+
+
+def _unit_scaled(values: list) -> tuple:
+    """(values * 2**-e, e), with e chosen so the largest |value| is in [0.5, 1)."""
+    exp = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exp) for v in values], exp
+
+
+def _dot(u: list, v: list) -> float:
+    return math.fsum(map(operator.mul, u, v))
+
+
+def _passive_least_squares(cols: tuple, b: list, passive: list) -> list:
+    """Least-squares weights of b on the passive columns, zero elsewhere.
+
+    One column has the closed form (a_j . b) / (a_j . a_j).
+    """
+    z = [0.0] * len(cols)
+    if len(passive) == 1:
+        col = cols[passive[0]]
+        z[passive[0]] = _dot(col, b) / _dot(col, col)
+    elif passive:
+        sub = np.array([cols[i] for i in passive]).T
+        for i, weight in zip(passive, np.linalg.lstsq(sub, b, rcond=None)[0].tolist()):
+            z[i] = weight
+    return z
 
 
 def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:

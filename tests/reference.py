@@ -44,7 +44,7 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9) -> tuple:
         for k in range(n_rows + 1):
             for act in itertools.combinations(range(n_rows), k):
                 d = _solve_kkt_guess(box, g, alpha, fixed, free, act,
-                                     eq_jac, problem.eq_residual)
+                                     eq_jac, problem.eq_residual, tol)
                 if d is None or not box.membership(d, tol=tol):
                     continue
                 if problem.n_eq and np.max(np.abs(
@@ -56,8 +56,14 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9) -> tuple:
     return best_val, best_d
 
 
-def _solve_kkt_guess(box, g, alpha, fixed, free, act, eq_jac, eq_res):
-    """Stationary point with the given coordinates fixed and rows/eqs active."""
+def _solve_kkt_guess(box, g, alpha, fixed, free, act, eq_jac, eq_res, tol):
+    """Stationary point with the given coordinates fixed and rows/eqs active.
+
+    On the free coordinates this is the projection of -g/alpha onto the
+    active rows: the least-norm correction is found by least squares, so
+    dependent rows (such as a duplicated equality column) need no special
+    case.  None when the active rows cannot all be met to tol.
+    """
     n = box.dim
     d = np.zeros(n)
     for i, v in fixed.items():
@@ -81,22 +87,14 @@ def _solve_kkt_guess(box, g, alpha, fixed, free, act, eq_jac, eq_res):
     if fixed:
         fixed_idx = list(fixed)
         rhs = rhs - rows[:, fixed_idx] @ np.array([fixed[i] for i in fixed_idx])
-    m, k = len(free), rows.shape[0]
-    if m == 0:
-        return d if np.max(np.abs(rhs), initial=0.0) <= 1e-9 else None
-    kkt = np.zeros((m + k, m + k))
-    kkt[:m, :m] = alpha * np.eye(m)
-    kkt[:m, m:] = rows[:, free].T
-    kkt[m:, :m] = rows[:, free]
-    full_rhs = np.concatenate([-g[free], rhs])
-    try:
-        sol = np.linalg.solve(kkt, full_rhs)
-    except np.linalg.LinAlgError:
+    if not free:
+        return d if np.max(np.abs(rhs), initial=0.0) <= tol else None
+    a = rows[:, free]
+    start = -g[free] / alpha
+    step = start + np.linalg.lstsq(a, rhs - a @ start, rcond=None)[0]
+    if np.max(np.abs(a @ step - rhs)) > tol:
         return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    for pos, i in enumerate(free):
-        d[i] = sol[pos]
+    d[free] = step
     return d
 
 

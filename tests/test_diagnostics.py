@@ -1,16 +1,24 @@
 """Stationarity measure and trace/epoch export.
 
-The cone-projection residual is certified three ways: hand-constructed KKT
-points (residual zero), exact recovery of planted multipliers, and a dense
-grid scan over candidate multipliers as an independent minimizer.
+The cone-projection residual is certified four ways: hand-constructed KKT
+points (residual zero), exact recovery of planted multipliers, a dense grid
+scan over candidate multipliers as an independent minimizer, and agreement
+with scipy's NNLS on random problems.  scipy is a test-only dependency.
 """
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
+import snsqp
 from snsqp.diagnostics import (
     ACTIVITY_TOL,
     DEFAULT_EPOCH,
@@ -109,6 +117,104 @@ class TestStationarityError:
     def test_validation(self):
         with pytest.raises(ValueError):
             stationarity_error(np.zeros(2), np.zeros(2), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["gradient", "value", "jacobian"])
+    @pytest.mark.parametrize("row_active", [True, False])
+    def test_rejects_non_finite_input(self, bad, where, row_active):
+        """Both the no-active-row path and the NNLS path check every input."""
+        g = np.array([1.0, 2.0])
+        c = np.array([0.0 if row_active else 1.0, 3.0])
+        jac = np.eye(2)
+        {"gradient": g, "value": c, "jacobian": jac}[where].flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stationarity_error(g, c, jac)
+
+
+@st.composite
+def nnls_problems(draw):
+    """(g, J) with n <= 4 rows and k <= 6 columns; about a third of them end
+    with a negated copy of one column, as an equality row contributes.
+
+    Nonzero entries are at least 1e-3 in size: scipy's NNLS tests its
+    weights against absolute tolerances and returns lam = 0 for
+    g = J = [[1.85e-305]], so it is no reference at extreme scales.
+    test_extreme_scales_are_exact covers those.
+    """
+    entries = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    jac = np.array([[draw(entries) for _ in range(k)] for _ in range(n)])
+    if draw(st.integers(0, 2)) == 0:
+        jac = np.hstack([jac, -jac[:, [draw(st.integers(0, k - 1))]]])
+    g = np.array([draw(entries) for _ in range(n)])
+    return g, jac
+
+
+class TestAgainstScipyNnls:
+    @settings(max_examples=500, deadline=None)
+    @given(problem=nnls_problems())
+    def test_residual_and_multipliers(self, problem):
+        """All rows active, so the measure is the NNLS min |g - J lam|, lam >= 0.
+
+        The residual is |g - J lam| evaluated at the returned lam, which
+        carries rounding of order eps * | |g| + |J| lam |.  Where g lies in a
+        badly conditioned cone lam is large, and that term, not |g|, sets the
+        agreement bound.  lam is unique only when J has full column rank, and
+        then a perturbation of the data moves it by at most cond(J) times
+        its relative size.
+        """
+        g, jac = problem
+        report = stationarity_error(g, np.zeros(jac.shape[1]), jac)
+        lam = report.multipliers
+        lam_ref, residual_ref = nnls(jac, g)
+        assert np.all(lam >= 0.0)
+        scale = max(1.0, np.linalg.norm(g), np.linalg.norm(np.abs(jac) @ lam))
+        assert abs(report.residual - residual_ref) <= 1e-12 * scale
+        if np.linalg.matrix_rank(jac) == jac.shape[1]:
+            bound = 1e-12 * np.linalg.cond(jac) * max(1.0, np.linalg.norm(lam_ref))
+            assert np.max(np.abs(lam - lam_ref)) <= bound
+
+    def test_extreme_scales_are_exact(self):
+        """Scaling g or a column by a power of two scales the residual or the
+        multiplier exactly, even where a_j . a_j would underflow or overflow."""
+        g = np.array([3.0, 1.0, 0.5])
+        jac = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        base = stationarity_error(g, np.zeros(2), jac)
+        assert base.residual == pytest.approx(0.5, rel=1e-14)
+        np.testing.assert_allclose(base.multipliers, [1.0, 1.0], rtol=1e-14)
+        for shift in (-1000, -600, 600):
+            scaled_g = stationarity_error(np.ldexp(g, shift), np.zeros(2), jac)
+            assert scaled_g.residual == np.ldexp(base.residual, shift)
+            np.testing.assert_array_equal(scaled_g.multipliers,
+                                          np.ldexp(base.multipliers, shift))
+            scaled_col = stationarity_error(
+                g, np.zeros(2), jac * np.ldexp(1.0, [shift, 0]))
+            assert scaled_col.residual == base.residual
+            np.testing.assert_array_equal(
+                scaled_col.multipliers, np.ldexp(base.multipliers, [-shift, 0]))
+
+    def test_opposing_pair_gives_free_sign(self):
+        """An equality row's +-J pair: one side carries the multiplier."""
+        jac = np.array([[2.0, -2.0], [0.0, 0.0]])
+        for g, expected in (([3.0, 0.5], [1.5, 0.0]), ([-3.0, 0.5], [0.0, 1.5])):
+            report = stationarity_error(np.array(g), np.zeros(2), jac)
+            np.testing.assert_allclose(report.multipliers, expected, rtol=1e-15)
+            assert report.residual == pytest.approx(0.5, rel=1e-15)
+
+
+def test_runtime_imports_leave_scipy_out():
+    """The solver and the benchmark entry points run on numpy alone."""
+    src = str(Path(snsqp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, snsqp, snsqp.bench.cli, snsqp.bench.runner; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPolyhedronRows:

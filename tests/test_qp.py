@@ -300,6 +300,26 @@ def far_equality_qps(draw):
     return make_problem(draw, lower, upper, np.zeros((0, n)), np.zeros(0), jac, residual)
 
 
+@st.composite
+def duplicated_equality_qps(draw):
+    """One equality column and a multiple of it: every KKT matrix of the
+    enumeration is singular, yet the problem is well posed."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(0, 2))
+    lower, upper, point = draw(box_data(n))
+    rows = integer_matrix(draw, p, n)
+    col = integer_matrix(draw, n, 1)
+    assume(np.any(col))
+    jac = np.hstack([col, draw(st.sampled_from([1.0, -1.0, 2.0])) * col])
+    if draw(st.booleans()):
+        target = point
+        rhs = rows @ point + np.array([draw(quarters(0, 8)) for _ in range(p)])
+    else:
+        target = np.array([draw(quarters(-12, 12)) for _ in range(n)])
+        rhs = np.array([draw(quarters(-8, 12)) for _ in range(p)])
+    return make_problem(draw, lower, upper, rows, rhs, jac, -(jac.T @ target))
+
+
 def solve_against_enumeration(problem):
     """Solve and certify against enumeration."""
     sol = solve_qp(problem)
@@ -331,3 +351,8 @@ class TestProperties:
     @given(problem=far_equality_qps())
     def test_least_norm_start_outside_box_takes_phase1(self, problem):
         assert solve_against_enumeration(problem).status is QpStatus.OPTIMAL
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=duplicated_equality_qps())
+    def test_duplicated_equality_column(self, problem):
+        solve_against_enumeration(problem)

@@ -16,11 +16,11 @@ from snsqp.bench.runner import run_id_for, run_single
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("56911b8917fd7e238caac71dc8601289c01a01f037e748f38653a230bad0e795",
-            "ef6bb525ad1ea9b82a25cc21f22c0d7f0837331af03853a3e704b30a37bab396"),
+    "pps": ("87a037bf526c38846bef7bac5f812a109a55dd857c703f2ecaa35293d5078043",
+            "8a00fbb7733dbe9dbd98b9517e1630e303d8cadcf671bcaa7684a499c4f58aa6"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
-    "affine-eq": ("7f402b58b891773091ebca87ae871aade6f8d172a2200779cb8a159c4122423a",
+    "affine-eq": ("34d65daa3c7f641f103dc94d1c4999c99a5e3255e95c687dd51541c994e77018",
                   "2c3dc5c16e29f8362615c12ccc0b05f17804334e880dac400873ff343ad07940"),
 }
 
