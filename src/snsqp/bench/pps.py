@@ -167,8 +167,9 @@ def recourse_template(instance: PpsInstance) -> lp.LpProblem:
     """The recourse LP's rows and bounds, built and checked once per instance.
 
     Variables are (y, z-flattened).  Its cost is the one at p = 0 and its
-    right-hand side is zero: recourse_lp sets both per price.  The problem is immutable, so sharing it keeps the oracle a pure
-    function of (x, batch).
+    right-hand side is zero: recourse_lp sets both per price.  The problem
+    is immutable, so sharing it keeps the oracle a pure function of
+    (x, batch).
     """
     m, n = instance.factories, instance.stores
     nz = m * n

@@ -163,20 +163,15 @@ def _passive_least_squares(cols: tuple, b: list, passive: list) -> list:
 
 
 def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
-    """Rewrite a BoxPolyhedron as rows c_j(x) >= 0 for the stationarity measure.
+    """The set's rows normals @ x <= limits as rows c_j(x) >= 0 for the
+    stationarity measure.
 
     Returns (values, jacobian) with one column per row: x - l >= 0, u - x >= 0,
-    then h - Wx >= 0.
+    then h - Wx >= 0.  The values are the limits of the set translated to x:
+    limits - normals @ x can round h - Wx differently, because a product with
+    the stacked rows may sum in another order than W @ x alone.
     """
-    x = np.asarray(x, dtype=float)
-    n = box.dim
-    eye = np.eye(n)
-    values = [x - box.lower, box.upper - x]
-    columns = [eye, -eye]
-    if box.n_ineq:
-        values.append(box.ineq_rhs - box.ineq_matrix @ x)
-        columns.append(-box.ineq_matrix.T)
-    return np.concatenate(values), np.hstack(columns)
+    return box.translate(x).limits, -box.normals.T
 
 
 def reference_batch(problem) -> np.ndarray:

@@ -11,17 +11,23 @@ solved by the dual active-set method of Goldfarb and Idnani (Math.
 Programming 27, 1983): it starts from the unconstrained minimizer, so it
 needs no feasible point, and adds violated constraints while the working
 multipliers stay nonnegative.  An active bound fixes its coordinate, so only
-the working rows on the free coordinates are factored.  The solve returns
-the step with equality multipliers and the decomposed normal-cone element of
-the set, certified by a KKT residual.  Problems here are small (a few dozen
-variables); exact active-set identification is preferred over iterative
-methods because the multipliers feed merit and stationarity formulas.
+the working rows on the free coordinates are factored.
+
+Every consumer reads the set in one row form, normals @ x <= limits, built
+once per BoxPolyhedron: the lower bounds as -I, the upper bounds as I, then
+the inequality rows.  The solve returns the step, the equality multipliers
+and one nonnegative multiplier per row of normals, certified by a KKT
+residual over those rows.  Problems here are small (a few dozen variables);
+exact active-set identification is preferred over iterative methods because
+the multipliers feed merit and stationarity formulas.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,31 +51,42 @@ class QpStatus(enum.Enum):
 class BoxPolyhedron:
     """Compact convex set {x : lower <= x <= upper, ineq_matrix @ x <= ineq_rhs}.
 
-    All bounds must be finite: compactness is what keeps subproblem steps and
-    multipliers bounded.  Instances are treated as immutable.
+    Its row form normals @ x <= limits is built once, at construction: rows
+    0..n-1 are the lower bounds (-x_i <= -lower_i), rows n..2n-1 the upper
+    bounds (x_i <= upper_i), and rows 2n..2n+p-1 the inequality rows.  All
+    data must be finite, and the bounds keep the set compact, which keeps
+    subproblem steps and multipliers bounded.  Instances are treated as
+    immutable.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
+    normals: np.ndarray = field(init=False, repr=False)
+    limits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper must have the same shape")
-        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
-            raise ValueError("box bounds must be finite (compact set)")
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper must be vectors of the same shape")
+        _require_finite(lower=self.lower, upper=self.upper)  # a compact set
         if np.any(self.lower > self.upper):
             raise ValueError("requires lower <= upper componentwise")
         if (self.ineq_matrix is None) != (self.ineq_rhs is None):
             raise ValueError("ineq_matrix and ineq_rhs must be given together")
+        rows, rhs = np.zeros((0, self.dim)), np.zeros(0)
         if self.ineq_matrix is not None:
-            self.ineq_matrix = np.atleast_2d(np.asarray(self.ineq_matrix, dtype=float))
-            self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=float))
-            if self.ineq_matrix.shape != (self.ineq_rhs.size, self.dim):
+            self.ineq_matrix = rows = np.atleast_2d(np.asarray(self.ineq_matrix, dtype=float))
+            self.ineq_rhs = rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=float))
+            if rows.shape != (rhs.size, self.dim):
                 raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
+            _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
+        eye = np.eye(self.dim)
+        self.normals = np.concatenate([-eye, eye, rows])
+        self.normals.flags.writeable = False  # translated sets share it
+        self.limits = np.concatenate([-self.lower, self.upper, rhs])
 
     @property
     def dim(self) -> int:
@@ -80,24 +97,24 @@ class BoxPolyhedron:
         return 0 if self.ineq_matrix is None else self.ineq_rhs.size
 
     def membership(self, x, tol: float = 1e-9) -> bool:
-        """Whether x lies in the set, within an absolute tolerance.
-
-        Every test is phrased so that a NaN coordinate fails it; the bounds
-        are finite, so an infinite one fails too.
-        """
+        """Whether x lies in the set, within an absolute tolerance; a NaN or
+        infinite coordinate never does."""
         x = np.asarray(x, dtype=float)
-        if not (np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)):
-            return False
-        if self.ineq_matrix is not None:
-            if not np.all(self.ineq_matrix @ x <= self.ineq_rhs + tol):
-                return False
-        return True
+        return bool(np.isfinite(x).all() and np.all(self.normals @ x <= self.limits + tol))
 
     def translate(self, x) -> "BoxPolyhedron":
-        """The set in step coordinates: {d : x + d in self}."""
+        """The set in step coordinates, {d : x + d in self}, sharing normals."""
         x = np.asarray(x, dtype=float)
-        rhs = None if self.ineq_rhs is None else self.ineq_rhs - self.ineq_matrix @ x
-        return BoxPolyhedron(self.lower - x, self.upper - x, self.ineq_matrix, rhs)
+        if x.shape != self.lower.shape or not np.isfinite(x).all():
+            raise ValueError("x must be a finite vector of the set's dimension")
+        shifted = copy.copy(self)
+        shifted.lower = self.lower - x
+        shifted.upper = self.upper - x
+        rhs = self.limits[2 * self.dim:]
+        if self.ineq_rhs is not None:
+            shifted.ineq_rhs = rhs = self.ineq_rhs - self.ineq_matrix @ x
+        shifted.limits = np.concatenate([-shifted.lower, shifted.upper, rhs])
+        return shifted
 
 
 @dataclass
@@ -118,10 +135,11 @@ class QpProblem:
     def __post_init__(self):
         self.gradient = np.atleast_1d(np.asarray(self.gradient, dtype=float))
         self.curvature = float(self.curvature)
-        if self.curvature <= 0.0:
-            raise ValueError("curvature must be positive (strict convexity)")
-        if self.gradient.size != self.set.dim:
+        if not 0.0 < self.curvature < math.inf:
+            raise ValueError("curvature must be positive (strict convexity) and finite")
+        if self.gradient.shape != (self.set.dim,):
             raise ValueError("gradient dimension does not match the set")
+        _require_finite(gradient=self.gradient)
         if (self.eq_jacobian is None) != (self.eq_residual is None):
             raise ValueError("eq_jacobian and eq_residual must be given together")
         if self.eq_jacobian is not None:
@@ -129,6 +147,7 @@ class QpProblem:
             self.eq_residual = np.atleast_1d(np.asarray(self.eq_residual, dtype=float))
             if self.eq_jacobian.shape != (self.set.dim, self.eq_residual.size):
                 raise ValueError("eq_jacobian must be (n, m) with eq_residual of length m")
+            _require_finite(eq_jacobian=self.eq_jacobian, eq_residual=self.eq_residual)
 
     @property
     def n_eq(self) -> int:
@@ -139,18 +158,14 @@ class QpProblem:
 class QpSolution:
     """Step, multipliers and certification for one subproblem.
 
-    set_multiplier holds nonnegative magnitudes: entries 0..n-1 belong to the
-    active bound of each coordinate (active_lower/active_upper tell which
-    side), entries n..n+p-1 to the inequality rows.  The signed normal-cone
-    element is v = sum_i mult_i * (+-e_i) + sum_r mult_{n+r} * ineq_row_r.
+    set_multipliers has one entry per row of set.normals (lower bounds, upper
+    bounds, inequality rows); it is nonnegative and zero off the final working
+    set.  The normal-cone element of the set is set.normals.T @ set_multipliers.
     """
 
     step: np.ndarray
     eq_multipliers: np.ndarray
-    set_multiplier: np.ndarray
-    active_lower: np.ndarray
-    active_upper: np.ndarray
-    active_ineq: np.ndarray
+    set_multipliers: np.ndarray
     kkt_residual: float
     status: QpStatus
     rank_warning: bool = False
@@ -171,19 +186,21 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     joins (a full step).  A violated constraint with no primal step and
     nothing to drop proves the subproblem INFEASIBLE.
 
+    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
     QpSolution.iterations counts the constraints added plus those dropped.
     """
     box = problem.set
     n, m, p = box.dim, problem.n_eq, box.n_ineq
-    # constraint c reads normals[c] @ d <= limits[c]: ids i and n + i are the
-    # lower and upper bounds of coordinate i, 2n + r is inequality row r, and
-    # the equality rows (met with ==) come last
-    empty = (np.zeros((0, n)), np.zeros(0))
-    ineq = (box.ineq_matrix, box.ineq_rhs) if p else empty
-    eq = (problem.eq_jacobian.T, -problem.eq_residual) if m else empty
-    eye = np.eye(n)
-    normals = np.concatenate([-eye, eye, ineq[0], eq[0]])
-    limits = np.concatenate([-box.lower, box.upper, ineq[1], eq[1]])
+    # on Python floats, so that an overflow raises no numpy warning
+    if not math.isfinite(max(map(abs, problem.gradient.tolist()), default=0.0)
+                         / problem.curvature):
+        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE)
+    # constraint c reads normals[c] @ d <= limits[c]: the set's rows in the
+    # order BoxPolyhedron gives them, then the equality rows (met with ==)
+    normals, limits = box.normals, box.limits
+    if m:
+        normals = np.concatenate([normals, problem.eq_jacobian.T])
+        limits = np.concatenate([limits, -problem.eq_residual])
     side = np.zeros(n)
     rows = list(range(2 * n + p, 2 * n + p + m))  # then inequality rows, in order of entry
     d, row_mults, rank_warning = _project(problem, side, normals[rows], limits[rows])
@@ -256,55 +273,24 @@ def solve_qp(problem: QpProblem) -> QpSolution:
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
     """Max of stationarity, primal, dual and complementarity infinity norms.
 
-    Zero for an exact KKT point of the subproblem.
+    All four come from the set's rows: the slack limits - normals @ d and the
+    normal-cone element normals.T @ set_multipliers.  Zero for an exact KKT
+    point of the subproblem, and NaN if any part is NaN.
     """
     box = problem.set
-    n, p = box.dim, box.n_ineq
     d = np.asarray(candidate.step, dtype=float)
-    if d.size != n:
-        raise ValueError("candidate step dimension mismatch")
-    mult = np.asarray(candidate.set_multiplier, dtype=float)
-    if mult.size != n + p:
-        raise ValueError("set_multiplier must have length n + p")
-
-    v = np.zeros(n)
-    signs = np.where(candidate.active_upper, 1.0, -1.0)
-    bound_active = candidate.active_lower | candidate.active_upper
-    v += np.where(bound_active, signs * mult[:n], 0.0)
-    if p:
-        v += box.ineq_matrix.T @ (np.where(candidate.active_ineq, mult[n:], 0.0))
-
-    stat = problem.gradient + problem.curvature * d + v
+    mult = np.asarray(candidate.set_multipliers, dtype=float)
+    if d.shape != (box.dim,) or mult.shape != box.limits.shape:
+        raise ValueError("the candidate needs a step entry per coordinate and a "
+                         "set multiplier per row of the set")
+    slack = box.limits - box.normals @ d
+    stat = problem.gradient + problem.curvature * d + box.normals.T @ mult
+    eq_gap = np.zeros(0)
     if problem.n_eq:
         stat = stat + problem.eq_jacobian @ candidate.eq_multipliers
-    stationarity = np.linalg.norm(stat, ord=np.inf)
-
-    primal = max(
-        float(np.max(box.lower - d, initial=0.0)),
-        float(np.max(d - box.upper, initial=0.0)),
-    )
-    if p:
-        primal = max(primal, float(np.max(box.ineq_matrix @ d - box.ineq_rhs, initial=0.0)))
-    if problem.n_eq:
-        primal = max(primal, float(np.linalg.norm(problem.eq_jacobian.T @ d + problem.eq_residual,
-                                                  ord=np.inf)))
-
-    dual = max(0.0, -float(np.min(mult, initial=0.0)))
-
-    comp = 0.0
-    lower_slack = d - box.lower
-    upper_slack = box.upper - d
-    slack = np.where(candidate.active_upper, upper_slack, lower_slack)
-    comp = max(comp, float(np.max(np.abs(np.where(bound_active, mult[:n] * slack, 0.0)),
-                                  initial=0.0)))
-    # multiplier mass on rows never marked active counts as a complementarity defect
-    comp = max(comp, float(np.max(np.abs(np.where(bound_active, 0.0, mult[:n])), initial=0.0)))
-    if p:
-        ineq_slack = box.ineq_rhs - box.ineq_matrix @ d
-        comp = max(comp, float(np.max(np.abs(np.where(candidate.active_ineq,
-                                                      mult[n:] * ineq_slack, mult[n:])),
-                                      initial=0.0)))
-    return max(stationarity, primal, dual, comp)
+        eq_gap = np.abs(problem.eq_jacobian.T @ d + problem.eq_residual)
+    parts = (np.abs(stat), -slack, eq_gap, -mult, np.abs(mult * slack))
+    return float(np.concatenate(parts).max(initial=0.0))
 
 
 def _factor(rows: np.ndarray, free: np.ndarray):
@@ -340,20 +326,16 @@ def _assemble_solution(problem: QpProblem, side: np.ndarray, rows: list[int],
     roundoff; a bound's multiplier is the stationarity residual on its
     coordinate."""
     box = problem.set
-    n, m, p = box.dim, problem.n_eq, box.n_ineq
-    ineq = np.asarray(rows[m:], dtype=int) - 2 * n
-    set_multiplier = np.zeros(n + p)
-    set_multiplier[:n] = -side * (problem.gradient + problem.curvature * d + work.T @ row_mults)
-    set_multiplier[n + ineq] = row_mults[m:]
-    active_ineq = np.zeros(p, dtype=bool)
-    active_ineq[ineq] = True
+    n, m = box.dim, problem.n_eq
+    fixed = np.flatnonzero(side)
+    set_multipliers = np.zeros(box.limits.size)
+    residual = problem.gradient + problem.curvature * d + work.T @ row_mults
+    set_multipliers[fixed + n * (side[fixed] > 0.0)] = (-side * residual)[fixed]
+    set_multipliers[rows[m:]] = row_mults[m:]
     solution = QpSolution(
         step=d,
         eq_multipliers=row_mults[:m],
-        set_multiplier=set_multiplier,
-        active_lower=side < 0.0,
-        active_upper=side > 0.0,
-        active_ineq=active_ineq,
+        set_multipliers=set_multipliers,
         kkt_residual=0.0,
         status=QpStatus.OPTIMAL,
         rank_warning=rank_warning,
@@ -361,23 +343,26 @@ def _assemble_solution(problem: QpProblem, side: np.ndarray, rows: list[int],
     )
     solution.kkt_residual = kkt_residual(problem, solution)
     scale = max(1.0, float(np.linalg.norm(problem.gradient, ord=np.inf)))
-    if solution.kkt_residual > TOL * scale:
+    if not solution.kkt_residual <= TOL * scale:  # NaN fails too
         solution.status = QpStatus.NUMERICAL_FAILURE
     return solution
 
 
 def _failed_solution(problem: QpProblem, status: QpStatus, rank_warning: bool = False,
                      iterations: int = 0) -> QpSolution:
-    n, p = problem.set.dim, problem.set.n_ineq
     return QpSolution(
-        step=np.zeros(n),
+        step=np.zeros(problem.set.dim),
         eq_multipliers=np.zeros(problem.n_eq),
-        set_multiplier=np.zeros(n + p),
-        active_lower=np.zeros(n, dtype=bool),
-        active_upper=np.zeros(n, dtype=bool),
-        active_ineq=np.zeros(p, dtype=bool),
+        set_multipliers=np.zeros(problem.set.limits.size),
         kkt_residual=np.inf,
         status=status,
         rank_warning=rank_warning,
         iterations=iterations,
     )
+
+
+def _require_finite(**fields: np.ndarray) -> None:
+    """Raise ValueError naming the first field with a NaN or infinite entry."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")

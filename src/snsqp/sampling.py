@@ -23,6 +23,8 @@ from .model import ConstrainedStochasticProblem
 logger = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+#: smallest batch: the sample variance needs two scenarios
+MIN_BATCH = 2
 
 
 class OracleError(RuntimeError):
@@ -49,8 +51,8 @@ class FixedSize:
     size: int
 
     def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("batch size must be at least 2")
+        if self.size < MIN_BATCH:
+            raise ValueError(f"batch size must be at least {MIN_BATCH}")
 
     def initial_size(self) -> int:
         return self.size
@@ -58,20 +60,20 @@ class FixedSize:
 
 @dataclass(frozen=True)
 class PolynomialSize:
-    """Deterministic ramp: iteration k draws ceil(k^exponent) scenarios."""
+    """Deterministic ramp: iteration k draws ceil(k^exponent) scenarios,
+    clamped to [MIN_BATCH, cap]."""
 
     exponent: float
     cap: int
-    floor: int = 2
 
     def __post_init__(self):
         if not self.exponent > 0:
             raise ValueError("exponent must be positive")
-        if not self.cap >= self.floor >= 2:
-            raise ValueError("requires cap >= floor >= 2")
+        if not self.cap >= MIN_BATCH:
+            raise ValueError(f"requires cap >= {MIN_BATCH}")
 
     def initial_size(self) -> int:
-        return self.floor
+        return MIN_BATCH
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,15 @@ class AdaptiveSize:
 
     eta: float
     cap: int
-    floor: int = 2
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if not self.cap >= self.floor >= 2:
-            raise ValueError("requires cap >= floor >= 2")
+        if not self.cap >= MIN_BATCH:
+            raise ValueError(f"requires cap >= {MIN_BATCH}")
 
     def initial_size(self) -> int:
-        return self.floor
+        return MIN_BATCH
 
 
 SamplingStrategy = Union[FixedSize, PolynomialSize, AdaptiveSize]
@@ -128,8 +129,8 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     a time to find it.
     """
     n_scen = len(scenarios)
-    if n_scen < 2:
-        raise ValueError("a batch needs at least 2 scenarios")
+    if n_scen < MIN_BATCH:
+        raise ValueError(f"a batch needs at least {MIN_BATCH} scenarios")
     try:
         values, grads = problem.oracle(x, scenarios)
     except Exception as exc:
@@ -184,7 +185,7 @@ def next_sample_size(strategy: SamplingStrategy, stats: SampleStats, alpha: floa
         return strategy.size
     if isinstance(strategy, PolynomialSize):
         raw = math.ceil(iteration ** strategy.exponent)
-        return min(max(raw, strategy.floor), strategy.cap)
+        return min(max(raw, MIN_BATCH), strategy.cap)
     if isinstance(strategy, AdaptiveSize):
         if step_norm_sq == 0.0:
             if stats.sum_sq_dev > 0.0:
@@ -196,5 +197,5 @@ def next_sample_size(strategy: SamplingStrategy, stats: SampleStats, alpha: floa
             return stats.batch_size
         raw = math.ceil(stats.sum_sq_dev
                         / (strategy.eta * alpha * step_norm_sq * (stats.batch_size - 1)))
-        return min(max(raw, strategy.floor), strategy.cap)
+        return min(max(raw, MIN_BATCH), strategy.cap)
     raise TypeError(f"unknown sampling strategy: {strategy!r}")

@@ -229,6 +229,29 @@ class TestPolyhedronRows:
         np.testing.assert_allclose(jac[:, 2], [-1.0, 0.0])   # u0 - x0
         np.testing.assert_allclose(jac[:, 4], [-1.0, -1.0])  # h - Wx
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), p=st.integers(0, 4))
+    def test_rows_match_the_blockwise_form(self, data, n, p):
+        """The set's row form gives the stationarity measure the same bytes
+        as [x - l, u - x, h - Wx] with columns [I, -I, -W^T].  Only the sign
+        of a zero value may differ (-l - (-x) is -0.0 at x = l = 0), and the
+        measure reads |c_j| alone."""
+        entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+        vector = lambda k: np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
+        lower = vector(n)
+        upper = lower + np.abs(vector(n))
+        rows, rhs = vector(p * n).reshape(p, n), vector(p)
+        box = BoxPolyhedron(lower, upper, rows if p else None, rhs if p else None)
+        # points on a bound as well as anywhere in or out of the box
+        x = np.array([data.draw(st.sampled_from([lo, hi]) | entries)
+                      for lo, hi in zip(lower, upper)])
+        values, jac = polyhedron_constraint_rows(box, x)
+        eye = np.eye(n)
+        blockwise = np.concatenate([x - lower, upper - x, rhs - rows @ x])
+        assert np.abs(values).tobytes() == np.abs(blockwise).tobytes()
+        np.testing.assert_array_equal(values, blockwise)
+        assert jac.tobytes() == np.hstack([eye, -eye, -rows.T]).tobytes()
+
     def test_kkt_point_of_box_projection_is_stationary(self):
         """At x* = argmin over the box, -g sits in the normal cone: the
         stationarity measure applied to -gradient-of-model must vanish."""

@@ -372,7 +372,7 @@ class TestAdaptiveInsideLoop:
     def test_batch_growth_follows_failed_tests(self):
         problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.8)
         config = SolverConfig(x0=np.array([1.5, 1.5]), alpha0=4.0,
-                              strategy=AdaptiveSize(eta=1.0, cap=500, floor=2),
+                              strategy=AdaptiveSize(eta=1.0, cap=500),
                               budget=4_000, master_seed=12)
         trace = run_algorithm1(problem, config)
         sizes = [rec.batch_size for rec in trace.records]

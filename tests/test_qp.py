@@ -49,8 +49,9 @@ class TestBoxOnly:
         box = BoxPolyhedron(lower=[-10.0, -10.0], upper=[10.0, 10.0])
         sol = solve_qp(QpProblem(gradient=[1.0, -2.0], curvature=2.0, set=box))
         np.testing.assert_allclose(sol.step, [-0.5, 1.0])
-        assert np.all(sol.set_multiplier <= 1e-10)
-        assert not sol.active_lower.any() and not sol.active_upper.any()
+        assert sol.set_multipliers.shape == (4,)
+        assert not sol.set_multipliers.any()
+        np.testing.assert_array_equal(box.normals.T @ sol.set_multipliers, 0.0)
 
 
 class TestAgainstEnumeration:
@@ -121,18 +122,14 @@ class TestCertification:
                                 eq_residual=-(jac.T @ target))
             sol = solve_qp(problem)
             assert sol.status is QpStatus.OPTIMAL
-            v = np.zeros(n)
-            for i in range(n):
-                if sol.active_lower[i]:
-                    v[i] -= sol.set_multiplier[i]
-                if sol.active_upper[i]:
-                    v[i] += sol.set_multiplier[i]
-            for r in range(box.n_ineq):
-                v += sol.set_multiplier[n + r] * box.ineq_matrix[r]
+            v = box.normals.T @ sol.set_multipliers
             resid = (problem.gradient + problem.curvature * sol.step
                      + jac @ sol.eq_multipliers + v)
             assert np.max(np.abs(resid)) <= 1e-6
-            assert np.min(sol.set_multiplier) >= -1e-12
+            assert np.min(sol.set_multipliers) >= 0.0
+            # zero off the working set: a row with slack carries no multiplier
+            slack = box.limits - box.normals @ sol.step
+            assert not np.any(sol.set_multipliers[slack > 1e-9])
 
 
 class TestFeasibilityHandling:
@@ -180,6 +177,39 @@ class TestSetValidation:
         np.testing.assert_allclose(shifted.ineq_rhs, [1.0])
         # membership of d=0 in the translated set mirrors membership of x
         assert shifted.membership(np.zeros(2))
+
+    def test_rows_are_built_once(self):
+        box = BoxPolyhedron(lower=[0.0, -1.0], upper=[2.0, 1.0],
+                            ineq_matrix=[[1.0, 3.0]], ineq_rhs=[4.0])
+        np.testing.assert_array_equal(
+            box.normals, [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 3.0]])
+        np.testing.assert_array_equal(box.limits, [0.0, 1.0, 2.0, 1.0, 4.0])
+        x = np.array([0.5, 0.5])
+        shifted = box.translate(x)
+        assert shifted.normals is box.normals
+        # the same operations as a set built from the shifted data
+        rebuilt = BoxPolyhedron(box.lower - x, box.upper - x, box.ineq_matrix,
+                                box.ineq_rhs - box.ineq_matrix @ x)
+        assert shifted.limits.tobytes() == rebuilt.limits.tobytes()
+        assert shifted.ineq_rhs.tobytes() == rebuilt.ineq_rhs.tobytes()
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0],
+                                   [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_translate_rejects_bad_x(self, x):
+        box = BoxPolyhedron(lower=[0.0, -1.0], upper=[2.0, 1.0],
+                            ineq_matrix=[[10.0, 0.0]], ineq_rhs=[4.0])
+        with pytest.raises(ValueError, match="x must"):
+            box.translate(x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_membership_rejects_non_finite_coordinates(self, value):
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                            ineq_matrix=[[1.0, 1.0]], ineq_rhs=[1.0])
+        for i in range(2):
+            x = np.zeros(2)
+            x[i] = value
+            assert not box.membership(x)
+            assert not box.membership(x, tol=np.inf)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -356,3 +386,45 @@ class TestProperties:
     @given(problem=duplicated_equality_qps())
     def test_duplicated_equality_column(self, problem):
         solve_against_enumeration(problem)
+
+
+def finite_problem_data():
+    return dict(lower=[-1.0, -1.0], upper=[1.0, 1.0], ineq_matrix=[[1.0, 2.0]],
+                ineq_rhs=[1.0], gradient=[1.0, -1.0], curvature=1.0,
+                eq_jacobian=[[1.0], [1.0]], eq_residual=[0.5])
+
+
+@pytest.mark.parametrize("name", ["lower", "upper", "ineq_matrix", "ineq_rhs", "gradient",
+                                  "curvature", "eq_jacobian", "eq_residual"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_names_its_field(name, value):
+    """Non-finite data is rejected where it enters, with its field's name,
+    not inside solve_qp with an unrelated error or a false INFEASIBLE."""
+    data = finite_problem_data()
+    data[name] = np.full_like(np.asarray(data[name], dtype=float), value)
+    with pytest.raises(ValueError, match=name):
+        box = BoxPolyhedron(*(data.pop(key) for key in
+                              ("lower", "upper", "ineq_matrix", "ineq_rhs")))
+        QpProblem(set=box, **data)
+
+
+@pytest.mark.parametrize("gradient, curvature", [([1e308, -1e308], 1e-10),
+                                                 ([1.0, 1.0], 1e-320)])
+def test_overflowing_start_is_numerical_failure(gradient, curvature):
+    """Finite data whose start -g/alpha overflows."""
+    box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    sol = solve_qp(QpProblem(gradient=gradient, curvature=curvature, set=box))
+    assert sol.status is QpStatus.NUMERICAL_FAILURE
+    assert not np.isfinite(sol.kkt_residual)
+
+
+@pytest.mark.parametrize("field", ["step", "set_multipliers"])
+def test_kkt_residual_is_nan_on_a_nan_candidate(field):
+    """A NaN entry must fail the certificate, not drop out of a max."""
+    box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    problem = QpProblem(gradient=[0.5, 3.0], curvature=1.0, set=box)
+    sol = solve_qp(problem)
+    assert sol.status is QpStatus.OPTIMAL
+    entries = getattr(sol, field)
+    entries[np.argmin(entries)] = np.nan
+    assert np.isnan(kkt_residual(problem, sol))

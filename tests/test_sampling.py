@@ -16,6 +16,7 @@ from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import (
     AdaptiveSize,
     FixedSize,
+    MIN_BATCH,
     OracleError,
     PolynomialSize,
     SampleStats,
@@ -188,37 +189,37 @@ class TestSchedules:
             assert next_sample_size(strat, stats, 1.0, 1.0, k) == 17
 
     def test_polynomial_ramp_values(self):
-        strat = PolynomialSize(exponent=1.25, cap=1000, floor=2)
+        strat = PolynomialSize(exponent=1.25, cap=1000)
         stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
         assert strat.initial_size() == 2
-        assert next_sample_size(strat, stats, 1.0, 1.0, 1) == 2      # floor
+        assert next_sample_size(strat, stats, 1.0, 1.0, 1) == 2      # MIN_BATCH
         assert next_sample_size(strat, stats, 1.0, 1.0, 4) == 6      # ceil(4^1.25)
         # 256^1.25 = 1024 runs into the cap
         assert next_sample_size(strat, stats, 1.0, 1.0, 256) == 1000
 
     def test_polynomial_monotone_until_cap(self):
-        strat = PolynomialSize(exponent=1.25, cap=400, floor=3)
-        stats = SampleStats(0.0, np.zeros(1), 0.0, 3)
+        strat = PolynomialSize(exponent=1.25, cap=400)
+        stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
         sizes = [next_sample_size(strat, stats, 1.0, 1.0, k)
                  for k in range(1, 300)]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-        assert sizes[0] == 3
+        assert sizes[0] == 2
         assert sizes[-1] == 400
 
     def test_adaptive_growth_by_hand(self):
         # failing test with scatter 90, batch 10: smallest passing batch is
         # ceil(90 / (eta alpha |d|^2 (10-1))) = ceil(90 / 4.5) = 20
-        strat = AdaptiveSize(eta=1.0, cap=1000, floor=2)
+        strat = AdaptiveSize(eta=1.0, cap=1000)
         stats = SampleStats(0.0, np.zeros(1), 90.0, 10)
         assert next_sample_size(strat, stats, 1.0, 0.5, 30) == 20
 
     def test_adaptive_keeps_size_on_pass(self):
-        strat = AdaptiveSize(eta=1.0, cap=1000, floor=2)
+        strat = AdaptiveSize(eta=1.0, cap=1000)
         stats = SampleStats(0.0, np.zeros(1), 1.0, 50)
         assert next_sample_size(strat, stats, 10.0, 10.0, 4) == 50
 
     def test_adaptive_never_shrinks_on_fail(self):
-        strat = AdaptiveSize(eta=0.7, cap=10_000, floor=2)
+        strat = AdaptiveSize(eta=0.7, cap=10_000)
         rng = np.random.default_rng(555)
         for _ in range(300):
             n = int(rng.integers(2, 200))
@@ -229,10 +230,10 @@ class TestSchedules:
             nxt = next_sample_size(strat, stats, alpha, snsq, 9)
             if not variance_test(stats, alpha, snsq, strat.eta):
                 assert nxt >= n
-            assert strat.floor <= nxt <= strat.cap
+            assert MIN_BATCH <= nxt <= strat.cap
 
     def test_adaptive_zero_step_jumps_to_cap(self, caplog):
-        strat = AdaptiveSize(eta=1.0, cap=777, floor=2)
+        strat = AdaptiveSize(eta=1.0, cap=777)
         noisy = SampleStats(0.0, np.zeros(1), 5.0, 10)
         with caplog.at_level(logging.WARNING, logger="snsqp.sampling"):
             assert next_sample_size(strat, noisy, 1.0, 0.0, 3) == 777
@@ -244,7 +245,7 @@ class TestSchedules:
         assert not caplog.records
 
     def test_adaptive_cap_clamps(self):
-        strat = AdaptiveSize(eta=1e-9, cap=64, floor=2)
+        strat = AdaptiveSize(eta=1e-9, cap=64)
         stats = SampleStats(0.0, np.zeros(1), 1e6, 10)
         assert next_sample_size(strat, stats, 1.0, 1.0, 2) == 64
 
@@ -256,10 +257,10 @@ class TestSchedules:
         with pytest.raises(ValueError):
             PolynomialSize(exponent=float("nan"), cap=10)
         with pytest.raises(ValueError):
-            PolynomialSize(exponent=1.0, cap=2, floor=5)
+            PolynomialSize(exponent=1.0, cap=1)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=0.0, cap=10)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=float("nan"), cap=10)
         with pytest.raises(ValueError):
-            AdaptiveSize(eta=1.0, cap=1, floor=2)
+            AdaptiveSize(eta=1.0, cap=1)
