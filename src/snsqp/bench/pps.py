@@ -195,14 +195,58 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
     return np.concatenate([slopes * p + intercepts, capacity], axis=-1)
 
 
+def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
+    """Crash basis (basis, at_upper) for the recourse LPs of a batch at price p.
+
+    demand has shape (batch, stores).  The rule is the optimal policy for
+    uniform shipment costs s and production costs c (the three regimes of
+    the closed form):
+
+    - p <= min s: nothing ships, and the slack basis is optimal: None.
+    - up to min s + min c: each factory ships its floor production to store
+      j*; the demand slacks and those floor units are basic.
+    - above it: the cheapest factory k makes and ships the rest.  Its
+      production y_k and its shipments z_kj are basic, with the other
+      factories' floor units to j*.
+
+    j* is the store whose smallest demand in the batch is largest, so one
+    basis fits every row whose demand covers the floor units.  Positions
+    follow the rows: demand row j, then capacity row i.  With non-uniform
+    shipment costs the rule is only a guess and the simplex finishes from
+    it; a row it does not fit starts from the slack basis (lp.solve_lp).
+    """
+    m, n = instance.factories, instance.stores
+    ship, produce = float(instance.shipment_costs.min()), instance.production_costs
+    if p <= ship:
+        return None
+    j_star = int(demand.min(axis=0).argmax())
+    floor_units = m + np.arange(m) * n + j_star
+    if p <= ship + float(produce.min()):
+        demand_rows = m + m * n + np.arange(n)  # the demand slacks
+    else:
+        k = int(produce.argmin())
+        demand_rows = m + k * n + np.arange(n)   # z_kj
+        demand_rows[j_star] = k                  # y_k: z_kj* is already a floor unit
+    return np.concatenate([demand_rows, floor_units]), np.zeros(0, dtype=np.intp)
+
+
 def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
                 template: lp.LpProblem = None) -> tuple:
     """Recourse values and their p-derivatives for a batch, by linear programming.
 
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
-    bases; only the cost and the right-hand sides are built per call.  The
-    p-derivative comes from the envelope theorem: the z part of the cost
+    bases; only the cost and the right-hand sides are built per call.  Each
+    cold solve starts from a crash basis (_recourse_start) built from p and
+    this batch's demands alone, so no state outlives the call: the slack
+    basis up to the shipment cost; then every factory's floor unit shipped
+    to the store j* whose smallest demand in the batch is largest; above the
+    shipment cost plus the cheapest production cost, also the cheapest
+    factory's production and shipments.  With uniform shipment costs that
+    basis is optimal for every row whose demand covers the floor units, so
+    the batch takes one cold solve and no pivot.  Otherwise the simplex
+    finishes from it, or a row it does not fit starts from the slack basis.
+    The p-derivative comes from the envelope theorem: the z part of the cost
     vector has derivative -1 per unit shipped, and the demand right-hand
     sides have derivative slope_j, weighted by their duals.
     Returns two (batch,) arrays; raises RuntimeError naming the first
@@ -211,7 +255,9 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
     if template is None:
         template = recourse_template(instance)
     problem = template.with_vectors(cost=_recourse_cost(instance, p))
-    sol = lp.solve_lp_multi_rhs(problem, _recourse_rhs(instance, p, scenarios))
+    rhs = _recourse_rhs(instance, p, scenarios)
+    start = _recourse_start(instance, p, rhs[:, :instance.stores])
+    sol = lp.solve_lp_multi_rhs(problem, rhs, start)
     failed = np.flatnonzero(sol.status != lp.LpStatus.OPTIMAL)
     if failed.size:
         raise RuntimeError(f"second-stage LP of scenario {failed[0]} ended "

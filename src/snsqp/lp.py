@@ -27,6 +27,17 @@ LPs that share cost, rows and bounds and differ only in the right-hand side
 are solved together by solve_lp_multi_rhs, which reuses optimal bases across
 them ("bunching", Birge & Louveaux, Introduction to Stochastic Programming,
 L-shaped chapter).
+
+Starting basis.  A solve may be given a start in the form an LpSolution
+reports its optimum, (basis, at_upper).  It is used only when it is a basis
+of this problem that is primal feasible for this right-hand side: one
+distinct column per row, nonbasic upper-bound columns with finite bounds,
+a nonsingular basis matrix, and B^-1 (b0 - N_U u_U) within the basic
+bounds to FEAS_TOL.  Phase 2 then runs from it, and needs no pivot when the
+start is optimal (Bixby, "Solving real-world linear programs", Oper. Res.
+50(1), 2002, on why a known basis beats a slack start).  Any other start is
+ignored: the solve starts from the slack basis and makes exactly the pivots
+it makes without one.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ FEAS_TOL = 1e-9
 BLAND_AFTER_FACTOR = 10
 #: periodic reinversion of the basis for numerical hygiene
 REFACTOR_EVERY = 60
+#: a start whose basis matrix has a larger 1-norm condition number counts as singular
+START_CONDITION_LIMIT = 1e12
 
 
 class LpStatus(enum.Enum):
@@ -150,7 +163,9 @@ class LpSolution:
     At an optimum, basis lists the basic columns of [ineq_matrix | I]
     (structural variables, then one slack per row) and at_upper the nonbasic
     structural variables that sit at their upper bound; together they
-    determine the vertex for any right-hand side.
+    determine the vertex for any right-hand side.  basis_inverse is the
+    inverse of those columns, freshly computed rather than updated through
+    the pivots; primal, duals and bound_duals come from it.
     """
 
     primal: np.ndarray
@@ -161,6 +176,7 @@ class LpSolution:
     iterations: int = 0
     basis: np.ndarray = None
     at_upper: np.ndarray = None
+    basis_inverse: np.ndarray = None
 
 
 @dataclass
@@ -181,50 +197,79 @@ class LpBatchSolution:
     cold_solves: int
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP; status reports infeasibility/unboundedness, never raises for them."""
+def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
+    """Solve the LP; status reports infeasibility/unboundedness, never raises for them.
+
+    start is an optional (basis, at_upper) pair of integer arrays, the form
+    LpSolution reports: the basic columns of [ineq_matrix | I], one per row,
+    and the nonbasic structural variables at their upper bound.  When it is
+    a well-conditioned basis that is primal feasible for this right-hand
+    side (see _checked_start), phase 2 runs from it; otherwise it is ignored
+    and the solve starts from the slack basis, with the same pivots as
+    without a start.  A problem without rows ignores it.
+    """
     q, s = problem.n_vars, problem.n_rows
     if s == 0:
         return _solve_box_only(problem)
 
-    core = _Simplex(problem, problem.ineq_rhs - problem.lower_rows)
+    b0 = problem.ineq_rhs - problem.lower_rows
+    checked = None if start is None else _checked_start(problem, b0, start)
+    core = _Simplex(problem, b0, checked)
     status = core.run(bland_after=BLAND_AFTER_FACTOR * (q + s))
     if status is not LpStatus.OPTIMAL:
         return LpSolution(np.zeros(q), np.zeros(s), np.zeros(q), np.nan, status,
                           core.pivots)
 
-    vals = core.values()
-    x = problem.lower + vals[:q]
-    y = core.dual_y()
-    reduced = core.cost - y @ core.cols
     # a basic artificial sits at zero; its row's slack (the negated column)
     # spans the same basis with the same duals
     basis = core.basis.copy()
     if core.neg_rows.size:
         artificial = basis >= q + s
         basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
+    at_upper = np.flatnonzero(core.at_upper[:q] & ~core.in_basis[:q])
+    cols, rng = problem.columns, problem.ranges
+    vals = np.zeros(q + s)
+    if at_upper.size:
+        vals[at_upper] = rng[at_upper]
+        b0 = b0 - cols[:, at_upper] @ rng[at_upper]
+    b_inv, xb, y = core.b_inv, core.xb, core.y
+    if core.pivots or core.neg_rows.size:
+        # values and duals from a fresh inverse of the final basis, so that
+        # they do not depend on the pivots that led there; without pivots or
+        # artificials the start's own inverse is that inverse already
+        b_inv = np.linalg.inv(cols[:, basis])
+        xb = b_inv @ b0
+        y = core.cost[core.basis] @ b_inv
+    vals[basis] = xb
+    x = problem.lower + vals[:q]
     return LpSolution(
         primal=x,
         duals=-y,
-        bound_duals=reduced[:q],
+        bound_duals=problem.cost - y @ problem.ineq_matrix,
         objective=float(problem.cost @ x),
         status=LpStatus.OPTIMAL,
         iterations=core.pivots,
         basis=basis,
-        at_upper=np.flatnonzero(core.at_upper[:q] & ~core.in_basis[:q]),
+        at_upper=at_upper,
+        basis_inverse=b_inv,
     )
 
 
-def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
+def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
+                       start: tuple = None) -> LpBatchSolution:
     """Solve `problem` once per row of rhs (shape (N, rows)), reusing bases.
 
     The LPs share cost, rows and bounds (problem.ineq_rhs is not used), so an
     optimal basis of one is dual feasible for all of them, and it is optimal
     for every right-hand side that keeps its basic values within bounds.  The
-    first unresolved row is cold-solved by solve_lp; B^-1 (b0 - N_U u_U) is
-    formed for every other unresolved row in one product; rows whose basic
-    values lie within their bounds to FEAS_TOL are accepted with the cold
-    solve's duals; the rest repeat from the first rejected row.
+    first unresolved row is cold-solved by solve_lp, which is passed `start`
+    (see solve_lp: a start that does not fit that row falls back to the
+    slack basis).  B^-1 (b0 - N_U u_U) is then formed for every unresolved
+    row, that one included, in one product with the cold solve's fresh basis
+    inverse, so each row's values depend on its basis and not on the pivots
+    that found it.  Rows whose basic values lie within their bounds to
+    FEAS_TOL are accepted with the cold solve's duals; the rest repeat from
+    the first rejected row.
     """
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     n_lp, s = rhs.shape
@@ -244,34 +289,30 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray) -> LpBatchSolution:
     cold_solves = 0
     pending = np.arange(n_lp)
     while pending.size:
-        first, rest = pending[0], pending[1:]
-        sol = solve_lp(problem._with(ineq_rhs=rhs[first]))
+        sol = solve_lp(problem._with(ineq_rhs=rhs[pending[0]]), start)
         cold_solves += 1
-        status[first] = sol.status
         if sol.status is not LpStatus.OPTIMAL:
-            pending = rest
+            status[pending[0]] = sol.status
+            pending = pending[1:]
             continue
-        primal[first], objective[first] = sol.primal, sol.objective
-        duals[first], bound_duals[first] = sol.duals, sol.bound_duals
-        if not rest.size:
-            break
 
         basis, upper = sol.basis, sol.at_upper
-        b_inv = np.linalg.inv(cols[:, basis])
-        b_rest = shifted[rest]
+        b = shifted if pending.size == n_lp else shifted[pending]
         if upper.size:  # subtracting the empty product's zeros changes no bit
-            b_rest = b_rest - cols[:, upper] @ rng[upper]
-        xb = b_rest @ b_inv.T
+            b = b - cols[:, upper] @ rng[upper]
+        xb = b @ sol.basis_inverse.T
         fits = ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all(axis=1)
-        won = rest[fits]
-        z = np.zeros((won.size, q + s))
-        z[:, upper] = rng[upper]
-        z[:, basis] = xb[fits]
-        primal[won] = problem.lower + z[:, :q]
-        objective[won] = primal[won] @ problem.cost
+        fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
+        won = pending[fits]
+        # nonbasic variables sit at the bound they sit at in the cold solve
+        x = np.repeat(sol.primal[None, :], won.size, axis=0)
+        structural = basis < q
+        x[:, basis[structural]] = (problem.lower[basis[structural]]
+                                   + xb[fits][:, structural])
+        primal[won], objective[won] = x, x @ problem.cost
         duals[won], bound_duals[won] = sol.duals, sol.bound_duals
         status[won] = LpStatus.OPTIMAL
-        pending = rest[~fits]
+        pending = pending[~fits]
     return LpBatchSolution(primal=primal, duals=duals, bound_duals=bound_duals,
                            objective=objective, status=status,
                            cold_solves=cold_solves)
@@ -289,7 +330,52 @@ def _solve_box_only(problem: LpProblem) -> LpSolution:
             x[j] = problem.upper[j]
     return LpSolution(x, np.zeros(0), problem.cost.copy(), float(problem.cost @ x),
                       LpStatus.OPTIMAL, basis=np.zeros(0, dtype=int),
-                      at_upper=np.flatnonzero(x != problem.lower))
+                      at_upper=np.flatnonzero(x != problem.lower),
+                      basis_inverse=np.zeros((0, 0)))
+
+
+def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
+    """(basis, at_upper, B^-1, basic values) of a usable start, else None.
+
+    Usable means: integer arrays, one distinct column of [A | I] per row,
+    at_upper naming distinct nonbasic structural variables with finite
+    upper bounds, a basis matrix whose 1-norm condition number is at most
+    START_CONDITION_LIMIT, and basic values B^-1 (b0 - N_U u_U) within
+    [0, range] to FEAS_TOL.
+    """
+    q, s = problem.n_vars, problem.n_rows
+    basis, at_upper = (np.asarray(part) for part in start)
+    if basis.shape != (s,) or at_upper.ndim != 1:
+        return None
+    if basis.dtype.kind not in "iu" or (at_upper.size and at_upper.dtype.kind not in "iu"):
+        return None
+    # a few dozen indices: Python's set and range tests beat numpy's calls
+    basic, upper = basis.tolist(), at_upper.tolist()
+    rng = problem.ranges
+    if not all(0 <= j < q + s for j in basic):
+        return None
+    if not all(0 <= j < q and math.isfinite(rng[j]) for j in upper):
+        return None
+    if len(set(basic + upper)) != s + len(upper):
+        return None
+    basis, at_upper = np.array(basic, dtype=np.intp), np.array(upper, dtype=np.intp)
+    cols = problem.columns
+    matrix = cols[:, basis]
+    try:
+        b_inv = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore"):  # an overflow reads as inf and is rejected
+        condition = np.abs(matrix).sum(axis=0).max() * np.abs(b_inv).sum(axis=0).max()
+    if not condition <= START_CONDITION_LIMIT:  # also rejects a nan inverse
+        return None
+    rhs = b0
+    if at_upper.size:
+        rhs = b0 - cols[:, at_upper] @ rng[at_upper]
+    xb = b_inv @ rhs
+    if not ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all():
+        return None
+    return basis, at_upper, b_inv, xb
 
 
 class _Simplex:
@@ -298,21 +384,33 @@ class _Simplex:
     Columns: q structural variables (shifted so their lower bound is 0),
     s slacks, then one artificial column -e_i per negative rhs row.
     Artificials cost 1 in phase 1 and get range 0 afterwards, which pins
-    them to value zero without basis surgery.
+    them to value zero without basis surgery.  A checked start (from
+    _checked_start) is primal feasible, so it needs no artificials.
     """
 
-    def __init__(self, problem: LpProblem, b0: np.ndarray):
+    def __init__(self, problem: LpProblem, b0: np.ndarray, start: tuple = None):
         s, q = problem.n_rows, problem.n_vars
         self.s, self.q = s, q
-        neg_rows = np.flatnonzero(b0 < 0.0)
-        n_art = neg_rows.size
         # the problem's own arrays, read-only; phase 1 extends both
         cols, rng = problem.columns, problem.ranges
-        if n_art:
-            art = np.zeros((s, n_art))
-            art[neg_rows, np.arange(n_art)] = -1.0
-            cols = np.hstack([cols, art])
-            rng = np.concatenate([rng, np.full(n_art, np.inf)])
+        if start is None:
+            neg_rows = np.flatnonzero(b0 < 0.0)
+            n_art = neg_rows.size
+            if n_art:
+                art = np.zeros((s, n_art))
+                art[neg_rows, np.arange(n_art)] = -1.0
+                cols = np.hstack([cols, art])
+                rng = np.concatenate([rng, np.full(n_art, np.inf)])
+            # starting basis: slacks, except artificials on negative rows
+            basis, at_upper = np.arange(q, q + s), np.zeros(0, dtype=np.intp)
+            b_inv = np.eye(s)
+            if n_art:
+                basis[neg_rows] = q + s + np.arange(n_art)
+                b_inv[neg_rows, neg_rows] = -1.0
+            xb = np.abs(b0)
+        else:
+            basis, at_upper, b_inv, xb = start
+            neg_rows, n_art = np.zeros(0, dtype=np.intp), 0
         self.cols = cols
         self.b0 = b0
         self.nv = q + s + n_art
@@ -322,20 +420,17 @@ class _Simplex:
         self.structural_cost = problem.cost
         self.max_pivots = 1000 * (q + s) + 10000
 
-        # starting basis: slacks, except artificials on negative rows
-        self.basis = np.arange(q, q + s)
-        if n_art:
-            self.basis[neg_rows] = q + s + np.arange(n_art)
+        self.basis = basis
         self.in_basis = np.zeros(self.nv, dtype=bool)
-        self.in_basis[self.basis] = True
+        self.in_basis[basis] = True
         self.at_upper = np.zeros(self.nv, dtype=bool)
+        self.at_upper[at_upper] = True
         # pricing sign: -1 nonbasic at lower, +1 nonbasic at upper, 0 basic or fixed
-        self.sign = np.where(~self.in_basis & (rng > 0.0), -1.0, 0.0)
+        self.sign = np.where(~self.in_basis & (rng > 0.0),
+                             np.where(self.at_upper, 1.0, -1.0), 0.0)
         self._basic_ranges()
-        self.b_inv = np.eye(s)
-        if n_art:
-            self.b_inv[neg_rows, neg_rows] = -1.0
-        self.xb = np.abs(b0)
+        self.b_inv = b_inv
+        self.xb = xb
         self.no_ratio = np.full(s, np.inf)
         self.pivots = 0
 
@@ -364,15 +459,12 @@ class _Simplex:
         vals[self.basis] = self.xb
         return vals
 
-    def dual_y(self) -> np.ndarray:
-        return self.cost[self.basis] @ self.b_inv
-
     def _objective(self) -> float:
         return float(self.cost @ self.values())
 
     def _optimize(self, bland_after: int) -> LpStatus:
         while True:
-            y = self.cost[self.basis] @ self.b_inv
+            self.y = y = self.cost[self.basis] @ self.b_inv
             reduced = self.cost - y @ self.cols
             j = self._entering(self.sign * reduced, bland=self.pivots > bland_after)
             if j is None:

@@ -103,17 +103,28 @@ class BoxPolyhedron:
         return bool(np.isfinite(x).all() and np.all(self.normals @ x <= self.limits + tol))
 
     def translate(self, x) -> "BoxPolyhedron":
-        """The set in step coordinates, {d : x + d in self}, sharing normals."""
+        """The set in step coordinates, {d : x + d in self}, sharing normals.
+
+        A finite x far outside the set can overflow a translated limit; that
+        raises a ValueError naming the field, so the translated set keeps
+        all-finite data.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != self.lower.shape or not np.isfinite(x).all():
+        # the sets are small: Python's finiteness tests cost less than numpy's
+        if x.shape != self.lower.shape or not all(map(math.isfinite, x.tolist())):
             raise ValueError("x must be a finite vector of the set's dimension")
         shifted = copy.copy(self)
-        shifted.lower = self.lower - x
-        shifted.upper = self.upper - x
         rhs = self.limits[2 * self.dim:]
-        if self.ineq_rhs is not None:
-            shifted.ineq_rhs = rhs = self.ineq_rhs - self.ineq_matrix @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            shifted.lower = self.lower - x
+            shifted.upper = self.upper - x
+            if self.ineq_rhs is not None:
+                shifted.ineq_rhs = rhs = self.ineq_rhs - self.ineq_matrix @ x
         shifted.limits = np.concatenate([-shifted.lower, shifted.upper, rhs])
+        if not all(map(math.isfinite, shifted.limits.tolist())):
+            _require_finite(**{"translated lower": shifted.lower,
+                               "translated upper": shifted.upper,
+                               "translated ineq_rhs": rhs})
         return shifted
 
 

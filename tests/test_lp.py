@@ -416,6 +416,87 @@ class TestKernelBranches:
         assert residuals["gap"] <= 1e-8
 
 
+class TestStart:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_lps(), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+    def test_start_from_a_nearby_optimum(self, problem, seed, scale):
+        """The start is the cold optimum of a relaxed right-hand side: the
+        LP's own optimal basis when scale is 0, else one that may not be
+        primal feasible here (then the solve falls back to the slack basis)."""
+        shift = scale * np.random.default_rng(seed).uniform(0.0, 1.0, problem.n_rows)
+        nearby = solve_lp(problem.with_vectors(ineq_rhs=problem.ineq_rhs + shift))
+        assert nearby.status is LpStatus.OPTIMAL
+        sol = solve_lp(problem, (nearby.basis, nearby.at_upper))
+        target(float(solve_lp(problem).iterations - sol.iterations), label="pivots saved")
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective - enumerate_lp(problem)) <= 1e-8
+        residuals = verify_lp(problem, sol)
+        assert residuals["primal_res"] <= 1e-8
+        assert residuals["dual_res"] <= 1e-8
+        assert residuals["gap"] <= 1e-8
+        if scale == 0.0:
+            assert sol.iterations == 0
+
+    @staticmethod
+    def bound_rows(rhs):
+        """max x1 + x2 under x1 <= b1, x2 <= b2, x1 + x2 <= b3 on [0, 10]^2.
+        Columns: x1, x2, then the slacks s1, s2, s3."""
+        return LpProblem(cost=[-1.0, -1.0],
+                         ineq_matrix=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                         ineq_rhs=rhs, lower=[0.0, 0.0], upper=[10.0, 10.0])
+
+    @pytest.mark.parametrize("start", [
+        pytest.param(([0, 2, 4], []), id="singular"),          # x1 = s1 + s3
+        pytest.param(([0, 1, 5], []), id="out-of-range"),
+        pytest.param(([0, -1, 4], []), id="negative"),
+        pytest.param(([0, 1], []), id="wrong-length"),
+        pytest.param(([0, 1, 4], []), id="primal-infeasible"),  # s3 = 5 - 4 - 4
+        pytest.param(([0, 0, 4], []), id="repeated"),
+        pytest.param(([0, 3, 4], [2]), id="slack-at-upper"),
+        pytest.param(([2, 3, 4], [0, 0]), id="repeated-at-upper"),
+        pytest.param(([0, 3, 4], [0]), id="basic-at-upper"),
+        pytest.param(([0.0, 1.0, 4.0], []), id="float-indices"),
+    ])
+    def test_unusable_start_gives_the_cold_solve(self, start):
+        problem = self.bound_rows([4.0, 4.0, 5.0])
+        cold = solve_lp(problem)
+        sol = solve_lp(problem, start)
+        assert (sol.status, sol.objective, sol.iterations) == (
+            cold.status, cold.objective, cold.iterations)
+        np.testing.assert_array_equal(sol.basis, cold.basis)
+
+    def test_infeasible_problem_with_a_start(self):
+        problem = LpProblem(cost=[1.0, 1.0],
+                            ineq_matrix=[[1.0, 1.0], [-1.0, -1.0]],
+                            ineq_rhs=[-1.0, -1.0],
+                            lower=[-5.0, -5.0], upper=[5.0, 5.0])
+        cold = solve_lp(problem)
+        sol = solve_lp(problem, ([0, 3], []))
+        assert sol.status is cold.status is LpStatus.INFEASIBLE
+        assert sol.iterations == cold.iterations
+        assert np.isnan(sol.objective)
+
+    def test_multi_rhs_passes_the_start_to_its_cold_solves(self, monkeypatch):
+        """The first row fits the start; the second row is rejected, and its
+        cold solve falls back to the slack basis, since the start does not
+        fit it either."""
+        problem = self.bound_rows(np.zeros(3))
+        start = (np.array([2, 3, 1]), np.array([0]))   # x1 at 10, x2 basic
+        rhs = np.array([[10.0, 9.0, 19.0], [1.0, 1.0, 5.0]])
+        starts = []
+
+        def solve(problem, start=None):
+            starts.append(start)
+            return solve_lp(problem, start)
+
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        batch = solve_lp_multi_rhs(problem, rhs, start)
+        assert batch.cold_solves == len(starts) == 2
+        assert all(given is start for given in starts)
+        np.testing.assert_allclose(batch.objective, [-19.0, -2.0], atol=1e-12)
+
+
 def pinned_lps(integral):
     """Seeded LPs with finite and infinite uppers and rows with negative
     shifted right-hand sides; with integral data most vertices are

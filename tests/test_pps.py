@@ -229,20 +229,30 @@ NOTHING_SHIPS = (0, tuple(range(30, 40)))
 FLOOR_SHIPS = (5, (30, 31, 32, 33, 34, 5, 10, 15, 20, 25))
 CHEAPEST_TOPS_UP = (10, (0, 6, 7, 8, 9, 5, 10, 15, 20, 25))
 PINNED_SOLVES = [NOTHING_SHIPS] * 3 + [FLOOR_SHIPS] * 8 + [CHEAPEST_TOPS_UP] * 16
+#: (pivots, basis) of recourse_lp's one cold solve per price on the whole
+#: reference batch, from the crash basis of pps._recourse_start.  Store 3 has
+#: the largest smallest demand at every price, so j* = 3: the floor units are
+#: z_i3 (8, 13, 18, 23, 28); above p = 4.2 factory 0 makes the rest, with y_0
+#: in store 3's position.  The crash basis is optimal, so no solve pivots.
+CRASH_FLOOR_SHIPS = (0, (30, 31, 32, 33, 34, 8, 13, 18, 23, 28))
+CRASH_CHEAPEST_TOPS_UP = (0, (5, 6, 7, 0, 9, 8, 13, 18, 23, 28))
+CRASH_SOLVES = ([NOTHING_SHIPS] * 3 + [CRASH_FLOOR_SHIPS] * 8
+                + [CRASH_CHEAPEST_TOPS_UP] * 16)
 
 
 def record_solves(monkeypatch):
-    """Wrap snsqp.lp.solve_lp and solve_lp_multi_rhs, as the benchmark's span
-    tracer wraps solve_lp; returns the lists the two wrappers append to."""
+    """Wrap snsqp.lp.solve_lp and solve_lp_multi_rhs, forwarding every
+    argument as the benchmark's span tracer does when it wraps solve_lp;
+    returns the lists the two wrappers append to."""
     solves, batches = [], []
     solve_lp, solve_lp_multi_rhs = lp.solve_lp, lp.solve_lp_multi_rhs
 
-    def counted(problem):
-        solves.append(solve_lp(problem))
+    def counted(*args, **kwargs):
+        solves.append(solve_lp(*args, **kwargs))
         return solves[-1]
 
-    def recorded(problem, rhs):
-        batches.append(solve_lp_multi_rhs(problem, rhs))
+    def recorded(*args, **kwargs):
+        batches.append(solve_lp_multi_rhs(*args, **kwargs))
         return batches[-1]
 
     monkeypatch.setattr(lp, "solve_lp", counted)
@@ -269,7 +279,7 @@ class TestPinnedPivots:
         for k, p in enumerate(PIN_PRICES):
             recourse_lp(instance, p, batch)
             (sol,) = solves[k:]
-            assert (sol.iterations, tuple(sol.basis)) == PINNED_SOLVES[k], f"p = {p}"
+            assert (sol.iterations, tuple(sol.basis)) == CRASH_SOLVES[k], f"p = {p}"
 
 
 @pytest.mark.parametrize("size", [10, 1000])
@@ -286,6 +296,60 @@ def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, 
         problem.oracle(np.array([2.0, p]), scenarios)
     assert len(batches) == 6
     assert len(solves) == sum(batch.cold_solves for batch in batches) >= 6
+
+
+def cold_recourse(instance, p, scenarios):
+    """One cold solve per row from the slack basis: its values, its
+    p-derivatives by the envelope formula of recourse_lp, and the solutions."""
+    sols = [lp.solve_lp(second_stage_lp(instance, p, row)) for row in scenarios]
+    slopes, _ = split_scenarios(instance, scenarios)
+    values = np.array([sol.objective for sol in sols])
+    derivs = np.array([-sol.primal[instance.factories:].sum()
+                       - sol.duals[:instance.stores] @ slope
+                       for sol, slope in zip(sols, slopes)])
+    return values, derivs, sols
+
+
+class TestCrashStart:
+    def test_non_uniform_shipment_costs(self, instance, problem, monkeypatch):
+        """With non-uniform shipment costs the crash basis is only a guess;
+        the simplex finishes from it, and every row agrees with its own cold
+        solve in value and p-derivative."""
+        rng = np.random.default_rng(5)
+        uneven = dataclasses.replace(
+            instance, shipment_costs=2.0 + rng.uniform(0.0, 1.0, (5, 5)))
+        scenarios = draw_scenarios(problem.scenario_sampler, 3, 1, 40)
+        solves, _ = record_solves(monkeypatch)
+        crash_pivots = 0
+        for p in (1.5, 2.4, 3.5, 5.0, 6.5, 9.5):
+            before = len(solves)
+            values, derivs = recourse_lp(uneven, p, scenarios)
+            crash_pivots += sum(sol.iterations for sol in solves[before:])
+            cold_values, cold_derivs, _ = cold_recourse(uneven, p, scenarios)
+            np.testing.assert_allclose(values, cold_values, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(derivs, cold_derivs, rtol=0, atol=1e-9)
+        assert crash_pivots > 0
+
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_row_too_small_for_the_floor_units_falls_back(self, instance, problem,
+                                                          monkeypatch, p, where):
+        """A row with demand 1 at every store cannot take the five floor
+        units at j*.  Its cold solve starts from the slack basis and makes
+        the pivots of its own cold solve; the other rows take no pivot."""
+        scenarios = draw_scenarios(problem.scenario_sampler, 3, 1, 12)
+        slopes = np.full(instance.stores, -1.0)
+        batch = np.insert(scenarios, where, scenario(slopes, 1.0 - slopes * p), axis=0)
+        solves, _ = record_solves(monkeypatch)
+        values, derivs = recourse_lp(instance, p, batch)
+        crash = list(solves)
+        cold_values, cold_derivs, cold = cold_recourse(instance, p, batch)
+        np.testing.assert_allclose(values, cold_values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(derivs, cold_derivs, rtol=0, atol=1e-9)
+        assert len(crash) == 2
+        (fallback,) = [sol for sol in crash if sol.iterations]
+        assert fallback.iterations == cold[where].iterations > 0
+        assert tuple(fallback.basis) == tuple(cold[where].basis)
 
 
 class TestOracle:

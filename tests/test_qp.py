@@ -201,6 +201,20 @@ class TestSetValidation:
         with pytest.raises(ValueError, match="x must"):
             box.translate(x)
 
+    @pytest.mark.parametrize("lower, upper, x, field", [
+        ([-1.0, -1.0], [1.0, 1.0], [1e308, 0.0], "translated ineq_rhs"),
+        ([-1.0, -1.0], [1.0, 1.0], [-1e308, 0.0], "translated ineq_rhs"),
+        ([-1e308, -1.0], [1.0, 1.0], [1e308, 0.0], "translated lower"),
+        ([-1.0, -1.0], [1e308, 1.0], [-1e308, 0.0], "translated upper"),
+    ])
+    def test_translate_rejects_an_overflowing_limit(self, lower, upper, x, field):
+        """A finite x far outside the set overflows h - W @ x or a shifted
+        bound; before the check numpy only warned, and the translated set got
+        an infinite limit.  The suite turns that warning into an error."""
+        box = BoxPolyhedron(lower, upper, [[10.0, 0.0]], [4.0])
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            box.translate(x)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_membership_rejects_non_finite_coordinates(self, value):
         box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],

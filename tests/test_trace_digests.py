@@ -16,8 +16,8 @@ from snsqp.bench.runner import run_id_for, run_single
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("87a037bf526c38846bef7bac5f812a109a55dd857c703f2ecaa35293d5078043",
-            "8a00fbb7733dbe9dbd98b9517e1630e303d8cadcf671bcaa7684a499c4f58aa6"),
+    "pps": ("bc123ea5d062695a4a7125a76e705c2619e540957205a5c81ab4c4eea616f890",
+            "7b9495300a85b43d485c974b2c4cda5c037a94a42cb0cf00153375099c265977"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
     "affine-eq": ("34d65daa3c7f641f103dc94d1c4999c99a5e3255e95c687dd51541c994e77018",
