@@ -248,7 +248,8 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
     finishes from it, or a row it does not fit starts from the slack basis.
     The p-derivative comes from the envelope theorem: the z part of the cost
     vector has derivative -1 per unit shipped, and the demand right-hand
-    sides have derivative slope_j, weighted by their duals.
+    sides have derivative slope_j, weighted by their duals; both terms are
+    read per basis of the batch (shipped totals from the basic values).
     Returns two (batch,) arrays; raises RuntimeError naming the first
     scenario whose LP is not solved to optimality.
     """
@@ -258,14 +259,21 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
     rhs = _recourse_rhs(instance, p, scenarios)
     start = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)
-    failed = np.flatnonzero(sol.status != lp.LpStatus.OPTIMAL)
-    if failed.size:
-        raise RuntimeError(f"second-stage LP of scenario {failed[0]} ended "
-                           f"{sol.status[failed[0]].value}")
-    shipped = np.sum(sol.primal[:, instance.factories:], axis=1)
-    demand_duals = sol.duals[:, :instance.stores]
+    m, n = instance.factories, instance.stores
     slopes, _ = split_scenarios(instance, scenarios)
-    return sol.objective, -shipped - np.einsum("ij,ij->i", demand_duals, slopes)
+    dr_dp = np.empty(len(rhs))
+    for g, solve in enumerate(sol.solves):
+        rows = sol.group == g
+        if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order
+            raise RuntimeError(f"second-stage LP of scenario {int(rows.argmax())} "
+                               f"ended {solve.status.value}")
+        # z >= 0: a basic shipment ships its value, a nonbasic one 0 or its upper bound
+        shipped = sol.xb[rows] @ ((solve.basis >= m) & (solve.basis < problem.n_vars))
+        at_upper = solve.at_upper[solve.at_upper >= m]
+        if at_upper.size:
+            shipped = shipped + solve.primal[at_upper].sum()
+        dr_dp[rows] = -shipped - slopes[rows] @ solve.duals[:n]
+    return sol.objective, dr_dp
 
 
 def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,

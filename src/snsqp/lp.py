@@ -26,7 +26,7 @@ LpProblem builds the column block [A | I] and the column ranges once;
 LPs that share cost, rows and bounds and differ only in the right-hand side
 are solved together by solve_lp_multi_rhs, which reuses optimal bases across
 them ("bunching", Birge & Louveaux, Introduction to Stochastic Programming,
-L-shaped chapter).
+L-shaped chapter), and stores its result by basis rather than by row.
 
 Starting basis.  A solve may be given a start in the form an LpSolution
 reports its optimum, (basis, at_upper).  It is used only when it is a basis
@@ -181,20 +181,19 @@ class LpSolution:
 
 @dataclass
 class LpBatchSolution:
-    """Solutions of LPs that differ only in their right-hand side, one row each.
+    """Solutions of LPs that differ only in their right-hand side, stored by basis.
 
-    status is an object array of LpStatus; rows that are not OPTIMAL hold
-    zeros and a nan objective.
-    cold_solves counts the solve_lp calls made; every other row reused the
-    optimal basis of one of those solves.
+    solves holds one LpSolution per solve_lp call, made in row order for the
+    first row no earlier basis fits.  Row i has the status, basis, at_upper
+    and duals of solves[group[i]], its basic values xb[i] in that basis's
+    order, and its optimal value objective[i].  A row that is not OPTIMAL is
+    the one its solve was made for, with zero xb and a nan objective.
     """
 
-    primal: np.ndarray
-    duals: np.ndarray
-    bound_duals: np.ndarray
+    solves: list
+    group: np.ndarray
+    xb: np.ndarray
     objective: np.ndarray
-    status: np.ndarray
-    cold_solves: int
 
 
 def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
@@ -268,8 +267,8 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     row, that one included, in one product with the cold solve's fresh basis
     inverse, so each row's values depend on its basis and not on the pivots
     that found it.  Rows whose basic values lie within their bounds to
-    FEAS_TOL are accepted with the cold solve's duals; the rest repeat from
-    the first rejected row.
+    FEAS_TOL join its group with those values and the objective c.l +
+    c_U (u_U - l_U) + c_B xb; the rest repeat from the first rejected row.
     """
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     n_lp, s = rhs.shape
@@ -277,22 +276,21 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
         raise ValueError("rhs must have one column per inequality row")
     if not np.isfinite(rhs).all():
         raise ValueError("rhs must be finite")
-    q = problem.n_vars
     cols, rng = problem.columns, problem.ranges
     shifted = rhs - problem.lower_rows
+    costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing
+    fixed_cost = float(problem.cost @ problem.lower)
 
-    primal = np.zeros((n_lp, q))
-    duals = np.zeros((n_lp, s))
-    bound_duals = np.zeros((n_lp, q))
+    solves = []
+    group = np.zeros(n_lp, dtype=np.intp)
+    xb = np.zeros((n_lp, s))
     objective = np.full(n_lp, np.nan)
-    status = np.full(n_lp, None, dtype=object)
-    cold_solves = 0
     pending = np.arange(n_lp)
     while pending.size:
         sol = solve_lp(problem._with(ineq_rhs=rhs[pending[0]]), start)
-        cold_solves += 1
+        group[pending] = len(solves)  # the rows it does not fit move on
+        solves.append(sol)
         if sol.status is not LpStatus.OPTIMAL:
-            status[pending[0]] = sol.status
             pending = pending[1:]
             continue
 
@@ -300,22 +298,15 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
         b = shifted if pending.size == n_lp else shifted[pending]
         if upper.size:  # subtracting the empty product's zeros changes no bit
             b = b - cols[:, upper] @ rng[upper]
-        xb = b @ sol.basis_inverse.T
-        fits = ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all(axis=1)
+        values = b @ sol.basis_inverse.T
+        fits = ((values >= -FEAS_TOL) & (values <= rng[basis] + FEAS_TOL)).all(axis=1)
         fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
-        won = pending[fits]
+        won, values = pending[fits], values[fits]
+        xb[won] = values
         # nonbasic variables sit at the bound they sit at in the cold solve
-        x = np.repeat(sol.primal[None, :], won.size, axis=0)
-        structural = basis < q
-        x[:, basis[structural]] = (problem.lower[basis[structural]]
-                                   + xb[fits][:, structural])
-        primal[won], objective[won] = x, x @ problem.cost
-        duals[won], bound_duals[won] = sol.duals, sol.bound_duals
-        status[won] = LpStatus.OPTIMAL
+        objective[won] = (fixed_cost + costs[upper] @ rng[upper]) + values @ costs[basis]
         pending = pending[~fits]
-    return LpBatchSolution(primal=primal, duals=duals, bound_duals=bound_duals,
-                           objective=objective, status=status,
-                           cold_solves=cold_solves)
+    return LpBatchSolution(solves=solves, group=group, xb=xb, objective=objective)
 
 
 def _solve_box_only(problem: LpProblem) -> LpSolution:

@@ -4,7 +4,8 @@ Nothing here is clever on purpose.  The QP reference enumerates every
 combination of active bounds and rows and solves the resulting equality
 systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
-The rest are independent checks: LP optimality residuals, finite
+The rest are independent checks: LP optimality residuals (with the
+expansion of one batch row into its own LP solution), finite
 differences, quadrature moments, grid minima, the closed-form PPS recourse
 and a sampled weak-convexity modulus.
 """
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 
 from snsqp.bench import pps
 from snsqp.bench.pps import PpsInstance
-from snsqp.lp import LpProblem, LpSolution
+from snsqp.lp import LpBatchSolution, LpProblem, LpSolution, LpStatus
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import QpProblem
 from snsqp.sampling import draw_scenarios
@@ -174,6 +175,20 @@ def verify_lp(problem: LpProblem, solution: LpSolution) -> dict:
                       - float(pi_upper @ np.where(finite_up, problem.upper, 0.0)))
     gap = abs(solution.objective - dual_objective)
     return {"primal_res": primal_res, "dual_res": dual_res, "gap": gap}
+
+
+def batch_row(problem: LpProblem, batch: LpBatchSolution, i: int) -> LpSolution:
+    """Row i of a batch as an LpSolution of its own: its group's solve, with
+    the row's basic values and objective (the solve itself if not OPTIMAL)."""
+    solve = batch.solves[batch.group[i]]
+    if solve.status is not LpStatus.OPTIMAL:
+        return solve
+    values = np.zeros(problem.n_vars + problem.n_rows)
+    values[solve.at_upper] = problem.ranges[solve.at_upper]
+    values[solve.basis] = batch.xb[i]
+    return LpSolution(problem.lower + values[:problem.n_vars], solve.duals,
+                      solve.bound_duals, float(batch.objective[i]), solve.status,
+                      basis=solve.basis, at_upper=solve.at_upper)
 
 
 def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -17,13 +17,12 @@ from scipy.optimize import linprog
 from snsqp import lp
 from snsqp.lp import (
     LpProblem,
-    LpSolution,
     LpStatus,
     solve_lp,
     solve_lp_multi_rhs,
 )
 
-from reference import enumerate_lp, verify_lp
+from reference import batch_row, enumerate_lp, verify_lp
 
 
 def random_instance(rng, q, s, inf_uppers=False):
@@ -70,15 +69,14 @@ class TestMultiRhs:
     def test_every_row_matches_its_own_solve(self, seed, q, s, n_rhs, inf_uppers):
         problem, rhs = shared_rows_family(seed, q, s, n_rhs, inf_uppers)
         batch = solve_lp_multi_rhs(problem, rhs)
-        target(float(batch.cold_solves), label="cold solves")
-        assert 1 <= batch.cold_solves <= n_rhs
+        target(float(len(batch.solves)), label="cold solves")
+        assert 1 <= len(batch.solves) <= n_rhs
         for i in range(n_rhs):
             row_problem = replace(problem, ineq_rhs=rhs[i])
             cold = solve_lp(row_problem)
-            assert batch.status[i] is LpStatus.OPTIMAL
+            row = batch_row(problem, batch, i)
+            assert row.status is LpStatus.OPTIMAL
             assert abs(batch.objective[i] - cold.objective) <= 1e-8
-            row = LpSolution(batch.primal[i], batch.duals[i], batch.bound_duals[i],
-                             batch.objective[i], batch.status[i])
             residuals = verify_lp(row_problem, row)
             assert residuals["gap"] <= 1e-8
             assert residuals["primal_res"] <= 1e-8
@@ -93,17 +91,17 @@ class TestMultiRhs:
                             upper=[10.0, 10.0])
         rhs = np.array([[1.0, 1.0, 5.0], [4.0, 4.0, 5.0], [2.0, 1.5, 9.0]])
         batch = solve_lp_multi_rhs(problem, rhs)
-        assert batch.cold_solves == 2
+        assert len(batch.solves) == 2
         np.testing.assert_allclose(batch.objective, [-2.0, -5.0, -3.5], atol=1e-12)
         # the third row reused the first basis, and with it its duals
-        np.testing.assert_array_equal(batch.duals[2], batch.duals[0])
+        assert batch.group[2] == batch.group[0]
 
     def test_infeasible_row_keeps_the_others(self):
         problem = LpProblem(cost=[1.0], ineq_matrix=[[-1.0]], ineq_rhs=[0.0],
                             lower=[0.0], upper=[10.0])
         batch = solve_lp_multi_rhs(problem, np.array([[-1.0], [-20.0], [-2.0]]))
-        assert list(batch.status) == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE,
-                                      LpStatus.OPTIMAL]
+        assert [batch.solves[g].status for g in batch.group] == [
+            LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
         np.testing.assert_allclose(batch.objective[[0, 2]], [1.0, 2.0])
         assert np.isnan(batch.objective[1])
 
@@ -492,7 +490,7 @@ class TestStart:
 
         monkeypatch.setattr(lp, "solve_lp", solve)
         batch = solve_lp_multi_rhs(problem, rhs, start)
-        assert batch.cold_solves == len(starts) == 2
+        assert len(batch.solves) == len(starts) == 2
         assert all(given is start for given in starts)
         np.testing.assert_allclose(batch.objective, [-19.0, -2.0], atol=1e-12)
 

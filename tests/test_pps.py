@@ -200,7 +200,7 @@ class TestRecourseLp:
         for p in (1.5, 3.0, 5.0, 6.5, 8.0):
             template = second_stage_lp(instance, p, scenarios[0])
             rhs = np.hstack([slopes * p + intercepts, np.zeros((1000, 5))])
-            assert lp.solve_lp_multi_rhs(template, rhs).cold_solves == 1
+            assert len(lp.solve_lp_multi_rhs(template, rhs).solves) == 1
 
     def test_closed_form_requires_uniform_costs(self, instance):
         slopes, intercepts = np.full(5, -1.0), np.full(5, 20.0)
@@ -287,7 +287,7 @@ def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, 
     """The benchmark's lp.recourse_* spans time the recourse LP by wrapping
     snsqp.lp.solve_lp.  A cold solve that bypassed that name would drop out
     of them without any error, so the wrapped name must see every cold solve
-    that LpBatchSolution.cold_solves counts, through recourse_lp and through
+    that len(LpBatchSolution.solves) counts, through recourse_lp and through
     the problem's oracle."""
     scenarios = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, size)
     solves, batches = record_solves(monkeypatch)
@@ -295,7 +295,7 @@ def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, 
         recourse_lp(instance, p, scenarios)
         problem.oracle(np.array([2.0, p]), scenarios)
     assert len(batches) == 6
-    assert len(solves) == sum(batch.cold_solves for batch in batches) >= 6
+    assert len(solves) == sum(len(batch.solves) for batch in batches) >= 6
 
 
 def cold_recourse(instance, p, scenarios):
@@ -396,6 +396,14 @@ class TestOracle:
             pps_oracle(instance, np.array([2.0, 10.0]), bad[None, :])
         with pytest.raises(OracleError, match="scenario index 1"):
             aggregate(problem, np.array([2.0, 10.0]), np.stack([good, bad, good]))
+
+    def test_recourse_names_the_first_infeasible_row(self, instance):
+        """Each infeasible row gets a cold solve of its own; the error names
+        the smallest of them, whichever group it was found in."""
+        bad = scenario(np.full(5, -2.0), np.full(5, 1.0))
+        good = scenario(np.full(5, -1.0), np.full(5, 20.0))
+        with pytest.raises(RuntimeError, match="scenario 1 ended infeasible"):
+            recourse_lp(instance, 10.0, np.stack([good, bad, good, bad]))
 
 
 class TestCurvatureBudget:

@@ -16,8 +16,8 @@ from snsqp.bench.runner import run_id_for, run_single
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("bc123ea5d062695a4a7125a76e705c2619e540957205a5c81ab4c4eea616f890",
-            "7b9495300a85b43d485c974b2c4cda5c037a94a42cb0cf00153375099c265977"),
+    "pps": ("bd75b738b528fc836dca63b7166e9be6e941798616ee1b78287775526721bbdc",
+            "8ff7a0995250104acb74945ffc149fc9524a8473aa416f6a4c4f4eb09842c80c"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
     "affine-eq": ("34d65daa3c7f641f103dc94d1c4999c99a5e3255e95c687dd51541c994e77018",
