@@ -28,7 +28,6 @@ from . import pps, runner, synthetic
 class ConfigError(Exception):
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}")
-        self.field = field
 
 
 def cli_main(argv=None) -> int:
@@ -48,7 +47,7 @@ def cli_main(argv=None) -> int:
     bench.add_argument("--seed-base", type=int, default=0)
     bench.add_argument("--out", type=Path, default=Path("bench_out"))
     bench.add_argument("--eta", type=float, default=1.0)
-    bench.add_argument("--alpha0", type=float, default=15.0)
+    bench.add_argument("--alpha0", type=float, default=pps.ALPHA0)
     bench.add_argument("--workers", type=int, default=1)
 
     run_p = sub.add_parser("run", help="single run described by a JSON config")
@@ -100,7 +99,7 @@ _RUN_FIELDS = {"problem", "strategy", "budget", "seed", "alpha0", "epoch",
                "theta0", "max_iterations", "x0"}
 
 _PROBLEM_BUILDERS = {
-    "pps": (pps.build_pps_problem, 15.0, pps.X0),
+    "pps": (pps.build_pps_problem, pps.ALPHA0, pps.X0),
     "affine-eq": (synthetic.build_affine_equality_problem, 1.0,
                   np.array([0.0, 0.0])),
     "quadratic-eq": (synthetic.build_quadratic_equality_problem, 2.0,
@@ -202,7 +201,6 @@ def _cmd_curve(args) -> int:
     if args.batch < 1:
         raise ConfigError("batch", "expected positive integer")
     instance = pps.build_pps_instance()
-    template = pps.recourse_template(instance)
     scenarios = draw_scenarios(pps.scenario_sampler(instance), args.seed, 0,
                                args.batch)
     p_lo, p_hi = instance.price_bounds
@@ -212,8 +210,7 @@ def _cmd_curve(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,value,derivative\n")
         for p in grid:
-            values, derivs = pps.recourse_lp(instance, float(p), scenarios,
-                                             template=template)
+            values, derivs = pps.recourse_lp(instance, float(p), scenarios)
             fh.write(f"{float(p)!r},{float(values.mean())!r},"
                      f"{float(derivs.mean())!r}\n")
     print(f"curve: {args.out} ({args.points} points, batch {args.batch})")

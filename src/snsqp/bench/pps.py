@@ -23,7 +23,7 @@ intercepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +35,11 @@ from ..qp import BoxPolyhedron
 _MAX_REJECTION_ROUNDS = 10 ** 4
 
 #: weak-convexity modulus estimate used for this benchmark's runs; together
-#: with eta_alpha = 1.5 it makes the reference curvature alpha0 = 15 admissible
+#: with eta_alpha = 1.5 it makes the reference curvature ALPHA0 admissible
 RHO_ESTIMATE = 10.0
+
+#: the reference curvature alpha0 of benchmark runs
+ALPHA0 = 15.0
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ class PpsInstance:
     intercept_intervals: np.ndarray
     price_bounds: tuple = (1.0, 10.0)
     quantity_floor: float = 1.0
+    #: the recourse LP, built and checked once from the fields above
+    recourse: lp.LpProblem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "production_costs",
@@ -75,6 +80,7 @@ class PpsInstance:
         for intervals in (self.slope_intervals, self.intercept_intervals):
             if not np.all(intervals[:, 0] < intervals[:, 1]):
                 raise ValueError("each interval's lower end must lie below its upper end")
+        object.__setattr__(self, "recourse", _recourse_problem(self))
 
 
 def build_pps_instance() -> PpsInstance:
@@ -163,7 +169,7 @@ def _recourse_rows(instance: PpsInstance) -> np.ndarray:
     return rows
 
 
-def recourse_template(instance: PpsInstance) -> lp.LpProblem:
+def _recourse_problem(instance: PpsInstance) -> lp.LpProblem:
     """The recourse LP's rows and bounds, built and checked once per instance.
 
     Variables are (y, z-flattened).  Its cost is the one at p = 0 and its
@@ -191,8 +197,9 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
     """Recourse right-hand sides at price p: demand caps, then zeros for the
     capacity rows; one row per scenario (a 1-D scenario gives a 1-D rhs)."""
     slopes, intercepts = split_scenarios(instance, scenarios)
-    capacity = np.zeros(scenarios.shape[:-1] + (instance.factories,))
-    return np.concatenate([slopes * p + intercepts, capacity], axis=-1)
+    rhs = np.zeros(scenarios.shape[:-1] + (instance.stores + instance.factories,))
+    rhs[..., :instance.stores] = slopes * p + intercepts
+    return rhs
 
 
 def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
@@ -219,7 +226,8 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
     ship, produce = float(instance.shipment_costs.min()), instance.production_costs
     if p <= ship:
         return None
-    j_star = int(demand.min(axis=0).argmax())
+    # numpy reduces a narrow block much faster along rows than down columns
+    j_star = int(np.ascontiguousarray(demand.T).min(axis=1).argmax())
     floor_units = m + np.arange(m) * n + j_star
     if p <= ship + float(produce.min()):
         demand_rows = m + m * n + np.arange(n)  # the demand slacks
@@ -230,21 +238,21 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
     return np.concatenate([demand_rows, floor_units]), np.zeros(0, dtype=np.intp)
 
 
-def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
-                template: lp.LpProblem = None) -> tuple:
+def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple:
     """Recourse values and their p-derivatives for a batch, by linear programming.
 
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
-    bases; only the cost and the right-hand sides are built per call.  Each
-    cold solve starts from a crash basis (_recourse_start) built from p and
-    this batch's demands alone, so no state outlives the call: the slack
-    basis up to the shipment cost; then every factory's floor unit shipped
-    to the store j* whose smallest demand in the batch is largest; above the
-    shipment cost plus the cheapest production cost, also the cheapest
-    factory's production and shipments.  With uniform shipment costs that
-    basis is optimal for every row whose demand covers the floor units, so
-    the batch takes one cold solve and no pivot.  Otherwise the simplex
+    bases; only the cost and the right-hand sides are built per call, on
+    instance.recourse.  Each cold solve starts from a crash basis
+    (_recourse_start) built from p and this batch's demands alone, so no
+    state outlives the call: the slack basis up to the shipment cost; then
+    every factory's floor unit shipped to the store j* whose smallest demand
+    in the batch is largest; above the shipment cost plus the cheapest
+    production cost, also the cheapest factory's production and shipments.
+    With uniform shipment costs that basis is optimal for every row whose
+    demand covers the floor units, so the batch takes one cold solve and no
+    pivot.  Otherwise the simplex
     finishes from it, or a row it does not fit starts from the slack basis.
     The p-derivative comes from the envelope theorem: the z part of the cost
     vector has derivative -1 per unit shipped, and the demand right-hand
@@ -253,9 +261,7 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
     Returns two (batch,) arrays; raises RuntimeError naming the first
     scenario whose LP is not solved to optimality.
     """
-    if template is None:
-        template = recourse_template(instance)
-    problem = template.with_vectors(cost=_recourse_cost(instance, p))
+    problem = instance.recourse.with_vectors(cost=_recourse_cost(instance, p))
     rhs = _recourse_rhs(instance, p, scenarios)
     start = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)
@@ -267,20 +273,17 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray,
         if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order
             raise RuntimeError(f"second-stage LP of scenario {int(rows.argmax())} "
                                f"ended {solve.status.value}")
-        # z >= 0: a basic shipment ships its value, a nonbasic one 0 or its upper bound
+        # no recourse variable has a finite upper bound, so a nonbasic
+        # shipment ships 0 and a basic one its value
         shipped = sol.xb[rows] @ ((solve.basis >= m) & (solve.basis < problem.n_vars))
-        at_upper = solve.at_upper[solve.at_upper >= m]
-        if at_upper.size:
-            shipped = shipped + solve.primal[at_upper].sum()
         dr_dp[rows] = -shipped - slopes[rows] @ solve.duals[:n]
     return sol.objective, dr_dp
 
 
-def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,
-               template: lp.LpProblem = None) -> tuple:
+def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray) -> tuple:
     """Sampled total objectives (N,) and subgradients over (x, p), (N, 2)."""
     x, p = float(first_stage[0]), float(first_stage[1])
-    recourse, dr_dp = recourse_lp(instance, p, scenarios, template=template)
+    recourse, dr_dp = recourse_lp(instance, p, scenarios)
     grads = np.empty((len(scenarios), 2))
     grads[:, 0] = instance.first_stage_cost - p
     grads[:, 1] = -x + dr_dp
@@ -290,10 +293,10 @@ def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray,
 def build_pps_problem() -> ConstrainedStochasticProblem:
     """Assemble the full stochastic problem around the reference instance."""
     instance = build_pps_instance()
-    template = recourse_template(instance)
 
     def oracle(point, scenarios):
-        return pps_oracle(instance, point, scenarios, template=template)
+        # looked up per call, so a wrapper installed later sees every call
+        return pps_oracle(instance, point, scenarios)
 
     return ConstrainedStochasticProblem(
         dimension=2,

@@ -8,7 +8,6 @@ a single output byte.  A summary table collects the per-run endpoints.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ..diagnostics import (
@@ -53,7 +52,7 @@ def run_id_for(strategy_text: str, seed: int) -> str:
 
 
 def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
-               out_dir, alpha0: float = 15.0, eta: float = 1.0) -> dict:
+               out_dir, alpha0: float = pps.ALPHA0, eta: float = 1.0) -> dict:
     """One benchmark run; writes its CSVs and returns the summary row."""
     problem = pps.build_pps_problem()
     config = SolverConfig(
@@ -87,7 +86,7 @@ def _run_single_args(args) -> dict:
 
 
 def run_grid(strategies, n_seeds: int, budget: int, epoch: int, out_dir,
-             seed_base: int = 0, alpha0: float = 15.0, eta: float = 1.0,
+             seed_base: int = 0, alpha0: float = pps.ALPHA0, eta: float = 1.0,
              workers: int = 1) -> list:
     """All (strategy, seed) runs; writes summary.csv; returns summary rows.
 
@@ -96,6 +95,7 @@ def run_grid(strategies, n_seeds: int, budget: int, epoch: int, out_dir,
     jobs = [(text, seed_base + s, budget, epoch, out_dir, alpha0, eta)
             for text in strategies for s in range(n_seeds)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_single_args, jobs))
     else:

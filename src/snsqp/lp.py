@@ -19,8 +19,6 @@ it changes no pivot.
 Dual sign convention: inequality rows A x <= b carry nonnegative multipliers
 mu in the Lagrangian L = c.x + mu.(A x - b).  The value-function subgradient
 formulas downstream rely on this sign, so it is part of the contract.
-bound_duals holds the reduced cost of each variable at the optimum:
-nonnegative at an active lower bound, nonpositive at an active upper bound.
 
 LpProblem builds the column block [A | I] and the column ranges once;
 LPs that share cost, rows and bounds and differ only in the right-hand side
@@ -165,12 +163,11 @@ class LpSolution:
     structural variables that sit at their upper bound; together they
     determine the vertex for any right-hand side.  basis_inverse is the
     inverse of those columns, freshly computed rather than updated through
-    the pivots; primal, duals and bound_duals come from it.
+    the pivots; primal and duals come from it.
     """
 
     primal: np.ndarray
     duals: np.ndarray
-    bound_duals: np.ndarray
     objective: float
     status: LpStatus
     iterations: int = 0
@@ -205,19 +202,15 @@ def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
     a well-conditioned basis that is primal feasible for this right-hand
     side (see _checked_start), phase 2 runs from it; otherwise it is ignored
     and the solve starts from the slack basis, with the same pivots as
-    without a start.  A problem without rows ignores it.
+    without a start.
     """
     q, s = problem.n_vars, problem.n_rows
-    if s == 0:
-        return _solve_box_only(problem)
-
     b0 = problem.ineq_rhs - problem.lower_rows
     checked = None if start is None else _checked_start(problem, b0, start)
     core = _Simplex(problem, b0, checked)
     status = core.run(bland_after=BLAND_AFTER_FACTOR * (q + s))
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(np.zeros(q), np.zeros(s), np.zeros(q), np.nan, status,
-                          core.pivots)
+        return LpSolution(np.zeros(q), np.zeros(s), np.nan, status, core.pivots)
 
     # a basic artificial sits at zero; its row's slack (the negated column)
     # spans the same basis with the same duals
@@ -244,7 +237,6 @@ def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
     return LpSolution(
         primal=x,
         duals=-y,
-        bound_duals=problem.cost - y @ problem.ineq_matrix,
         objective=float(problem.cost @ x),
         status=LpStatus.OPTIMAL,
         iterations=core.pivots,
@@ -309,22 +301,6 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     return LpBatchSolution(solves=solves, group=group, xb=xb, objective=objective)
 
 
-def _solve_box_only(problem: LpProblem) -> LpSolution:
-    """No rows: minimize a linear function over a box."""
-    q = problem.n_vars
-    x = problem.lower.copy()
-    for j in range(q):
-        if problem.cost[j] < -PIVOT_TOL:
-            if not np.isfinite(problem.upper[j]):
-                return LpSolution(np.zeros(q), np.zeros(0), np.zeros(q), np.nan,
-                                  LpStatus.UNBOUNDED)
-            x[j] = problem.upper[j]
-    return LpSolution(x, np.zeros(0), problem.cost.copy(), float(problem.cost @ x),
-                      LpStatus.OPTIMAL, basis=np.zeros(0, dtype=int),
-                      at_upper=np.flatnonzero(x != problem.lower),
-                      basis_inverse=np.zeros((0, 0)))
-
-
 def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
     """(basis, at_upper, B^-1, basic values) of a usable start, else None.
 
@@ -357,7 +333,8 @@ def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
     except np.linalg.LinAlgError:
         return None
     with np.errstate(over="ignore"):  # an overflow reads as inf and is rejected
-        condition = np.abs(matrix).sum(axis=0).max() * np.abs(b_inv).sum(axis=0).max()
+        condition = (np.abs(matrix).sum(axis=0).max(initial=0.0)
+                     * np.abs(b_inv).sum(axis=0).max(initial=0.0))
     if not condition <= START_CONDITION_LIMIT:  # also rejects a nan inverse
         return None
     rhs = b0
@@ -435,7 +412,7 @@ class _Simplex:
             phase1[self.art_slice] = 1.0
             self.cost = phase1
             self._optimize(bland_after)  # bounded below by 0, cannot be unbounded
-            if self._objective() > FEAS_TOL:
+            if self.xb[self.basis >= self.q + self.s].sum() > FEAS_TOL:
                 return LpStatus.INFEASIBLE
             self.rng[self.art_slice] = 0.0
             self.sign[self.art_slice] = 0.0
@@ -444,14 +421,6 @@ class _Simplex:
         real[:self.q] = self.structural_cost
         self.cost = real
         return self._optimize(bland_after)
-
-    def values(self) -> np.ndarray:
-        vals = np.where(self.at_upper & np.isfinite(self.rng), self.rng, 0.0)
-        vals[self.basis] = self.xb
-        return vals
-
-    def _objective(self) -> float:
-        return float(self.cost @ self.values())
 
     def _optimize(self, bland_after: int) -> LpStatus:
         while True:
@@ -486,8 +455,7 @@ class _Simplex:
             np.divide(np.maximum(self.rng_b - self.xb, 0.0), -delta, out=ratios,
                       where=to_upper)
 
-        leave_pos = int(ratios.argmin())
-        min_ratio = float(ratios[leave_pos])
+        min_ratio = float(ratios.min(initial=math.inf))
         flip_t = float(self.rng[j])
         if not (math.isfinite(min_ratio) or math.isfinite(flip_t)):
             return False
@@ -501,8 +469,7 @@ class _Simplex:
 
         # leaving: smallest variable index among the minimal ratios (Bland-safe)
         tied = (ratios == min_ratio).nonzero()[0]
-        if tied.size > 1:
-            leave_pos = int(tied[self.basis[tied].argmin()])
+        leave_pos = int(tied[0] if tied.size == 1 else tied[self.basis[tied].argmin()])
         leave = int(self.basis[leave_pos])
 
         self.xb -= min_ratio * delta

@@ -195,7 +195,9 @@ def next_sample_size(strategy: SamplingStrategy, stats: SampleStats, alpha: floa
             return strategy.cap
         if variance_test(stats, alpha, step_norm_sq, strategy.eta):
             return stats.batch_size
-        raw = math.ceil(stats.sum_sq_dev
-                        / (strategy.eta * alpha * step_norm_sq * (stats.batch_size - 1)))
-        return min(max(raw, MIN_BATCH), strategy.cap)
+        ratio = (stats.sum_sq_dev
+                 / (strategy.eta * alpha * step_norm_sq * (stats.batch_size - 1)))
+        if not ratio < strategy.cap:  # also an infinite ratio from a tiny step
+            return strategy.cap
+        return max(math.ceil(ratio), MIN_BATCH)
     raise TypeError(f"unknown sampling strategy: {strategy!r}")

@@ -143,10 +143,12 @@ def enumerate_lp(problem: LpProblem, tol: float = 1e-9) -> float:
 
 
 def verify_lp(problem: LpProblem, solution: LpSolution) -> dict:
-    """Primal residual, dual residual and duality gap of a claimed optimum."""
+    """Primal residual, dual residual and duality gap of a claimed optimum.
+
+    The bound multipliers are the parts of the reduced costs c + A^T mu."""
     x = solution.primal
     mu = solution.duals
-    r = solution.bound_duals
+    r = problem.cost + problem.ineq_matrix.T @ mu
     pi_lower = np.maximum(r, 0.0)
     pi_upper = np.maximum(-r, 0.0)
 
@@ -187,7 +189,7 @@ def batch_row(problem: LpProblem, batch: LpBatchSolution, i: int) -> LpSolution:
     values[solve.at_upper] = problem.ranges[solve.at_upper]
     values[solve.basis] = batch.xb[i]
     return LpSolution(problem.lower + values[:problem.n_vars], solve.duals,
-                      solve.bound_duals, float(batch.objective[i]), solve.status,
+                      float(batch.objective[i]), solve.status,
                       basis=solve.basis, at_upper=solve.at_upper)
 
 
@@ -271,7 +273,7 @@ def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
 
 def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray) -> LpProblem:
     """The recourse LP at price p for one scenario row, for cold solves."""
-    return pps.recourse_template(instance).with_vectors(
+    return instance.recourse.with_vectors(
         cost=pps._recourse_cost(instance, p), ineq_rhs=pps._recourse_rhs(instance, p, scenario))
 
 

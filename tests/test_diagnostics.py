@@ -203,18 +203,29 @@ class TestAgainstScipyNnls:
             assert report.residual == pytest.approx(0.5, rel=1e-15)
 
 
-def test_runtime_imports_leave_scipy_out():
-    """The solver and the benchmark entry points run on numpy alone."""
+def entry_point_imports(package: str) -> str:
+    """The modules of `package` that importing the solver and the benchmark
+    entry points loads in a fresh interpreter, as a printed sorted list."""
     src = str(Path(snsqp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, snsqp, snsqp.bench.cli, snsqp.bench.runner; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_runtime_imports_leave_scipy_out():
+    """The solver and the benchmark entry points run on numpy alone."""
+    assert entry_point_imports("scipy") == "[]"
+
+
+def test_runtime_imports_leave_multiprocessing_out():
+    """Only a grid run with several workers imports the process pool."""
+    assert entry_point_imports("multiprocessing") == "[]"
 
 
 class TestPolyhedronRows:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from snsqp import lp
+from snsqp.bench import pps
 from snsqp.bench.pps import (
     X0,
     build_pps_instance,
@@ -87,6 +88,14 @@ class TestInstanceData:
                 demand_intercept0=good.demand_intercept0,
                 slope_intervals=np.abs(good.slope_intervals),
                 intercept_intervals=good.intercept_intervals)
+
+    def test_replace_rebuilds_the_recourse_lp(self, instance):
+        """The recourse LP is built from the other fields, so a replaced
+        instance gets its own."""
+        raised = dataclasses.replace(instance, quantity_floor=2.0)
+        np.testing.assert_array_equal(raised.recourse.lower[:5], 2.0)
+        np.testing.assert_array_equal(raised.recourse.lower[5:], 0.0)
+        np.testing.assert_array_equal(instance.recourse.lower[:5], 1.0)
 
     def test_rejects_reversed_or_empty_intervals(self):
         """Lower end not below the upper end fails at construction, not at
@@ -198,9 +207,9 @@ class TestRecourseLp:
         scenarios = draw_scenarios(problem.scenario_sampler, 0, 1, 1000)
         slopes, intercepts = split_scenarios(instance, scenarios)
         for p in (1.5, 3.0, 5.0, 6.5, 8.0):
-            template = second_stage_lp(instance, p, scenarios[0])
+            at_p = second_stage_lp(instance, p, scenarios[0])
             rhs = np.hstack([slopes * p + intercepts, np.zeros((1000, 5))])
-            assert len(lp.solve_lp_multi_rhs(template, rhs).solves) == 1
+            assert len(lp.solve_lp_multi_rhs(at_p, rhs).solves) == 1
 
     def test_closed_form_requires_uniform_costs(self, instance):
         slopes, intercepts = np.full(5, -1.0), np.full(5, 20.0)
@@ -369,8 +378,8 @@ class TestOracle:
             np.testing.assert_allclose(grads[:, 1], fd_p, rtol=0, atol=1e-4)
 
     def test_calls_share_no_state(self, problem):
-        """The oracle shares one immutable recourse template across calls;
-        a call's bytes do not depend on the calls made before it."""
+        """The oracle shares the instance's immutable recourse LP across
+        calls; a call's bytes do not depend on the calls made before it."""
         batch = draw_scenarios(problem.scenario_sampler, 9, 2, 50)
         point = np.array([2.0, 5.0])
         first_values, first_grads = problem.oracle(point, batch)
@@ -379,6 +388,23 @@ class TestOracle:
         values, grads = problem.oracle(point, batch)
         assert values.tobytes() == first_values.tobytes()
         assert grads.tobytes() == first_grads.tobytes()
+
+    def test_calls_go_through_the_module_name(self, monkeypatch):
+        """The benchmark's bench.oracle span wraps snsqp.bench.pps.pps_oracle
+        after the problem is built, so the problem's oracle looks that name
+        up on every call."""
+        problem = build_pps_problem()
+        points, original = [], pps.pps_oracle
+
+        def recorded(instance, point, scenarios):
+            points.append(point)
+            return original(instance, point, scenarios)
+
+        monkeypatch.setattr(pps, "pps_oracle", recorded)
+        batch = draw_scenarios(problem.scenario_sampler, 9, 2, 10)
+        problem.oracle(X0, batch)
+        aggregate(problem, np.array([2.0, 5.0]), batch)
+        assert [list(point) for point in points] == [[1.5, 1.5], [2.0, 5.0]]
 
     def test_value_decomposition(self, instance, problem):
         batch = draw_scenarios(problem.scenario_sampler, 2, 1, 1)

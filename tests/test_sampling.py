@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from snsqp.driver import SolverConfig, run_algorithm1
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import (
@@ -248,6 +249,21 @@ class TestSchedules:
         strat = AdaptiveSize(eta=1e-9, cap=64)
         stats = SampleStats(0.0, np.zeros(1), 1e6, 10)
         assert next_sample_size(strat, stats, 1.0, 1.0, 2) == 64
+
+    def test_adaptive_tiny_step_takes_the_cap(self):
+        """A step whose squared norm is subnormal makes the growth ratio
+        infinite; the run takes the cap instead of failing in ceil."""
+        problem = ConstrainedStochasticProblem(
+            dimension=1,
+            scenario_sampler=lambda rng, count: rng.uniform(0.0, 5.0, count),
+            oracle=lambda x, xi: (x[0] * (1.0 + xi), (1.0 + xi)[:, None]),
+            set=BoxPolyhedron(lower=[0.0], upper=[1.0]),
+            rho_estimate=1.0,
+        )
+        config = SolverConfig(x0=np.array([1e-160]), alpha0=1.0,
+                              strategy=AdaptiveSize(eta=1.0, cap=1000), budget=2000)
+        trace = run_algorithm1(problem, config)
+        assert trace.records[1].batch_size == 1000
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
