@@ -154,14 +154,10 @@ def _cmd_run(args) -> int:
     run_id = _nonempty_str(
         cfg, "run_id", f"{cfg['problem']}_{strategy_text.replace(':', '-')}_seed{seed}")
 
-    try:
-        config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
-                              strategy=strategy, budget=budget, master_seed=seed,
-                              **kwargs)
-        run = run_algorithm2 if problem.eq_constraints is not None else run_algorithm1
-        trace = run(problem, config)
-    except ValueError as exc:
-        raise ConfigError("config", str(exc))
+    config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
+                          strategy=strategy, budget=budget, master_seed=seed, **kwargs)
+    run = run_algorithm2 if problem.eq_constraints is not None else run_algorithm1
+    trace = run(problem, config)
 
     reference = reference_batch(problem)
     fill_stationarity(trace, reference)

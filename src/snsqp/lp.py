@@ -5,16 +5,14 @@ bounded-variable pivoting (variables may sit at either bound when nonbasic)
 and Bland's rule engaged after a pivot budget to guarantee termination on
 degenerate instances.
 
-Pivot rules.  Pricing keeps one sign per column: -1 for a nonbasic variable
-at its lower bound, +1 at its upper bound, 0 for a basic or fixed one, so
-sign * reduced cost is each column's violation.  The column with the largest
+Pivot rules.  The simplex keeps one state per column: -1 for a nonbasic
+variable at its lower bound, +1 at its upper bound, 0 for a basic one.  A
+fixed column (range 0) is not movable and never enters, so state * movable *
+reduced cost is each column's violation.  The column with the largest
 violation above PIVOT_TOL enters (the first one on ties); under Bland's rule
 the first column above PIVOT_TOL does.  The leaving variable has the smallest
 ratio, ties going to the smallest variable index, unless the entering
-variable reaches its own other bound first (a bound flip).  The sign vector
-is bookkeeping only, updated as variables enter, leave and flip: its
-products are exactly the reduced costs masked by basis status and bound, so
-it changes no pivot.
+variable reaches its own other bound first (a bound flip).
 
 Dual sign convention: inequality rows A x <= b carry nonnegative multipliers
 mu in the Lagrangian L = c.x + mu.(A x - b).  The value-function subgradient
@@ -218,19 +216,16 @@ def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
     if core.neg_rows.size:
         artificial = basis >= q + s
         basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
-    at_upper = np.flatnonzero(core.at_upper[:q] & ~core.in_basis[:q])
-    cols, rng = problem.columns, problem.ranges
+    at_upper = np.flatnonzero(core.state[:q] > 0)
     vals = np.zeros(q + s)
-    if at_upper.size:
-        vals[at_upper] = rng[at_upper]
-        b0 = b0 - cols[:, at_upper] @ rng[at_upper]
+    vals[at_upper] = problem.ranges[at_upper]
     b_inv, xb, y = core.b_inv, core.xb, core.y
     if core.pivots or core.neg_rows.size:
         # values and duals from a fresh inverse of the final basis, so that
         # they do not depend on the pivots that led there; without pivots or
         # artificials the start's own inverse is that inverse already
-        b_inv = np.linalg.inv(cols[:, basis])
-        xb = b_inv @ b0
+        b_inv = np.linalg.inv(problem.columns[:, basis])
+        xb = b_inv @ _net_of_upper(problem, b0, at_upper)
         y = core.cost[core.basis] @ b_inv
     vals[basis] = xb
     x = problem.lower + vals[:q]
@@ -268,7 +263,7 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
         raise ValueError("rhs must have one column per inequality row")
     if not np.isfinite(rhs).all():
         raise ValueError("rhs must be finite")
-    cols, rng = problem.columns, problem.ranges
+    rng = problem.ranges
     shifted = rhs - problem.lower_rows
     costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing
     fixed_cost = float(problem.cost @ problem.lower)
@@ -288,9 +283,7 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
 
         basis, upper = sol.basis, sol.at_upper
         b = shifted if pending.size == n_lp else shifted[pending]
-        if upper.size:  # subtracting the empty product's zeros changes no bit
-            b = b - cols[:, upper] @ rng[upper]
-        values = b @ sol.basis_inverse.T
+        values = _net_of_upper(problem, b, upper) @ sol.basis_inverse.T
         fits = ((values >= -FEAS_TOL) & (values <= rng[basis] + FEAS_TOL)).all(axis=1)
         fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
         won, values = pending[fits], values[fits]
@@ -326,8 +319,7 @@ def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
     if len(set(basic + upper)) != s + len(upper):
         return None
     basis, at_upper = np.array(basic, dtype=np.intp), np.array(upper, dtype=np.intp)
-    cols = problem.columns
-    matrix = cols[:, basis]
+    matrix = problem.columns[:, basis]
     try:
         b_inv = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
@@ -337,13 +329,18 @@ def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
                      * np.abs(b_inv).sum(axis=0).max(initial=0.0))
     if not condition <= START_CONDITION_LIMIT:  # also rejects a nan inverse
         return None
-    rhs = b0
-    if at_upper.size:
-        rhs = b0 - cols[:, at_upper] @ rng[at_upper]
-    xb = b_inv @ rhs
+    xb = b_inv @ _net_of_upper(problem, b0, at_upper)
     if not ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all():
         return None
     return basis, at_upper, b_inv, xb
+
+
+def _net_of_upper(problem: LpProblem, b0: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
+    """b0 - N_U u_U: the right-hand side left once the columns at_upper sit at
+    their upper bounds (b0 itself when there are none)."""
+    if not at_upper.size:  # subtracting the empty product's zeros changes no bit
+        return b0
+    return b0 - problem.columns[:, at_upper] @ problem.ranges[at_upper]
 
 
 class _Simplex:
@@ -351,8 +348,8 @@ class _Simplex:
 
     Columns: q structural variables (shifted so their lower bound is 0),
     s slacks, then one artificial column -e_i per negative rhs row.
-    Artificials cost 1 in phase 1 and get range 0 afterwards, which pins
-    them to value zero without basis surgery.  A checked start (from
+    Artificials cost 1 in phase 1; afterwards they get range 0 and stop
+    being movable, which pins them to value zero without basis surgery.  A checked start (from
     _checked_start) is primal feasible, so it needs no artificials.
     """
 
@@ -389,22 +386,14 @@ class _Simplex:
         self.max_pivots = 1000 * (q + s) + 10000
 
         self.basis = basis
-        self.in_basis = np.zeros(self.nv, dtype=bool)
-        self.in_basis[basis] = True
-        self.at_upper = np.zeros(self.nv, dtype=bool)
-        self.at_upper[at_upper] = True
-        # pricing sign: -1 nonbasic at lower, +1 nonbasic at upper, 0 basic or fixed
-        self.sign = np.where(~self.in_basis & (rng > 0.0),
-                             np.where(self.at_upper, 1.0, -1.0), 0.0)
-        self._basic_ranges()
+        # -1 nonbasic at lower, +1 nonbasic at upper, 0 basic
+        self.state = np.full(self.nv, -1.0)
+        self.state[at_upper] = 1.0
+        self.state[basis] = 0.0
+        self.movable = rng > 0.0  # a fixed column never enters
         self.b_inv = b_inv
         self.xb = xb
-        self.no_ratio = np.full(s, np.inf)
         self.pivots = 0
-
-    def _basic_ranges(self):
-        self.rng_b = self.rng[self.basis]
-        self.finite_b = int(np.isfinite(self.rng_b).sum())
 
     def run(self, bland_after: int) -> LpStatus:
         if self.neg_rows.size:
@@ -415,8 +404,7 @@ class _Simplex:
             if self.xb[self.basis >= self.q + self.s].sum() > FEAS_TOL:
                 return LpStatus.INFEASIBLE
             self.rng[self.art_slice] = 0.0
-            self.sign[self.art_slice] = 0.0
-            self._basic_ranges()
+            self.movable[self.art_slice] = False
         real = np.zeros(self.nv)
         real[:self.q] = self.structural_cost
         self.cost = real
@@ -426,7 +414,8 @@ class _Simplex:
         while True:
             self.y = y = self.cost[self.basis] @ self.b_inv
             reduced = self.cost - y @ self.cols
-            j = self._entering(self.sign * reduced, bland=self.pivots > bland_after)
+            j = self._entering(self.state * self.movable * reduced,
+                               bland=self.pivots > bland_after)
             if j is None:
                 return LpStatus.OPTIMAL
             if not self._pivot(j):
@@ -445,15 +434,14 @@ class _Simplex:
     def _pivot(self, j: int) -> bool:
         """Bring column j toward the basis; False signals an unbounded ray."""
         col = self.b_inv @ self.cols[:, j]
-        from_upper = bool(self.at_upper[j])
+        from_upper = bool(self.state[j] > 0)
         delta = -col if from_upper else col
 
-        ratios = self.no_ratio.copy()
+        ratios = np.full(self.s, math.inf)
         np.divide(np.maximum(self.xb, 0.0), delta, out=ratios, where=delta > PIVOT_TOL)
-        if self.finite_b:
-            to_upper = (delta < -PIVOT_TOL) & np.isfinite(self.rng_b)
-            np.divide(np.maximum(self.rng_b - self.xb, 0.0), -delta, out=ratios,
-                      where=to_upper)
+        rng_b = self.rng[self.basis]
+        np.divide(np.maximum(rng_b - self.xb, 0.0), -delta, out=ratios,
+                  where=(delta < -PIVOT_TOL) & np.isfinite(rng_b))
 
         min_ratio = float(ratios.min(initial=math.inf))
         flip_t = float(self.rng[j])
@@ -463,8 +451,7 @@ class _Simplex:
 
         if flip_t < min_ratio:
             self.xb -= flip_t * delta
-            self.at_upper[j] = not from_upper
-            self.sign[j] = -self.sign[j]
+            self.state[j] = -self.state[j]
             return True
 
         # leaving: smallest variable index among the minimal ratios (Bland-safe)
@@ -474,17 +461,9 @@ class _Simplex:
 
         self.xb -= min_ratio * delta
         self.xb[leave_pos] = flip_t - min_ratio if from_upper else min_ratio
-        self.at_upper[leave] = delta[leave_pos] < 0  # it left toward its upper bound
-        self.at_upper[j] = False
-        self.in_basis[leave] = False
-        self.in_basis[j] = True
+        self.state[leave] = 1.0 if delta[leave_pos] < 0 else -1.0  # the bound it reached
+        self.state[j] = 0.0
         self.basis[leave_pos] = j
-        leave_rng = float(self.rng_b[leave_pos])
-        self.sign[j] = 0.0
-        if leave_rng > 0.0:
-            self.sign[leave] = 1.0 if self.at_upper[leave] else -1.0
-        self.rng_b[leave_pos] = flip_t
-        self.finite_b += math.isfinite(flip_t) - math.isfinite(leave_rng)
 
         piv = col[leave_pos]
         row = self.b_inv[leave_pos] / piv
@@ -497,6 +476,6 @@ class _Simplex:
 
     def _refactor(self):
         self.b_inv = np.linalg.inv(self.cols[:, self.basis])
-        nb_upper = self.at_upper & ~self.in_basis
+        nb_upper = self.state > 0
         rhs = self.b0 - self.cols[:, nb_upper] @ self.rng[nb_upper]
         self.xb = self.b_inv @ rhs

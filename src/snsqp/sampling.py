@@ -67,8 +67,8 @@ class PolynomialSize:
     cap: int
 
     def __post_init__(self):
-        if not self.exponent > 0:
-            raise ValueError("exponent must be positive")
+        if not 0 < self.exponent < math.inf:  # NaN and inf fail too
+            raise ValueError("exponent must be positive and finite")
         if not self.cap >= MIN_BATCH:
             raise ValueError(f"requires cap >= {MIN_BATCH}")
 
@@ -84,8 +84,8 @@ class AdaptiveSize:
     cap: int
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:  # NaN and inf fail too
+            raise ValueError("eta must be positive and finite")
         if not self.cap >= MIN_BATCH:
             raise ValueError(f"requires cap >= {MIN_BATCH}")
 
@@ -184,7 +184,10 @@ def next_sample_size(strategy: SamplingStrategy, stats: SampleStats, alpha: floa
     if isinstance(strategy, FixedSize):
         return strategy.size
     if isinstance(strategy, PolynomialSize):
-        raw = math.ceil(iteration ** strategy.exponent)
+        try:
+            raw = math.ceil(iteration ** strategy.exponent)
+        except OverflowError:  # a power past the float range is past any cap
+            return strategy.cap
         return min(max(raw, MIN_BATCH), strategy.cap)
     if isinstance(strategy, AdaptiveSize):
         if step_norm_sq == 0.0:

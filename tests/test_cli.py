@@ -83,6 +83,21 @@ class TestRunCommand:
         assert cli_main(["run", str(path)]) == 2
         assert "config.strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, code, expected", [
+        ("poly:1000:10", 0, "stop=budget"),
+        ("poly:inf:10", 2, "error: config.strategy: bad strategy 'poly:inf:10': "
+                           "exponent must be positive and finite"),
+    ], ids=["power-overflow", "infinite-exponent"])
+    def test_steep_polynomial_schedule(self, capsys, tmp_path, strategy, code, expected):
+        """A power past the float range takes the cap; an infinite exponent
+        is a config error, not a traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "affine-eq", "strategy": strategy,
+                                    "budget": 100, "out": str(tmp_path / "runs")}))
+        assert cli_main(["run", str(path)]) == code
+        captured = capsys.readouterr()
+        assert expected in (captured.out if code == 0 else captured.err)
+
     @pytest.mark.parametrize("field, value", [
         ("epoch", 0), ("epoch", "500"), ("epoch", True),
         ("out", 5), ("out", ""), ("run_id", 7), ("run_id", None),

@@ -366,14 +366,17 @@ def kernel_lps(draw):
     rows with only negative coefficients exclude the lower corner, so their
     shifted right-hand side is negative and phase 1 adds an artificial;
     small-integer data gives degenerate vertices, so ratio ties; an LP
-    without rows moves only by bound flips.  Feasibility: every row holds
-    at a point inside the box.  Boundedness: coordinates without an upper
-    bound have positive cost.
+    without rows moves only by bound flips; in some examples about 30% of
+    the bounded coordinates are fixed (lower == upper), so pricing must
+    pass over columns that cannot move.  Feasibility: every row holds at a
+    point inside the box, on the fixed value of a fixed coordinate.
+    Boundedness: coordinates without an upper bound have positive cost.
     """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     q = draw(st.integers(1, 5))
     s = draw(st.integers(0, 4))
     unbounded_share = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    fixed_share = draw(st.sampled_from([0.0, 0.3]))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         lower = rng.integers(-2, 1, q).astype(float)
@@ -394,6 +397,8 @@ def kernel_lps(draw):
     cost = np.where(unbounded, np.abs(cost) + 0.5, cost)
     covering = rng.random(s) < 0.5
     a_mat[covering] = -np.abs(a_mat[covering])
+    fixed = ~unbounded & (rng.random(q) < fixed_share)
+    lower, upper = np.where(fixed, point, lower), np.where(fixed, point, upper)
     return LpProblem(cost=cost, ineq_matrix=a_mat, ineq_rhs=a_mat @ point + slack,
                      lower=lower, upper=upper)
 

@@ -198,6 +198,12 @@ class TestSchedules:
         # 256^1.25 = 1024 runs into the cap
         assert next_sample_size(strat, stats, 1.0, 1.0, 256) == 1000
 
+    def test_polynomial_power_past_the_float_range_takes_the_cap(self):
+        """3^1000 overflows a float; the size is the cap, not an OverflowError."""
+        strat = PolynomialSize(exponent=1000.0, cap=10)
+        stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
+        assert next_sample_size(strat, stats, 1.0, 1.0, 3) == 10
+
     def test_polynomial_monotone_until_cap(self):
         strat = PolynomialSize(exponent=1.25, cap=400)
         stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
@@ -272,11 +278,15 @@ class TestSchedules:
             PolynomialSize(exponent=0.0, cap=10)
         with pytest.raises(ValueError):
             PolynomialSize(exponent=float("nan"), cap=10)
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            PolynomialSize(exponent=float("inf"), cap=10)
         with pytest.raises(ValueError):
             PolynomialSize(exponent=1.0, cap=1)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=0.0, cap=10)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=float("nan"), cap=10)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            AdaptiveSize(eta=float("inf"), cap=10)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=1.0, cap=1)
