@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diagnostics import (
+    DEFAULT_EPOCH,
     REFERENCE_SEED,
     fill_stationarity,
     reference_batch,
@@ -43,7 +44,7 @@ def cli_main(argv=None) -> int:
                             "(default: the full five-strategy set)")
     bench.add_argument("--seeds", type=int, default=5)
     bench.add_argument("--budget", type=int, default=50000)
-    bench.add_argument("--epoch", type=int, default=500)
+    bench.add_argument("--epoch", type=int, default=DEFAULT_EPOCH)
     bench.add_argument("--seed-base", type=int, default=0)
     bench.add_argument("--out", type=Path, default=Path("bench_out"))
     bench.add_argument("--eta", type=float, default=1.0)
@@ -149,10 +150,10 @@ def _cmd_run(args) -> int:
     if "max_iterations" in cfg:
         kwargs["max_iterations"] = _positive_int(cfg, "max_iterations")
     # every output setting is checked before the solve, which can take minutes
-    epoch = _positive_int(cfg, "epoch", 500)
+    epoch = _positive_int(cfg, "epoch", DEFAULT_EPOCH)
     out_dir = Path(_nonempty_str(cfg, "out", "run_out"))
     run_id = _nonempty_str(
-        cfg, "run_id", f"{cfg['problem']}_{strategy_text.replace(':', '-')}_seed{seed}")
+        cfg, "run_id", f"{cfg['problem']}_{runner.run_id_for(strategy_text, seed)}")
 
     config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
                           strategy=strategy, budget=budget, master_seed=seed, **kwargs)

@@ -16,7 +16,7 @@ one with a quadratic constraint of known constant 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -89,10 +89,10 @@ def piecewise_min_batch(spec: SyntheticUc2Spec, x: np.ndarray,
     return best_val, best_grad, best_idx
 
 
-def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
-                        set: Optional[BoxPolyhedron] = None,
-                        rho_estimate: Optional[float] = None) -> ConstrainedStochasticProblem:
-    """Stochastic problem around the family; scenarios are uniform shifts.
+def build_synthetic_uc2(spec: SyntheticUc2Spec,
+                        noise_width: float) -> ConstrainedStochasticProblem:
+    """Stochastic problem around the family on the box [-2, 2]^n; scenarios
+    are uniform shifts.
 
     noise_width is the full width of the uniform box around zero that the
     shift xi is drawn from (zero width gives a deterministic problem).
@@ -100,9 +100,6 @@ def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
     if noise_width < 0:
         raise ValueError("noise_width must be nonnegative")
     n = spec.dimension
-    if set is None:
-        set = BoxPolyhedron(lower=np.full(n, -2.0), upper=np.full(n, 2.0))
-
     half = 0.5 * noise_width
 
     def sampler(rng: np.random.Generator, count: int):
@@ -112,14 +109,13 @@ def build_synthetic_uc2(spec: SyntheticUc2Spec, noise_width: float,
         values, grads, _ = piecewise_min_batch(spec, x, shifts)
         return values, grads
 
-    rho = spec.rho if rho_estimate is None else rho_estimate
     # a flat family (all pieces affine) still needs a positive modulus
     return ConstrainedStochasticProblem(
         dimension=n,
         scenario_sampler=sampler,
         oracle=oracle,
-        set=set,
-        rho_estimate=max(rho, 1e-12),
+        set=BoxPolyhedron(lower=np.full(n, -2.0), upper=np.full(n, 2.0)),
+        rho_estimate=max(spec.rho, 1e-12),
         lipschitz_h=0.0,
     )
 

@@ -204,26 +204,33 @@ def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray) -> flo
     return stationarity_error(g, values, columns).residual
 
 
+def _epoch(rec, epoch_size: int) -> int:
+    return (rec.oracle_calls - 1) // epoch_size
+
+
+def _epoch_ends(records, epoch_size: int) -> dict:
+    """{epoch: index of its last record} over the epochs that hold a record.
+
+    Call counts only grow, so the keys and the indices both ascend.
+    """
+    if epoch_size < 1:
+        raise ValueError("epoch_size must be a positive integer")
+    return {_epoch(rec, epoch_size): i for i, rec in enumerate(records)}
+
+
 def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
                       epoch_size: Optional[int] = None) -> None:
     """Populate the stationarity column in place, over the reference batch.
 
-    With epoch_size set, only the last record of each epoch is evaluated;
-    those are exactly the records the epoch table carries, so the epoch CSV
-    stays fully populated while long traces avoid a reference-batch solve
-    per iteration.  Without it every record is filled.
+    With epoch_size set, only the last record of each epoch is evaluated:
+    export_trace builds the epoch table from the same _epoch_ends, so every
+    record it carries is filled, while long traces avoid a reference-batch
+    solve per iteration.  Without it every record is filled.
     """
     records = trace.records
-    if epoch_size is None:
-        chosen = records
-    else:
-        if epoch_size < 1:
-            raise ValueError("epoch_size must be a positive integer")
-        chosen = [rec for i, rec in enumerate(records)
-                  if i + 1 == len(records)
-                  or ((records[i + 1].oracle_calls - 1) // epoch_size
-                      > (rec.oracle_calls - 1) // epoch_size)]
-    for rec in chosen:
+    if epoch_size is not None:
+        records = [records[i] for i in _epoch_ends(records, epoch_size).values()]
+    for rec in records:
         rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios)
 
 
@@ -232,29 +239,22 @@ def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tupl
 
     Epoch rows cover 0 .. ceil(budget/epoch_size) - 1 when the run ended by
     budget (the full cost axis), otherwise up to the last record's epoch.
-    Within each epoch the latest record wins; epochs before the first record
-    carry the first record's values.
+    Each epoch carries its last record, an epoch without records the one
+    before it; epochs before the first record carry the first record.
     """
-    if epoch_size < 1:
-        raise ValueError("epoch_size must be a positive integer")
-    iter_rows = []
-    for rec in trace.records:
-        iter_rows.append(_row(rec, (rec.oracle_calls - 1) // epoch_size))
-
+    records = trace.records
+    ends = _epoch_ends(records, epoch_size)
+    iter_rows = [_row(rec, _epoch(rec, epoch_size)) for rec in records]
     epoch_rows = []
-    if trace.records:
-        last_epoch = (trace.records[-1].oracle_calls - 1) // epoch_size
+    if records:
         if trace.stop_reason == "budget" and trace.config is not None:
             n_epochs = math.ceil(trace.config.budget / epoch_size)
         else:
-            n_epochs = last_epoch + 1
-        idx = 0
-        current = trace.records[0]
+            n_epochs = max(ends) + 1
+        current = records[0]
         for e in range(n_epochs):
-            while (idx < len(trace.records)
-                   and (trace.records[idx].oracle_calls - 1) // epoch_size <= e):
-                current = trace.records[idx]
-                idx += 1
+            if e in ends:
+                current = records[ends[e]]
             epoch_rows.append(_row(current, e))
     return iter_rows, epoch_rows
 
@@ -280,21 +280,12 @@ def write_run_csv(trace: IterationTrace, out_dir, run_id: str,
 
 
 def _row(rec, epoch: int) -> dict:
-    row = {
-        "k": rec.k,
-        "epoch": epoch,
-        "oracle_calls": rec.oracle_calls,
-        "step_norm": repr(rec.step_norm),
-        "pred_decrease": repr(rec.pred_decrease),
-        "zeta": repr(rec.zeta),
-        "beta": repr(rec.beta),
-        "alpha": repr(rec.alpha),
-        "theta": repr(rec.theta),
-        "N": rec.batch_size,
-        "stationarity": repr(rec.stationarity),
-        "merit": repr(rec.merit),
-        "objective_estimate": repr(rec.objective_estimate),
-    }
+    """The TRACE_COLUMNS of rec, then x0 .. x{n-1}; floats are written by repr."""
+    row = {}
+    for col in TRACE_COLUMNS:
+        value = (epoch if col == "epoch" else rec.batch_size if col == "N"
+                 else getattr(rec, col))
+        row[col] = repr(value) if isinstance(value, float) else value
     for i, xi in enumerate(rec.x):
         row[f"x{i}"] = repr(float(xi))
     return row

@@ -437,11 +437,12 @@ class _Simplex:
         from_upper = bool(self.state[j] > 0)
         delta = -col if from_upper else col
 
+        # a falling basic variable has room xb to its lower bound, a rising one
+        # room to its upper bound, which is infinite when its range is
+        room = np.where(delta > 0, self.xb, self.rng[self.basis] - self.xb)
+        size = np.abs(delta)
         ratios = np.full(self.s, math.inf)
-        np.divide(np.maximum(self.xb, 0.0), delta, out=ratios, where=delta > PIVOT_TOL)
-        rng_b = self.rng[self.basis]
-        np.divide(np.maximum(rng_b - self.xb, 0.0), -delta, out=ratios,
-                  where=(delta < -PIVOT_TOL) & np.isfinite(rng_b))
+        np.divide(np.maximum(room, 0.0), size, out=ratios, where=size > PIVOT_TOL)
 
         min_ratio = float(ratios.min(initial=math.inf))
         flip_t = float(self.rng[j])

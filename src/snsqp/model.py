@@ -16,6 +16,7 @@ whose minimizer over the translated feasible set is the search direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -55,10 +56,11 @@ class ConstrainedStochasticProblem:
             raise ValueError("dimension must be a positive integer")
         if self.set.dim != self.dimension:
             raise ValueError("feasible set dimension does not match the problem")
-        if not self.rho_estimate > 0:
-            raise ValueError("rho_estimate must be positive")
-        if self.lipschitz_h < 0:
-            raise ValueError("lipschitz_h must be nonnegative")
+        # written so that NaN and inf fail every test
+        if not 0 < self.rho_estimate < math.inf:
+            raise ValueError("rho_estimate must be positive and finite")
+        if not 0 <= self.lipschitz_h < math.inf:
+            raise ValueError("lipschitz_h must be nonnegative and finite")
 
 
 def predicted_decrease(gradient: np.ndarray, curvature: float, d: np.ndarray) -> float:

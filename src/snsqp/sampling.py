@@ -126,7 +126,8 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     The oracle is called once for the whole batch.  A failure, or a nan/inf
     in its values or subgradients, raises OracleError naming the first
     scenario index at fault; an oracle that raises is re-run one scenario at
-    a time to find it.
+    a time to find it, and the error names the whole batch when none fails
+    alone.
     """
     n_scen = len(scenarios)
     if n_scen < MIN_BATCH:
@@ -134,8 +135,10 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     try:
         values, grads = problem.oracle(x, scenarios)
     except Exception as exc:
-        raise OracleError(f"oracle failed at scenario index "
-                          f"{_first_failure(problem, x, scenarios)}: {exc}") from exc
+        index = _first_failure(problem, x, scenarios)
+        where = (f"on the batch of {n_scen} scenarios (no scenario fails alone)"
+                 if index is None else f"at scenario index {index}")
+        raise OracleError(f"oracle failed {where}: {exc}") from exc
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):

@@ -428,6 +428,31 @@ class TestReferenceMeasure:
         assert all(math.isfinite(rec.stationarity) for rec in trace.records)
         assert all(rec.stationarity >= 0.0 for rec in trace.records)
 
+    @pytest.mark.parametrize("calls, stop_reason, budget", [
+        ([300 * k for k in range(1, 11)], "budget", 3000),   # budget stop
+        ([200, 400, 600], "stall", None),                   # stall stop
+        ([1800, 2100], "stall", None),                      # leading backfill
+        ([700, 1400], "budget", 1000),                      # budget overshoot
+    ])
+    def test_epoch_fill_covers_every_carried_record(self, calls, stop_reason,
+                                                    budget):
+        """Every record an epoch row carries has its stationarity filled."""
+        from snsqp.bench.synthetic import (build_synthetic_uc2,
+                                           two_piece_crossing_spec)
+        problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.3)
+        records = [_record(k, c, [0.1 * k, -0.5]) for k, c in enumerate(calls, 1)]
+        for rec in records:
+            rec.stationarity = math.nan
+        trace = _trace(records, stop_reason, budget=budget)
+        trace.problem = problem
+        fill_stationarity(trace, draw_scenarios(problem.scenario_sampler,
+                                                REFERENCE_SEED, 0, 64),
+                          epoch_size=500)
+        _, epoch_rows = export_trace(trace, epoch_size=500)
+        carried = {row["k"] for row in epoch_rows}
+        assert all(math.isfinite(records[k - 1].stationarity) for k in carried)
+        assert math.isfinite(records[-1].stationarity)
+
     def test_equality_rows_relax_the_measure(self):
         """A gradient normal to the constraint manifold counts as stationary."""
         from snsqp.bench.synthetic import build_quadratic_equality_problem

@@ -285,8 +285,7 @@ class TestFullStepLoop:
         smooth = build_synthetic_uc2(SyntheticUc2Spec(pieces=[
             QuadraticPiece(offset=0.0, linear=np.array([1.0]),
                            curvature_matrix=np.array([[2.0]]))]),
-            noise_width=0.0,
-            set=BoxPolyhedron(lower=[-2.0], upper=[2.0]))
+            noise_width=0.0)
         by_stall = run_algorithm1(smooth, SolverConfig(
             x0=np.array([0.0]), alpha0=3.0, strategy=FixedSize(2),
             budget=10 ** 6, master_seed=1))

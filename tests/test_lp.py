@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import assume, given, settings, strategies as st, target
 from scipy.optimize import linprog
 
 from snsqp import lp
@@ -501,6 +501,64 @@ class TestStart:
         assert len(batch.solves) == len(starts) == 2
         assert all(given is start for given in starts)
         np.testing.assert_allclose(batch.objective, [-19.0, -2.0], atol=1e-12)
+
+
+
+class TestFixedColumnStart:
+    """Starts that hold a fixed column basic or nonbasic at its upper bound.
+
+    A cold solve never leaves a fixed column there, so these starts come
+    from fixing a basic or at-upper structural variable of a cold optimum
+    at its optimal value (lower = upper = value).
+    """
+
+    @staticmethod
+    def fixed_at_optimum(problem, pick):
+        cold = solve_lp(problem)
+        assert cold.status is LpStatus.OPTIMAL
+        q = problem.n_vars
+        held = np.union1d(cold.basis[cold.basis < q], cold.at_upper)
+        held = held[problem.lower[held] < problem.upper[held]]
+        assume(held.size)
+        j = held[pick % held.size]
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        lower[j] = upper[j] = cold.primal[j]
+        fixed = LpProblem(cost=problem.cost, ineq_matrix=problem.ineq_matrix,
+                          ineq_rhs=problem.ineq_rhs, lower=lower, upper=upper)
+        return fixed, (cold.basis, cold.at_upper)
+
+    @staticmethod
+    def certify(problem, sol):
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective - enumerate_lp(problem)) <= 1e-8
+        residuals = verify_lp(problem, sol)
+        assert residuals["primal_res"] <= 1e-8
+        assert residuals["dual_res"] <= 1e-8
+        assert residuals["gap"] <= 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_lps(), pick=st.integers(0, 2 ** 16))
+    def test_optimal_start_needs_no_pivot(self, problem, pick):
+        """The cold optimum stays optimal once one of its columns is fixed."""
+        fixed, start = self.fixed_at_optimum(problem, pick)
+        sol = solve_lp(fixed, start)
+        self.certify(fixed, sol)
+        assert sol.iterations == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_lps(), pick=st.integers(0, 2 ** 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_new_cost_pivots_away_from_the_start(self, problem, pick, seed):
+        """A fresh cost makes the start primal feasible but not optimal, so
+        phase 2 pivots from a basis that holds the fixed column; costs stay
+        positive on coordinates without an upper bound."""
+        fixed, start = self.fixed_at_optimum(problem, pick)
+        cost = np.random.default_rng(seed).normal(size=fixed.n_vars)
+        cost = np.where(np.isinf(fixed.upper), np.abs(cost) + 0.5, cost)
+        fixed = fixed.with_vectors(cost=cost)
+        sol = solve_lp(fixed, start)
+        target(float(sol.iterations), label="pivots")
+        self.certify(fixed, sol)
 
 
 def pinned_lps(integral):

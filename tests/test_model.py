@@ -87,3 +87,18 @@ def test_problem_validation():
         ConstrainedStochasticProblem(dimension=2, scenario_sampler=sampler,
                                      oracle=oracle, set=box, rho_estimate=1.0,
                                      lipschitz_h=-1.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lipschitz_h", float("nan"), "lipschitz_h must be nonnegative and finite"),
+    ("lipschitz_h", float("inf"), "lipschitz_h must be nonnegative and finite"),
+    ("rho_estimate", float("inf"), "rho_estimate must be positive and finite"),
+], ids=["lipschitz_h-nan", "lipschitz_h-inf", "rho_estimate-inf"])
+def test_problem_rejects_non_finite_scalars(field, value, message):
+    """NaN and inf would otherwise get through to the step bound pi."""
+    scalars = {"rho_estimate": 1.0, "lipschitz_h": 0.0, field: value}
+    with pytest.raises(ValueError, match=message):
+        ConstrainedStochasticProblem(
+            dimension=2, scenario_sampler=lambda rng, count: np.zeros(count),
+            oracle=lambda x, s: (np.zeros(len(s)), np.zeros((len(s), 2))),
+            set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]), **scalars)

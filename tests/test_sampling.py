@@ -128,6 +128,21 @@ class TestAggregate:
         with pytest.raises(OracleError, match="scenario index 3"):
             aggregate(problem, np.zeros(2), np.arange(5))
 
+    def test_batch_only_failure_names_the_batch(self):
+        def oracle(x, scenarios):
+            if len(scenarios) > 3:
+                raise MemoryError("batch too large")
+            return np.zeros(len(scenarios)), np.zeros((len(scenarios), 2))
+
+        problem = ConstrainedStochasticProblem(
+            dimension=2, scenario_sampler=lambda rng, count: np.arange(count),
+            oracle=oracle, set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+            rho_estimate=1.0)
+        with pytest.raises(OracleError) as info:
+            aggregate(problem, np.zeros(2), np.arange(5))
+        assert str(info.value) == ("oracle failed on the batch of 5 scenarios "
+                                   "(no scenario fails alone): batch too large")
+
     def test_non_finite_output_names_scenario_index(self):
         def nan_at_2(x, xi):
             return (math.nan if xi == 2 else 0.0), np.zeros(2)
