@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -30,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron
+from .qp import BoxPolyhedron, _dot
 from .sampling import aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -140,10 +139,6 @@ def _unit_scaled(values: list) -> tuple:
     """(values * 2**-e, e), with e chosen so the largest |value| is in [0.5, 1)."""
     exp = math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, -exp) for v in values], exp
-
-
-def _dot(u: list, v: list) -> float:
-    return math.fsum(map(operator.mul, u, v))
 
 
 def _passive_least_squares(cols: tuple, b: list, passive: list) -> list:

@@ -11,7 +11,9 @@ this implementation fixes nu_k = 1, mu_k = 0 and alpha_k = alpha0 (clamped
 to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 
 Both record one trace row per iteration and stop on an oracle-call budget,
-an iteration cap, or a stall (ten consecutive steps of norm <= 1e-8).  The
+an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), or a
+subproblem that is infeasible or whose solve fails (for example when -g/alpha
+overflows); every stop keeps the records made so far.  The
 stochastic objective estimate is carried in the trace but never used in any
 decision.
 """
@@ -223,12 +225,10 @@ def _run(problem, config, with_equalities):
                         set=problem.set.translate(x),
                         eq_jacobian=jac, eq_residual=c_val)
         sol = solve_qp(sub)
-        if sol.status is QpStatus.INFEASIBLE:
-            trace.stop_reason = "subproblem_infeasible"
-            break
         if sol.status is not QpStatus.OPTIMAL:
-            raise RuntimeError(f"subproblem solve failed at iteration {k}: "
-                               f"{sol.status.value}, kkt residual {sol.kkt_residual:.3e}")
+            trace.stop_reason = ("subproblem_infeasible" if sol.status is QpStatus.INFEASIBLE
+                                 else "subproblem_failed")
+            break
         d = sol.step
 
         if with_equalities:

@@ -20,6 +20,16 @@ and one nonnegative multiplier per row of normals, certified by a KKT
 residual over those rows.  Problems here are small (a few dozen variables);
 exact active-set identification is preferred over iterative methods because
 the multipliers feed merit and stationarity formulas.
+
+Because they are small, the working-set algebra and the KKT certificate run
+on Python floats: a numpy call costs more than the arithmetic it does on a
+handful of entries, as for the NNLS of snsqp.diagnostics.  Dot
+products are correctly rounded (math.fsum).  With one working row on the
+free coordinates the direction and the projection are rank-one closed forms;
+the SVD of _factor runs only for two or more working rows.  Every canonical
+run has at most one (the PPS set one inequality row, the equality problems
+one equality row), so the SVD serves dependent or stacked rows, as in the
+property tests.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,6 +208,10 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     joins (a full step).  A violated constraint with no primal step and
     nothing to drop proves the subproblem INFEASIBLE.
 
+    The loop runs on Python floats.  With at most one working row the
+    direction and the projection have closed forms (see _direction and
+    _project); two or more working rows are factored by _factor's SVD.
+
     If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
     QpSolution.iterations counts the constraints added plus those dropped.
     """
@@ -206,67 +221,74 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     if not math.isfinite(max(map(abs, problem.gradient.tolist()), default=0.0)
                          / problem.curvature):
         return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE)
-    # constraint c reads normals[c] @ d <= limits[c]: the set's rows in the
+    # constraint c reads normals[c] . d <= limits[c]: the set's rows in the
     # order BoxPolyhedron gives them, then the equality rows (met with ==)
-    normals, limits = box.normals, box.limits
+    limits = box.limits.tolist()
+    general = box.ineq_matrix.tolist() if p else []  # the rows from id 2n on
     if m:
-        normals = np.concatenate([normals, problem.eq_jacobian.T])
-        limits = np.concatenate([limits, -problem.eq_residual])
-    side = np.zeros(n)
+        general += problem.eq_jacobian.T.tolist()
+        limits += (-problem.eq_residual).tolist()
+
+    side = [0.0] * n
     rows = list(range(2 * n + p, 2 * n + p + m))  # then inequality rows, in order of entry
-    d, row_mults, rank_warning = _project(problem, side, normals[rows], limits[rows])
-    if m and np.linalg.norm(normals[rows] @ d - limits[rows], ord=np.inf) > VIOLATION_TOL:
+    eq_rows, eq_limits = general[p:], limits[2 * n + p:]
+    d, row_mults, rank_warning = _project(problem, side, eq_rows, eq_limits)
+    if m and max(abs(_dot(a, d) - b) for a, b in zip(eq_rows, eq_limits)) > VIOLATION_TOL:
         return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning)
-    nu = np.zeros(limits.size)  # working multipliers over alpha, by constraint id
+    nu = [0.0] * len(limits)  # working multipliers over alpha, by constraint id
     entering, iterations = None, 0
     for _ in range(MAX_ITER_PER_ROW * (n + m + p)):
-        free = side == 0.0
         if entering is None:
             # fixed coordinates sit on their bounds; working rows hold to roundoff
-            excess = normals @ d - limits
-            excess[rows] = 0.0
-            entering = int(np.argmax(excess))  # ties go to the lowest id
+            excess = [v - b for v, b in zip(
+                [-x for x in d] + d + [_dot(a, d) for a in general], limits)]
+            for c in rows:
+                excess[c] = 0.0
+            # ties go to the lowest id
+            entering = max(range(len(excess)), key=excess.__getitem__)
             if excess[entering] <= VIOLATION_TOL:
                 break
-        normal, work = normals[entering], normals[rows]
-        u, s, vt = _factor(work, free)
-        rank_warning = rank_warning or s.size < len(rows)
-        # normal = work.T @ coef + (normals of the fixed bounds) + toward, with
+        if entering < 2 * n:  # a bound's normal is a signed unit vector
+            a = [0.0] * n
+            a[entering % n] = 1.0 if entering >= n else -1.0
+        else:
+            a = general[entering - 2 * n]
+        work = [general[c - 2 * n] for c in rows]
+        # a = work.T @ coef + (normals of the fixed bounds) + toward, with
         # toward orthogonal to the working rows and zero on fixed coordinates
-        coords = vt @ (normal * free)
-        toward = normal * free - vt.T @ coords
-        coef = u @ (coords / s)
-        # what a unit step takes from each working multiplier; the equality
-        # rows' multipliers are free in sign and never leave
-        fixed = np.flatnonzero(side)
-        shrink = np.zeros(limits.size)
-        shrink[fixed + n * (side[fixed] > 0.0)] = (side * (normal - work.T @ coef))[fixed]
-        shrink[rows[m:]] = coef[m:]
+        toward, coef, dependent = _direction(work, [s == 0.0 for s in side], a)
+        rank_warning = rank_warning or dependent
+        # what a unit step takes from each working multiplier, by constraint
+        # id; the equality rows' multipliers are free in sign and never leave
+        shrink = {i + n * (s > 0.0): s * (a[i] - _dot([w[i] for w in work], coef))
+                  for i, s in enumerate(side) if s}
+        shrink.update(zip(rows[m:], coef[m:]))
         # step lengths in multiplier units: onto the violated constraint, and
         # to the first working multiplier that reaches zero
-        tiny = RANK_THRESHOLD * np.linalg.norm(normal)
-        reach = toward @ toward
-        full = (normal @ d - limits[entering]) / reach if reach > tiny * tiny else np.inf
-        falls = np.flatnonzero(shrink > tiny)
-        ratios = nu[falls] / shrink[falls]
-        partial = ratios.min(initial=np.inf)
+        tiny = RANK_THRESHOLD * math.hypot(*a)
+        reach = _dot(toward, toward)
+        full = (_dot(a, d) - limits[entering]) / reach if reach > tiny * tiny else math.inf
+        falls = sorted(c for c, v in shrink.items() if v > tiny)
+        ratios = [nu[c] / shrink[c] for c in falls]
+        partial = min(ratios, default=math.inf)
         t = min(full, partial)
-        if t == np.inf:
+        if t == math.inf:
             return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning, iterations)
-        d = d - t * toward
-        nu -= t * shrink
+        d = [x - t * y for x, y in zip(d, toward)]
+        for c, v in shrink.items():
+            nu[c] -= t * v
         nu[entering] += t  # zero when it started to enter: it was not working
         iterations += 1
         if full <= partial:
             if entering < 2 * n:
                 i = entering % n
-                side[i] = normal[i]
-                d[i] = normal[i] * limits[entering]  # the bound itself
+                side[i] = a[i]
+                d[i] = a[i] * limits[entering]  # the bound itself
             else:
                 rows.append(entering)
             entering = None
         else:
-            leaving = int(falls[np.argmin(ratios)])
+            leaving = falls[ratios.index(partial)]
             nu[leaving] = 0.0
             if leaving < 2 * n:
                 side[leaving % n] = 0.0
@@ -274,9 +296,9 @@ def solve_qp(problem: QpProblem) -> QpSolution:
                 rows.remove(leaving)
     else:
         return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, iterations)
-    work = normals[rows]
+    work = [general[c - 2 * n] for c in rows]
     if iterations:  # else d is the start: the same projection
-        d, row_mults, dependent = _project(problem, side, work, limits[rows])
+        d, row_mults, dependent = _project(problem, side, work, [limits[c] for c in rows])
         rank_warning = rank_warning or dependent
     return _assemble_solution(problem, side, rows, work, d, row_mults, rank_warning, iterations)
 
@@ -286,74 +308,151 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
 
     All four come from the set's rows: the slack limits - normals @ d and the
     normal-cone element normals.T @ set_multipliers.  Zero for an exact KKT
-    point of the subproblem, and NaN if any part is NaN.
+    point of the subproblem, and NaN if any part is NaN.  The parts are
+    summed on Python floats, with the bound rows taken as the signed unit
+    vectors they are.
     """
     box = problem.set
+    n, m = box.dim, problem.n_eq
     d = np.asarray(candidate.step, dtype=float)
     mult = np.asarray(candidate.set_multipliers, dtype=float)
-    if d.shape != (box.dim,) or mult.shape != box.limits.shape:
-        raise ValueError("the candidate needs a step entry per coordinate and a "
-                         "set multiplier per row of the set")
-    slack = box.limits - box.normals @ d
-    stat = problem.gradient + problem.curvature * d + box.normals.T @ mult
-    eq_gap = np.zeros(0)
-    if problem.n_eq:
-        stat = stat + problem.eq_jacobian @ candidate.eq_multipliers
-        eq_gap = np.abs(problem.eq_jacobian.T @ d + problem.eq_residual)
-    parts = (np.abs(stat), -slack, eq_gap, -mult, np.abs(mult * slack))
-    return float(np.concatenate(parts).max(initial=0.0))
+    lam = np.asarray(candidate.eq_multipliers, dtype=float)
+    if d.shape != (n,) or mult.shape != box.limits.shape or (m and lam.shape != (m,)):
+        raise ValueError("the candidate needs a step entry per coordinate, a set "
+                         "multiplier per row of the set and an equality "
+                         "multiplier per equality row")
+    d, mult, limits = d.tolist(), mult.tolist(), box.limits.tolist()
+    rows = box.ineq_matrix.tolist() if box.n_ineq else []
+    # limits - normals @ d: lower bound rows, upper bound rows, inequality rows
+    slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
+             + [b - _dot(a, d) for a, b in zip(rows, limits[2 * n:])])
+    # g + alpha d + normals.T @ mult (+ eq_jacobian @ lam), by coordinate
+    stat = [g + problem.curvature * x + (up - lo) for g, x, lo, up in
+            zip(problem.gradient.tolist(), d, mult[:n], mult[n:2 * n])]
+    if rows:
+        stat = [s + _dot(col, mult[2 * n:]) for s, col in zip(stat, zip(*rows))]
+    eq_gap = []
+    if m:
+        lam, jac_t = lam.tolist(), problem.eq_jacobian.T.tolist()
+        stat = [s + _dot(row, lam) for s, row in zip(stat, zip(*jac_t))]
+        eq_gap = [abs(_dot(col, d) + c) for col, c in zip(jac_t, problem.eq_residual.tolist())]
+    parts = [*map(abs, stat), *map(operator.neg, slack), *eq_gap, *map(operator.neg, mult),
+             *(abs(w * s) for w, s in zip(mult, slack))]
+    # |stat| keeps the max nonnegative; Python's max would drop a NaN that is not first
+    return math.nan if any(map(math.isnan, parts)) else max(parts)
+
+
+def _dot(u, v) -> float:
+    """Correctly rounded dot product of two sequences of Python floats."""
+    return math.fsum(map(operator.mul, u, v))
 
 
 def _factor(rows: np.ndarray, free: np.ndarray):
     """Thin SVD (u, s, vt) of the rows on the free coordinates, without the
-    singular values below RANK_THRESHOLD times the largest."""
-    if not len(rows):
-        return np.zeros((0, 0)), np.zeros(0), np.zeros((0, free.size))
+    singular values below RANK_THRESHOLD times the largest.  Only working
+    sets of two or more rows reach it: one row has a closed form."""
     u, s, vt = np.linalg.svd(rows * free, full_matrices=False)
     keep = s > RANK_THRESHOLD * s[0]
     return u[:, keep], s[keep], vt[keep]
 
 
-def _project(problem: QpProblem, side: np.ndarray, work: np.ndarray, rhs: np.ndarray):
+def _unit_row(row: list, free: list):
+    """The row on the free coordinates as (unit vector, norm), or None when
+    that part is zero: the one singular value of a single row, which the
+    SVD threshold drops exactly when it is zero.  The norm is taken by
+    math.hypot, which neither underflows nor overflows on the way."""
+    part = [a if f else 0.0 for a, f in zip(row, free)]
+    norm = math.hypot(*part)
+    if not norm > 0.0:
+        return None
+    return [a / norm for a in part], norm
+
+
+def _direction(work: list, free: list, normal: list):
+    """Split normal on the free coordinates into work.T @ coef plus toward,
+    orthogonal to the working rows; returns (toward, coef, dependent).
+
+    With no working row, toward is the free part of normal.  With one, the
+    rank-one closed form: coef = (v . normal) / |a_f| and toward = normal_f
+    - (v . normal) v, for a_f the row's free part and v = a_f / |a_f|; a row
+    with a zero free part is dependent and gets coefficient 0.  More rows go
+    through _factor, whose singular vectors give the same split.
+    """
+    toward = [a if f else 0.0 for a, f in zip(normal, free)]
+    if len(work) > 1:
+        u, s, vt = _factor(np.array(work), np.array(free))
+        coords = vt @ toward
+        coef = u @ (coords / s)
+        return (np.array(toward) - vt.T @ coords).tolist(), coef.tolist(), s.size < len(work)
+    if not work:
+        return toward, [], False
+    unit = _unit_row(work[0], free)
+    if unit is None:
+        return toward, [0.0], True
+    v, norm = unit
+    along = _dot(v, toward)
+    return [x - along * y for x, y in zip(toward, v)], [along / norm], False
+
+
+def _project(problem: QpProblem, side: list, work: list, rhs: list):
     """-g/alpha with the fixed coordinates moved to their bounds, plus the
     least-norm correction of the free ones onto the rows work @ d = rhs; the
     rows' multipliers (-alpha times the coefficients of that correction); and
-    whether the rows are dependent on the free coordinates."""
-    box = problem.set
-    d = np.where(side < 0.0, box.lower,
-                 np.where(side > 0.0, box.upper, -problem.gradient / problem.curvature))
-    if not len(work):
-        return d, np.zeros(0), False
-    u, s, vt = _factor(work, side == 0.0)
-    coords = u.T @ (rhs - work @ d) / s
-    return d + vt.T @ coords, -problem.curvature * (u @ (coords / s)), s.size < len(work)
+    whether the rows are dependent on the free coordinates.
+
+    One row a has the closed form d += v (r / |a_f|) with multiplier
+    -alpha r / |a_f|^2, for r = rhs - a . d, a_f the row's free part and
+    v = a_f / |a_f|; a row with a zero free part leaves d as it is, with
+    multiplier 0, and is dependent.  More rows go through _factor.
+    """
+    box, alpha = problem.set, problem.curvature
+    d = [lo if s < 0.0 else up if s > 0.0 else -g / alpha
+         for s, lo, up, g in zip(side, box.lower.tolist(), box.upper.tolist(),
+                                 problem.gradient.tolist())]
+    free = [s == 0.0 for s in side]
+    if len(work) > 1:
+        rows = np.array(work)
+        u, s, vt = _factor(rows, np.array(free))
+        coords = u.T @ (np.array(rhs) - rows @ d) / s
+        return ((np.array(d) + vt.T @ coords).tolist(),
+                (-alpha * (u @ (coords / s))).tolist(), s.size < len(work))
+    if not work:
+        return d, [], False
+    unit = _unit_row(work[0], free)
+    if unit is None:
+        return d, [0.0], True
+    v, norm = unit
+    step = (rhs[0] - _dot(work[0], d)) / norm
+    return [x + step * y for x, y in zip(d, v)], [-alpha * (step / norm)], False
 
 
-def _assemble_solution(problem: QpProblem, side: np.ndarray, rows: list[int],
-                       work: np.ndarray, d: np.ndarray, row_mults: np.ndarray,
-                       rank_warning: bool, iterations: int) -> QpSolution:
+def _assemble_solution(problem: QpProblem, side: list, rows: list[int], work: list,
+                       d: list, row_mults: list, rank_warning: bool,
+                       iterations: int) -> QpSolution:
     """Certified solution from _project's step and row multipliers for the
     final working set alone, so that the step meets its working rows to
     roundoff; a bound's multiplier is the stationarity residual on its
     coordinate."""
     box = problem.set
-    n, m = box.dim, problem.n_eq
-    fixed = np.flatnonzero(side)
-    set_multipliers = np.zeros(box.limits.size)
-    residual = problem.gradient + problem.curvature * d + work.T @ row_mults
-    set_multipliers[fixed + n * (side[fixed] > 0.0)] = (-side * residual)[fixed]
-    set_multipliers[rows[m:]] = row_mults[m:]
+    n, m, alpha = box.dim, problem.n_eq, problem.curvature
+    set_multipliers = [0.0] * box.limits.size
+    for i, (s, g, x) in enumerate(zip(side, problem.gradient.tolist(), d)):
+        if s:
+            residual = g + alpha * x + _dot([w[i] for w in work], row_mults)
+            set_multipliers[i + n * (s > 0.0)] = -s * residual
+    for c, w in zip(rows[m:], row_mults[m:]):
+        set_multipliers[c] = w
     solution = QpSolution(
-        step=d,
-        eq_multipliers=row_mults[:m],
-        set_multipliers=set_multipliers,
+        step=np.array(d),
+        eq_multipliers=np.array(row_mults[:m]),
+        set_multipliers=np.array(set_multipliers),
         kkt_residual=0.0,
         status=QpStatus.OPTIMAL,
         rank_warning=rank_warning,
         iterations=iterations,
     )
     solution.kkt_residual = kkt_residual(problem, solution)
-    scale = max(1.0, float(np.linalg.norm(problem.gradient, ord=np.inf)))
+    scale = max(1.0, *map(abs, problem.gradient.tolist()))
     if not solution.kkt_residual <= TOL * scale:  # NaN fails too
         solution.status = QpStatus.NUMERICAL_FAILURE
     return solution

@@ -5,12 +5,16 @@ feasibility, re-checkable acceptance inequalities, frozen stop reasons) or to
 targets computed by an independent brute-force pass in the same test.
 """
 
+import csv
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from snsqp.bench import pps
+from snsqp.bench import cli, pps
+from snsqp.bench.cli import cli_main
 from snsqp.bench.synthetic import (
     QuadraticPiece,
     SyntheticUc2Spec,
@@ -209,6 +213,22 @@ class TestRunValidation:
                 SolverConfig(**{**base, field: math.inf})
 
 
+def overflow_on_call(call):
+    """min E[x.x/8] over [-1, 1]^2, with rho 0.25, whose oracle returns the
+    finite gradient 8e307 on its given call only: at alpha = 0.25, -g/alpha
+    overflows.  An injected fault, so the oracle is not a pure function."""
+    calls = itertools.count(1)
+
+    def oracle(x, xi):
+        grad = np.full(2, 8e307) if next(calls) == call else 0.25 * x
+        return np.full(len(xi), 0.125 * float(x @ x)), np.tile(grad, (len(xi), 1))
+
+    return ConstrainedStochasticProblem(
+        dimension=2, scenario_sampler=lambda rng, count: np.zeros(count),
+        oracle=oracle, set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+        rho_estimate=0.25)
+
+
 class TestFullStepLoop:
     def test_deterministic_quadratic_reaches_minimizer(self):
         """One smooth piece, no noise: the loop is exact proximal descent."""
@@ -309,6 +329,29 @@ class TestFullStepLoop:
         trace = run_algorithm2(problem, config)
         assert trace.stop_reason == "subproblem_infeasible"
         assert len(trace.records) == 0
+
+    def test_failed_subproblem_keeps_the_records(self):
+        """A finite gradient whose -g/alpha overflows fails the solve; the run
+        ends there and keeps every record made before it."""
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=0.25,
+                              strategy=FixedSize(2), budget=100, master_seed=0)
+        trace = run_algorithm1(overflow_on_call(4), config)
+        assert trace.stop_reason == "subproblem_failed"
+        assert [rec.k for rec in trace.records] == [1, 2, 3]
+        np.testing.assert_array_equal(trace.final_x, [0.0, 0.0])
+
+    def test_failed_subproblem_run_writes_csvs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._PROBLEM_BUILDERS, "quadratic-eq",
+                            (lambda: overflow_on_call(4), 0.25, np.array([0.5, 0.5])))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:2", "budget": 100,
+            "out": str(tmp_path), "run_id": "failed"}))
+        assert cli_main(["run", str(path)]) == 0
+        assert "stop=subproblem_failed iterations=3 " in capsys.readouterr().out
+        with open(tmp_path / "failed_trace.csv", newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2", "3"]
+        assert (tmp_path / "failed_epochs.csv").exists()
 
 
 class TestLineSearchLoop:

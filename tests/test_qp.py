@@ -13,6 +13,8 @@ from snsqp.qp import (
     BoxPolyhedron,
     QpProblem,
     QpStatus,
+    _direction,
+    _project,
     kkt_residual,
     solve_qp,
 )
@@ -241,6 +243,82 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             QpProblem(gradient=[1.0], curvature=1.0, set=box,
                       eq_jacobian=[[1.0]])
+
+
+class TestOneRowClosedForm:
+    """One working row on the free coordinates has a closed form; it must
+    agree with the least-norm solution of numpy's lstsq."""
+
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(1, 6))
+        box = random_box(rng, n)
+        side = rng.choice([-1.0, 0.0, 0.0, 1.0], size=n)
+        problem = QpProblem(gradient=rng.normal(scale=2.0, size=n),
+                            curvature=float(rng.uniform(0.5, 4.0)), set=box)
+        free_start = -problem.gradient / problem.curvature
+        start = np.where(side < 0.0, box.lower, np.where(side > 0.0, box.upper, free_start))
+        return problem, side, rng.normal(size=n), float(rng.normal()), start
+
+    def test_projection_is_the_least_norm_correction(self):
+        rng = np.random.default_rng(3301)
+        for trial in range(300):
+            problem, side, row, rhs, start = self.random_case(rng)
+            free = side == 0.0
+            d, mults, dependent = _project(problem, side.tolist(), [row.tolist()], [rhs])
+            if not free.any():  # every coordinate fixed: nothing to correct
+                assert dependent and d == start.tolist() and mults == [0.0]
+                continue
+            correction = np.zeros_like(start)
+            correction[free] = np.linalg.lstsq(row[free][None, :], [rhs - row @ start],
+                                               rcond=None)[0]
+            coef = np.linalg.lstsq(row[free][:, None], correction[free], rcond=None)[0]
+            assert not dependent, f"trial {trial}"
+            np.testing.assert_allclose(d, start + correction, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"trial {trial}")
+            np.testing.assert_allclose(mults, -problem.curvature * coef, rtol=1e-10,
+                                       atol=1e-12, err_msg=f"trial {trial}")
+            assert abs(row @ np.array(d) - rhs) <= 1e-12 * (1.0 + np.abs(row) @ np.abs(d))
+
+    def test_direction_splits_the_normal(self):
+        rng = np.random.default_rng(3302)
+        for trial in range(300):
+            _, side, row, _, _ = self.random_case(rng)
+            free = side == 0.0
+            if not free.any():
+                continue
+            normal = rng.normal(size=row.size)
+            toward, coef, dependent = _direction([row.tolist()], free.tolist(),
+                                                 normal.tolist())
+            expected = np.linalg.lstsq(row[free][:, None], normal[free], rcond=None)[0]
+            assert not dependent
+            np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(np.array(toward)[free],
+                                       normal[free] - expected * row[free], atol=1e-12)
+            assert not np.array(toward)[~free].any()
+
+    @pytest.mark.parametrize("row, side", [([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                                           ([0.0, 2.0, -1.0], [0.0, -1.0, 1.0])])
+    def test_row_with_a_zero_free_part_is_dependent(self, row, side):
+        box = BoxPolyhedron(lower=[-1.0, -2.0, -3.0], upper=[1.0, 2.0, 3.0])
+        problem = QpProblem(gradient=[0.5, -1.0, 4.0], curvature=2.0, set=box)
+        start, _, dependent = _project(problem, side, [], [])
+        assert not dependent
+        d, mults, dependent = _project(problem, side, [row], [0.7])
+        assert d == start and mults == [0.0] and dependent
+        toward, coef, dependent = _direction([row], [s == 0.0 for s in side],
+                                             [1.0, 1.0, 1.0])
+        assert coef == [0.0] and dependent
+        assert toward == [1.0 if s == 0.0 else 0.0 for s in side]
+
+    def test_zero_equality_row_sets_rank_warning(self):
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        problem = QpProblem(gradient=[0.5, -3.0], curvature=1.0, set=box,
+                            eq_jacobian=np.zeros((2, 1)), eq_residual=[0.0])
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.OPTIMAL and sol.rank_warning
+        np.testing.assert_array_equal(sol.step, [-0.5, 1.0])
+        np.testing.assert_array_equal(sol.eq_multipliers, [0.0])
 
 
 def test_duplicated_rows_still_solve():

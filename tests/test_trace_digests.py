@@ -4,23 +4,29 @@ A change that claims to keep every number must leave these digests alone.
 A change that alters trace bytes on purpose updates the pins here and says
 why.  Like the pivot pins in test_lp.py, the digests belong to the numpy and
 BLAS build they were recorded with: another build may round differently.
+The same runs also pin their subproblem traffic: solve, active-set
+iteration and rank-warning counts, and that no solve needs an SVD.
 """
 
 import hashlib
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from snsqp import driver
 from snsqp.bench.cli import cli_main
 from snsqp.bench.runner import run_id_for, run_single
+from snsqp.qp import QpStatus, solve_qp
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("bd75b738b528fc836dca63b7166e9be6e941798616ee1b78287775526721bbdc",
-            "8ff7a0995250104acb74945ffc149fc9524a8473aa416f6a4c4f4eb09842c80c"),
+    "pps": ("076b9e37d889fb9995730e6f3a726d29ce1d36bbb86304cc1e32ff2c9f87c939",
+            "eaf1dd84cd19e2eb4fbda986596e5440b0c8b268dd58017cc7ac0d4f1de006d8"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
-    "affine-eq": ("34d65daa3c7f641f103dc94d1c4999c99a5e3255e95c687dd51541c994e77018",
+    "affine-eq": ("f9cc4ed808c5faf3cb365474dfc6c4b49f24cf86316bfedb566f48b568dc1910",
                   "2c3dc5c16e29f8362615c12ccc0b05f17804334e880dac400873ff343ad07940"),
 }
 
@@ -32,16 +38,56 @@ def _check_digests(out_dir, run_id, name):
     assert actual == PINS[name], f"{name} run: expected {PINS[name]}, got {actual}"
 
 
+def _pps_run(out_dir):
+    run_single("fixed:10", 0, 2000, 500, out_dir)
+
+
+def _equality_run(out_dir, problem):
+    config = out_dir / "cfg.json"
+    config.write_text(json.dumps({
+        "problem": problem, "strategy": "fixed:10", "budget": 1000, "seed": 0,
+        "out": str(out_dir), "run_id": "pinned"}))
+    assert cli_main(["run", str(config)]) == 0
+
+
 def test_pps_fixed10_run(tmp_path):
-    run_single("fixed:10", 0, 2000, 500, tmp_path)
+    _pps_run(tmp_path)
     _check_digests(tmp_path, run_id_for("fixed:10", 0), "pps")
 
 
 @pytest.mark.parametrize("problem", ["quadratic-eq", "affine-eq"])
 def test_equality_run(tmp_path, capsys, problem):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        "problem": problem, "strategy": "fixed:10", "budget": 1000, "seed": 0,
-        "out": str(tmp_path), "run_id": "pinned"}))
-    assert cli_main(["run", str(config)]) == 0
+    _equality_run(tmp_path, problem)
     _check_digests(tmp_path, "pinned", problem)
+
+
+@pytest.mark.parametrize("name, solves, iterations", [
+    ("pps", 200, 191), ("quadratic-eq", 100, 0), ("affine-eq", 15, 11)])
+def test_subproblem_path(tmp_path, capsys, monkeypatch, name, solves, iterations):
+    """The same runs' subproblem traffic: every solve OPTIMAL without a rank
+    warning, and none factors its working set by SVD, since each has at most
+    one working row (PPS one inequality row, the equality problems one
+    equality row), which the closed form covers."""
+    statuses, counts, svd_calls = Counter(), Counter(), []
+    svd = np.linalg.svd
+
+    def recording_solve(problem):
+        solution = solve_qp(problem)
+        statuses[solution.status] += 1
+        counts["iterations"] += solution.iterations
+        counts["rank_warnings"] += solution.rank_warning
+        return solution
+
+    def recording_svd(*args, **kwargs):
+        svd_calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_qp", recording_solve)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    if name == "pps":
+        _pps_run(tmp_path)
+    else:
+        _equality_run(tmp_path, name)
+    assert statuses == {QpStatus.OPTIMAL: solves}
+    assert counts == {"iterations": iterations, "rank_warnings": 0}
+    assert not svd_calls
