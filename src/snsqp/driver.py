@@ -13,9 +13,10 @@ to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 Both record one trace row per iteration and stop on an oracle-call budget,
 an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), or a
 subproblem that is infeasible or whose solve fails (for example when -g/alpha
-overflows); every stop keeps the records made so far.  The
-stochastic objective estimate is carried in the trace but never used in any
-decision.
+overflows); every stop keeps the records made so far.  The trace's
+oracle_calls counts every scenario evaluated, a failed subproblem's batch
+included.  The stochastic objective estimate is carried in the trace but
+never used in any decision.
 """
 
 from __future__ import annotations
@@ -108,14 +109,12 @@ class IterationTrace:
     stop_reason: str = ""
     problem: ConstrainedStochasticProblem = None
     config: SolverConfig = None
+    # scenarios evaluated, including the batch of a failed last subproblem
+    oracle_calls: int = 0
 
     @property
     def final_x(self) -> np.ndarray:
         return self.records[-1].x if self.records else self.config.x0
-
-    @property
-    def oracle_calls(self) -> int:
-        return self.records[-1].oracle_calls if self.records else 0
 
 
 def update_theta(theta_prev: float, lam: np.ndarray, gamma: float) -> float:
@@ -271,4 +270,5 @@ def _run(problem, config, with_equalities):
                 trace.stop_reason = "stall"
                 break
 
+    trace.oracle_calls = oracle_calls
     return trace

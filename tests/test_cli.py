@@ -48,6 +48,9 @@ class TestRunCommand:
         path.write_text("{not json")
         assert cli_main(["run", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+        path.write_text("[1, 2]")
+        assert cli_main(["run", str(path)]) == 2
+        assert "error: config: top level must be an object" in capsys.readouterr().err
 
     def test_unknown_field_named_in_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -103,7 +106,7 @@ class TestRunCommand:
         ("out", 5), ("out", ""), ("run_id", 7), ("run_id", None),
         ("strategy", 10), ("x0", [float("nan"), 1.5]), ("seed", True),
         ("alpha0", float("inf")), ("eta_alpha", float("inf")),
-        ("gamma", float("inf")), ("theta0", float("inf")),
+        ("gamma", float("inf")), ("theta0", float("inf")), ("eta_beta", "0.5"),
     ])
     def test_bad_output_field_fails_before_the_solve(self, capsys, tmp_path,
                                                      monkeypatch, field, value):
@@ -149,6 +152,16 @@ class TestRunCommand:
         assert 0.0 < float(rows[0]["zeta"]) <= 1.0
         assert float(rows[0]["theta"]) > 0.0
 
+    def test_max_iterations_field_caps_the_run(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 3000,
+            "max_iterations": 3, "out": str(tmp_path / "runs"), "run_id": "capped"}))
+        assert cli_main(["run", str(path)]) == 0
+        assert "stop=max_iterations iterations=3 oracle_calls=30 " in capsys.readouterr().out
+        with open(tmp_path / "runs" / "capped_trace.csv", newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2", "3"]
+
     def test_pps_run_with_x0_override(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -189,6 +202,10 @@ class TestCurveCommand:
                        "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "points" in capsys.readouterr().err
+        rc = cli_main(["curve", "--batch", "0", "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "error: batch: expected positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestBenchCommand:

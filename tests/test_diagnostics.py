@@ -203,13 +203,15 @@ class TestAgainstScipyNnls:
             assert report.residual == pytest.approx(0.5, rel=1e-15)
 
 
-def entry_point_imports(package: str) -> str:
-    """The modules of `package` that importing the solver and the benchmark
-    entry points loads in a fresh interpreter, as a printed sorted list."""
+def entry_point_imports(package: str,
+                        imports: str = "snsqp, snsqp.bench.cli, snsqp.bench.runner") -> str:
+    """The modules of `package` that importing `imports` (by default the
+    solver and the benchmark entry points) loads in a fresh interpreter, as a
+    printed sorted list."""
     src = str(Path(snsqp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, snsqp, snsqp.bench.cli, snsqp.bench.runner; "
+    code = (f"import sys, {imports}; "
             "print(sorted(m for m in sys.modules "
             f"if m == {package!r} or m.startswith({package + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -226,6 +228,14 @@ def test_runtime_imports_leave_scipy_out():
 def test_runtime_imports_leave_multiprocessing_out():
     """Only a grid run with several workers imports the process pool."""
     assert entry_point_imports("multiprocessing") == "[]"
+
+
+def test_package_import_loads_the_solver_alone():
+    """`import snsqp` loads the solver loops and what they call, not the LP
+    kernel, the diagnostics or the CSV writer."""
+    assert entry_point_imports("snsqp", "snsqp") == str(
+        ["snsqp", "snsqp.driver", "snsqp.model", "snsqp.qp", "snsqp.sampling"])
+    assert entry_point_imports("csv", "snsqp") == "[]"
 
 
 class TestPolyhedronRows:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from snsqp import qp
 from snsqp.bench import cli, pps
 from snsqp.bench.cli import cli_main
 from snsqp.bench.synthetic import (
@@ -208,6 +209,8 @@ class TestRunValidation:
             SolverConfig(**{**base, "eta_beta": 1.0})
         with pytest.raises(ValueError):
             SolverConfig(**{**base, "budget": 0})
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            SolverConfig(**{**base, "max_iterations": 0})
         for field in ("alpha0", "eta_alpha", "gamma", "theta0"):
             with pytest.raises(ValueError, match=f"{field} must be .*finite"):
                 SolverConfig(**{**base, field: math.inf})
@@ -227,6 +230,16 @@ def overflow_on_call(call):
         dimension=2, scenario_sampler=lambda rng, count: np.zeros(count),
         oracle=oracle, set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
         rho_estimate=0.25)
+
+
+def unit_slope(upper, **rows):
+    """min E[-sum(x)] over [0, upper] and the given rows, with rho 1: at
+    alpha 1 every step adds 1 to each coordinate until the set stops it."""
+    n = len(upper)
+    return ConstrainedStochasticProblem(
+        dimension=n, scenario_sampler=lambda rng, count: np.zeros(count),
+        oracle=lambda x, xi: (np.full(len(xi), -float(x.sum())), np.full((len(xi), n), -1.0)),
+        set=BoxPolyhedron(lower=np.zeros(n), upper=upper, **rows), rho_estimate=1.0)
 
 
 class TestFullStepLoop:
@@ -339,6 +352,28 @@ class TestFullStepLoop:
         assert trace.stop_reason == "subproblem_failed"
         assert [rec.k for rec in trace.records] == [1, 2, 3]
         np.testing.assert_array_equal(trace.final_x, [0.0, 0.0])
+        # four batches of 2 were evaluated; the last record holds three
+        assert trace.oracle_calls == 8
+        assert trace.records[-1].oracle_calls == 6
+
+    @pytest.mark.parametrize("setting, value, problem", [
+        ("MAX_ITER_PER_ROW", 1, unit_slope([2.5])),
+        ("TOL", 0.0, unit_slope([5.0, 5.0], ineq_matrix=[[1.0, 3.0]], ineq_rhs=[11.3])),
+    ], ids=["iteration-cap", "certificate"])
+    def test_numerical_failure_keeps_the_records(self, monkeypatch, setting, value,
+                                                 problem):
+        """The third subproblem is the first that meets the set's boundary:
+        the upper bound after a pass the cap leaves no room to check, or the
+        row with a certificate a roundoff above the zero TOL."""
+        config = SolverConfig(x0=np.zeros(problem.dimension), alpha0=1.0,
+                              strategy=FixedSize(2), budget=100)
+        assert run_algorithm1(problem, config).stop_reason == "stall"
+        monkeypatch.setattr(qp, setting, value)
+        trace = run_algorithm1(problem, config)
+        assert trace.stop_reason == "subproblem_failed"
+        assert [rec.k for rec in trace.records] == [1, 2]
+        np.testing.assert_array_equal(trace.final_x, np.full(problem.dimension, 2.0))
+        assert trace.oracle_calls == 6
 
     def test_failed_subproblem_run_writes_csvs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(cli._PROBLEM_BUILDERS, "quadratic-eq",
@@ -348,7 +383,7 @@ class TestFullStepLoop:
             "problem": "quadratic-eq", "strategy": "fixed:2", "budget": 100,
             "out": str(tmp_path), "run_id": "failed"}))
         assert cli_main(["run", str(path)]) == 0
-        assert "stop=subproblem_failed iterations=3 " in capsys.readouterr().out
+        assert "stop=subproblem_failed iterations=3 oracle_calls=8 " in capsys.readouterr().out
         with open(tmp_path / "failed_trace.csv", newline="") as fh:
             assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2", "3"]
         assert (tmp_path / "failed_epochs.csv").exists()

@@ -297,6 +297,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LpProblem(cost=[1.0], ineq_matrix=np.zeros((0, 1)), ineq_rhs=np.zeros(0),
                   lower=[2.0], upper=[1.0])
+    with pytest.raises(ValueError, match="bounds must have the same length as cost"):
+        LpProblem(cost=[1.0], ineq_matrix=np.zeros((0, 1)), ineq_rhs=np.zeros(0),
+                  lower=[0.0, 0.0], upper=[1.0])
 
 
 class TestNonFiniteInputs:

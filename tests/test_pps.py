@@ -88,6 +88,17 @@ class TestInstanceData:
                 demand_intercept0=good.demand_intercept0,
                 slope_intervals=np.abs(good.slope_intervals),
                 intercept_intervals=good.intercept_intervals)
+        for changes, message in (
+                ({"factories": 0}, "needs at least one factory and one store"),
+                ({"stores": 0}, "needs at least one factory and one store"),
+                ({"production_costs": good.production_costs[:4]},
+                 "production_costs must have one entry per factory"),
+                ({"shipment_costs": good.shipment_costs[:, :4]},
+                 "shipment_costs must be factories x stores"),
+                ({"intercept_intervals": -good.intercept_intervals},
+                 "intercept intervals must be positive")):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(good, **changes)
 
     def test_replace_rebuilds_the_recourse_lp(self, instance):
         """The recourse LP is built from the other fields, so a replaced

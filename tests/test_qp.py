@@ -5,10 +5,13 @@ box-only case additionally has the closed form clip(-g/alpha, lower, upper).
 Every optimum is re-certified through the standalone kkt_residual check.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from snsqp import qp
 from snsqp.qp import (
     BoxPolyhedron,
     QpProblem,
@@ -235,6 +238,12 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             BoxPolyhedron(lower=[0.0, 0.0], upper=[1.0, 1.0],
                           ineq_matrix=[[1.0]], ineq_rhs=[1.0])
+        with pytest.raises(ValueError, match="vectors of the same shape"):
+            BoxPolyhedron(lower=[0.0, 0.0], upper=[1.0])
+        with pytest.raises(ValueError, match="vectors of the same shape"):
+            BoxPolyhedron(lower=[[0.0]], upper=[[1.0]])
+        with pytest.raises(ValueError, match="must be given together"):
+            BoxPolyhedron(lower=[0.0], upper=[1.0], ineq_matrix=[[1.0]])
         box = BoxPolyhedron(lower=[0.0], upper=[1.0])
         with pytest.raises(ValueError):
             QpProblem(gradient=[1.0], curvature=0.0, set=box)
@@ -243,6 +252,17 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             QpProblem(gradient=[1.0], curvature=1.0, set=box,
                       eq_jacobian=[[1.0]])
+        with pytest.raises(ValueError, match=r"eq_jacobian must be \(n, m\)"):
+            QpProblem(gradient=[1.0], curvature=1.0, set=box,
+                      eq_jacobian=[[1.0, 2.0]], eq_residual=[0.0])
+        problem = QpProblem(gradient=[1.0], curvature=1.0, set=box,
+                            eq_jacobian=[[1.0]], eq_residual=[-0.5])
+        sol = solve_qp(problem)
+        for field, value in (("step", np.zeros(2)), ("set_multipliers", np.zeros(3)),
+                             ("eq_multipliers", np.zeros(2))):
+            wrong = dataclasses.replace(sol, **{field: value})
+            with pytest.raises(ValueError, match="the candidate needs a step entry"):
+                kkt_residual(problem, wrong)
 
 
 class TestOneRowClosedForm:
@@ -508,6 +528,41 @@ def test_overflowing_start_is_numerical_failure(gradient, curvature):
     sol = solve_qp(QpProblem(gradient=gradient, curvature=curvature, set=box))
     assert sol.status is QpStatus.NUMERICAL_FAILURE
     assert not np.isfinite(sol.kkt_residual)
+
+
+def test_iteration_cap_is_numerical_failure(monkeypatch):
+    """The loop runs at most MAX_ITER_PER_ROW passes per constraint.  Here
+    -g/alpha = 3 leaves [-1, 1]: one pass adds the upper bound, and a second
+    would find nothing violated, so a cap of one pass ends the solve."""
+    problem = QpProblem(gradient=[-3.0], curvature=1.0,
+                        set=BoxPolyhedron(lower=[-1.0], upper=[1.0]))
+    assert solve_qp(problem).status is QpStatus.OPTIMAL
+    monkeypatch.setattr(qp, "MAX_ITER_PER_ROW", 1)
+    sol = solve_qp(problem)
+    assert sol.status is QpStatus.NUMERICAL_FAILURE
+    assert sol.iterations == 1
+    assert not sol.rank_warning
+    np.testing.assert_array_equal(sol.step, [0.0])
+    assert sol.kkt_residual == np.inf
+
+
+def test_certificate_above_tol_is_numerical_failure(monkeypatch):
+    """A solve whose KKT residual exceeds TOL times the gradient scale fails,
+    keeping its step and residual.  This certificate is a roundoff above 0,
+    so a TOL of 0 fails it."""
+    box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                        ineq_matrix=[[1.0, 3.0]], ineq_rhs=[0.3])
+    problem = QpProblem(gradient=[-0.7, -1.1], curvature=0.7, set=box)
+    certified = solve_qp(problem)
+    assert certified.status is QpStatus.OPTIMAL
+    assert 0.0 < certified.kkt_residual <= 1e-15
+    monkeypatch.setattr(qp, "TOL", 0.0)
+    sol = solve_qp(problem)
+    assert sol.status is QpStatus.NUMERICAL_FAILURE
+    assert sol.iterations == certified.iterations == 1
+    assert not sol.rank_warning
+    assert sol.kkt_residual == certified.kkt_residual
+    np.testing.assert_array_equal(sol.step, certified.step)
 
 
 @pytest.mark.parametrize("field", ["step", "set_multipliers"])

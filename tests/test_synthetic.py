@@ -76,6 +76,10 @@ class TestPiecewiseMin:
                            curvature_matrix=np.array([[-2.0]]))
         with pytest.raises(ValueError):
             SyntheticUc2Spec(pieces=[])
+        with pytest.raises(ValueError, match="all pieces must share one dimension"):
+            SyntheticUc2Spec(pieces=[
+                QuadraticPiece(offset=0.0, linear=np.zeros(2), curvature_matrix=np.eye(2)),
+                QuadraticPiece(offset=0.0, linear=np.zeros(3), curvature_matrix=np.eye(3))])
 
 
 def scalar_piecewise_min(spec, x, shift):
