@@ -244,17 +244,10 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
     bases; only the cost and the right-hand sides are built per call, on
-    instance.recourse.  Each cold solve starts from a crash basis
-    (_recourse_start) built from p and this batch's demands alone, so no
-    state outlives the call: the slack basis up to the shipment cost; then
-    every factory's floor unit shipped to the store j* whose smallest demand
-    in the batch is largest; above the shipment cost plus the cheapest
-    production cost, also the cheapest factory's production and shipments.
-    With uniform shipment costs that basis is optimal for every row whose
-    demand covers the floor units, so the batch takes one cold solve and no
-    pivot.  Otherwise the simplex
-    finishes from it, or a row it does not fit starts from the slack basis.
-    The p-derivative comes from the envelope theorem: the z part of the cost
+    instance.recourse.  Each cold solve starts from the crash basis of
+    _recourse_start, whose docstring states the rule; it is built from p and
+    this batch's demands alone, so no state outlives the call.  The
+    p-derivative comes from the envelope theorem: the z part of the cost
     vector has derivative -1 per unit shipped, and the demand right-hand
     sides have derivative slope_j, weighted by their duals; both terms are
     read per basis of the batch (shipped totals from the basic values).

@@ -10,7 +10,8 @@ Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  The reduced
 nonnegative least-squares problem is solved exactly by the Lawson-Hanson
 active-set method (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
 ch. 23), whose passive-set least-squares steps are taken on the columns
-themselves, not through their Gram matrix.
+themselves, not through their Gram matrix: they go through the subproblem's
+least-squares factor, snsqp.qp._factor, and its one rank rule.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
 with different batch sizes can be compared: the record with cumulative call
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, _dot
+from .qp import BoxPolyhedron, _direction, _dot
 from .sampling import aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -142,19 +143,12 @@ def _unit_scaled(values: list) -> tuple:
 
 
 def _passive_least_squares(cols: tuple, b: list, passive: list) -> list:
-    """Least-squares weights of b on the passive columns, zero elsewhere.
-
-    One column has the closed form (a_j . b) / (a_j . a_j).
-    """
-    z = [0.0] * len(cols)
-    if len(passive) == 1:
-        col = cols[passive[0]]
-        z[passive[0]] = _dot(col, b) / _dot(col, col)
-    elif passive:
-        sub = np.array([cols[i] for i in passive]).T
-        for i, weight in zip(passive, np.linalg.lstsq(sub, b, rcond=None)[0].tolist()):
-            z[i] = weight
-    return z
+    """Least-squares weights of b on the passive columns, zero elsewhere:
+    the coefficients of qp._direction, which factors the columns as working
+    rows with every coordinate free."""
+    _, weights, _ = _direction([cols[i] for i in passive], [True] * len(b), b)
+    weight = dict(zip(passive, weights))
+    return [weight.get(i, 0.0) for i in range(len(cols))]
 
 
 def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:

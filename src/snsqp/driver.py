@@ -11,12 +11,13 @@ this implementation fixes nu_k = 1, mu_k = 0 and alpha_k = alpha0 (clamped
 to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 
 Both record one trace row per iteration and stop on an oracle-call budget,
-an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), or a
+an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), a
 subproblem that is infeasible or whose solve fails (for example when -g/alpha
-overflows); every stop keeps the records made so far.  The trace's
-oracle_calls counts every scenario evaluated, a failed subproblem's batch
-included.  The stochastic objective estimate is carried in the trace but
-never used in any decision.
+overflows), or a line search that reaches its cap of halvings; every stop
+keeps the records made so far.  The trace's oracle_calls counts every
+scenario evaluated, the batch of a failed last iteration included.  The
+stochastic objective estimate is carried in the trace but never used in any
+decision.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List
 
 import numpy as np
 
-from .model import ConstrainedStochasticProblem, merit_value, predicted_decrease
+from .model import ConstrainedStochasticProblem, _require_int, merit_value, predicted_decrease
 from .qp import QpProblem, QpStatus, solve_qp
 from .sampling import (
     SamplingStrategy,
@@ -70,6 +71,8 @@ class SolverConfig:
             raise ValueError("gamma must be positive and finite")
         if not 0 < self.theta0 < math.inf:
             raise ValueError("theta0 must be positive and finite")
+        _require_int(budget=self.budget, master_seed=self.master_seed,
+                     max_iterations=self.max_iterations)
         if self.budget < 1:
             raise ValueError("budget must be a positive integer")
         if self.max_iterations < 1:
@@ -147,8 +150,9 @@ def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, d: np.ndar
     The acceptance inequality compares the guaranteed linearized reduction of
     theta*|c|_1 against its actual value at x + zeta*d, with slack
     (eta_beta*alpha/2)*zeta*|d|^2.  Termination within ceil(log2(1/pi)) + 1
-    halvings is guaranteed when rho/H estimates are honest; the hard cap of
-    64 halvings signals a violated precondition.
+    halvings is guaranteed when rho/H estimates are honest.  Past the cap of
+    MAX_HALVINGS halvings, a sign that rho_estimate or lipschitz_h is
+    underestimated, it returns (None, MAX_HALVINGS + 1): every trial rejected.
     """
     c_x, _ = problem.eq_constraints(x)
     c_norm = float(np.sum(np.abs(c_x)))
@@ -162,9 +166,7 @@ def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, d: np.ndar
         if lhs >= rhs:
             return zeta, backtracks
         zeta *= 0.5
-    raise RuntimeError(
-        "line search exceeded 64 halvings; rho_estimate or lipschitz_h is "
-        "likely underestimated for this problem")
+    return None, MAX_HALVINGS + 1
 
 
 def run_algorithm1(problem: ConstrainedStochasticProblem,
@@ -234,6 +236,9 @@ def _run(problem, config, with_equalities):
             theta = update_theta(theta, sol.eq_multipliers, config.gamma)
             zeta, backtracks = line_search(problem, x, d, sol.eq_multipliers,
                                            theta, alpha, config.eta_beta)
+            if zeta is None:
+                trace.stop_reason = "line_search_cap"
+                break
             pi = compute_pi(config.eta_beta, alpha, problem.lipschitz_h, theta, n_eq)
             beta = min(zeta, pi)
             merit = merit_value(stats.mean_value, c_val, theta)

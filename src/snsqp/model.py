@@ -17,6 +17,7 @@ whose minimizer over the translated feasible set is the search direction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,7 @@ class ConstrainedStochasticProblem:
     eq_constraints: Optional[EqConstraints] = None
 
     def __post_init__(self):
+        _require_int(dimension=self.dimension)
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
         if self.set.dim != self.dimension:
@@ -61,6 +63,14 @@ class ConstrainedStochasticProblem:
             raise ValueError("rho_estimate must be positive and finite")
         if not 0 <= self.lipschitz_h < math.inf:
             raise ValueError("lipschitz_h must be nonnegative and finite")
+
+
+def _require_int(**fields) -> None:
+    """Raise ValueError naming the first field that is not an integer; a
+    numpy integer is one, a bool or a float of integral value is not."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 def predicted_decrease(gradient: np.ndarray, curvature: float, d: np.ndarray) -> float:

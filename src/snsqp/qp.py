@@ -23,13 +23,11 @@ the multipliers feed merit and stationarity formulas.
 
 Because they are small, the working-set algebra and the KKT certificate run
 on Python floats: a numpy call costs more than the arithmetic it does on a
-handful of entries, as for the NNLS of snsqp.diagnostics.  Dot
-products are correctly rounded (math.fsum).  With one working row on the
-free coordinates the direction and the projection are rank-one closed forms;
-the SVD of _factor runs only for two or more working rows.  Every canonical
-run has at most one (the PPS set one inequality row, the equality problems
-one equality row), so the SVD serves dependent or stacked rows, as in the
-property tests.
+handful of entries.  Dot products are correctly rounded (math.fsum).  _factor
+is the one least-squares factor, with one rank rule, for the direction, the
+projection and the NNLS of snsqp.diagnostics.  It calls numpy's SVD only for
+two or more working rows, which no canonical run has: the PPS set has one
+inequality row, the equality problems one equality row.
 """
 
 from __future__ import annotations
@@ -208,9 +206,8 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     joins (a full step).  A violated constraint with no primal step and
     nothing to drop proves the subproblem INFEASIBLE.
 
-    The loop runs on Python floats.  With at most one working row the
-    direction and the projection have closed forms (see _direction and
-    _project); two or more working rows are factored by _factor's SVD.
+    The loop runs on Python floats; _direction and _project factor the
+    working rows through _factor.
 
     If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
     QpSolution.iterations counts the constraints added plus those dropped.
@@ -347,51 +344,49 @@ def _dot(u, v) -> float:
     return math.fsum(map(operator.mul, u, v))
 
 
-def _factor(rows: np.ndarray, free: np.ndarray):
-    """Thin SVD (u, s, vt) of the rows on the free coordinates, without the
-    singular values below RANK_THRESHOLD times the largest.  Only working
-    sets of two or more rows reach it: one row has a closed form."""
-    u, s, vt = np.linalg.svd(rows * free, full_matrices=False)
-    keep = s > RANK_THRESHOLD * s[0]
-    return u[:, keep], s[keep], vt[keep]
+def _factor(work: list, free: list):
+    """Thin SVD (u, s, vt) of the working rows on the free coordinates, as
+    Python lists, without the singular values below RANK_THRESHOLD times the
+    largest: the one factorization of a working set and its one rank rule.
 
-
-def _unit_row(row: list, free: list):
-    """The row on the free coordinates as (unit vector, norm), or None when
-    that part is zero: the one singular value of a single row, which the
-    SVD threshold drops exactly when it is zero.  The norm is taken by
-    math.hypot, which neither underflows nor overflows on the way."""
-    part = [a if f else 0.0 for a, f in zip(row, free)]
+    No row gives empty lists.  One row has the closed form u = [[1]],
+    s = [|a_f|], vt = [a_f / |a_f|] for a_f its free part, with the norm
+    taken by math.hypot, which neither underflows nor overflows on the way;
+    a zero a_f has no singular value, the one the threshold drops.  Two or
+    more rows go through numpy's SVD.  Either way vt is zero on the fixed
+    coordinates, so the direction and the correction leave them alone.
+    """
+    if len(work) > 1:
+        u, s, vt = np.linalg.svd(np.array(work) * free, full_matrices=False)
+        keep = s > RANK_THRESHOLD * s[0]
+        return u[:, keep].tolist(), s[keep].tolist(), (vt[keep] * free).tolist()
+    if not work:
+        return [], [], []
+    part = [a if f else 0.0 for a, f in zip(work[0], free)]
     norm = math.hypot(*part)
     if not norm > 0.0:
-        return None
-    return [a / norm for a in part], norm
+        return [[]], [], []
+    return [[1.0]], [norm], [[a / norm for a in part]]
 
 
 def _direction(work: list, free: list, normal: list):
     """Split normal on the free coordinates into work.T @ coef plus toward,
     orthogonal to the working rows; returns (toward, coef, dependent).
 
-    With no working row, toward is the free part of normal.  With one, the
-    rank-one closed form: coef = (v . normal) / |a_f| and toward = normal_f
-    - (v . normal) v, for a_f the row's free part and v = a_f / |a_f|; a row
-    with a zero free part is dependent and gets coefficient 0.  More rows go
-    through _factor, whose singular vectors give the same split.
+    Over _factor's (u, s, vt): toward = normal_f - vt.T @ coords and
+    coef = u @ (coords / s), for coords = vt @ normal_f.  The rows are
+    dependent when _factor keeps fewer singular values than rows; coef is
+    then the least-norm split, 0 for a row with a zero free part.
     """
     toward = [a if f else 0.0 for a, f in zip(normal, free)]
-    if len(work) > 1:
-        u, s, vt = _factor(np.array(work), np.array(free))
-        coords = vt @ toward
-        coef = u @ (coords / s)
-        return (np.array(toward) - vt.T @ coords).tolist(), coef.tolist(), s.size < len(work)
-    if not work:
-        return toward, [], False
-    unit = _unit_row(work[0], free)
-    if unit is None:
-        return toward, [0.0], True
-    v, norm = unit
-    along = _dot(v, toward)
-    return [x - along * y for x, y in zip(toward, v)], [along / norm], False
+    u, s, vt = _factor(work, free)
+    scaled = []  # coords / s
+    # vt's rows are orthonormal: taking one off leaves the next coordinate as it was
+    for sv, v in zip(s, vt):
+        c = _dot(v, toward)
+        toward = [x - c * y for x, y in zip(toward, v)]
+        scaled.append(c / sv)
+    return toward, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 
 def _project(problem: QpProblem, side: list, work: list, rhs: list):
@@ -400,30 +395,24 @@ def _project(problem: QpProblem, side: list, work: list, rhs: list):
     rows' multipliers (-alpha times the coefficients of that correction); and
     whether the rows are dependent on the free coordinates.
 
-    One row a has the closed form d += v (r / |a_f|) with multiplier
-    -alpha r / |a_f|^2, for r = rhs - a . d, a_f the row's free part and
-    v = a_f / |a_f|; a row with a zero free part leaves d as it is, with
-    multiplier 0, and is dependent.  More rows go through _factor.
+    Over _factor's (u, s, vt), for the row residual r = rhs - work @ d: the
+    correction is vt.T @ (u.T @ r / s) and the multipliers are
+    -alpha u @ (u.T @ r / s^2).  A row with a zero free part moves nothing
+    and gets multiplier +0.0.
     """
     box, alpha = problem.set, problem.curvature
-    d = [lo if s < 0.0 else up if s > 0.0 else -g / alpha
-         for s, lo, up, g in zip(side, box.lower.tolist(), box.upper.tolist(),
+    d = [lo if k < 0.0 else up if k > 0.0 else -g / alpha
+         for k, lo, up, g in zip(side, box.lower.tolist(), box.upper.tolist(),
                                  problem.gradient.tolist())]
-    free = [s == 0.0 for s in side]
-    if len(work) > 1:
-        rows = np.array(work)
-        u, s, vt = _factor(rows, np.array(free))
-        coords = u.T @ (np.array(rhs) - rows @ d) / s
-        return ((np.array(d) + vt.T @ coords).tolist(),
-                (-alpha * (u @ (coords / s))).tolist(), s.size < len(work))
-    if not work:
-        return d, [], False
-    unit = _unit_row(work[0], free)
-    if unit is None:
-        return d, [0.0], True
-    v, norm = unit
-    step = (rhs[0] - _dot(work[0], d)) / norm
-    return [x + step * y for x, y in zip(d, v)], [-alpha * (step / norm)], False
+    u, s, vt = _factor(work, [k == 0.0 for k in side])
+    residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
+    # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0
+    scaled = []  # -alpha coords / s
+    for col, sv, v in zip(zip(*u), s, vt):
+        c = _dot(col, residual) / sv
+        d = [x + c * y for x, y in zip(d, v)]
+        scaled.append(-alpha * (c / sv))
+    return d, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 
 def _assemble_solution(problem: QpProblem, side: list, rows: list[int], work: list,

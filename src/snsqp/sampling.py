@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .model import ConstrainedStochasticProblem
+from .model import ConstrainedStochasticProblem, _require_int
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +52,7 @@ class FixedSize:
     size: int
 
     def __post_init__(self):
+        _require_int(size=self.size)
         if self.size < MIN_BATCH:
             raise ValueError(f"batch size must be at least {MIN_BATCH}")
 
@@ -69,6 +71,7 @@ class PolynomialSize:
     def __post_init__(self):
         if not 0 < self.exponent < math.inf:  # NaN and inf fail too
             raise ValueError("exponent must be positive and finite")
+        _require_int(cap=self.cap)
         if not self.cap >= MIN_BATCH:
             raise ValueError(f"requires cap >= {MIN_BATCH}")
 
@@ -86,6 +89,7 @@ class AdaptiveSize:
     def __post_init__(self):
         if not 0 < self.eta < math.inf:  # NaN and inf fail too
             raise ValueError("eta must be positive and finite")
+        _require_int(cap=self.cap)
         if not self.cap >= MIN_BATCH:
             raise ValueError(f"requires cap >= {MIN_BATCH}")
 
@@ -105,9 +109,10 @@ def _mix64(z: int) -> int:
 
 
 def substream_key(master_seed: int, iteration: int) -> int:
-    """128-bit key for the (seed, iteration) scenario stream."""
-    a = _mix64(master_seed & _MASK64)
-    b = _mix64(a ^ _mix64(iteration & _MASK64))
+    """128-bit key for the (seed, iteration) scenario stream; a numpy
+    integer gives the key of the Python int of the same value."""
+    a = _mix64(operator.index(master_seed) & _MASK64)
+    b = _mix64(a ^ _mix64(operator.index(iteration) & _MASK64))
     return (a << 64) | b
 
 

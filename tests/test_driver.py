@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from snsqp import qp
+from snsqp import driver, qp
 from snsqp.bench import cli, pps
 from snsqp.bench.cli import cli_main
 from snsqp.bench.synthetic import (
@@ -215,6 +215,24 @@ class TestRunValidation:
             with pytest.raises(ValueError, match=f"{field} must be .*finite"):
                 SolverConfig(**{**base, field: math.inf})
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 10.5), ("budget", True), ("master_seed", 1.5),
+        ("master_seed", False), ("max_iterations", 2.5), ("max_iterations", 3.0),
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        base = dict(x0=np.zeros(2), alpha0=1.0, strategy=FixedSize(4), budget=10)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            SolverConfig(**{**base, field: value})
+
+    def test_numpy_integer_fields_run_as_python_ints(self):
+        problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.5)
+        runs = [run_algorithm1(problem, SolverConfig(
+            x0=np.zeros(2), alpha0=4.0, strategy=FixedSize(cast(4)), budget=cast(40),
+            master_seed=cast(3), max_iterations=cast(5))) for cast in (int, np.int64)]
+        for trace in runs:
+            assert trace.stop_reason == "max_iterations" and trace.oracle_calls == 20
+        np.testing.assert_array_equal(runs[0].final_x, runs[1].final_x)
+
 
 def overflow_on_call(call):
     """min E[x.x/8] over [-1, 1]^2, with rho 0.25, whose oracle returns the
@@ -390,6 +408,29 @@ class TestFullStepLoop:
 
 
 class TestLineSearchLoop:
+    def test_line_search_cap_keeps_the_trace(self, monkeypatch, capsys, tmp_path):
+        """Past MAX_HALVINGS the run stops as line_search_cap, keeps the
+        records so far and counts the batch spent.  quadratic-eq with
+        fixed:10 and seed 0 backtracks at its first iteration, so with no
+        halving allowed it stops there with no record and 10 oracle calls."""
+        problem = build_quadratic_equality_problem()
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                              strategy=FixedSize(10), budget=1000, master_seed=0)
+        assert run_algorithm2(problem, config).records[0].backtracks == 1
+        monkeypatch.setattr(driver, "MAX_HALVINGS", 0)
+        trace = run_algorithm2(problem, config)
+        assert trace.stop_reason == "line_search_cap"
+        assert trace.records == [] and trace.oracle_calls == 10
+        np.testing.assert_array_equal(trace.final_x, config.x0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 1000,
+            "out": str(tmp_path), "run_id": "capped"}))
+        assert cli_main(["run", str(path)]) == 0
+        assert "stop=line_search_cap iterations=0 oracle_calls=10 " in capsys.readouterr().out
+        with open(tmp_path / "capped_trace.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == []
+
     def test_affine_problem_converges_to_constrained_minimizer(self):
         problem = build_affine_equality_problem()
         config = SolverConfig(x0=np.array([0.0, 0.0]), alpha0=1.0,

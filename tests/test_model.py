@@ -89,6 +89,16 @@ def test_problem_validation():
                                      lipschitz_h=-1.0)
 
 
+@pytest.mark.parametrize("dimension", [2.0, True], ids=["float", "bool"])
+def test_problem_dimension_must_be_an_integer(dimension):
+    """A float dimension would run, and the CSV export fail on range(2.0)."""
+    with pytest.raises(ValueError, match="^dimension must be an integer$"):
+        ConstrainedStochasticProblem(
+            dimension=dimension, scenario_sampler=lambda rng, count: np.zeros(count),
+            oracle=lambda x, s: (np.zeros(len(s)), np.zeros((len(s), 2))),
+            set=BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0]), rho_estimate=1.0)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("lipschitz_h", float("nan"), "lipschitz_h must be nonnegative and finite"),
     ("lipschitz_h", float("inf"), "lipschitz_h must be nonnegative and finite"),

@@ -265,12 +265,21 @@ class TestSetValidation:
                 kkt_residual(problem, wrong)
 
 
+#: (working rows drawn, whether the first is added again) for the factor tests
+WORKING_SETS = [pytest.param(1, False, id="one-row"), pytest.param(2, False, id="two-rows"),
+                pytest.param(3, False, id="three-rows"),
+                pytest.param(2, True, id="duplicated-row")]
+
+
 class TestOneRowClosedForm:
-    """One working row on the free coordinates has a closed form; it must
-    agree with the least-norm solution of numpy's lstsq."""
+    """The working-set factor: one working row on the free coordinates has a
+    closed form, more rows go through the SVD.  Either must agree with the
+    least-norm solutions of numpy's lstsq, and rows that are dependent on the
+    free coordinates (a duplicated row, or more rows than free coordinates)
+    must come out dependent."""
 
     @staticmethod
-    def random_case(rng):
+    def random_case(rng, n_rows=1, duplicate=False):
         n = int(rng.integers(1, 6))
         box = random_box(rng, n)
         side = rng.choice([-1.0, 0.0, 0.0, 1.0], size=n)
@@ -278,43 +287,53 @@ class TestOneRowClosedForm:
                             curvature=float(rng.uniform(0.5, 4.0)), set=box)
         free_start = -problem.gradient / problem.curvature
         start = np.where(side < 0.0, box.lower, np.where(side > 0.0, box.upper, free_start))
-        return problem, side, rng.normal(size=n), float(rng.normal()), start
+        rows, rhs = rng.normal(size=(n_rows, n)), rng.normal(size=n_rows)
+        if duplicate:  # the same constraint twice
+            rows, rhs = np.vstack([rows, rows[:1]]), np.append(rhs, rhs[0])
+        dependent = duplicate or n_rows > np.count_nonzero(side == 0.0)
+        return problem, side, rows, rhs, start, dependent
 
-    def test_projection_is_the_least_norm_correction(self):
+    @pytest.mark.parametrize("n_rows, duplicate", WORKING_SETS)
+    def test_projection_is_the_least_norm_correction(self, n_rows, duplicate):
         rng = np.random.default_rng(3301)
         for trial in range(300):
-            problem, side, row, rhs, start = self.random_case(rng)
+            problem, side, rows, rhs, start, expected = self.random_case(rng, n_rows, duplicate)
             free = side == 0.0
-            d, mults, dependent = _project(problem, side.tolist(), [row.tolist()], [rhs])
+            d, mults, dependent = _project(problem, side.tolist(), rows.tolist(), rhs.tolist())
+            assert dependent == expected, f"trial {trial}"
             if not free.any():  # every coordinate fixed: nothing to correct
-                assert dependent and d == start.tolist() and mults == [0.0]
+                assert d == start.tolist() and mults == [0.0] * len(rows)
                 continue
             correction = np.zeros_like(start)
-            correction[free] = np.linalg.lstsq(row[free][None, :], [rhs - row @ start],
+            correction[free] = np.linalg.lstsq(rows[:, free], rhs - rows @ start,
                                                rcond=None)[0]
-            coef = np.linalg.lstsq(row[free][:, None], correction[free], rcond=None)[0]
-            assert not dependent, f"trial {trial}"
+            coef = np.linalg.lstsq(rows[:, free].T, correction[free], rcond=None)[0]
             np.testing.assert_allclose(d, start + correction, rtol=1e-12, atol=1e-12,
                                        err_msg=f"trial {trial}")
             np.testing.assert_allclose(mults, -problem.curvature * coef, rtol=1e-10,
                                        atol=1e-12, err_msg=f"trial {trial}")
-            assert abs(row @ np.array(d) - rhs) <= 1e-12 * (1.0 + np.abs(row) @ np.abs(d))
+            if not expected:
+                assert (np.abs(rows @ np.array(d) - rhs)
+                        <= 1e-12 * (1.0 + np.abs(rows) @ np.abs(d))).all()
 
-    def test_direction_splits_the_normal(self):
+    @pytest.mark.parametrize("n_rows, duplicate", WORKING_SETS)
+    def test_direction_splits_the_normal(self, n_rows, duplicate):
         rng = np.random.default_rng(3302)
         for trial in range(300):
-            _, side, row, _, _ = self.random_case(rng)
+            _, side, rows, _, _, expected_dependent = self.random_case(rng, n_rows, duplicate)
             free = side == 0.0
             if not free.any():
                 continue
-            normal = rng.normal(size=row.size)
-            toward, coef, dependent = _direction([row.tolist()], free.tolist(),
+            normal = rng.normal(size=rows.shape[1])
+            toward, coef, dependent = _direction(rows.tolist(), free.tolist(),
                                                  normal.tolist())
-            expected = np.linalg.lstsq(row[free][:, None], normal[free], rcond=None)[0]
-            assert not dependent
-            np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
+            expected = np.linalg.lstsq(rows[:, free].T, normal[free], rcond=None)[0]
+            assert dependent == expected_dependent, f"trial {trial}"
+            np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12,
+                                       err_msg=f"trial {trial}")
             np.testing.assert_allclose(np.array(toward)[free],
-                                       normal[free] - expected * row[free], atol=1e-12)
+                                       normal[free] - expected @ rows[:, free], atol=1e-12,
+                                       err_msg=f"trial {trial}")
             assert not np.array(toward)[~free].any()
 
     @pytest.mark.parametrize("row, side", [([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),

@@ -85,6 +85,10 @@ class TestScenarioStreams:
         assert len(keys) == 20 * 200
         assert all(0 <= key < (1 << 128) for key in keys)
 
+    def test_numpy_integer_seed_keys_like_python_int(self):
+        for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+            assert substream_key(seed, np.int64(5)) == substream_key(3, 5)
+
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             draw_scenarios(uniform_sampler, master_seed=0, iteration=1, count=0)
@@ -305,3 +309,22 @@ class TestSchedules:
             AdaptiveSize(eta=float("inf"), cap=10)
         with pytest.raises(ValueError):
             AdaptiveSize(eta=1.0, cap=1)
+
+    @pytest.mark.parametrize("strategy, fields, field", [
+        (FixedSize, {"size": 10.0}, "size"),
+        (FixedSize, {"size": True}, "size"),
+        (PolynomialSize, {"exponent": 1.2, "cap": 10.5}, "cap"),
+        (AdaptiveSize, {"eta": 1.0, "cap": 10.5}, "cap"),
+        (AdaptiveSize, {"eta": 1.0, "cap": np.float64(1000.0)}, "cap"),
+    ], ids=["fixed-float", "fixed-bool", "poly-float-cap", "adaptive-float-cap",
+            "adaptive-numpy-float-cap"])
+    def test_integer_fields_reject_floats_and_bools(self, strategy, fields, field):
+        """A float size reaches the sampler only at the first draw, or at the
+        cap, and fails there with every record lost."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            strategy(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        assert FixedSize(np.int64(10)).initial_size() == 10
+        assert PolynomialSize(exponent=1.2, cap=np.int32(10)).cap == 10
+        assert AdaptiveSize(eta=1.0, cap=np.uint16(10)).cap == 10

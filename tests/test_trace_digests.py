@@ -5,7 +5,8 @@ A change that alters trace bytes on purpose updates the pins here and says
 why.  Like the pivot pins in test_lp.py, the digests belong to the numpy and
 BLAS build they were recorded with: another build may round differently.
 The same runs also pin their subproblem traffic: solve, active-set
-iteration and rank-warning counts, and that no solve needs an SVD.
+iteration and rank-warning counts, and that no solve or stationarity fill
+needs an SVD or a numpy least-squares call.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ PINS = {
             "eaf1dd84cd19e2eb4fbda986596e5440b0c8b268dd58017cc7ac0d4f1de006d8"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
-    "affine-eq": ("f9cc4ed808c5faf3cb365474dfc6c4b49f24cf86316bfedb566f48b568dc1910",
+    "affine-eq": ("14ef7b910d038eaaf7879c58f9e7641b4fcdf6fd2e5a0a5337bfd49b8a8e7746",
                   "2c3dc5c16e29f8362615c12ccc0b05f17804334e880dac400873ff343ad07940"),
 }
 
@@ -67,9 +68,12 @@ def test_subproblem_path(tmp_path, capsys, monkeypatch, name, solves, iterations
     """The same runs' subproblem traffic: every solve OPTIMAL without a rank
     warning, and none factors its working set by SVD, since each has at most
     one working row (PPS one inequality row, the equality problems one
-    equality row), which the closed form covers."""
-    statuses, counts, svd_calls = Counter(), Counter(), []
-    svd = np.linalg.svd
+    equality row), which _factor's closed form covers.  The stationarity
+    fill of the same runs factors its passive columns through _factor too,
+    one at a time, so the SVD check covers the NNLS as well; and no
+    least-squares call of numpy's remains."""
+    statuses, counts, svd_calls, lstsq_calls = Counter(), Counter(), [], []
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
 
     def recording_solve(problem):
         solution = solve_qp(problem)
@@ -82,12 +86,17 @@ def test_subproblem_path(tmp_path, capsys, monkeypatch, name, solves, iterations
         svd_calls.append(args)
         return svd(*args, **kwargs)
 
+    def recording_lstsq(*args, **kwargs):
+        lstsq_calls.append(args)
+        return lstsq(*args, **kwargs)
+
     monkeypatch.setattr(driver, "solve_qp", recording_solve)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     if name == "pps":
         _pps_run(tmp_path)
     else:
         _equality_run(tmp_path, name)
     assert statuses == {QpStatus.OPTIMAL: solves}
     assert counts == {"iterations": iterations, "rank_warnings": 0}
-    assert not svd_calls
+    assert not svd_calls and not lstsq_calls
