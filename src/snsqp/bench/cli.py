@@ -166,6 +166,8 @@ def _cmd_run(args) -> int:
     final_stat = reference_stationarity(problem, trace.final_x, reference)
     print(f"run {run_id}: stop={trace.stop_reason} iterations={len(trace.records)} "
           f"oracle_calls={trace.oracle_calls} final_stationarity={final_stat!r}")
+    if trace.error:
+        print(f"error: {trace.error}")
     print(f"trace: {trace_path}")
     print(f"epochs: {epochs_path}")
     return 0

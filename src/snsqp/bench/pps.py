@@ -57,16 +57,13 @@ class PpsInstance:
     quantity_floor: float = 1.0
     #: the recourse LP, built and checked once from the fields above
     recourse: lp.LpProblem = field(init=False, compare=False, repr=False)
+    #: the crash starts of _recourse_start on it, each checked once
+    crash_starts: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "production_costs",
-                           np.asarray(self.production_costs, dtype=float))
-        object.__setattr__(self, "shipment_costs",
-                           np.asarray(self.shipment_costs, dtype=float))
-        object.__setattr__(self, "slope_intervals",
-                           np.asarray(self.slope_intervals, dtype=float))
-        object.__setattr__(self, "intercept_intervals",
-                           np.asarray(self.intercept_intervals, dtype=float))
+        for name in ("production_costs", "shipment_costs", "slope_intervals",
+                     "intercept_intervals"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.factories < 1 or self.stores < 1:
             raise ValueError("needs at least one factory and one store")
         if self.production_costs.shape != (self.factories,):
@@ -81,6 +78,7 @@ class PpsInstance:
             if not np.all(intervals[:, 0] < intervals[:, 1]):
                 raise ValueError("each interval's lower end must lie below its upper end")
         object.__setattr__(self, "recourse", _recourse_problem(self))
+        object.__setattr__(self, "crash_starts", _crash_starts(self))
 
 
 def build_pps_instance() -> PpsInstance:
@@ -131,10 +129,8 @@ def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:
 
 def scenario_sampler(instance: PpsInstance):
     """Sampler callback: (rng, count) -> array of shape (count, 2*stores)."""
-    slope_lo = instance.slope_intervals[:, 0]
-    slope_hi = instance.slope_intervals[:, 1]
-    int_lo = instance.intercept_intervals[:, 0]
-    int_hi = instance.intercept_intervals[:, 1]
+    slope_lo, slope_hi = instance.slope_intervals.T
+    int_lo, int_hi = instance.intercept_intervals.T
 
     def sample(rng: np.random.Generator, count: int):
         slopes = _truncated_normal(rng, slope_lo, slope_hi, count)
@@ -157,34 +153,25 @@ def first_stage_set(instance: PpsInstance) -> BoxPolyhedron:
     )
 
 
-def _recourse_rows(instance: PpsInstance) -> np.ndarray:
-    """Constraint rows of the recourse LP; independent of price and scenario."""
-    m, n = instance.factories, instance.stores
-    rows = np.zeros((n + m, m + m * n))
-    for j in range(n):
-        rows[j, m + j::n] = 1.0            # sum_i z_ij
-    for i in range(m):
-        rows[n + i, m + i * n: m + (i + 1) * n] = 1.0
-        rows[n + i, i] = -1.0              # sum_j z_ij - y_i
-    return rows
-
-
 def _recourse_problem(instance: PpsInstance) -> lp.LpProblem:
     """The recourse LP's rows and bounds, built and checked once per instance.
 
-    Variables are (y, z-flattened).  Its cost is the one at p = 0 and its
-    right-hand side is zero: recourse_lp sets both per price.  The problem
-    is immutable, so sharing it keeps the oracle a pure function of
-    (x, batch).
+    Variables are (y, z-flattened); the rows, independent of price and
+    scenario, are the demand rows, then the capacity rows.  Its cost is the
+    one at p = 0 and its right-hand side is zero: recourse_lp sets both per
+    price.  The problem is immutable, so sharing it keeps the oracle a pure
+    function of (x, batch).
     """
     m, n = instance.factories, instance.stores
-    nz = m * n
+    demand = np.hstack([np.zeros((n, m)), np.tile(np.eye(n), m)])  # sum_i z_ij
+    capacity = np.hstack([np.diag(np.full(m, -1.0)),                  # sum_j z_ij - y_i
+                          np.kron(np.eye(m), np.ones((1, n)))])
     return lp.LpProblem(cost=_recourse_cost(instance, 0.0),
-                        ineq_matrix=_recourse_rows(instance),
+                        ineq_matrix=np.vstack([demand, capacity]),
                         ineq_rhs=np.zeros(n + m),
                         lower=np.concatenate([np.full(m, instance.quantity_floor),
-                                              np.zeros(nz)]),
-                        upper=np.full(m + nz, np.inf))
+                                              np.zeros(m * n)]),
+                        upper=np.full(m + m * n, np.inf))
 
 
 def _recourse_cost(instance: PpsInstance, p: float) -> np.ndarray:
@@ -203,13 +190,13 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
 
 
 def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
-    """Crash basis (basis, at_upper) for the recourse LPs of a batch at price p.
+    """The checked crash start for the recourse LPs of a batch at price p.
 
     demand has shape (batch, stores).  The rule is the optimal policy for
     uniform shipment costs s and production costs c (the three regimes of
     the closed form):
 
-    - p <= min s: nothing ships, and the slack basis is optimal: None.
+    - p <= min s: nothing ships, and the slack basis is optimal.
     - up to min s + min c: each factory ships its floor production to store
       j*; the demand slacks and those floor units are basic.
     - above it: the cheapest factory k makes and ships the rest.  Its
@@ -217,25 +204,35 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
       factories' floor units to j*.
 
     j* is the store whose smallest demand in the batch is largest, so one
-    basis fits every row whose demand covers the floor units.  Positions
-    follow the rows: demand row j, then capacity row i.  With non-uniform
-    shipment costs the rule is only a guess and the simplex finishes from
-    it; a row it does not fit starts from the slack basis (lp.solve_lp).
+    basis fits every row whose demand covers the floor units.  Each start is
+    one of instance.crash_starts, checked once.  With non-uniform shipment
+    costs the rule is only a guess, which the simplex finishes from.
     """
-    m, n = instance.factories, instance.stores
-    ship, produce = float(instance.shipment_costs.min()), instance.production_costs
+    ship = float(instance.shipment_costs.min())
+    slack, floor, top_up = instance.crash_starts
     if p <= ship:
-        return None
+        return slack
     # numpy reduces a narrow block much faster along rows than down columns
     j_star = int(np.ascontiguousarray(demand.T).min(axis=1).argmax())
-    floor_units = m + np.arange(m) * n + j_star
-    if p <= ship + float(produce.min()):
-        demand_rows = m + m * n + np.arange(n)  # the demand slacks
-    else:
-        k = int(produce.argmin())
-        demand_rows = m + k * n + np.arange(n)   # z_kj
-        demand_rows[j_star] = k                  # y_k: z_kj* is already a floor unit
-    return np.concatenate([demand_rows, floor_units]), np.zeros(0, dtype=np.intp)
+    return (floor if p <= ship + float(instance.production_costs.min()) else top_up)[j_star]
+
+
+def _crash_starts(instance: PpsInstance) -> tuple:
+    """lp.Starts of the crash bases of _recourse_start: the slack basis, then by j*
+    floor units and top-up.  Basis positions follow the rows (demand, capacity)."""
+    def start(basis):
+        return lp.check_start(instance.recourse, (basis, ()))
+
+    m, n = instance.factories, instance.stores
+    k = int(instance.production_costs.argmin())
+    slacks, floor, top_up = m + m * n + np.arange(n + m), [], []
+    for j_star in range(n):
+        floor_units = m + np.arange(m) * n + j_star
+        topped = m + k * n + np.arange(n)  # z_kj
+        topped[j_star] = k                 # y_k: z_kj* is already a floor unit
+        floor.append(start(np.concatenate([slacks[:n], floor_units])))
+        top_up.append(start(np.concatenate([topped, floor_units])))
+    return start(slacks), tuple(floor), tuple(top_up)
 
 
 def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple:
@@ -244,9 +241,8 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
     bases; only the cost and the right-hand sides are built per call, on
-    instance.recourse.  Each cold solve starts from the crash basis of
-    _recourse_start, whose docstring states the rule; it is built from p and
-    this batch's demands alone, so no state outlives the call.  The
+    instance.recourse.  Each cold solve starts from the immutable crash
+    start that _recourse_start picks for p and this batch's demands.  The
     p-derivative comes from the envelope theorem: the z part of the cost
     vector has derivative -1 per unit shipped, and the demand right-hand
     sides have derivative slope_j, weighted by their duals; both terms are
@@ -262,10 +258,10 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     slopes, _ = split_scenarios(instance, scenarios)
     dr_dp = np.empty(len(rhs))
     for g, solve in enumerate(sol.solves):
-        rows = sol.group == g
         if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order
-            raise RuntimeError(f"second-stage LP of scenario {int(rows.argmax())} "
+            raise RuntimeError(f"second-stage LP of scenario {int((sol.group == g).argmax())} "
                                f"ended {solve.status.value}")
+        rows = slice(None) if len(sol.solves) == 1 else sol.group == g
         # no recourse variable has a finite upper bound, so a nonbasic
         # shipment ships 0 and a basic one its value
         shipped = sol.xb[rows] @ ((solve.basis >= m) & (solve.basis < problem.n_vars))

@@ -13,11 +13,12 @@ to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 Both record one trace row per iteration and stop on an oracle-call budget,
 an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), a
 subproblem that is infeasible or whose solve fails (for example when -g/alpha
-overflows), or a line search that reaches its cap of halvings; every stop
-keeps the records made so far.  The trace's oracle_calls counts every
-scenario evaluated, the batch of a failed last iteration included.  The
-stochastic objective estimate is carried in the trace but never used in any
-decision.
+overflows), a line search that reaches its cap of halvings, or an oracle
+failure (oracle_error: an OracleError out of aggregate, whose message the
+trace keeps as error); every stop keeps the records made so far.  The
+trace's oracle_calls counts every scenario evaluated, the batch of a failed
+last iteration included.  The stochastic objective estimate is carried in
+the trace but never used in any decision.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .model import ConstrainedStochasticProblem, _require_int, merit_value, predicted_decrease
 from .qp import QpProblem, QpStatus, solve_qp
 from .sampling import (
+    OracleError,
     SamplingStrategy,
     aggregate,
     draw_scenarios,
@@ -112,8 +114,10 @@ class IterationTrace:
     stop_reason: str = ""
     problem: ConstrainedStochasticProblem = None
     config: SolverConfig = None
-    # scenarios evaluated, including the batch of a failed last subproblem
+    # scenarios evaluated, including the batch of a failed last iteration
     oracle_calls: int = 0
+    # the message of the OracleError that ended an oracle_error run
+    error: str = ""
 
     @property
     def final_x(self) -> np.ndarray:
@@ -215,8 +219,12 @@ def _run(problem, config, with_equalities):
 
         scenarios = draw_scenarios(problem.scenario_sampler, config.master_seed,
                                    k, sample_size)
-        stats = aggregate(problem, x, scenarios)
-        oracle_calls += stats.batch_size
+        oracle_calls += len(scenarios)
+        try:
+            stats = aggregate(problem, x, scenarios)
+        except OracleError as exc:
+            trace.stop_reason, trace.error = "oracle_error", str(exc)
+            break
 
         if with_equalities:
             c_val, jac = problem.eq_constraints(x)

@@ -24,16 +24,15 @@ are solved together by solve_lp_multi_rhs, which reuses optimal bases across
 them ("bunching", Birge & Louveaux, Introduction to Stochastic Programming,
 L-shaped chapter), and stores its result by basis rather than by row.
 
-Starting basis.  A solve may be given a start in the form an LpSolution
-reports its optimum, (basis, at_upper).  It is used only when it is a basis
-of this problem that is primal feasible for this right-hand side: one
-distinct column per row, nonbasic upper-bound columns with finite bounds,
-a nonsingular basis matrix, and B^-1 (b0 - N_U u_U) within the basic
-bounds to FEAS_TOL.  Phase 2 then runs from it, and needs no pivot when the
-start is optimal (Bixby, "Solving real-world linear programs", Oper. Res.
-50(1), 2002, on why a known basis beats a slack start).  Any other start is
-ignored: the solve starts from the slack basis and makes exactly the pivots
-it makes without one.
+Starting basis.  A solve may be given a start as the (basis, at_upper) an
+LpSolution reports, or as the Start that check_start makes of one: its
+checks and basis inverse depend only on the columns and bounds, so a Start
+is checked once and trusted on every LP that shares its columns, as
+with_vectors copies do.  Per solve, B^-1 (b0 - N_U u_U) must lie within the
+basic bounds to FEAS_TOL; the start is then priced once, and is the optimum
+without a simplex when no column enters (Bixby, "Solving real-world linear
+programs", Oper. Res. 50(1), 2002, on known bases); else phase 2 runs from
+it.  A start that fails a check is ignored, and the slack basis is used.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,11 +82,9 @@ class LpProblem:
     lower_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cost = _frozen(np.atleast_1d(self.cost))
+        cost, ineq_rhs, lower, upper = (_frozen(np.atleast_1d(vector)) for vector in (
+            self.cost, self.ineq_rhs, self.lower, self.upper))
         ineq_matrix = _frozen(np.atleast_2d(self.ineq_matrix))
-        ineq_rhs = _frozen(np.atleast_1d(self.ineq_rhs))
-        lower = _frozen(np.atleast_1d(self.lower))
-        upper = _frozen(np.atleast_1d(self.upper))
         q, s = cost.size, ineq_rhs.size
         if ineq_matrix.shape[1] != q or ineq_matrix.shape[0] != s:
             raise ValueError("ineq_matrix must be (s, q) with ineq_rhs of length s")
@@ -161,7 +159,7 @@ class LpSolution:
     structural variables that sit at their upper bound; together they
     determine the vertex for any right-hand side.  basis_inverse is the
     inverse of those columns, freshly computed rather than updated through
-    the pivots; primal and duals come from it.
+    the pivots (a Start's own when none was made); primal and duals come from it.
     """
 
     primal: np.ndarray
@@ -191,20 +189,42 @@ class LpBatchSolution:
     objective: np.ndarray
 
 
-def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
+class Start(NamedTuple):
+    """A start that check_start has checked on `columns`, in read-only arrays: its
+    basis, at_upper, basis inverse and pricing sign (_Simplex's state * movable)."""
+
+    basis: np.ndarray
+    at_upper: np.ndarray
+    inverse: np.ndarray
+    sign: np.ndarray
+    columns: np.ndarray
+
+
+def solve_lp(problem: LpProblem, start: tuple | Start = None) -> LpSolution:
     """Solve the LP; status reports infeasibility/unboundedness, never raises for them.
 
-    start is an optional (basis, at_upper) pair of integer arrays, the form
-    LpSolution reports: the basic columns of [ineq_matrix | I], one per row,
-    and the nonbasic structural variables at their upper bound.  When it is
-    a well-conditioned basis that is primal feasible for this right-hand
-    side (see _checked_start), phase 2 runs from it; otherwise it is ignored
-    and the solve starts from the slack basis, with the same pivots as
-    without a start.
+    start is optional: the (basis, at_upper) of an LpSolution, integer arrays
+    of the basic columns of [ineq_matrix | I] and of the nonbasic structural
+    variables at their upper bound, or a Start checked once by check_start.
+    A start that fits this right-hand side is priced once, and builds no
+    simplex when it is optimal; see "Starting basis" above.
     """
     q, s = problem.n_vars, problem.n_rows
     b0 = problem.ineq_rhs - problem.lower_rows
-    checked = None if start is None else _checked_start(problem, b0, start)
+    if isinstance(start, Start) and start.columns is not problem.columns:
+        start = start.basis, start.at_upper
+    if start is not None and not isinstance(start, Start):
+        start = check_start(problem, start)
+    checked = None
+    if start is not None:
+        basis, at_upper, b_inv = start.basis, start.at_upper, start.inverse
+        xb = b_inv @ _net_of_upper(problem, b0, at_upper)
+        if ((xb >= -FEAS_TOL) & (xb <= problem.ranges[basis] + FEAS_TOL)).all():
+            y, j = _price(np.concatenate([problem.cost, np.zeros(s)]), basis, b_inv,
+                          problem.columns, start.sign, bland=False)
+            if j is None:
+                return _optimum(problem, basis, at_upper, b_inv, xb, y, 0)
+            checked = basis.copy(), at_upper, b_inv.copy(), xb  # pivots work in place
     core = _Simplex(problem, b0, checked)
     status = core.run(bland_after=BLAND_AFTER_FACTOR * (q + s))
     if status is not LpStatus.OPTIMAL:
@@ -217,45 +237,39 @@ def solve_lp(problem: LpProblem, start: tuple = None) -> LpSolution:
         artificial = basis >= q + s
         basis[artificial] = q + core.neg_rows[basis[artificial] - q - s]
     at_upper = np.flatnonzero(core.state[:q] > 0)
-    vals = np.zeros(q + s)
-    vals[at_upper] = problem.ranges[at_upper]
     b_inv, xb, y = core.b_inv, core.xb, core.y
     if core.pivots or core.neg_rows.size:
-        # values and duals from a fresh inverse of the final basis, so that
-        # they do not depend on the pivots that led there; without pivots or
-        # artificials the start's own inverse is that inverse already
+        # values and duals from a fresh inverse of the final basis, independent
+        # of the pivots that led there; an optimal slack basis has it already
         b_inv = np.linalg.inv(problem.columns[:, basis])
         xb = b_inv @ _net_of_upper(problem, b0, at_upper)
         y = core.cost[core.basis] @ b_inv
+    return _optimum(problem, basis, at_upper, b_inv, xb, y, core.pivots)
+
+
+def _optimum(problem: LpProblem, basis, at_upper, b_inv, xb, y, pivots) -> LpSolution:
+    """The OPTIMAL LpSolution of a basis, from its inverse, basic values and duals."""
+    vals = np.zeros(problem.n_vars + problem.n_rows)
+    vals[at_upper] = problem.ranges[at_upper]
     vals[basis] = xb
-    x = problem.lower + vals[:q]
-    return LpSolution(
-        primal=x,
-        duals=-y,
-        objective=float(problem.cost @ x),
-        status=LpStatus.OPTIMAL,
-        iterations=core.pivots,
-        basis=basis,
-        at_upper=at_upper,
-        basis_inverse=b_inv,
-    )
+    x = problem.lower + vals[:problem.n_vars]
+    return LpSolution(x, -y, float(problem.cost @ x), LpStatus.OPTIMAL, pivots,
+                      basis, at_upper, b_inv)
 
 
 def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
-                       start: tuple = None) -> LpBatchSolution:
+                       start: tuple | Start = None) -> LpBatchSolution:
     """Solve `problem` once per row of rhs (shape (N, rows)), reusing bases.
 
     The LPs share cost, rows and bounds (problem.ineq_rhs is not used), so an
-    optimal basis of one is dual feasible for all of them, and it is optimal
-    for every right-hand side that keeps its basic values within bounds.  The
-    first unresolved row is cold-solved by solve_lp, which is passed `start`
-    (see solve_lp: a start that does not fit that row falls back to the
-    slack basis).  B^-1 (b0 - N_U u_U) is then formed for every unresolved
-    row, that one included, in one product with the cold solve's fresh basis
-    inverse, so each row's values depend on its basis and not on the pivots
-    that found it.  Rows whose basic values lie within their bounds to
-    FEAS_TOL join its group with those values and the objective c.l +
-    c_U (u_U - l_U) + c_B xb; the rest repeat from the first rejected row.
+    optimal basis of one is dual feasible for all of them, and optimal for
+    every right-hand side that keeps its basic values within bounds.  The
+    first unresolved row is cold-solved by solve_lp from `start`.  Then
+    B^-1 (b0 - N_U u_U) is formed for every unresolved row in one product with
+    the solve's basis inverse, so a row's values do not depend on the pivots
+    that found its basis.  Rows whose values lie within bounds to FEAS_TOL
+    join its group, with objective c.l + c_U (u_U - l_U) + c_B xb; the rest
+    repeat from the first rejected row.
     """
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     n_lp, s = rhs.shape
@@ -268,10 +282,8 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing
     fixed_cost = float(problem.cost @ problem.lower)
 
-    solves = []
-    group = np.zeros(n_lp, dtype=np.intp)
-    xb = np.zeros((n_lp, s))
-    objective = np.full(n_lp, np.nan)
+    solves, group = [], np.zeros(n_lp, dtype=np.intp)
+    xb, objective = np.zeros((n_lp, s)), np.full(n_lp, np.nan)
     pending = np.arange(n_lp)
     while pending.size:
         sol = solve_lp(problem._with(ineq_rhs=rhs[pending[0]]), start)
@@ -286,37 +298,35 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
         values = _net_of_upper(problem, b, upper) @ sol.basis_inverse.T
         fits = ((values >= -FEAS_TOL) & (values <= rng[basis] + FEAS_TOL)).all(axis=1)
         fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
+        # nonbasic variables sit at the bound they sit at in the cold solve
+        nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
+        if pending.size == n_lp and fits.all():  # one basis serves every row
+            return LpBatchSolution(solves, group, values, nonbasic_cost + values @ costs[basis])
         won, values = pending[fits], values[fits]
         xb[won] = values
-        # nonbasic variables sit at the bound they sit at in the cold solve
-        objective[won] = (fixed_cost + costs[upper] @ rng[upper]) + values @ costs[basis]
+        objective[won] = nonbasic_cost + values @ costs[basis]
         pending = pending[~fits]
     return LpBatchSolution(solves=solves, group=group, xb=xb, objective=objective)
 
 
-def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
-    """(basis, at_upper, B^-1, basic values) of a usable start, else None.
+def check_start(problem: LpProblem, start: tuple) -> Start | None:
+    """The Start of a (basis, at_upper) pair on problem's columns, else None.
 
-    Usable means: integer arrays, one distinct column of [A | I] per row,
-    at_upper naming distinct nonbasic structural variables with finite
-    upper bounds, a basis matrix whose 1-norm condition number is at most
-    START_CONDITION_LIMIT, and basic values B^-1 (b0 - N_U u_U) within
-    [0, range] to FEAS_TOL.
+    It needs integer arrays, one distinct column of [A | I] per row, at_upper
+    naming distinct nonbasic structural variables with finite upper bounds,
+    and a basis matrix whose 1-norm condition number is at most
+    START_CONDITION_LIMIT: nothing that depends on the cost or right-hand side.
     """
     q, s = problem.n_vars, problem.n_rows
     basis, at_upper = (np.asarray(part) for part in start)
-    if basis.shape != (s,) or at_upper.ndim != 1:
-        return None
-    if basis.dtype.kind not in "iu" or (at_upper.size and at_upper.dtype.kind not in "iu"):
+    if (basis.shape != (s,) or at_upper.ndim != 1 or basis.dtype.kind not in "iu"
+            or (at_upper.size and at_upper.dtype.kind not in "iu")):
         return None
     # a few dozen indices: Python's set and range tests beat numpy's calls
-    basic, upper = basis.tolist(), at_upper.tolist()
-    rng = problem.ranges
-    if not all(0 <= j < q + s for j in basic):
-        return None
-    if not all(0 <= j < q and math.isfinite(rng[j]) for j in upper):
-        return None
-    if len(set(basic + upper)) != s + len(upper):
+    basic, upper, rng = basis.tolist(), sorted(at_upper.tolist()), problem.ranges
+    if not (all(0 <= j < q + s for j in basic)
+            and all(0 <= j < q and math.isfinite(rng[j]) for j in upper)
+            and len(set(basic + upper)) == s + len(upper)):
         return None
     basis, at_upper = np.array(basic, dtype=np.intp), np.array(upper, dtype=np.intp)
     matrix = problem.columns[:, basis]
@@ -329,10 +339,12 @@ def _checked_start(problem: LpProblem, b0: np.ndarray, start: tuple):
                      * np.abs(b_inv).sum(axis=0).max(initial=0.0))
     if not condition <= START_CONDITION_LIMIT:  # also rejects a nan inverse
         return None
-    xb = b_inv @ _net_of_upper(problem, b0, at_upper)
-    if not ((xb >= -FEAS_TOL) & (xb <= rng[basis] + FEAS_TOL)).all():
-        return None
-    return basis, at_upper, b_inv, xb
+    sign = np.full(q + s, -1.0)
+    sign[at_upper], sign[basis] = 1.0, 0.0
+    sign *= rng > 0.0
+    for part in (basis, at_upper, b_inv, sign):
+        part.flags.writeable = False
+    return Start(basis, at_upper, b_inv, sign, problem.columns)
 
 
 def _net_of_upper(problem: LpProblem, b0: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
@@ -343,46 +355,52 @@ def _net_of_upper(problem: LpProblem, b0: np.ndarray, at_upper: np.ndarray) -> n
     return b0 - problem.columns[:, at_upper] @ problem.ranges[at_upper]
 
 
+def _price(cost, basis, b_inv, columns, sign, bland: bool) -> tuple:
+    """Duals y = c_B B^-1 and the column entering by the pivot rules, or None."""
+    y = cost[basis] @ b_inv
+    viol = sign * (cost - y @ columns)
+    if bland:
+        nz = (viol > PIVOT_TOL).nonzero()[0]
+        return y, int(nz[0]) if nz.size else None
+    j = int(viol.argmax())
+    return y, j if viol[j] > PIVOT_TOL else None
+
+
 class _Simplex:
     """Revised simplex on  [A | I | -E] z = b0,  0 <= z <= rng.
 
     Columns: q structural variables (shifted so their lower bound is 0),
     s slacks, then one artificial column -e_i per negative rhs row.
     Artificials cost 1 in phase 1; afterwards they get range 0 and stop
-    being movable, which pins them to value zero without basis surgery.  A checked start (from
-    _checked_start) is primal feasible, so it needs no artificials.
+    being movable, which pins them to value zero without basis surgery.  A start
+    from solve_lp is checked and primal feasible, so it needs no artificials.
     """
 
     def __init__(self, problem: LpProblem, b0: np.ndarray, start: tuple = None):
-        s, q = problem.n_rows, problem.n_vars
-        self.s, self.q = s, q
+        self.s, self.q = s, q = problem.n_rows, problem.n_vars
         # the problem's own arrays, read-only; phase 1 extends both
         cols, rng = problem.columns, problem.ranges
         if start is None:
             neg_rows = np.flatnonzero(b0 < 0.0)
             n_art = neg_rows.size
+            # starting basis: slacks, except artificials on negative rows
+            basis, at_upper = np.arange(q, q + s), np.zeros(0, dtype=np.intp)
+            b_inv = np.eye(s)
             if n_art:
                 art = np.zeros((s, n_art))
                 art[neg_rows, np.arange(n_art)] = -1.0
                 cols = np.hstack([cols, art])
                 rng = np.concatenate([rng, np.full(n_art, np.inf)])
-            # starting basis: slacks, except artificials on negative rows
-            basis, at_upper = np.arange(q, q + s), np.zeros(0, dtype=np.intp)
-            b_inv = np.eye(s)
-            if n_art:
                 basis[neg_rows] = q + s + np.arange(n_art)
                 b_inv[neg_rows, neg_rows] = -1.0
             xb = np.abs(b0)
         else:
             basis, at_upper, b_inv, xb = start
             neg_rows, n_art = np.zeros(0, dtype=np.intp), 0
-        self.cols = cols
-        self.b0 = b0
+        self.cols, self.rng, self.b0 = cols, rng, b0
         self.nv = q + s + n_art
-        self.rng = rng
         self.art_slice = slice(q + s, self.nv)
-        self.neg_rows = neg_rows
-        self.structural_cost = problem.cost
+        self.neg_rows, self.structural_cost = neg_rows, problem.cost
         self.max_pivots = 1000 * (q + s) + 10000
 
         self.basis = basis
@@ -391,45 +409,31 @@ class _Simplex:
         self.state[at_upper] = 1.0
         self.state[basis] = 0.0
         self.movable = rng > 0.0  # a fixed column never enters
-        self.b_inv = b_inv
-        self.xb = xb
-        self.pivots = 0
+        self.b_inv, self.xb, self.pivots = b_inv, xb, 0
 
     def run(self, bland_after: int) -> LpStatus:
         if self.neg_rows.size:
-            phase1 = np.zeros(self.nv)
-            phase1[self.art_slice] = 1.0
-            self.cost = phase1
+            self.cost = np.zeros(self.nv)
+            self.cost[self.art_slice] = 1.0
             self._optimize(bland_after)  # bounded below by 0, cannot be unbounded
             if self.xb[self.basis >= self.q + self.s].sum() > FEAS_TOL:
                 return LpStatus.INFEASIBLE
             self.rng[self.art_slice] = 0.0
             self.movable[self.art_slice] = False
-        real = np.zeros(self.nv)
-        real[:self.q] = self.structural_cost
-        self.cost = real
+        self.cost = np.zeros(self.nv)
+        self.cost[:self.q] = self.structural_cost
         return self._optimize(bland_after)
 
     def _optimize(self, bland_after: int) -> LpStatus:
         while True:
-            self.y = y = self.cost[self.basis] @ self.b_inv
-            reduced = self.cost - y @ self.cols
-            j = self._entering(self.state * self.movable * reduced,
-                               bland=self.pivots > bland_after)
+            self.y, j = _price(self.cost, self.basis, self.b_inv, self.cols,
+                               self.state * self.movable, bland=self.pivots > bland_after)
             if j is None:
                 return LpStatus.OPTIMAL
             if not self._pivot(j):
                 return LpStatus.UNBOUNDED
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded")
-
-    @staticmethod
-    def _entering(viol: np.ndarray, bland: bool) -> int | None:
-        if bland:
-            nz = (viol > PIVOT_TOL).nonzero()[0]
-            return int(nz[0]) if nz.size else None
-        j = int(viol.argmax())
-        return j if viol[j] > PIVOT_TOL else None
 
     def _pivot(self, j: int) -> bool:
         """Bring column j toward the basis; False signals an unbounded ray."""

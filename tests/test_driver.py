@@ -6,6 +6,7 @@ targets computed by an independent brute-force pass in the same test.
 """
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from snsqp import driver, qp
 from snsqp.bench import cli, pps
 from snsqp.bench.cli import cli_main
+from snsqp.bench.runner import run_id_for, run_single
 from snsqp.bench.synthetic import (
     QuadraticPiece,
     SyntheticUc2Spec,
@@ -250,6 +252,21 @@ def overflow_on_call(call):
         rho_estimate=0.25)
 
 
+def nan_on_call(call):
+    """The quadratic of overflow_on_call, whose oracle returns a nan value
+    for the first scenario on its given call only: an injected fault."""
+    calls = itertools.count(1)
+    problem = overflow_on_call(0)
+
+    def oracle(x, xi):
+        values = np.full(len(xi), 0.125 * float(x @ x))
+        if next(calls) == call:
+            values[0] = np.nan
+        return values, np.tile(0.25 * x, (len(xi), 1))
+
+    return dataclasses.replace(problem, oracle=oracle)
+
+
 def unit_slope(upper, **rows):
     """min E[-sum(x)] over [0, upper] and the given rows, with rho 1: at
     alpha 1 every step adds 1 to each coordinate until the set stops it."""
@@ -392,6 +409,54 @@ class TestFullStepLoop:
         assert [rec.k for rec in trace.records] == [1, 2]
         np.testing.assert_array_equal(trace.final_x, np.full(problem.dimension, 2.0))
         assert trace.oracle_calls == 6
+
+    def test_oracle_error_keeps_the_records(self):
+        """A nan from the oracle at iteration 3 ends the run as oracle_error
+        with the records of iterations 1 and 2, the message of the
+        OracleError, and the failed batch counted."""
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=0.25,
+                              strategy=FixedSize(2), budget=100, master_seed=0)
+        trace = run_algorithm1(nan_on_call(3), config)
+        assert trace.stop_reason == "oracle_error"
+        assert [rec.k for rec in trace.records] == [1, 2]
+        assert "non-finite" in trace.error and "scenario index 0" in trace.error
+        assert trace.oracle_calls == 6 and trace.records[-1].oracle_calls == 4
+        np.testing.assert_array_equal(trace.final_x, trace.records[-1].x)
+
+    def test_oracle_error_run_writes_csvs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._PROBLEM_BUILDERS, "quadratic-eq",
+                            (lambda: nan_on_call(3), 0.25, np.array([0.5, 0.5])))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:2", "budget": 100,
+            "out": str(tmp_path), "run_id": "nan"}))
+        assert cli_main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "stop=oracle_error iterations=2 oracle_calls=6 " in out
+        assert "error: oracle returned a non-finite value" in out
+        with open(tmp_path / "nan_trace.csv", newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2"]
+        with open(tmp_path / "nan_epochs.csv", newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["2"]
+
+    def test_recourse_failure_in_a_pps_run_keeps_the_records(self, tmp_path,
+                                                              monkeypatch):
+        """A recourse LP that raises at iteration 3 of a PPS run reaches the
+        driver as an OracleError; run_single keeps the two records before
+        it and writes them."""
+        calls, original = itertools.count(1), pps.recourse_lp
+
+        def failing(instance, p, scenarios):
+            if next(calls) == 3:
+                raise RuntimeError("second-stage LP of scenario 0 ended infeasible")
+            return original(instance, p, scenarios)
+
+        monkeypatch.setattr(pps, "recourse_lp", failing)
+        row = run_single("fixed:10", 0, 2000, 500, tmp_path)
+        assert (row["stop_reason"], row["iterations"], row["oracle_calls"]) == (
+            "oracle_error", 2, 30)
+        with open(tmp_path / f"{run_id_for('fixed:10', 0)}_trace.csv", newline="") as fh:
+            assert [rec["k"] for rec in csv.DictReader(fh)] == ["1", "2"]
 
     def test_failed_subproblem_run_writes_csvs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(cli._PROBLEM_BUILDERS, "quadratic-eq",

@@ -361,6 +361,18 @@ class TestNonFiniteInputs:
             problem.ineq_rhs[0] = 1.0
 
 
+def assert_same_solution(actual, expected):
+    """Status, pivots, objective, primal, duals, basis and at_upper agree bit for bit."""
+    assert (actual.status, actual.iterations) == (expected.status, expected.iterations)
+    for name in ("objective", "primal", "duals", "basis", "at_upper"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert (got is None) is (want is None), name
+        if got is not None:
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()), name
+
+
 @st.composite
 def kernel_lps(draw):
     """Bounded feasible LPs that reach every branch of the simplex kernel.
@@ -485,6 +497,33 @@ class TestStart:
         assert sol.status is cold.status is LpStatus.INFEASIBLE
         assert sol.iterations == cold.iterations
         assert np.isnan(sol.objective)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_lps(), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+    def test_checked_start_solves_as_its_pair(self, problem, seed, scale):
+        """A Start that check_start made once gives bit for bit what its
+        (basis, at_upper) pair gives, solve after solve: on this LP, and on
+        a copy with a new cost, which shares its columns and pivots away
+        from the start.  A Start checked on another LpProblem's columns,
+        even equal ones, is checked again, so it gives the pair's solve too."""
+        rng = np.random.default_rng(seed)
+        nearby = solve_lp(problem.with_vectors(
+            ineq_rhs=problem.ineq_rhs + scale * rng.uniform(0.0, 1.0, problem.n_rows)))
+        pair = (nearby.basis, nearby.at_upper)
+        held = lp.check_start(problem, pair)
+        fields = (problem.cost, problem.ineq_matrix, problem.ineq_rhs, problem.lower,
+                  problem.upper)
+        equal = lp.check_start(LpProblem(*fields), pair)
+        doubled = lp.check_start(LpProblem(fields[0], 2.0 * fields[1], *fields[2:]), pair)
+        assert (held is None) is (equal is None)
+        cost = rng.normal(size=problem.n_vars)
+        recosted = problem.with_vectors(cost=np.where(np.isinf(problem.upper),
+                                                      np.abs(cost) + 0.5, cost))
+        for target_lp in (problem, recosted):
+            expected = solve_lp(target_lp, pair)
+            for start in (held, held, equal) + (() if doubled is None else (doubled,)):
+                assert_same_solution(solve_lp(target_lp, start), expected)
 
     def test_multi_rhs_passes_the_start_to_its_cold_solves(self, monkeypatch):
         """The first row fits the start; the second row is rejected, and its

@@ -303,6 +303,32 @@ class TestPinnedPivots:
 
 
 @pytest.mark.parametrize("size", [10, 1000])
+def test_optimal_crash_starts_build_no_simplex(instance, problem, monkeypatch, size):
+    """At every pinned price one held crash start is optimal for the whole
+    batch, so recourse_lp prices it once: it builds no lp._Simplex and
+    inverts no matrix, since the instance checked its starts when it was
+    built."""
+    scenarios = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, size)
+    simplices, inversions = [], []
+    simplex, inv = lp._Simplex, np.linalg.inv
+
+    def counted_simplex(*args, **kwargs):
+        simplices.append(args)
+        return simplex(*args, **kwargs)
+
+    def counted_inv(*args, **kwargs):
+        inversions.append(args)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_Simplex", counted_simplex)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    for p in PIN_PRICES:
+        values, derivs = recourse_lp(instance, p, scenarios)
+        assert values.shape == derivs.shape == (size,)
+    assert simplices == [] and inversions == []
+
+
+@pytest.mark.parametrize("size", [10, 1000])
 def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, size):
     """The benchmark's lp.recourse_* spans time the recourse LP by wrapping
     snsqp.lp.solve_lp.  A cold solve that bypassed that name would drop out
@@ -349,6 +375,35 @@ class TestCrashStart:
             np.testing.assert_allclose(values, cold_values, rtol=0, atol=1e-9)
             np.testing.assert_allclose(derivs, cold_derivs, rtol=0, atol=1e-9)
         assert crash_pivots > 0
+
+    def test_no_solve_writes_a_held_start(self, instance, problem, monkeypatch):
+        """With non-uniform shipment costs a held crash start needs pivots,
+        which the simplex makes on copies: two solves of the same batch agree
+        bit for bit, and the instance's held bases and inverses stay
+        read-only and unchanged."""
+        rng = np.random.default_rng(5)
+        uneven = dataclasses.replace(
+            instance, shipment_costs=2.0 + rng.uniform(0.0, 1.0, (5, 5)))
+        slack, floor, top_up = uneven.crash_starts
+        held = [slack, *floor, *top_up]
+        before = [(start.basis.tobytes(), start.inverse.tobytes()) for start in held]
+        scenarios = draw_scenarios(problem.scenario_sampler, 3, 1, 40)
+        from_held, simplex = [], lp._Simplex
+
+        def recorded(problem, b0, start=None):
+            from_held.append(start is not None)
+            return simplex(problem, b0, start)
+
+        monkeypatch.setattr(lp, "_Simplex", recorded)
+        for p in (3.5, 5.0, 6.5, 9.5):
+            first, second = recourse_lp(uneven, p, scenarios), recourse_lp(uneven, p, scenarios)
+            for a, b in zip(first, second):
+                assert a.tobytes() == b.tobytes()
+        assert any(from_held)
+        for start, (basis, inverse) in zip(held, before):
+            assert not any(part.flags.writeable for part in (
+                start.basis, start.at_upper, start.inverse, start.sign))
+            assert (start.basis.tobytes(), start.inverse.tobytes()) == (basis, inverse)
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     @pytest.mark.parametrize("where", [0, 5])
