@@ -6,12 +6,11 @@ combination of active constraint gradients:
 
     residual = min_{lam >= 0} |g - J lam|,  lam_j = 0 on inactive rows.
 
-Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  The reduced
-nonnegative least-squares problem is solved exactly by the Lawson-Hanson
-active-set method (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
-ch. 23), whose passive-set least-squares steps are taken on the columns
-themselves, not through their Gram matrix: they go through the subproblem's
-least-squares factor, snsqp.qp._factor, and its one rank rule.
+Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  By Moreau's
+decomposition the residual is the norm of g's projection onto the polar cone
+{d : J_a.T @ d <= 0} of the active columns J_a.  The QP subproblem's
+active-set loop, snsqp.qp._active_set, computes that projection exactly, so
+one active-set method and one least-squares factor serve both.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
 with different batch sizes can be compared: the record with cumulative call
@@ -30,15 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, _direction, _dot
-from .sampling import aggregate, draw_scenarios
+from .qp import BoxPolyhedron, QpStatus, _active_set
+from .sampling import OracleError, aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
 REFERENCE_SEED = 715517
 REFERENCE_BATCH = 1000
 ACTIVITY_TOL = 1e-6
 DEFAULT_EPOCH = 500
-_EPS = float(np.finfo(float).eps)
 
 TRACE_COLUMNS = ("k", "epoch", "oracle_calls", "step_norm", "pred_decrease",
                  "zeta", "beta", "alpha", "theta", "N", "stationarity",
@@ -72,83 +70,43 @@ def stationarity_error(g: np.ndarray, constraints_value: np.ndarray,
     if not active.any():
         residual = float(np.linalg.norm(g))
     else:
-        lam, residual = _nnls(jac[:, active], g)
+        lam, residual = _polar_projection(jac[:, active], g)
         multipliers[active] = lam
     return StationarityReport(residual=residual, multipliers=multipliers,
                               active_mask=active)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> tuple:
-    """min |b - a lam| over lam >= 0 by Lawson-Hanson; returns (lam, residual).
+def _polar_projection(a: np.ndarray, b: np.ndarray) -> tuple:
+    """min |b - a lam| over lam >= 0; returns (lam as a list, residual).
 
-    The column with the largest gradient a_j . (b - a lam) above a roundoff
-    bound enters the passive set.  A least-squares step on the passive
-    columns that leaves some weight <= 0 is cut back to lam >= 0, and the
-    column that reaches zero first leaves.  The residual is |b - a lam| for
-    the final lam.
+    b - a lam is then the projection d of b onto the polar cone
+    {d : a.T @ d <= 0}, and lam the multipliers of its rows: qp._active_set
+    with alpha = 1, g = -b and infinite bound limits, which never enter.
+    A zero multiplier the final projection leaves at -1e-16 is floored at 0.
 
-    The problems here have a few rows and columns, so the method runs on
-    Python floats: a numpy call per step would cost more than its
-    arithmetic.  Each column and b are first scaled by a power of two, which
-    is exact, to a largest entry in [0.5, 1): the cone is unchanged, and
-    neither a_j . a_j nor the roundoff bound can underflow or overflow.
+    Each column and b are first scaled by a power of two, which is exact, to
+    a largest entry in [0.5, 1): the cone is unchanged, no a_j . a_j can
+    underflow or overflow, and the loop's absolute tolerances meet entries
+    of order one.
     """
     cols, col_exp = zip(*map(_unit_scaled, a.T.tolist()))
     b, b_exp = _unit_scaled(b.tolist())
-    k = len(cols)
-    tol = (10.0 * max(a.shape) * _EPS * math.hypot(*b)
-           * math.hypot(*(v for col in cols for v in col)))
+    n, k = len(b), len(cols)
+    status, d, _, rows, row_mults, _, _ = _active_set(
+        [-v for v in b], 1.0, list(cols), [math.inf] * (2 * n) + [0.0] * k, 0)
+    if status is not QpStatus.OPTIMAL:
+        raise RuntimeError(f"polar-cone projection ended {status.value}")
     lam = [0.0] * k
-    passive = []
-    resid = b
-    w = [_dot(col, resid) for col in cols]
-    entered = 0
-    while True:
-        j = max((i for i in range(k) if i not in passive), key=w.__getitem__,
-                default=None)
-        if j is None or not w[j] > tol:
-            break
-        z = _passive_least_squares(cols, b, passive + [j])
-        if not z[j] > 0.0:
-            # w_j > 0 implies z_j > 0 in exact arithmetic, so this is roundoff,
-            # as on the second column of an opposing equality pair
-            w[j] = -math.inf
-            continue
-        entered += 1
-        if entered > 3 * k:
-            raise RuntimeError("NNLS did not converge")
-        passive.append(j)
-        blocked = [i for i in passive if z[i] <= 0.0]
-        while blocked:
-            ratios = [lam[i] / (lam[i] - z[i]) for i in blocked]
-            step = min(ratios)
-            lam = [old + step * (new - old) for old, new in zip(lam, z)]
-            leaving = blocked[ratios.index(step)]
-            passive = [i for i in passive if i != leaving and lam[i] > 0.0]
-            z = _passive_least_squares(cols, b, passive)
-            blocked = [i for i in passive if z[i] <= 0.0]
-        lam = z
-        resid = b
-        for i in passive:
-            resid = [r - lam[i] * c for r, c in zip(resid, cols[i])]
-        w = [_dot(col, resid) for col in cols]
-    return (np.ldexp(lam, [b_exp - e for e in col_exp]),
-            math.ldexp(math.hypot(*resid), b_exp))
+    for c, w in zip(rows, row_mults):
+        lam[c - 2 * n] = w if w > 0.0 else 0.0
+    return ([math.ldexp(v, b_exp - e) for v, e in zip(lam, col_exp)],
+            math.ldexp(math.hypot(*d), b_exp))
 
 
 def _unit_scaled(values: list) -> tuple:
     """(values * 2**-e, e), with e chosen so the largest |value| is in [0.5, 1)."""
     exp = math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, -exp) for v in values], exp
-
-
-def _passive_least_squares(cols: tuple, b: list, passive: list) -> list:
-    """Least-squares weights of b on the passive columns, zero elsewhere:
-    the coefficients of qp._direction, which factors the columns as working
-    rows with every coordinate free."""
-    _, weights, _ = _direction([cols[i] for i in passive], [True] * len(b), b)
-    weight = dict(zip(passive, weights))
-    return [weight.get(i, 0.0) for i in range(len(cols))]
 
 
 def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
@@ -160,7 +118,7 @@ def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
     limits - normals @ x can round h - Wx differently, because a product with
     the stacked rows may sum in another order than W @ x alone.
     """
-    return box.translate(x).limits, -box.normals.T
+    return box.translated_limits(x), -box.normals.T
 
 
 def reference_batch(problem) -> np.ndarray:
@@ -173,17 +131,25 @@ def reference_batch(problem) -> np.ndarray:
 
 
 def reference_objective(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
-    """Objective estimate at x over the reference batch."""
-    return aggregate(problem, x, scenarios).mean_value
+    """Objective estimate at x over the reference batch; nan where the oracle
+    fails on it."""
+    try:
+        return aggregate(problem, x, scenarios).mean_value
+    except OracleError:
+        return math.nan
 
 
 def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
-    """Stationarity residual at x using the reference batch's mean subgradient.
+    """Stationarity residual at x using the reference batch's mean subgradient;
+    nan where the oracle fails on the batch.
 
     With the frozen batch of reference_batch this estimates the
     true-subgradient measure, and is labeled as such in the docs.
     """
-    g = aggregate(problem, x, scenarios).mean_subgradient
+    try:
+        g = aggregate(problem, x, scenarios).mean_subgradient
+    except OracleError:  # a run that stopped on it keeps its outputs
+        return math.nan
     values, columns = polyhedron_constraint_rows(problem.set, x)
     if problem.eq_constraints is not None:
         # equality rows enter as opposing pairs, giving their multiplier free sign
@@ -214,7 +180,8 @@ def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
     With epoch_size set, only the last record of each epoch is evaluated:
     export_trace builds the epoch table from the same _epoch_ends, so every
     record it carries is filled, while long traces avoid a reference-batch
-    solve per iteration.  Without it every record is filled.
+    solve per iteration.  Without it every record is filled.  A record
+    where the oracle fails on the reference batch is filled with nan.
     """
     records = trace.records
     if epoch_size is not None:

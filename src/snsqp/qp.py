@@ -13,6 +13,10 @@ needs no feasible point, and adds violated constraints while the working
 multipliers stay nonnegative.  An active bound fixes its coordinate, so only
 the working rows on the free coordinates are factored.
 
+The loop, _active_set, is the package's one active-set method: it also
+computes the stationarity measure of snsqp.diagnostics, which by Moreau's
+decomposition is a projection onto a polar cone.
+
 Every consumer reads the set in one row form, normals @ x <= limits, built
 once per BoxPolyhedron: the lower bounds as -I, the upper bounds as I, then
 the inequality rows.  The solve returns the step, the equality multipliers
@@ -24,10 +28,10 @@ the multipliers feed merit and stationarity formulas.
 Because they are small, the working-set algebra and the KKT certificate run
 on Python floats: a numpy call costs more than the arithmetic it does on a
 handful of entries.  Dot products are correctly rounded (math.fsum).  _factor
-is the one least-squares factor, with one rank rule, for the direction, the
-projection and the NNLS of snsqp.diagnostics.  It calls numpy's SVD only for
-two or more working rows, which no canonical run has: the PPS set has one
-inequality row, the equality problems one equality row.
+is the one least-squares factor, with one rank rule, for the direction and
+the projection.  It calls numpy's SVD only for two or more working rows,
+which no canonical run has: the PPS set has one inequality row, the equality
+problems one equality row.
 """
 
 from __future__ import annotations
@@ -112,29 +116,40 @@ class BoxPolyhedron:
         return bool(np.isfinite(x).all() and np.all(self.normals @ x <= self.limits + tol))
 
     def translate(self, x) -> "BoxPolyhedron":
-        """The set in step coordinates, {d : x + d in self}, sharing normals.
+        """The set in step coordinates, {d : x + d in self}, sharing normals,
+        with its data sliced out of translated_limits(x)."""
+        shifted, n = copy.copy(self), self.dim
+        shifted.limits = limits = self.translated_limits(x)
+        shifted.lower, shifted.upper = -limits[:n], limits[n:2 * n]
+        if self.ineq_rhs is not None:
+            shifted.ineq_rhs = limits[2 * n:]
+        return shifted
+
+    def translated_limits(self, x) -> np.ndarray:
+        """The limits of the set translated to x: -(lower - x), upper - x,
+        then ineq_rhs - ineq_matrix @ x.
 
         A finite x far outside the set can overflow a translated limit; that
         raises a ValueError naming the field, so the translated set keeps
         all-finite data.
         """
         x = np.asarray(x, dtype=float)
-        # the sets are small: Python's finiteness tests cost less than numpy's
-        if x.shape != self.lower.shape or not all(map(math.isfinite, x.tolist())):
+        # the sets are small: Python floats cost less than numpy calls, and
+        # they overflow to inf without a warning
+        xs = x.tolist()
+        if x.shape != self.lower.shape or not all(map(math.isfinite, xs)):
             raise ValueError("x must be a finite vector of the set's dimension")
-        shifted = copy.copy(self)
-        rhs = self.limits[2 * self.dim:]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            shifted.lower = self.lower - x
-            shifted.upper = self.upper - x
-            if self.ineq_rhs is not None:
-                shifted.ineq_rhs = rhs = self.ineq_rhs - self.ineq_matrix @ x
-        shifted.limits = np.concatenate([-shifted.lower, shifted.upper, rhs])
-        if not all(map(math.isfinite, shifted.limits.tolist())):
-            _require_finite(**{"translated lower": shifted.lower,
-                               "translated upper": shifted.upper,
-                               "translated ineq_rhs": rhs})
-        return shifted
+        limits = ([-(lo - v) for lo, v in zip(self.lower.tolist(), xs)]
+                  + [up - v for up, v in zip(self.upper.tolist(), xs)])
+        if self.ineq_rhs is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                limits += (self.ineq_rhs - self.ineq_matrix @ x).tolist()
+        if not all(map(math.isfinite, limits)):
+            n, values = self.dim, np.array(limits)
+            _require_finite(**{"translated lower": values[:n],
+                               "translated upper": values[n:2 * n],
+                               "translated ineq_rhs": values[2 * n:]})
+        return np.array(limits)
 
 
 @dataclass
@@ -193,10 +208,38 @@ class QpSolution:
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:
-    """Solve the subproblem with a dual active-set loop over free variables.
+    """Solve the subproblem with _active_set on its row form and certify the
+    result by kkt_residual.
+
+    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
+    QpSolution.iterations counts the constraints added plus those dropped.
+    """
+    box, m = problem.set, problem.n_eq
+    gradient, alpha = problem.gradient.tolist(), problem.curvature
+    # on Python floats, so that an overflow raises no numpy warning
+    if not math.isfinite(max(map(abs, gradient), default=0.0) / alpha):
+        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE)
+    limits = box.limits.tolist()
+    general = box.ineq_matrix.tolist() if box.n_ineq else []
+    if m:
+        general += problem.eq_jacobian.T.tolist()
+        limits += (-problem.eq_residual).tolist()
+    status, d, side, rows, row_mults, rank_warning, iterations = _active_set(
+        gradient, alpha, general, limits, m)
+    if status is not QpStatus.OPTIMAL:
+        return _failed_solution(problem, status, rank_warning, iterations)
+    return _assemble_solution(problem, side, rows, [general[c - 2 * box.dim] for c in rows],
+                              d, row_mults, rank_warning, iterations)
+
+
+def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int):
+    """The dual active-set loop for min g.d + (alpha/2)|d|^2 over the rows
+    normals[c] . d <= limits[c] of BoxPolyhedron's row form, on Python
+    floats: the bounds, then the rows of general, whose last m are equality
+    rows.  A bound with an infinite limit never enters.
 
     The start is -g/alpha plus the least-norm correction onto the equality
-    rows; if that misses them by more than VIOLATION_TOL, the subproblem is
+    rows; if that misses them by more than VIOLATION_TOL, the status is
     INFEASIBLE.  The working set is a side per coordinate (-1 fixed at its
     lower bound, +1 at its upper bound, 0 free), the equality rows and the
     working inequality rows.  Each round takes the most violated bound or
@@ -204,37 +247,22 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     free, while the working multipliers fall.  If one reaches zero first, its
     constraint leaves (a partial step); otherwise the violated constraint
     joins (a full step).  A violated constraint with no primal step and
-    nothing to drop proves the subproblem INFEASIBLE.
+    nothing to drop proves the problem INFEASIBLE.  _direction and _project
+    factor the working rows through _factor.
 
-    The loop runs on Python floats; _direction and _project factor the
-    working rows through _factor.
-
-    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
-    QpSolution.iterations counts the constraints added plus those dropped.
+    Returns (status, d, side, rows, row_mults, rank_warning, iterations),
+    with row_mults the multipliers of the working row ids in rows.
     """
-    box = problem.set
-    n, m, p = box.dim, problem.n_eq, box.n_ineq
-    # on Python floats, so that an overflow raises no numpy warning
-    if not math.isfinite(max(map(abs, problem.gradient.tolist()), default=0.0)
-                         / problem.curvature):
-        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE)
-    # constraint c reads normals[c] . d <= limits[c]: the set's rows in the
-    # order BoxPolyhedron gives them, then the equality rows (met with ==)
-    limits = box.limits.tolist()
-    general = box.ineq_matrix.tolist() if p else []  # the rows from id 2n on
-    if m:
-        general += problem.eq_jacobian.T.tolist()
-        limits += (-problem.eq_residual).tolist()
-
+    n, k = len(gradient), len(general)
     side = [0.0] * n
-    rows = list(range(2 * n + p, 2 * n + p + m))  # then inequality rows, in order of entry
-    eq_rows, eq_limits = general[p:], limits[2 * n + p:]
-    d, row_mults, rank_warning = _project(problem, side, eq_rows, eq_limits)
+    rows = list(range(2 * n + k - m, 2 * n + k))  # then inequality rows, in order of entry
+    eq_rows, eq_limits = general[k - m:], limits[2 * n + k - m:]
+    d, row_mults, rank_warning = _project(gradient, alpha, limits, side, eq_rows, eq_limits)
     if m and max(abs(_dot(a, d) - b) for a, b in zip(eq_rows, eq_limits)) > VIOLATION_TOL:
-        return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning)
+        return QpStatus.INFEASIBLE, d, side, rows, row_mults, rank_warning, 0
     nu = [0.0] * len(limits)  # working multipliers over alpha, by constraint id
     entering, iterations = None, 0
-    for _ in range(MAX_ITER_PER_ROW * (n + m + p)):
+    for _ in range(MAX_ITER_PER_ROW * (n + k)):
         if entering is None:
             # fixed coordinates sit on their bounds; working rows hold to roundoff
             excess = [v - b for v, b in zip(
@@ -270,7 +298,7 @@ def solve_qp(problem: QpProblem) -> QpSolution:
         partial = min(ratios, default=math.inf)
         t = min(full, partial)
         if t == math.inf:
-            return _failed_solution(problem, QpStatus.INFEASIBLE, rank_warning, iterations)
+            return QpStatus.INFEASIBLE, d, side, rows, row_mults, rank_warning, iterations
         d = [x - t * y for x, y in zip(d, toward)]
         for c, v in shrink.items():
             nu[c] -= t * v
@@ -292,12 +320,13 @@ def solve_qp(problem: QpProblem) -> QpSolution:
             else:
                 rows.remove(leaving)
     else:
-        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE, rank_warning, iterations)
-    work = [general[c - 2 * n] for c in rows]
+        return QpStatus.NUMERICAL_FAILURE, d, side, rows, row_mults, rank_warning, iterations
     if iterations:  # else d is the start: the same projection
-        d, row_mults, dependent = _project(problem, side, work, [limits[c] for c in rows])
+        d, row_mults, dependent = _project(gradient, alpha, limits, side,
+                                           [general[c - 2 * n] for c in rows],
+                                           [limits[c] for c in rows])
         rank_warning = rank_warning or dependent
-    return _assemble_solution(problem, side, rows, work, d, row_mults, rank_warning, iterations)
+    return QpStatus.OPTIMAL, d, side, rows, row_mults, rank_warning, iterations
 
 
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
@@ -389,21 +418,20 @@ def _direction(work: list, free: list, normal: list):
     return toward, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 
-def _project(problem: QpProblem, side: list, work: list, rhs: list):
+def _project(gradient: list, alpha: float, limits: list, side: list, work: list, rhs: list):
     """-g/alpha with the fixed coordinates moved to their bounds, plus the
     least-norm correction of the free ones onto the rows work @ d = rhs; the
     rows' multipliers (-alpha times the coefficients of that correction); and
     whether the rows are dependent on the free coordinates.
 
-    Over _factor's (u, s, vt), for the row residual r = rhs - work @ d: the
-    correction is vt.T @ (u.T @ r / s) and the multipliers are
-    -alpha u @ (u.T @ r / s^2).  A row with a zero free part moves nothing
-    and gets multiplier +0.0.
+    The bounds are -limits[i] and limits[n + i].  Over _factor's (u, s, vt),
+    for the row residual r = rhs - work @ d: the correction is
+    vt.T @ (u.T @ r / s) and the multipliers are -alpha u @ (u.T @ r / s^2).
+    A row with a zero free part moves nothing and gets multiplier +0.0.
     """
-    box, alpha = problem.set, problem.curvature
-    d = [lo if k < 0.0 else up if k > 0.0 else -g / alpha
-         for k, lo, up, g in zip(side, box.lower.tolist(), box.upper.tolist(),
-                                 problem.gradient.tolist())]
+    n = len(gradient)
+    d = [-limits[i] if k < 0.0 else limits[n + i] if k > 0.0 else -g / alpha
+         for i, (k, g) in enumerate(zip(side, gradient))]
     u, s, vt = _factor(work, [k == 0.0 for k in side])
     residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
     # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0

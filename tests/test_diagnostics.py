@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import nnls
 
 import snsqp
@@ -154,6 +154,9 @@ def nnls_problems(draw):
 class TestAgainstScipyNnls:
     @settings(max_examples=500, deadline=None)
     @given(problem=nnls_problems())
+    # the final projection leaves the last multiplier at -7.2e-16
+    @example(problem=(np.array([0.0, -1.0]), np.array([[0.5, 0.0, 0.0, 0.0, -0.5],
+                                                       [3.0, 0.0, 0.0, -2.5, -3.0]])))
     def test_residual_and_multipliers(self, problem):
         """All rows active, so the measure is the NNLS min |g - J lam|, lam >= 0.
 

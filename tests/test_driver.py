@@ -267,6 +267,22 @@ def nan_on_call(call):
     return dataclasses.replace(problem, oracle=oracle)
 
 
+def nan_from_call(call):
+    """The quadratic of overflow_on_call, whose oracle returns a nan value
+    for the first scenario on every call from its given call on: a fault
+    that outlasts the run into the reference fill."""
+    calls = itertools.count(1)
+    problem = overflow_on_call(0)
+
+    def oracle(x, xi):
+        values = np.full(len(xi), 0.125 * float(x @ x))
+        if next(calls) >= call:
+            values[0] = np.nan
+        return values, np.tile(0.25 * x, (len(xi), 1))
+
+    return dataclasses.replace(problem, oracle=oracle)
+
+
 def unit_slope(upper, **rows):
     """min E[-sum(x)] over [0, upper] and the given rows, with rho 1: at
     alpha 1 every step adds 1 to each coordinate until the set stops it."""
@@ -438,6 +454,49 @@ class TestFullStepLoop:
             assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2"]
         with open(tmp_path / "nan_epochs.csv", newline="") as fh:
             assert [row["k"] for row in csv.DictReader(fh)] == ["2"]
+
+    def test_lasting_oracle_error_run_writes_csvs(self, capsys, tmp_path, monkeypatch):
+        """An oracle that keeps failing fails the reference fill too: each
+        record's stationarity and the final one are nan, and the run still
+        writes its CSVs and prints the run's error."""
+        monkeypatch.setitem(cli._PROBLEM_BUILDERS, "quadratic-eq",
+                            (lambda: nan_from_call(3), 0.25, np.array([0.5, 0.5])))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:2", "budget": 100,
+            "out": str(tmp_path), "run_id": "nan"}))
+        assert cli_main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("stop=oracle_error iterations=2 oracle_calls=6 "
+                "final_stationarity=nan") in out
+        assert "error: oracle returned a non-finite value or subgradient at " \
+               "scenario index 0" in out
+        with open(tmp_path / "nan_trace.csv", newline="") as fh:
+            assert [(row["k"], row["stationarity"]) for row in csv.DictReader(fh)] == [
+                ("1", "nan"), ("2", "nan")]
+        with open(tmp_path / "nan_epochs.csv", newline="") as fh:
+            assert [row["stationarity"] for row in csv.DictReader(fh)] == ["nan"]
+
+    def test_lasting_recourse_failure_in_a_pps_run_writes_csvs(self, tmp_path,
+                                                                monkeypatch):
+        """A recourse LP that raises from iteration 3 on fails the reference
+        evaluations too: run_single reports nan for the final stationarity
+        and objective, and writes the two records with nan stationarity."""
+        calls, original = itertools.count(1), pps.recourse_lp
+
+        def failing(instance, p, scenarios):
+            if next(calls) >= 3:
+                raise RuntimeError("second-stage LP of scenario 0 ended infeasible")
+            return original(instance, p, scenarios)
+
+        monkeypatch.setattr(pps, "recourse_lp", failing)
+        row = run_single("fixed:10", 0, 2000, 500, tmp_path)
+        assert (row["stop_reason"], row["iterations"], row["oracle_calls"]) == (
+            "oracle_error", 2, 30)
+        assert (row["final_stationarity"], row["final_objective"]) == ("nan", "nan")
+        with open(tmp_path / f"{run_id_for('fixed:10', 0)}_trace.csv", newline="") as fh:
+            assert [(rec["k"], rec["stationarity"]) for rec in csv.DictReader(fh)] == [
+                ("1", "nan"), ("2", "nan")]
 
     def test_recourse_failure_in_a_pps_run_keeps_the_records(self, tmp_path,
                                                               monkeypatch):

@@ -198,6 +198,29 @@ class TestSetValidation:
         assert shifted.limits.tobytes() == rebuilt.limits.tobytes()
         assert shifted.ineq_rhs.tobytes() == rebuilt.ineq_rhs.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), p=st.integers(0, 2))
+    def test_translated_limits_are_the_numpy_expressions(self, data, n, p):
+        """translated_limits computes the bounds on Python floats; its bytes,
+        zero signs included, and the data translate slices out of it are
+        numpy's -(lower - x), upper - x and ineq_rhs - ineq_matrix @ x."""
+        entries = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+        vector = lambda k: np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
+        lower = vector(n)
+        upper = lower + np.abs(vector(n))
+        rows, rhs = vector(p * n).reshape(p, n), vector(p)
+        box = BoxPolyhedron(lower, upper, rows if p else None, rhs if p else None)
+        x = np.array([data.draw(st.sampled_from([lo, hi]) | entries)
+                      for lo, hi in zip(lower, upper)])
+        expected = np.concatenate([-(lower - x), upper - x, rhs - rows @ x])
+        assert box.translated_limits(x).tobytes() == expected.tobytes()
+        shifted = box.translate(x)
+        assert shifted.limits.tobytes() == expected.tobytes()
+        assert shifted.lower.tobytes() == (lower - x).tobytes()
+        assert shifted.upper.tobytes() == (upper - x).tobytes()
+        if p:
+            assert shifted.ineq_rhs.tobytes() == (rhs - rows @ x).tobytes()
+
     @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0],
                                    [0.0, 0.0, 0.0], [[0.0, 0.0]]])
     def test_translate_rejects_bad_x(self, x):
@@ -299,7 +322,9 @@ class TestOneRowClosedForm:
         for trial in range(300):
             problem, side, rows, rhs, start, expected = self.random_case(rng, n_rows, duplicate)
             free = side == 0.0
-            d, mults, dependent = _project(problem, side.tolist(), rows.tolist(), rhs.tolist())
+            d, mults, dependent = _project(problem.gradient.tolist(), problem.curvature,
+                                           problem.set.limits.tolist(), side.tolist(),
+                                           rows.tolist(), rhs.tolist())
             assert dependent == expected, f"trial {trial}"
             if not free.any():  # every coordinate fixed: nothing to correct
                 assert d == start.tolist() and mults == [0.0] * len(rows)
@@ -341,9 +366,10 @@ class TestOneRowClosedForm:
     def test_row_with_a_zero_free_part_is_dependent(self, row, side):
         box = BoxPolyhedron(lower=[-1.0, -2.0, -3.0], upper=[1.0, 2.0, 3.0])
         problem = QpProblem(gradient=[0.5, -1.0, 4.0], curvature=2.0, set=box)
-        start, _, dependent = _project(problem, side, [], [])
+        data = problem.gradient.tolist(), problem.curvature, box.limits.tolist()
+        start, _, dependent = _project(*data, side, [], [])
         assert not dependent
-        d, mults, dependent = _project(problem, side, [row], [0.7])
+        d, mults, dependent = _project(*data, side, [row], [0.7])
         assert d == start and mults == [0.0] and dependent
         toward, coef, dependent = _direction([row], [s == 0.0 for s in side],
                                              [1.0, 1.0, 1.0])

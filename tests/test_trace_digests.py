@@ -27,7 +27,7 @@ PINS = {
             "eaf1dd84cd19e2eb4fbda986596e5440b0c8b268dd58017cc7ac0d4f1de006d8"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
-    "affine-eq": ("14ef7b910d038eaaf7879c58f9e7641b4fcdf6fd2e5a0a5337bfd49b8a8e7746",
+    "affine-eq": ("f9cc4ed808c5faf3cb365474dfc6c4b49f24cf86316bfedb566f48b568dc1910",
                   "2c3dc5c16e29f8362615c12ccc0b05f17804334e880dac400873ff343ad07940"),
 }
 
@@ -69,8 +69,8 @@ def test_subproblem_path(tmp_path, capsys, monkeypatch, name, solves, iterations
     warning, and none factors its working set by SVD, since each has at most
     one working row (PPS one inequality row, the equality problems one
     equality row), which _factor's closed form covers.  The stationarity
-    fill of the same runs factors its passive columns through _factor too,
-    one at a time, so the SVD check covers the NNLS as well; and no
+    fill of the same runs projects onto the polar cone with the same
+    active-set loop and _factor, so the SVD check covers it as well; and no
     least-squares call of numpy's remains."""
     statuses, counts, svd_calls, lstsq_calls = Counter(), Counter(), [], []
     svd, lstsq = np.linalg.svd, np.linalg.lstsq
