@@ -59,6 +59,8 @@ class PpsInstance:
     recourse: lp.LpProblem = field(init=False, compare=False, repr=False)
     #: the crash starts of _recourse_start on it, each checked once
     crash_starts: tuple = field(init=False, compare=False, repr=False)
+    #: the prices where _recourse_start's regimes end: min s, then min s + min c
+    regime_prices: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("production_costs", "shipment_costs", "slope_intervals",
@@ -79,6 +81,9 @@ class PpsInstance:
                 raise ValueError("each interval's lower end must lie below its upper end")
         object.__setattr__(self, "recourse", _recourse_problem(self))
         object.__setattr__(self, "crash_starts", _crash_starts(self))
+        ship = float(self.shipment_costs.min())
+        object.__setattr__(self, "regime_prices",
+                           (ship, ship + float(self.production_costs.min())))
 
 
 def build_pps_instance() -> PpsInstance:
@@ -205,16 +210,17 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
 
     j* is the store whose smallest demand in the batch is largest, so one
     basis fits every row whose demand covers the floor units.  Each start is
-    one of instance.crash_starts, checked once.  With non-uniform shipment
+    one of instance.crash_starts, checked once, and the regime ends are
+    instance.regime_prices, computed once.  With non-uniform shipment
     costs the rule is only a guess, which the simplex finishes from.
     """
-    ship = float(instance.shipment_costs.min())
+    no_shipping, floor_only = instance.regime_prices
     slack, floor, top_up = instance.crash_starts
-    if p <= ship:
+    if p <= no_shipping:
         return slack
     # numpy reduces a narrow block much faster along rows than down columns
     j_star = int(np.ascontiguousarray(demand.T).min(axis=1).argmax())
-    return (floor if p <= ship + float(instance.production_costs.min()) else top_up)[j_star]
+    return (floor if p <= floor_only else top_up)[j_star]
 
 
 def _crash_starts(instance: PpsInstance) -> tuple:

@@ -1,16 +1,18 @@
 """Stationarity measurement, epoch accounting, and trace export.
 
-The optimality measure treats the feasible region as rows c_j(x) >= 0 and
-asks how well the (estimated) subgradient can be written as a nonnegative
-combination of active constraint gradients:
+The optimality measure reads the feasible set in its row form normals @ x <=
+limits, plus the equality rows c(x) = 0, and asks how well the (estimated)
+subgradient is balanced by the normals of the rows active at x:
 
-    residual = min_{lam >= 0} |g - J lam|,  lam_j = 0 on inactive rows.
+    residual = min |g + normals_a.T @ mu + jac_a @ nu|,  mu >= 0, nu free.
 
-Inactivity is relative: |c_j| > ACTIVITY_TOL * (1 + |c_j|).  By Moreau's
-decomposition the residual is the norm of g's projection onto the polar cone
-{d : J_a.T @ d <= 0} of the active columns J_a.  The QP subproblem's
-active-set loop, snsqp.qp._active_set, computes that projection exactly, so
-one active-set method and one least-squares factor serve both.
+Activity is relative: row j is active where its value c_j (the translated
+limit, or the equality value) has |c_j| <= ACTIVITY_TOL * (1 + |c_j|).  By
+Moreau's decomposition the residual is the norm of the projection of -g onto
+the polar cone {d : normals_a @ d <= 0, jac_a.T @ d = 0}: a scalar-curvature
+QP over the same rows, which the subproblem's active-set loop,
+snsqp.qp._active_set, solves exactly.  As in the subproblem, an active bound
+fixes its coordinate and an equality row stays an equality row.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
 with different batch sizes can be compared: the record with cumulative call
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, QpStatus, _active_set
+from .qp import BoxPolyhedron, QpStatus, _active_set, _dot
 from .sampling import OracleError, aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -50,75 +52,65 @@ class StationarityReport:
     active_mask: np.ndarray
 
 
-def stationarity_error(g: np.ndarray, constraints_value: np.ndarray,
-                       constraints_jacobian: np.ndarray) -> StationarityReport:
-    """Distance from g to the cone spanned by active constraint gradients.
+def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
+                       eq: tuple | None = None) -> StationarityReport:
+    """The measure at x for the set box and the equality rows eq, the pair
+    (c(x), jacobian with one column per row) that eq_constraints returns.
 
-    constraints_jacobian has one column per constraint (shape n x J), matching
-    the c_j(x) >= 0 orientation of the rows.
+    The multipliers and the activity mask have one entry per row of
+    box.normals, then one per equality row.  One _active_set call projects
+    -g: active bounds have limit 0, inactive ones inf, and inactive rows are
+    left out.  A bound's multiplier is the stationarity residual on its
+    coordinate; set multipliers the final projection leaves at -1e-16 are
+    floored at 0.  g and each row are first scaled by a power of two, which
+    is exact, to a largest entry in [0.5, 1): the cone is unchanged, no
+    a_j . a_j can underflow or overflow, and the loop's absolute tolerances
+    meet entries of order one.
     """
     g = np.asarray(g, dtype=float)
-    c = np.atleast_1d(np.asarray(constraints_value, dtype=float))
-    jac = np.asarray(constraints_jacobian, dtype=float)
-    if jac.ndim != 2 or jac.shape != (g.size, c.size):
-        raise ValueError("jacobian must have shape (len(g), len(constraints_value))")
-    if not np.isfinite(np.concatenate((g, c, jac.ravel()))).all():
-        raise ValueError("gradient, constraint values and jacobian must be finite")
+    if g.shape != (box.dim,):
+        raise ValueError("g must have an entry per coordinate of the set")
+    # the sets are small: Python floats cost less than numpy calls
+    g_list, values, normals = g.tolist(), box.translated_limits(x).tolist(), box.normals.tolist()
+    n, n_set = box.dim, len(values)
+    if eq is not None:
+        c_eq, jac = np.atleast_1d(np.asarray(eq[0], dtype=float)), np.asarray(eq[1], dtype=float)
+        if jac.shape != (n, c_eq.size):
+            raise ValueError("the equality jacobian must have shape (len(g), len(c))")
+        values += c_eq.tolist()
+        normals += jac.T.tolist()
+    if not all(map(math.isfinite, g_list + values + sum(normals[n_set:], []))):
+        raise ValueError("gradient, equality values and jacobian must be finite")
+    act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
+    multipliers = np.zeros(len(values))
+    if not any(act):
+        return StationarityReport(float(np.linalg.norm(g)), multipliers, np.array(act))
 
-    active = np.abs(c) <= ACTIVITY_TOL * (1.0 + np.abs(c))
-    multipliers = np.zeros(c.size)
-    if not active.any():
-        residual = float(np.linalg.norm(g))
-    else:
-        lam, residual = _polar_projection(jac[:, active], g)
-        multipliers[active] = lam
-    return StationarityReport(residual=residual, multipliers=multipliers,
-                              active_mask=active)
-
-
-def _polar_projection(a: np.ndarray, b: np.ndarray) -> tuple:
-    """min |b - a lam| over lam >= 0; returns (lam as a list, residual).
-
-    b - a lam is then the projection d of b onto the polar cone
-    {d : a.T @ d <= 0}, and lam the multipliers of its rows: qp._active_set
-    with alpha = 1, g = -b and infinite bound limits, which never enter.
-    A zero multiplier the final projection leaves at -1e-16 is floored at 0.
-
-    Each column and b are first scaled by a power of two, which is exact, to
-    a largest entry in [0.5, 1): the cone is unchanged, no a_j . a_j can
-    underflow or overflow, and the loop's absolute tolerances meet entries
-    of order one.
-    """
-    cols, col_exp = zip(*map(_unit_scaled, a.T.tolist()))
-    b, b_exp = _unit_scaled(b.tolist())
-    n, k = len(b), len(cols)
-    status, d, _, rows, row_mults, _, _ = _active_set(
-        [-v for v in b], 1.0, list(cols), [math.inf] * (2 * n) + [0.0] * k, 0)
+    # loop ids: the bounds, as unit normals, then the active rows, scaled,
+    # with the equality rows last
+    index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
+    scaled = [(normals[c], 0) if c < 2 * n else _unit_scaled(normals[c]) for c in index]
+    g_unit, g_exp = _unit_scaled(g_list)
+    status, d, side, rows, row_mults, _, _ = _active_set(
+        g_unit, 1.0, [row for row, _ in scaled[2 * n:]],
+        [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]))
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")
-    lam = [0.0] * k
-    for c, w in zip(rows, row_mults):
-        lam[c - 2 * n] = w if w > 0.0 else 0.0
-    return ([math.ldexp(v, b_exp - e) for v, e in zip(lam, col_exp)],
-            math.ldexp(math.hypot(*d), b_exp))
+    loop_mults, work = dict(zip(rows, row_mults)), [scaled[r][0] for r in rows]
+    for i, s in enumerate(side):
+        if s:
+            loop_mults[i + n * (s > 0.0)] = -s * (
+                g_unit[i] + d[i] + _dot([w[i] for w in work], row_mults))
+    for r, w in loop_mults.items():
+        c = index[r]
+        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp - scaled[r][1])
+    return StationarityReport(math.ldexp(math.hypot(*d), g_exp), multipliers, np.array(act))
 
 
 def _unit_scaled(values: list) -> tuple:
     """(values * 2**-e, e), with e chosen so the largest |value| is in [0.5, 1)."""
     exp = math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, -exp) for v in values], exp
-
-
-def polyhedron_constraint_rows(box: BoxPolyhedron, x: np.ndarray) -> tuple:
-    """The set's rows normals @ x <= limits as rows c_j(x) >= 0 for the
-    stationarity measure.
-
-    Returns (values, jacobian) with one column per row: x - l >= 0, u - x >= 0,
-    then h - Wx >= 0.  The values are the limits of the set translated to x:
-    limits - normals @ x can round h - Wx differently, because a product with
-    the stacked rows may sum in another order than W @ x alone.
-    """
-    return box.translated_limits(x), -box.normals.T
 
 
 def reference_batch(problem) -> np.ndarray:
@@ -150,13 +142,8 @@ def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray) -> flo
         g = aggregate(problem, x, scenarios).mean_subgradient
     except OracleError:  # a run that stopped on it keeps its outputs
         return math.nan
-    values, columns = polyhedron_constraint_rows(problem.set, x)
-    if problem.eq_constraints is not None:
-        # equality rows enter as opposing pairs, giving their multiplier free sign
-        c_eq, jac_eq = problem.eq_constraints(x)
-        values = np.concatenate([values, c_eq, -c_eq])
-        columns = np.hstack([columns, jac_eq, -jac_eq])
-    return stationarity_error(g, values, columns).residual
+    eq = None if problem.eq_constraints is None else problem.eq_constraints(x)
+    return stationarity_error(g, problem.set, x, eq).residual
 
 
 def _epoch(rec, epoch_size: int) -> int:

@@ -105,7 +105,6 @@ class IterationRecord:
     eq_multipliers: np.ndarray = None
     pi: float = 1.0
     backtracks: int = 0
-    sum_sq_dev: float = 0.0
 
 
 @dataclass
@@ -268,7 +267,7 @@ def _run(problem, config, with_equalities):
             batch_size=stats.batch_size, oracle_calls=oracle_calls,
             merit=merit, objective_estimate=stats.mean_value,
             direction=d.copy(), eq_multipliers=np.copy(sol.eq_multipliers),
-            pi=pi, backtracks=backtracks, sum_sq_dev=stats.sum_sq_dev,
+            pi=pi, backtracks=backtracks,
         ))
 
         # the adaptive rule sizes the NEXT batch from this iteration's stats

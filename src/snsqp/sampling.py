@@ -206,8 +206,9 @@ def next_sample_size(strategy: SamplingStrategy, stats: SampleStats, alpha: floa
             return strategy.cap
         if variance_test(stats, alpha, step_norm_sq, strategy.eta):
             return stats.batch_size
-        ratio = (stats.sum_sq_dev
-                 / (strategy.eta * alpha * step_norm_sq * (stats.batch_size - 1)))
+        # a subnormal step can underflow the product to 0.0: past any cap too
+        scale = strategy.eta * alpha * step_norm_sq * (stats.batch_size - 1)
+        ratio = stats.sum_sq_dev / scale if scale > 0.0 else math.inf
         if not ratio < strategy.cap:  # also an infinite ratio from a tiny step
             return strategy.cap
         return max(math.ceil(ratio), MIN_BATCH)

@@ -25,9 +25,9 @@ from snsqp.diagnostics import (
     REFERENCE_BATCH,
     REFERENCE_SEED,
     TRACE_COLUMNS,
+    StationarityReport,
     export_trace,
     fill_stationarity,
-    polyhedron_constraint_rows,
     reference_batch,
     reference_objective,
     reference_stationarity,
@@ -39,16 +39,33 @@ from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import FixedSize, draw_scenarios
 
 
+def column_stationarity(g, constraints_value, constraints_jacobian):
+    """The measure in column form, rows c_j(x) >= 0 with constraint gradients
+    J (n x k): min |g - J lam| over lam >= 0 on the active rows.
+
+    It builds the equivalent set at x = 0, bounds -1 <= x <= 1, which are
+    never active there, and the rows -J.T @ x <= c, and returns the report
+    without the bound entries.
+    """
+    jac = np.asarray(constraints_jacobian, dtype=float)
+    c = np.atleast_1d(np.asarray(constraints_value, dtype=float))
+    n = jac.shape[0]
+    box = BoxPolyhedron(-np.ones(n), np.ones(n), -jac.T, c)
+    report = stationarity_error(g, box, np.zeros(n))
+    return StationarityReport(report.residual, report.multipliers[2 * n:],
+                              report.active_mask[2 * n:])
+
+
 class TestStationarityError:
     def test_zero_gradient_is_stationary(self):
-        report = stationarity_error(np.zeros(3), np.array([0.0, 1.0]),
-                                    np.ones((3, 2)))
+        report = column_stationarity(np.zeros(3), np.array([0.0, 1.0]),
+                                     np.ones((3, 2)))
         assert report.residual == pytest.approx(0.0)
         np.testing.assert_array_equal(report.active_mask, [True, False])
 
     def test_no_active_rows_returns_gradient_norm(self):
         g = np.array([3.0, -4.0])
-        report = stationarity_error(g, np.array([2.0]), np.array([[1.0], [0.0]]))
+        report = column_stationarity(g, np.array([2.0]), np.array([[1.0], [0.0]]))
         assert report.residual == pytest.approx(5.0)
         assert not report.active_mask.any()
         assert np.all(report.multipliers == 0.0)
@@ -62,7 +79,7 @@ class TestStationarityError:
             lam_true = rng.uniform(0.5, 2.0, j)
             g = jac @ lam_true
             c = np.zeros(j)   # all rows active
-            report = stationarity_error(g, c, jac)
+            report = column_stationarity(g, c, jac)
             assert report.residual <= 1e-8
             np.testing.assert_allclose(report.multipliers, lam_true, atol=1e-6)
 
@@ -73,7 +90,7 @@ class TestStationarityError:
                         [0.0, 1.0, -0.2],
                         [0.3, -0.5, 1.0]])
         c = np.zeros(3)
-        report = stationarity_error(g, c, jac)
+        report = column_stationarity(g, c, jac)
         axis = np.arange(0.0, 2.0, 1e-3)
         best = np.inf
         for l0 in axis[::20]:
@@ -89,7 +106,7 @@ class TestStationarityError:
         g = np.array([1.0, 1.0])
         c = np.array([0.0, 5.0])
         jac = np.array([[1.0, 1.0], [1.0, 1.0]])
-        report = stationarity_error(g, c, jac)
+        report = column_stationarity(g, c, jac)
         assert report.multipliers[1] == 0.0
 
     def test_relative_activity_threshold(self):
@@ -100,7 +117,7 @@ class TestStationarityError:
         # 1.0000005e-6 is above tol itself but inside the relative margin
         for value, active in ((-1.0000005e-6, True), (1.0000005e-6, True),
                               (1.0000015e-6, False), (-1.0000015e-6, False)):
-            report = stationarity_error(g, np.array([value, 1.0]), jac)
+            report = column_stationarity(g, np.array([value, 1.0]), jac)
             assert report.active_mask.tolist() == [active, False]
             assert report.residual == pytest.approx(0.0 if active else 1.0)
 
@@ -109,14 +126,14 @@ class TestStationarityError:
         rng = np.random.default_rng(15)
         g = rng.normal(size=4)
         jac = rng.normal(size=(4, 2))
-        base = stationarity_error(g, np.zeros(2), jac).residual
+        base = column_stationarity(g, np.zeros(2), jac).residual
         for t in (0.5, 2.0, 10.0):
-            scaled = stationarity_error(t * g, np.zeros(2), jac).residual
+            scaled = column_stationarity(t * g, np.zeros(2), jac).residual
             assert scaled == pytest.approx(t * base, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            stationarity_error(np.zeros(2), np.zeros(2), np.zeros((3, 2)))
+            column_stationarity(np.zeros(2), np.zeros(2), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["gradient", "value", "jacobian"])
@@ -128,7 +145,7 @@ class TestStationarityError:
         jac = np.eye(2)
         {"gradient": g, "value": c, "jacobian": jac}[where].flat[1] = bad
         with pytest.raises(ValueError, match="finite"):
-            stationarity_error(g, c, jac)
+            column_stationarity(g, c, jac)
 
 
 @st.composite
@@ -168,7 +185,7 @@ class TestAgainstScipyNnls:
         its relative size.
         """
         g, jac = problem
-        report = stationarity_error(g, np.zeros(jac.shape[1]), jac)
+        report = column_stationarity(g, np.zeros(jac.shape[1]), jac)
         lam = report.multipliers
         lam_ref, residual_ref = nnls(jac, g)
         assert np.all(lam >= 0.0)
@@ -183,15 +200,15 @@ class TestAgainstScipyNnls:
         multiplier exactly, even where a_j . a_j would underflow or overflow."""
         g = np.array([3.0, 1.0, 0.5])
         jac = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        base = stationarity_error(g, np.zeros(2), jac)
+        base = column_stationarity(g, np.zeros(2), jac)
         assert base.residual == pytest.approx(0.5, rel=1e-14)
         np.testing.assert_allclose(base.multipliers, [1.0, 1.0], rtol=1e-14)
         for shift in (-1000, -600, 600):
-            scaled_g = stationarity_error(np.ldexp(g, shift), np.zeros(2), jac)
+            scaled_g = column_stationarity(np.ldexp(g, shift), np.zeros(2), jac)
             assert scaled_g.residual == np.ldexp(base.residual, shift)
             np.testing.assert_array_equal(scaled_g.multipliers,
                                           np.ldexp(base.multipliers, shift))
-            scaled_col = stationarity_error(
+            scaled_col = column_stationarity(
                 g, np.zeros(2), jac * np.ldexp(1.0, [shift, 0]))
             assert scaled_col.residual == base.residual
             np.testing.assert_array_equal(
@@ -201,7 +218,7 @@ class TestAgainstScipyNnls:
         """An equality row's +-J pair: one side carries the multiplier."""
         jac = np.array([[2.0, -2.0], [0.0, 0.0]])
         for g, expected in (([3.0, 0.5], [1.5, 0.0]), ([-3.0, 0.5], [0.0, 1.5])):
-            report = stationarity_error(np.array(g), np.zeros(2), jac)
+            report = column_stationarity(np.array(g), np.zeros(2), jac)
             np.testing.assert_allclose(report.multipliers, expected, rtol=1e-15)
             assert report.residual == pytest.approx(0.5, rel=1e-15)
 
@@ -241,40 +258,71 @@ def test_package_import_loads_the_solver_alone():
     assert entry_point_imports("csv", "snsqp") == "[]"
 
 
+@st.composite
+def set_form_problems(draw):
+    """(g, box, x, eq, active) with n <= 4 coordinates, p <= 3 inequality
+    rows and m <= 2 equality rows, and the expected activity of each row.
+
+    x sits on faces: each coordinate at its lower bound, its upper bound or
+    inside, and some coordinates have zero width.  An inequality row is a
+    random row through x (value 0 up to rounding) or 0.5 away from it, or
+    it repeats a bound of one coordinate.  An equality row is active (c = 0)
+    or not, and some have a zero column.  Nonzero entries are at least 1e-3
+    in size, as for nnls_problems.
+    """
+    entries = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    vector = lambda k: np.array([draw(entries) for _ in range(k)])
+    n, p, m = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    lower = vector(n)
+    upper = lower + np.array([draw(st.sampled_from([0.0, 0.5, 2.0])) for _ in range(n)])
+    where = [draw(st.sampled_from(["lower", "upper", "inside"])) for _ in range(n)]
+    x = np.array([lo if w == "lower" else hi if w == "upper" or lo == hi
+                  else 0.5 * (lo + hi) for lo, hi, w in zip(lower, upper, where)])
+    rows, rhs = np.zeros((p, n)), np.zeros(p)
+    for r in range(p):
+        i, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(
+            ["through", "off", "repeats lower", "repeats upper"]))
+        if kind.startswith("repeats"):
+            rows[r, i] = -1.0 if kind == "repeats lower" else 1.0
+            rhs[r] = -lower[i] if kind == "repeats lower" else upper[i]
+        else:
+            rows[r] = vector(n)
+            rhs[r] = rows[r] @ x + (0.5 if kind == "off" else 0.0)
+    box = BoxPolyhedron(lower, upper, rows if p else None, rhs if p else None)
+    eq = None
+    if m:
+        columns = [vector(n) * (draw(st.integers(0, 3)) > 0) for _ in range(m)]
+        eq = (np.array([draw(st.sampled_from([0.0, 0.0, 0.5, -2.0])) for _ in range(m)]),
+              np.array(columns).T)
+    slack = np.concatenate([x - lower, upper - x, rhs - rows @ x,
+                            np.zeros(0) if eq is None else eq[0]])
+    return vector(n), box, x, eq, np.abs(slack) <= ACTIVITY_TOL * (1.0 + np.abs(slack))
+
+
 class TestPolyhedronRows:
     def test_box_rows(self):
+        """One entry per row of the set's row form: lower bounds, upper
+        bounds, inequality rows, then the equality rows."""
         box = BoxPolyhedron(lower=[0.0, -1.0], upper=[2.0, 1.0],
                             ineq_matrix=[[1.0, 1.0]], ineq_rhs=[1.5])
-        x = np.array([0.0, 0.5])
-        values, jac = polyhedron_constraint_rows(box, x)
-        np.testing.assert_allclose(values, [0.0, 1.5, 2.0, 0.5, 1.0])
-        assert jac.shape == (2, 5)
-        np.testing.assert_allclose(jac[:, 0], [1.0, 0.0])    # x0 - l0
-        np.testing.assert_allclose(jac[:, 2], [-1.0, 0.0])   # u0 - x0
-        np.testing.assert_allclose(jac[:, 4], [-1.0, -1.0])  # h - Wx
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 6), p=st.integers(0, 4))
-    def test_rows_match_the_blockwise_form(self, data, n, p):
-        """The set's row form gives the stationarity measure the same bytes
-        as [x - l, u - x, h - Wx] with columns [I, -I, -W^T].  Only the sign
-        of a zero value may differ (-l - (-x) is -0.0 at x = l = 0), and the
-        measure reads |c_j| alone."""
-        entries = st.floats(-1e3, 1e3, allow_subnormal=False)
-        vector = lambda k: np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
-        lower = vector(n)
-        upper = lower + np.abs(vector(n))
-        rows, rhs = vector(p * n).reshape(p, n), vector(p)
-        box = BoxPolyhedron(lower, upper, rows if p else None, rhs if p else None)
-        # points on a bound as well as anywhere in or out of the box
-        x = np.array([data.draw(st.sampled_from([lo, hi]) | entries)
-                      for lo, hi in zip(lower, upper)])
-        values, jac = polyhedron_constraint_rows(box, x)
-        eye = np.eye(n)
-        blockwise = np.concatenate([x - lower, upper - x, rhs - rows @ x])
-        assert np.abs(values).tobytes() == np.abs(blockwise).tobytes()
-        np.testing.assert_array_equal(values, blockwise)
-        assert jac.tobytes() == np.hstack([eye, -eye, -rows.T]).tobytes()
+        # x1 at its upper bound and on the row x0 + x1 <= 1.5; -g = (1, 2)
+        # is the upper-bound normal (0, 1) plus the row's normal (1, 1)
+        x = np.array([0.5, 1.0])
+        report = stationarity_error(np.array([-1.0, -2.0]), box, x)
+        assert report.active_mask.tolist() == [False, False, False, True, True]
+        np.testing.assert_allclose(report.multipliers, [0.0, 0.0, 0.0, 1.0, 1.0],
+                                   atol=1e-15)
+        assert report.residual <= 1e-15
+        # off the row, an active equality row with normal (1, 0) takes the
+        # first coordinate of g with a negative multiplier, the upper bound
+        # on x1 the second
+        x = np.array([0.25, 1.0])
+        eq = (np.array([0.0, 3.0]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+        report = stationarity_error(np.array([1.0, -2.0]), box, x, eq)
+        assert report.active_mask.tolist() == [False] * 3 + [True, False] + [True, False]
+        np.testing.assert_allclose(report.multipliers, [0.0] * 3 + [2.0, 0.0, -1.0, 0.0],
+                                   atol=1e-15)
+        assert report.residual <= 1e-15
 
     def test_kkt_point_of_box_projection_is_stationary(self):
         """At x* = argmin over the box, -g sits in the normal cone: the
@@ -282,9 +330,54 @@ class TestPolyhedronRows:
         box = BoxPolyhedron(lower=[0.0, 0.0], upper=[1.0, 1.0])
         # objective x1 (minimized at the lower face): gradient (1, 0)
         x_star = np.array([0.0, 0.5])
-        values, jac = polyhedron_constraint_rows(box, x_star)
-        report = stationarity_error(np.array([1.0, 0.0]), values, jac)
+        report = stationarity_error(np.array([1.0, 0.0]), box, x_star)
         assert report.residual <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["value", "jacobian"])
+    @pytest.mark.parametrize("row_active", [True, False])
+    def test_rejects_non_finite_equality_rows(self, bad, where, row_active):
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        c = np.array([0.0 if row_active else 1.0, 3.0])
+        jac = np.eye(2)
+        {"value": c, "jacobian": jac}[where].flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stationarity_error(np.array([1.0, 2.0]), box, np.zeros(2), (c, jac))
+
+    def test_rejects_shape_mismatch(self):
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        with pytest.raises(ValueError):
+            stationarity_error(np.zeros(3), box, np.zeros(2))
+        with pytest.raises(ValueError):
+            stationarity_error(np.zeros(2), box, np.zeros(2),
+                               (np.zeros(1), np.zeros((2, 2))))
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=set_form_problems())
+    def test_against_scipy_nnls_over_the_blockwise_columns(self, problem):
+        """The measure is scipy's NNLS min |g - J lam| over the active columns
+        of [I, -I, -W^T, E, -E]: bounds x - l >= 0 and u - x >= 0, rows
+        h - Wx >= 0, and each equality row as an opposing pair.  Bounds with
+        zero width, rows that repeat a bound and zero equality columns leave
+        the multipliers non-unique, so only the residual, the signs and the
+        residual of the returned multipliers are compared."""
+        g, box, x, eq, expected_active = problem
+        report = stationarity_error(g, box, x, eq)
+        n, n_set = box.dim, box.limits.size
+        jac = np.zeros((n, 0)) if eq is None else eq[1]
+        np.testing.assert_array_equal(report.active_mask, expected_active)
+        mu, nu = report.multipliers[:n_set], report.multipliers[n_set:]
+        assert np.all(mu >= 0.0)
+        assert np.all(report.multipliers[~report.active_mask] == 0.0)
+        columns = np.hstack([-box.normals.T, jac, -jac])[
+            :, np.concatenate([expected_active, expected_active[n_set:]])]
+        # scipy's NNLS crashes the interpreter on a matrix with no columns
+        residual_ref = nnls(columns, g)[1] if columns.size else np.linalg.norm(g)
+        scale = max(1.0, np.linalg.norm(g),
+                    np.linalg.norm(np.abs(box.normals.T) @ mu + np.abs(jac) @ np.abs(nu)))
+        assert abs(report.residual - residual_ref) <= 1e-12 * scale
+        own = np.linalg.norm(g + box.normals.T @ mu + jac @ nu)
+        assert abs(own - report.residual) <= 1e-12 * scale
 
 
 def _record(k, calls, x, batch=10):
@@ -408,8 +501,7 @@ class TestReferenceMeasure:
         loop = [problem.oracle(x, batch[i:i + 1]) for i in range(len(batch))]
         loop_value = np.mean([values[0] for values, _ in loop])
         loop_grad = np.mean([grads[0] for _, grads in loop], axis=0)
-        values, columns = polyhedron_constraint_rows(problem.set, x)
-        loop_measure = stationarity_error(loop_grad, values, columns).residual
+        loop_measure = stationarity_error(loop_grad, problem.set, x).residual
         assert reference_objective(problem, x, batch) == pytest.approx(
             loop_value, abs=1e-9)
         assert reference_stationarity(problem, x, batch) == pytest.approx(
@@ -465,6 +557,21 @@ class TestReferenceMeasure:
         carried = {row["k"] for row in epoch_rows}
         assert all(math.isfinite(records[k - 1].stationarity) for k in carried)
         assert math.isfinite(records[-1].stationarity)
+
+    def test_affine_eq_corner_is_exactly_stationary(self, monkeypatch):
+        """At the corner (-1, 2) of affine-eq the upper bound on x1 and the
+        equality row x0 + x1 = 1 are active.  The bound fixes x1 and the row
+        then fixes x0, so the projection is exactly zero with no SVD: one
+        working row on the free coordinates takes the closed form."""
+        from snsqp.bench.synthetic import build_affine_equality_problem
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the measure called np.linalg.svd")
+
+        problem = build_affine_equality_problem()
+        batch = reference_batch(problem)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert reference_stationarity(problem, np.array([-1.0, 2.0]), batch) == 0.0
 
     def test_equality_rows_relax_the_measure(self):
         """A gradient normal to the constraint manifold counts as stationary."""

@@ -621,12 +621,13 @@ class TestAdaptiveInsideLoop:
         assert sizes[0] == 2
         assert max(sizes) == 500   # noise eventually dominates the steps
         # each recorded size is reproduced by the sizing rule applied to the
-        # previous record's statistics
-        from snsqp.sampling import SampleStats, next_sample_size
-        for prev, rec in zip(trace.records, trace.records[1:]):
-            stats = SampleStats(mean_value=0.0, mean_subgradient=np.zeros(2),
-                                sum_sq_dev=prev.sum_sq_dev,
-                                batch_size=prev.batch_size)
+        # previous iteration's statistics, recomputed from its batch at the
+        # iterate it was drawn at
+        from snsqp.sampling import aggregate, draw_scenarios, next_sample_size
+        starts = [config.x0] + [rec.x for rec in trace.records]
+        for start, prev, rec in zip(starts, trace.records, trace.records[1:]):
+            stats = aggregate(problem, start, draw_scenarios(
+                problem.scenario_sampler, config.master_seed, prev.k, prev.batch_size))
             snsq = float(prev.step_norm) ** 2
             expected = next_sample_size(config.strategy, stats, prev.alpha,
                                         snsq, prev.k + 1)

@@ -275,6 +275,13 @@ class TestSchedules:
         stats = SampleStats(0.0, np.zeros(1), 1e6, 10)
         assert next_sample_size(strat, stats, 1.0, 1.0, 2) == 64
 
+    def test_adaptive_underflowing_step_takes_the_cap(self):
+        """eta * alpha * |step|^2 * (N - 1) underflows to 0.0 for the smallest
+        subnormal step; the size is the cap, not a ZeroDivisionError."""
+        stats = SampleStats(0.0, np.zeros(1), 1.0, 10)
+        assert next_sample_size(AdaptiveSize(eta=0.25, cap=1000), stats,
+                                1.0, 5e-324, 2) == 1000
+
     def test_adaptive_tiny_step_takes_the_cap(self):
         """A step whose squared norm is subnormal makes the growth ratio
         infinite; the run takes the cap instead of failing in ceil."""
