@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, QpStatus, _active_set, _dot
+from .qp import BoxPolyhedron, QpStatus, _active_set
 from .sampling import OracleError, aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -60,12 +60,10 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     The multipliers and the activity mask have one entry per row of
     box.normals, then one per equality row.  One _active_set call projects
     -g: active bounds have limit 0, inactive ones inf, and inactive rows are
-    left out.  A bound's multiplier is the stationarity residual on its
-    coordinate; set multipliers the final projection leaves at -1e-16 are
-    floored at 0.  g and each row are first scaled by a power of two, which
-    is exact, to a largest entry in [0.5, 1): the cone is unchanged, no
-    a_j . a_j can underflow or overflow, and the loop's absolute tolerances
-    meet entries of order one.
+    left out.  The loop scales the rows; g is scaled here, by a power of two
+    to a largest entry in [0.5, 1), which leaves the polar cone as it is,
+    and the residual and multipliers are scaled back.  Set multipliers the
+    final projection leaves at -1e-16 are floored at 0.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (box.dim,):
@@ -86,31 +84,17 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     if not any(act):
         return StationarityReport(float(np.linalg.norm(g)), multipliers, np.array(act))
 
-    # loop ids: the bounds, as unit normals, then the active rows, scaled,
-    # with the equality rows last
+    # loop ids: the bounds, then the active rows, with the equality rows last
     index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
-    scaled = [(normals[c], 0) if c < 2 * n else _unit_scaled(normals[c]) for c in index]
-    g_unit, g_exp = _unit_scaled(g_list)
-    status, d, side, rows, row_mults, _, _ = _active_set(
-        g_unit, 1.0, [row for row, _ in scaled[2 * n:]],
+    g_exp = math.frexp(max(map(abs, g_list)))[1]
+    status, d, mults, _, _ = _active_set(
+        [math.ldexp(v, -g_exp) for v in g_list], 1.0, [normals[c] for c in index[2 * n:]],
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]))
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")
-    loop_mults, work = dict(zip(rows, row_mults)), [scaled[r][0] for r in rows]
-    for i, s in enumerate(side):
-        if s:
-            loop_mults[i + n * (s > 0.0)] = -s * (
-                g_unit[i] + d[i] + _dot([w[i] for w in work], row_mults))
-    for r, w in loop_mults.items():
-        c = index[r]
-        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp - scaled[r][1])
+    for c, w in zip(index, mults):
+        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
     return StationarityReport(math.ldexp(math.hypot(*d), g_exp), multipliers, np.array(act))
-
-
-def _unit_scaled(values: list) -> tuple:
-    """(values * 2**-e, e), with e chosen so the largest |value| is in [0.5, 1)."""
-    exp = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -exp) for v in values], exp
 
 
 def reference_batch(problem) -> np.ndarray:

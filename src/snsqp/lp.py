@@ -44,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qp import _frozen
+
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 #: pivots before switching from largest-violation pricing to Bland's rule
@@ -132,13 +134,6 @@ class LpProblem:
         copy = object.__new__(LpProblem)
         copy.__dict__.update(self.__dict__, **vectors)
         return copy
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy."""
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:

@@ -15,7 +15,9 @@ the working rows on the free coordinates are factored.
 
 The loop, _active_set, is the package's one active-set method: it also
 computes the stationarity measure of snsqp.diagnostics, which by Moreau's
-decomposition is a projection onto a polar cone.
+decomposition is a projection onto a polar cone.  For both callers it
+scales the rows, so a subproblem solves the same however its rows are
+written, and returns one multiplier per bound and row, scaled back.
 
 Every consumer reads the set in one row form, normals @ x <= limits, built
 once per BoxPolyhedron: the lower bounds as -I, the upper bounds as I, then
@@ -50,7 +52,7 @@ TOL = 1e-8
 MAX_ITER_PER_ROW = 50
 #: relative singular-value threshold marking dependent working-set rows
 RANK_THRESHOLD = 1e-12
-#: violation of a bound, an inequality row or the linearized equalities that the solve accepts
+#: violation of a bound, or of a row scaled to a largest entry in [0.5, 1), that the solve accepts
 VIOLATION_TOL = 1e-12
 
 
@@ -68,8 +70,8 @@ class BoxPolyhedron:
     0..n-1 are the lower bounds (-x_i <= -lower_i), rows n..2n-1 the upper
     bounds (x_i <= upper_i), and rows 2n..2n+p-1 the inequality rows.  All
     data must be finite, and the bounds keep the set compact, which keeps
-    subproblem steps and multipliers bounded.  Instances are treated as
-    immutable.
+    subproblem steps and multipliers bounded.  Its arrays are read-only
+    copies, so the row form cannot fall out of step with its data.
     """
 
     lower: np.ndarray
@@ -80,8 +82,8 @@ class BoxPolyhedron:
     limits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.lower = _frozen(np.atleast_1d(self.lower))
+        self.upper = _frozen(np.atleast_1d(self.upper))
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must be vectors of the same shape")
         _require_finite(lower=self.lower, upper=self.upper)  # a compact set
@@ -91,15 +93,14 @@ class BoxPolyhedron:
             raise ValueError("ineq_matrix and ineq_rhs must be given together")
         rows, rhs = np.zeros((0, self.dim)), np.zeros(0)
         if self.ineq_matrix is not None:
-            self.ineq_matrix = rows = np.atleast_2d(np.asarray(self.ineq_matrix, dtype=float))
-            self.ineq_rhs = rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=float))
+            self.ineq_matrix = rows = _frozen(np.atleast_2d(self.ineq_matrix))
+            self.ineq_rhs = rhs = _frozen(np.atleast_1d(self.ineq_rhs))
             if rows.shape != (rhs.size, self.dim):
                 raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
             _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
         eye = np.eye(self.dim)
-        self.normals = np.concatenate([-eye, eye, rows])
-        self.normals.flags.writeable = False  # translated sets share it
-        self.limits = np.concatenate([-self.lower, self.upper, rhs])
+        self.normals = _frozen(np.concatenate([-eye, eye, rows]))  # translated sets share it
+        self.limits = _frozen(np.concatenate([-self.lower, self.upper, rhs]))
 
     @property
     def dim(self) -> int:
@@ -117,17 +118,18 @@ class BoxPolyhedron:
 
     def translate(self, x) -> "BoxPolyhedron":
         """The set in step coordinates, {d : x + d in self}, sharing normals,
-        with its data sliced out of translated_limits(x)."""
+        with its data sliced, read-only, out of translated_limits(x)."""
         shifted, n = copy.copy(self), self.dim
         shifted.limits = limits = self.translated_limits(x)
         shifted.lower, shifted.upper = -limits[:n], limits[n:2 * n]
+        shifted.lower.flags.writeable = False
         if self.ineq_rhs is not None:
             shifted.ineq_rhs = limits[2 * n:]
         return shifted
 
     def translated_limits(self, x) -> np.ndarray:
-        """The limits of the set translated to x: -(lower - x), upper - x,
-        then ineq_rhs - ineq_matrix @ x.
+        """The limits of the set translated to x, read-only: -(lower - x),
+        upper - x, then ineq_rhs - ineq_matrix @ x.
 
         A finite x far outside the set can overflow a translated limit; that
         raises a ValueError naming the field, so the translated set keeps
@@ -149,7 +151,7 @@ class BoxPolyhedron:
             _require_finite(**{"translated lower": values[:n],
                                "translated upper": values[n:2 * n],
                                "translated ineq_rhs": values[2 * n:]})
-        return np.array(limits)
+        return _frozen(limits)
 
 
 @dataclass
@@ -224,12 +226,24 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     if m:
         general += problem.eq_jacobian.T.tolist()
         limits += (-problem.eq_residual).tolist()
-    status, d, side, rows, row_mults, rank_warning, iterations = _active_set(
-        gradient, alpha, general, limits, m)
+    status, d, mults, rank_warning, iterations = _active_set(gradient, alpha, general, limits, m)
     if status is not QpStatus.OPTIMAL:
         return _failed_solution(problem, status, rank_warning, iterations)
-    return _assemble_solution(problem, side, rows, [general[c - 2 * box.dim] for c in rows],
-                              d, row_mults, rank_warning, iterations)
+    n_set = box.limits.size
+    solution = QpSolution(
+        step=np.array(d),
+        eq_multipliers=np.array(mults[n_set:]),
+        set_multipliers=np.array(mults[:n_set]),
+        kkt_residual=0.0,
+        status=QpStatus.OPTIMAL,
+        rank_warning=rank_warning,
+        iterations=iterations,
+    )
+    solution.kkt_residual = kkt_residual(problem, solution)
+    scale = max(1.0, *map(abs, gradient))
+    if not solution.kkt_residual <= TOL * scale:  # NaN fails too
+        solution.status = QpStatus.NUMERICAL_FAILURE
+    return solution
 
 
 def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int):
@@ -237,6 +251,11 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     normals[c] . d <= limits[c] of BoxPolyhedron's row form, on Python
     floats: the bounds, then the rows of general, whose last m are equality
     rows.  A bound with an infinite limit never enters.
+
+    Each row of general and its limit are first scaled by a power of two,
+    exactly, to a largest entry in [0.5, 1): the solve is the same however
+    the rows are written, no a . a underflows or overflows, and the absolute
+    tolerances meet entries of order one.
 
     The start is -g/alpha plus the least-norm correction onto the equality
     rows; if that misses them by more than VIOLATION_TOL, the status is
@@ -250,16 +269,23 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     nothing to drop proves the problem INFEASIBLE.  _direction and _project
     factor the working rows through _factor.
 
-    Returns (status, d, side, rows, row_mults, rank_warning, iterations),
-    with row_mults the multipliers of the working row ids in rows.
+    Returns (status, d, mults, rank_warning, iterations).  When OPTIMAL,
+    mults has one multiplier per constraint id, in the units of general,
+    zero off the final working set; a bound's is the stationarity residual
+    on its coordinate.  Otherwise d and mults are None.
     """
     n, k = len(gradient), len(general)
+    exps = [math.frexp(max(map(abs, a)))[1] for a in general]
+    general = [[math.ldexp(v, -e) for v in a] for a, e in zip(general, exps)]
+    limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
     side = [0.0] * n
     rows = list(range(2 * n + k - m, 2 * n + k))  # then inequality rows, in order of entry
     eq_rows, eq_limits = general[k - m:], limits[2 * n + k - m:]
+    if not all(map(math.isfinite, eq_limits)):  # no finite step meets such a row
+        return QpStatus.INFEASIBLE, None, None, False, 0
     d, row_mults, rank_warning = _project(gradient, alpha, limits, side, eq_rows, eq_limits)
     if m and max(abs(_dot(a, d) - b) for a, b in zip(eq_rows, eq_limits)) > VIOLATION_TOL:
-        return QpStatus.INFEASIBLE, d, side, rows, row_mults, rank_warning, 0
+        return QpStatus.INFEASIBLE, None, None, rank_warning, 0
     nu = [0.0] * len(limits)  # working multipliers over alpha, by constraint id
     entering, iterations = None, 0
     for _ in range(MAX_ITER_PER_ROW * (n + k)):
@@ -298,7 +324,7 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
         partial = min(ratios, default=math.inf)
         t = min(full, partial)
         if t == math.inf:
-            return QpStatus.INFEASIBLE, d, side, rows, row_mults, rank_warning, iterations
+            return QpStatus.INFEASIBLE, None, None, rank_warning, iterations
         d = [x - t * y for x, y in zip(d, toward)]
         for c, v in shrink.items():
             nu[c] -= t * v
@@ -320,13 +346,29 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
             else:
                 rows.remove(leaving)
     else:
-        return QpStatus.NUMERICAL_FAILURE, d, side, rows, row_mults, rank_warning, iterations
+        return QpStatus.NUMERICAL_FAILURE, None, None, rank_warning, iterations
+    work = [general[c - 2 * n] for c in rows]
     if iterations:  # else d is the start: the same projection
-        d, row_mults, dependent = _project(gradient, alpha, limits, side,
-                                           [general[c - 2 * n] for c in rows],
+        d, row_mults, dependent = _project(gradient, alpha, limits, side, work,
                                            [limits[c] for c in rows])
         rank_warning = rank_warning or dependent
-    return QpStatus.OPTIMAL, d, side, rows, row_mults, rank_warning, iterations
+    # the step and multipliers come from the final working set alone, so the
+    # step meets its working rows to roundoff
+    mults = [0.0] * len(limits)
+    for i, (s, g, x) in enumerate(zip(side, gradient, d)):
+        if s:
+            mults[i + n * (s > 0.0)] = -s * (g + alpha * x + _dot([w[i] for w in work], row_mults))
+    for c, w in zip(rows, row_mults):
+        mults[c] = math.ldexp(w, -exps[c - 2 * n])
+    return QpStatus.OPTIMAL, d, mults, rank_warning, iterations
+
+
+def _scaled_limit(b: float, exp: int) -> float:
+    """b * 2**-exp, or b's infinity where that overflows: no finite step meets the row."""
+    try:
+        return math.ldexp(b, -exp)
+    except OverflowError:
+        return math.copysign(math.inf, b)
 
 
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
@@ -443,38 +485,6 @@ def _project(gradient: list, alpha: float, limits: list, side: list, work: list,
     return d, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 
-def _assemble_solution(problem: QpProblem, side: list, rows: list[int], work: list,
-                       d: list, row_mults: list, rank_warning: bool,
-                       iterations: int) -> QpSolution:
-    """Certified solution from _project's step and row multipliers for the
-    final working set alone, so that the step meets its working rows to
-    roundoff; a bound's multiplier is the stationarity residual on its
-    coordinate."""
-    box = problem.set
-    n, m, alpha = box.dim, problem.n_eq, problem.curvature
-    set_multipliers = [0.0] * box.limits.size
-    for i, (s, g, x) in enumerate(zip(side, problem.gradient.tolist(), d)):
-        if s:
-            residual = g + alpha * x + _dot([w[i] for w in work], row_mults)
-            set_multipliers[i + n * (s > 0.0)] = -s * residual
-    for c, w in zip(rows[m:], row_mults[m:]):
-        set_multipliers[c] = w
-    solution = QpSolution(
-        step=np.array(d),
-        eq_multipliers=np.array(row_mults[:m]),
-        set_multipliers=np.array(set_multipliers),
-        kkt_residual=0.0,
-        status=QpStatus.OPTIMAL,
-        rank_warning=rank_warning,
-        iterations=iterations,
-    )
-    solution.kkt_residual = kkt_residual(problem, solution)
-    scale = max(1.0, *map(abs, problem.gradient.tolist()))
-    if not solution.kkt_residual <= TOL * scale:  # NaN fails too
-        solution.status = QpStatus.NUMERICAL_FAILURE
-    return solution
-
-
 def _failed_solution(problem: QpProblem, status: QpStatus, rank_warning: bool = False,
                      iterations: int = 0) -> QpSolution:
     return QpSolution(
@@ -486,6 +496,13 @@ def _failed_solution(problem: QpProblem, status: QpStatus, rank_warning: bool = 
         rank_warning=rank_warning,
         iterations=iterations,
     )
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _require_finite(**fields: np.ndarray) -> None:

@@ -565,6 +565,26 @@ class TestLineSearchLoop:
         assert float(np.sum(np.abs(c_final))) <= 1e-6
         np.testing.assert_allclose(trace.final_x, [2.0, -1.0], atol=0.05)
 
+    def test_affine_problem_in_other_units_runs_the_same(self):
+        """The constraint written 1e6 (x1 + x2 - 1) = 0: the subproblem scales
+        its rows, so the run stalls where the unscaled one does, at the
+        constrained minimizer (2, -1), and not on a false infeasibility."""
+        problem = build_affine_equality_problem()
+
+        def scaled_constraints(x):
+            c, jac = problem.eq_constraints(x)
+            return 1e6 * c, 1e6 * jac
+
+        config = SolverConfig(x0=np.array([0.0, 0.0]), alpha0=1.0,
+                              strategy=FixedSize(10), budget=3_000, master_seed=0)
+        base = run_algorithm2(problem, config)
+        scaled = run_algorithm2(
+            dataclasses.replace(problem, eq_constraints=scaled_constraints), config)
+        assert base.stop_reason == scaled.stop_reason == "stall"
+        assert len(scaled.records) > 0
+        np.testing.assert_allclose(base.final_x, [2.0, -1.0])
+        np.testing.assert_allclose(scaled.final_x, base.final_x, rtol=0.0, atol=1e-9)
+
     def test_quadratic_constraint_run_invariants(self):
         problem = build_quadratic_equality_problem()
         config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,

@@ -198,6 +198,24 @@ class TestSetValidation:
         assert shifted.limits.tobytes() == rebuilt.limits.tobytes()
         assert shifted.ineq_rhs.tobytes() == rebuilt.ineq_rhs.tobytes()
 
+    def test_arrays_are_read_only_copies(self):
+        """A write to any array of a set, or of a translated set, raises: the
+        row form cannot fall out of step with its data.  The caller's arrays
+        are copied, so they stay writable and the set does not follow them."""
+        lower, upper = np.zeros(2), np.ones(2)
+        rows, rhs = np.array([[1.0, 1.0]]), np.array([1.5])
+        box = BoxPolyhedron(lower, upper, rows, rhs)
+        lower[0], upper[0], rows[0, 0], rhs[0] = -1.0, 5.0, 2.0, 3.0
+        np.testing.assert_array_equal(box.lower, [0.0, 0.0])
+        np.testing.assert_array_equal(box.limits, [-0.0, -0.0, 1.0, 1.0, 1.5])
+        np.testing.assert_array_equal(box.ineq_matrix, [[1.0, 1.0]])
+        shifted = box.translate([0.5, 0.25])
+        for owner in (box, shifted):
+            for name in ("lower", "upper", "ineq_matrix", "ineq_rhs", "normals", "limits"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(owner, name)[0] = 5.0
+        assert box.membership([1.0, 0.5]) and not box.membership([3.0, 0.0])
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), p=st.integers(0, 2))
     def test_translated_limits_are_the_numpy_expressions(self, data, n, p):
@@ -543,6 +561,88 @@ class TestProperties:
     @given(problem=duplicated_equality_qps())
     def test_duplicated_equality_column(self, problem):
         solve_against_enumeration(problem)
+
+
+def rescaled(problem, row_factors, eq_factors):
+    """The problem with inequality row i and its limit times row_factors[i],
+    and equality column j and its residual times eq_factors[j]."""
+    box, kwargs = problem.set, {}
+    if box.n_ineq:
+        box = BoxPolyhedron(box.lower, box.upper, box.ineq_matrix * np.c_[row_factors],
+                            box.ineq_rhs * row_factors)
+    if problem.n_eq:
+        kwargs = dict(eq_jacobian=problem.eq_jacobian * eq_factors,
+                      eq_residual=problem.eq_residual * eq_factors)
+    return QpProblem(gradient=problem.gradient, curvature=problem.curvature, set=box, **kwargs)
+
+
+class TestScaleRule:
+    """A subproblem solves the same however its rows are written: the loop
+    scales each row and its limit by a power of two, to a largest entry in
+    [0.5, 1), and scales the multipliers back."""
+
+    @staticmethod
+    def check_powers_of_two(data, problem):
+        """Bitwise the same step and bound multipliers; each row's
+        multiplier exactly times 2**-k.  The status is not compared: the
+        certificate kkt_residual is absolute in the units of the rows, so
+        beyond about 2**26 a row's roundoff alone can fail it."""
+        exponent = st.integers(-30, 30)
+        rows = np.array([data.draw(exponent) for _ in range(problem.set.n_ineq)], dtype=int)
+        cols = np.array([data.draw(exponent) for _ in range(problem.n_eq)], dtype=int)
+        base = solve_qp(problem)
+        scaled = solve_qp(rescaled(problem, np.ldexp(1.0, rows), np.ldexp(1.0, cols)))
+        assert scaled.step.tobytes() == base.step.tobytes()
+        n2 = 2 * problem.set.dim
+        assert scaled.set_multipliers[:n2].tobytes() == base.set_multipliers[:n2].tobytes()
+        np.testing.assert_array_equal(scaled.set_multipliers[n2:],
+                                      np.ldexp(base.set_multipliers[n2:], -rows))
+        np.testing.assert_array_equal(scaled.eq_multipliers, np.ldexp(base.eq_multipliers, -cols))
+
+    @staticmethod
+    def check_powers_of_ten(data, problem):
+        """Rows and equality columns times 1e-6, 1 or 1e6: the same status,
+        and the same step to a relative 1e-9."""
+        factor = st.sampled_from([1e-6, 1.0, 1e6])
+        rows = np.array([data.draw(factor) for _ in range(problem.set.n_ineq)])
+        cols = np.array([data.draw(factor) for _ in range(problem.n_eq)])
+        base = solve_qp(problem)
+        scaled = solve_qp(rescaled(problem, rows, cols))
+        assert scaled.status is base.status
+        size = max(1.0, float(np.max(np.abs(base.step))))
+        np.testing.assert_allclose(scaled.step, base.step, rtol=0.0, atol=1e-9 * size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), problem=random_qps())
+    def test_powers_of_two_are_exact(self, data, problem):
+        self.check_powers_of_two(data, problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), problem=duplicated_equality_qps())
+    def test_powers_of_two_are_exact_on_a_duplicated_column(self, data, problem):
+        self.check_powers_of_two(data, problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), problem=random_qps())
+    def test_powers_of_ten_solve_the_same(self, data, problem):
+        self.check_powers_of_ten(data, problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), problem=duplicated_equality_qps())
+    def test_powers_of_ten_solve_the_same_on_a_duplicated_column(self, data, problem):
+        self.check_powers_of_ten(data, problem)
+
+    def test_a_limit_beyond_the_float_range_is_infinite(self):
+        """A row of entries near 1e-300 scales its limit past the float
+        range: the row never binds if the limit is positive, and is never
+        met if it is negative or an equality."""
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        tiny = [[1e-300], [0.0]]
+        for limit, status in ((1e10, QpStatus.OPTIMAL), (-1e10, QpStatus.INFEASIBLE)):
+            rows = BoxPolyhedron(box.lower, box.upper, np.transpose(tiny), [limit])
+            assert solve_qp(QpProblem([1.0, 1.0], 1.0, rows)).status is status
+            equality = QpProblem([1.0, 1.0], 1.0, box, tiny, [limit])
+            assert solve_qp(equality).status is QpStatus.INFEASIBLE
 
 
 def finite_problem_data():
