@@ -163,7 +163,9 @@ def _cmd_run(args) -> int:
     reference = reference_batch(problem)
     fill_stationarity(trace, reference)
     trace_path, epochs_path = write_run_csv(trace, out_dir, run_id, epoch_size=epoch)
-    final_stat = reference_stationarity(problem, trace.final_x, reference)
+    # the fill evaluated the last record; a run without records reports x0
+    final_stat = (trace.records[-1].stationarity if trace.records
+                  else reference_stationarity(problem, trace.final_x, reference))
     print(f"run {run_id}: stop={trace.stop_reason} iterations={len(trace.records)} "
           f"oracle_calls={trace.oracle_calls} final_stationarity={final_stat!r}")
     if trace.error:

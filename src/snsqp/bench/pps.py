@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import lp
 from ..model import ConstrainedStochasticProblem
-from ..qp import BoxPolyhedron
+from ..qp import BoxPolyhedron, _frozen
 
 #: each round accepts about 95.4% of the pending draws, so the cap is never reached
 _MAX_REJECTION_ROUNDS = 10 ** 4
@@ -44,6 +44,10 @@ ALPHA0 = 15.0
 
 @dataclass(frozen=True)
 class PpsInstance:
+    """The benchmark's data.  Its arrays are read-only copies, so they cannot
+    fall out of step with recourse, crash_starts and regime_prices, which
+    are built from them once, at construction."""
+
     factories: int
     stores: int
     first_stage_cost: float
@@ -65,7 +69,7 @@ class PpsInstance:
     def __post_init__(self):
         for name in ("production_costs", "shipment_costs", "slope_intervals",
                      "intercept_intervals"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.factories < 1 or self.stores < 1:
             raise ValueError("needs at least one factory and one store")
         if self.production_costs.shape != (self.factories,):

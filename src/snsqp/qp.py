@@ -80,6 +80,9 @@ class BoxPolyhedron:
     ineq_rhs: np.ndarray | None = None
     normals: np.ndarray = field(init=False, repr=False)
     limits: np.ndarray = field(init=False, repr=False)
+    #: the largest |x_j| for which ineq_matrix @ x stays below 1e300 in
+    #: every term and partial sum (inf without rows)
+    _product_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lower = _frozen(np.atleast_1d(self.lower))
@@ -98,6 +101,8 @@ class BoxPolyhedron:
             if rows.shape != (rhs.size, self.dim):
                 raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
             _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
+        row_sum = float(np.abs(rows).sum(axis=1).max(initial=0.0))
+        self._product_radius = 1e300 / row_sum if row_sum else math.inf
         eye = np.eye(self.dim)
         self.normals = _frozen(np.concatenate([-eye, eye, rows]))  # translated sets share it
         self.limits = _frozen(np.concatenate([-self.lower, self.upper, rhs]))
@@ -144,8 +149,12 @@ class BoxPolyhedron:
         limits = ([-(lo - v) for lo, v in zip(self.lower.tolist(), xs)]
                   + [up - v for up, v in zip(self.upper.tolist(), xs)])
         if self.ineq_rhs is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                limits += (self.ineq_rhs - self.ineq_matrix @ x).tolist()
+            if not xs or max(map(abs, xs)) <= self._product_radius:
+                products = (self.ineq_matrix @ x).tolist()  # cannot overflow
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    products = (self.ineq_matrix @ x).tolist()
+            limits += map(operator.sub, self.ineq_rhs.tolist(), products)
         if not all(map(math.isfinite, limits)):
             n, values = self.dim, np.array(limits)
             _require_finite(**{"translated lower": values[:n],

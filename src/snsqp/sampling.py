@@ -32,19 +32,38 @@ class OracleError(RuntimeError):
     """Raised when the oracle fails or returns a non-finite result on a batch."""
 
 
-@dataclass
 class SampleStats:
     """Batch mean of values/subgradients plus the spread of the subgradients.
 
     sum_sq_dev is the unnormalized scatter sum |G_i - mean|^2 over the batch;
     dividing by (batch_size - 1) * batch_size estimates the variance of the
-    batch mean, which is what the adaptive test compares against.
+    batch mean, which is what the adaptive test compares against.  Only the
+    adaptive rule reads it, so aggregate leaves it unset and it is computed
+    on first read from the batch's subgradients and their mean.
     """
 
-    mean_value: float
-    mean_subgradient: np.ndarray
-    sum_sq_dev: float
-    batch_size: int
+    __slots__ = ("mean_value", "mean_subgradient", "batch_size", "_sum_sq_dev", "_scatter_of")
+
+    def __init__(self, mean_value: float, mean_subgradient: np.ndarray,
+                 sum_sq_dev: float, batch_size: int):
+        self.mean_value = mean_value
+        self.mean_subgradient = mean_subgradient
+        self.batch_size = batch_size
+        self._sum_sq_dev = sum_sq_dev
+        self._scatter_of = None  # (subgradients, mean) while sum_sq_dev is unset
+
+    @property
+    def sum_sq_dev(self) -> float:
+        if self._sum_sq_dev is None:
+            grads, mean = self._scatter_of
+            dev = grads - mean
+            self._sum_sq_dev, self._scatter_of = float(np.sum(dev * dev)), None
+        return self._sum_sq_dev
+
+    def __repr__(self) -> str:
+        return (f"SampleStats(mean_value={self.mean_value!r}, mean_subgradient="
+                f"{self.mean_subgradient!r}, sum_sq_dev={self.sum_sq_dev!r}, "
+                f"batch_size={self.batch_size!r})")
 
 
 @dataclass(frozen=True)
@@ -117,11 +136,17 @@ def substream_key(master_seed: int, iteration: int) -> int:
 
 
 def draw_scenarios(sampler, master_seed: int, iteration: int, count: int) -> np.ndarray:
-    """Draw an i.i.d. batch from the substream owned by (master_seed, iteration)."""
+    """Draw an i.i.d. batch from the substream owned by (master_seed, iteration).
+
+    The batch is returned read-only, so an oracle cannot change it for a
+    later evaluation: the reference batch serves a whole run.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.Generator(np.random.Philox(key=substream_key(master_seed, iteration)))
-    return sampler(rng, count)
+    batch = sampler(rng, count)
+    batch.flags.writeable = False
+    return batch
 
 
 def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
@@ -132,7 +157,10 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     in its values or subgradients, raises OracleError naming the first
     scenario index at fault; an oracle that raises is re-run one scenario at
     a time to find it, and the error names the whole batch when none fails
-    alone.
+    alone.  Finiteness is one pass over each output array; the per-scenario
+    mask is built only when that pass fails.  The scatter is computed on the
+    first read of sum_sq_dev, from the subgradient array as the oracle
+    returned it.
     """
     n_scen = len(scenarios)
     if n_scen < MIN_BATCH:
@@ -149,18 +177,15 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
         raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
                           f"for {n_scen} scenarios in dimension {problem.dimension}")
-    finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
-    if not finite.all():
+    if not (np.isfinite(values).all() and np.isfinite(grads).all()):
+        finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
         raise OracleError(f"oracle returned a non-finite value or subgradient at "
                           f"scenario index {int(np.argmin(finite))}")
-    mean_grad = grads.mean(axis=0)
-    dev = grads - mean_grad
-    return SampleStats(
-        mean_value=float(values.mean()),
-        mean_subgradient=mean_grad,
-        sum_sq_dev=float(np.sum(dev * dev)),
-        batch_size=n_scen,
-    )
+    # np.mean is this sum and division behind a Python wrapper: the same bits
+    mean_grad = np.add.reduce(grads, axis=0) / n_scen
+    stats = SampleStats(float(np.add.reduce(values) / n_scen), mean_grad, None, n_scen)
+    stats._scatter_of = grads, mean_grad
+    return stats
 
 
 def _first_failure(problem, x, scenarios):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,49 @@ class TestRunCommand:
         with open(tmp_path / "runs" / "capped_trace.csv", newline="") as fh:
             assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2", "3"]
 
+    def test_final_stationarity_is_the_last_records(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """The fill evaluates every record, the last one included, so the
+        printed final value is read off it: 300 reference evaluations for
+        300 records, not a 301st at the same point."""
+        from snsqp import diagnostics
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return aggregate(*args)
+
+        aggregate = diagnostics.aggregate
+        monkeypatch.setattr(diagnostics, "aggregate", counted)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 3000,
+            "out": str(tmp_path / "runs"), "run_id": "final"}))
+        assert cli_main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        with open(tmp_path / "runs" / "final_trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 300 and len(calls) == 300
+        assert f"final_stationarity={rows[-1]['stationarity']}\n" in out
+
+    def test_run_without_records_reports_the_start_point(self, capsys, tmp_path):
+        """At x0 = (0, 0) the linearized constraint x1^2 = 1 reads 0 = 1, so the
+        first subproblem is infeasible and no record is made; the final
+        stationarity is the reference measure at x0."""
+        from snsqp.bench.synthetic import build_quadratic_equality_problem
+        from snsqp.diagnostics import reference_batch, reference_stationarity
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "quadratic-eq", "strategy": "fixed:10", "budget": 3000,
+            "x0": [0.0, 0.0], "out": str(tmp_path / "runs"), "run_id": "empty"}))
+        assert cli_main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        problem = build_quadratic_equality_problem()
+        at_x0 = reference_stationarity(problem, np.zeros(2), reference_batch(problem))
+        assert math.isfinite(at_x0) and at_x0 > 0.0
+        assert (f"stop=subproblem_infeasible iterations=0 oracle_calls=10 "
+                f"final_stationarity={at_x0!r}\n") in out
+
     def test_pps_run_with_x0_override(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -230,6 +274,38 @@ class TestBenchCommand:
         with open(out / "fixed-10_seed0_epochs.csv", newline="") as fh:
             erows = list(csv.DictReader(fh))
         assert len(erows) == 3
+
+    def test_final_stationarity_is_the_last_records(self, tmp_path, monkeypatch):
+        """The last record ends its epoch, so the epoch fill evaluated it:
+        run_single reports that value and evaluates the reference batch once
+        per filled record plus once for the final objective."""
+        from snsqp import diagnostics
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return aggregate(*args)
+
+        aggregate = diagnostics.aggregate
+        monkeypatch.setattr(diagnostics, "aggregate", counted)
+        row = runner.run_single("fixed:10", 0, 120, 50, tmp_path)
+        with open(tmp_path / "fixed-10_seed0_epochs.csv", newline="") as fh:
+            epochs = list(csv.DictReader(fh))
+        assert row["iterations"] == 12 and len(epochs) == 3
+        assert len(calls) == 3 + 1
+        assert row["final_stationarity"] == epochs[-1]["stationarity"]
+
+    def test_run_without_records_reports_the_start_point(self, tmp_path, monkeypatch):
+        from snsqp.bench import pps
+        from snsqp.diagnostics import reference_batch, reference_stationarity
+        monkeypatch.setattr(runner, "run_algorithm1", lambda problem, config: (
+            driver.IterationTrace(problem=problem, config=config,
+                                  stop_reason="oracle_error")))
+        row = runner.run_single("fixed:10", 0, 120, 50, tmp_path)
+        problem = pps.build_pps_problem()
+        at_x0 = reference_stationarity(problem, pps.X0, reference_batch(problem))
+        assert math.isfinite(at_x0)
+        assert row["iterations"] == 0 and row["final_stationarity"] == repr(at_x0)
 
     def test_bad_strategy_fails_before_running(self, capsys, tmp_path):
         rc = cli_main(["bench-pps", "--strategy", "warp:9",

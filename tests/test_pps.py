@@ -108,6 +108,22 @@ class TestInstanceData:
         np.testing.assert_array_equal(raised.recourse.lower[5:], 0.0)
         np.testing.assert_array_equal(instance.recourse.lower[:5], 1.0)
 
+    def test_arrays_are_read_only_copies(self):
+        """recourse, crash_starts and regime_prices are built from the arrays
+        once, so a write to any of them raises, and a later write to the
+        caller's array leaves the instance as it was built."""
+        costs = np.array([2.2, 3.2, 3.3, 4.2, 2.4])
+        instance = dataclasses.replace(build_pps_instance(), production_costs=costs)
+        costs[0] = 9.0
+        assert instance.production_costs[0] == 2.2
+        for name in ("production_costs", "shipment_costs", "slope_intervals",
+                     "intercept_intervals"):
+            array = getattr(instance, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 0.0
+
     def test_rejects_reversed_or_empty_intervals(self):
         """Lower end not below the upper end fails at construction, not at
         the first draw (which would spin through the rejection cap)."""

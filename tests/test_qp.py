@@ -261,6 +261,29 @@ class TestSetValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             box.translate(x)
 
+    @pytest.mark.parametrize("row, rhs, x", [
+        ([10.0, 0.0], 4.0, [1e300, 0.0]),          # past the product radius
+        ([10.0, -3.0], 4.0, [-1e307, 5e306]),
+        ([1e-300, 3.0], -2.0, [1e307, -1e299]),
+        ([10.0, 0.0], 4.0, [1e299 / 1.0000001, 0.0]),  # just inside it
+        ([1.0, 0.0], float(np.finfo(float).max), [-1e300, 0.0]),  # h - W x overflows
+        ([1.0, 1.0], -float(np.finfo(float).max), [5e299, 5e299]),
+    ])
+    def test_translated_limits_near_the_float_range(self, row, rhs, x):
+        """Only an x whose row products could overflow enters np.errstate.
+        Either way the limits are numpy's ineq_rhs - ineq_matrix @ x bit for
+        bit, and an overflow raises the ValueError and no warning (the
+        suite turns a RuntimeWarning into an error)."""
+        box = BoxPolyhedron([-1.0, -1.0], [1.0, 1.0], [row], [rhs])
+        x = np.array(x)
+        with np.errstate(over="ignore"):
+            expected = np.array([rhs]) - np.array([row]) @ x
+        if np.isfinite(expected).all():
+            assert box.translated_limits(x)[4:].tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="translated ineq_rhs must be finite"):
+                box.translated_limits(x)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_membership_rejects_non_finite_coordinates(self, value):
         box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from snsqp.diagnostics import fill_stationarity, reference_batch, reference_stationarity
 from snsqp.driver import SolverConfig, run_algorithm1
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import BoxPolyhedron
@@ -92,6 +94,83 @@ class TestScenarioStreams:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             draw_scenarios(uniform_sampler, master_seed=0, iteration=1, count=0)
+
+
+class TestReadOnlyBatches:
+    """draw_scenarios clears the batch's writeable flag, so no oracle can
+    change a loop batch or the shared reference batch for a later use."""
+
+    def test_a_write_to_a_drawn_batch_raises(self):
+        drawn = []
+
+        def sampler(rng, count):
+            drawn.append(uniform_sampler(rng, count))
+            return drawn[-1]
+
+        batch = draw_scenarios(sampler, master_seed=0, iteration=1, count=8)
+        assert batch is drawn[0]  # the flag is cleared in place: no copy
+        with pytest.raises(ValueError, match="read-only"):
+            batch[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch[1:3] *= 2.0
+
+    @staticmethod
+    def _writing_problem():
+        from snsqp.bench.synthetic import build_quadratic_equality_problem
+        base = build_quadratic_equality_problem()
+
+        def oracle(x, xi):
+            xi += 0.5  # breaks the contract: the batch belongs to the caller
+            return base.oracle(x, xi)
+
+        return base, ConstrainedStochasticProblem(
+            dimension=2, scenario_sampler=base.scenario_sampler, oracle=oracle,
+            set=base.set, rho_estimate=base.rho_estimate,
+            lipschitz_h=base.lipschitz_h, eq_constraints=base.eq_constraints)
+
+    def test_an_oracle_that_writes_its_batch_ends_the_run(self):
+        from snsqp.driver import run_algorithm2
+        _, problem = self._writing_problem()
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                              strategy=FixedSize(10), budget=100)
+        trace = run_algorithm2(problem, config)
+        assert trace.stop_reason == "oracle_error"
+        assert trace.records == [] and trace.oracle_calls == 10
+        assert "scenario index 0" in trace.error and "read-only" in trace.error
+
+    def test_an_oracle_that_writes_the_reference_batch_fills_nan(self):
+        """Before the batch was read-only, each evaluation shifted it for
+        every later one; now each gives nan and the batch stays as drawn."""
+        from snsqp.driver import run_algorithm2
+        base, problem = self._writing_problem()
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                              strategy=FixedSize(10), budget=50)
+        trace = run_algorithm2(base, config)
+        trace.problem = problem
+        reference = reference_batch(problem)
+        drawn = reference.copy()
+        fill_stationarity(trace, reference)
+        assert len(trace.records) == 5
+        assert all(math.isnan(rec.stationarity) for rec in trace.records)
+        assert np.array_equal(reference, drawn)
+
+    def test_a_clean_run_fills_the_values_of_a_writable_batch(self):
+        """The flag changes no value: each filled stationarity is bitwise the
+        one computed over a writable copy of the reference batch."""
+        from snsqp.bench.synthetic import build_quadratic_equality_problem
+        from snsqp.driver import run_algorithm2
+        problem = build_quadratic_equality_problem()
+        config = SolverConfig(x0=np.array([0.5, 0.5]), alpha0=2.0,
+                              strategy=FixedSize(10), budget=200, master_seed=4)
+        trace = run_algorithm2(problem, config)
+        reference = reference_batch(problem)
+        fill_stationarity(trace, reference)
+        writable = reference.copy()
+        assert writable.flags.writeable and not reference.flags.writeable
+        assert len(trace.records) == 20
+        for rec in trace.records:
+            assert math.isfinite(rec.stationarity)
+            assert rec.stationarity == reference_stationarity(problem, rec.x, writable)
 
 
 class TestAggregate:
@@ -177,6 +256,42 @@ class TestAggregate:
         problem = toy_problem(lambda x, xi: (0.0, np.zeros(3)))
         with pytest.raises(OracleError, match="shapes"):
             aggregate(problem, np.zeros(2), np.arange(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_scen=st.integers(2, 2000),
+           n=st.integers(1, 5), low=st.integers(-150, 150), high=st.integers(-150, 150),
+           read_scatter=st.booleans())
+    def test_reductions_are_bitwise_numpy_mean(self, seed, n_scen, n, low, high,
+                                                read_scatter):
+        """The means are bitwise values.mean() and grads.mean(axis=0), and the
+        scatter, when it is read, is bitwise np.sum(dev * dev): the forms
+        aggregate used before it reduced each array once and left the
+        scatter to its first read.  Entries span magnitudes 1e-150..1e150."""
+        rng = np.random.default_rng(seed)
+        low, high = min(low, high), max(low, high)
+
+        def entries(*shape):
+            mantissa = rng.uniform(1.0, 10.0, shape) * rng.choice([-1.0, 1.0], shape)
+            return mantissa * 10.0 ** rng.integers(low, high + 1, shape)
+
+        values, grads = entries(n_scen), entries(n_scen, n)
+        problem = ConstrainedStochasticProblem(
+            dimension=n, scenario_sampler=lambda rng, count: np.zeros(count),
+            oracle=lambda x, xi: (values, grads),
+            set=BoxPolyhedron(lower=-np.ones(n), upper=np.ones(n)), rho_estimate=1.0)
+        stats = aggregate(problem, np.zeros(n), np.zeros(n_scen))
+        assert stats.batch_size == n_scen
+        assert type(stats.mean_value) is float
+        assert (np.float64(stats.mean_value).tobytes()
+                == np.float64(float(values.mean())).tobytes())
+        mean_grad = grads.mean(axis=0)
+        assert stats.mean_subgradient.tobytes() == mean_grad.tobytes()
+        if read_scatter:
+            dev = grads - mean_grad
+            expected = float(np.sum(dev * dev))
+            assert type(stats.sum_sq_dev) is float
+            assert (np.float64(stats.sum_sq_dev).tobytes()
+                    == np.float64(expected).tobytes())
 
     def test_rejects_tiny_batches(self):
         problem = toy_problem(lambda x, xi: (0.0, np.zeros(2)))
