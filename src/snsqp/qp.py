@@ -479,18 +479,24 @@ def _project(gradient: list, alpha: float, limits: list, side: list, work: list,
     for the row residual r = rhs - work @ d: the correction is
     vt.T @ (u.T @ r / s) and the multipliers are -alpha u @ (u.T @ r / s^2).
     A row with a zero free part moves nothing and gets multiplier +0.0.
+
+    Two or more rows take a second pass on the residual left by the first:
+    numpy's SVD holds only to its backward error, a few ulps of the rows,
+    which the absolute KKT certificate scales back up with a row written
+    large.  One row's closed form needs no second pass.
     """
     n = len(gradient)
     d = [-limits[i] if k < 0.0 else limits[n + i] if k > 0.0 else -g / alpha
          for i, (k, g) in enumerate(zip(side, gradient))]
     u, s, vt = _factor(work, [k == 0.0 for k in side])
-    residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
     # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0
-    scaled = []  # -alpha coords / s
-    for col, sv, v in zip(zip(*u), s, vt):
-        c = _dot(col, residual) / sv
-        d = [x + c * y for x, y in zip(d, v)]
-        scaled.append(-alpha * (c / sv))
+    scaled = [0.0] * len(s)  # -alpha coords / s, summed over the passes
+    for _ in range(1 + (len(work) > 1)):
+        residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
+        for j, (col, sv, v) in enumerate(zip(zip(*u), s, vt)):
+            c = _dot(col, residual) / sv
+            d = [x + c * y for x, y in zip(d, v)]
+            scaled[j] -= alpha * (c / sv)
     return d, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 

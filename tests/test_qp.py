@@ -655,6 +655,21 @@ class TestScaleRule:
     def test_powers_of_ten_solve_the_same_on_a_duplicated_column(self, data, problem):
         self.check_powers_of_ten(data, problem)
 
+    def test_a_duplicated_column_written_large_keeps_its_status(self):
+        """Four working rows, two of them one equality column written at
+        1e-6 and 1e6, go through numpy's SVD.  Its backward error alone,
+        times a row written at 1e6, failed the certificate before the second
+        pass of the projection."""
+        box = BoxPolyhedron([0.0, 0.0, 0.0, 0.0], [0.0, 0.25, 0.25, 0.25],
+                            [[-3.0, 0.0, -1.0, 0.0], [2.0, -3.0, -3.0, 0.0]], [-0.0625, -0.1875])
+        problem = QpProblem([0.0, 0.0, 0.75, 0.0], 0.5, box,
+                            [[2.0, 2.0], [2.0, 2.0], [-1.0, -1.0], [0.0, 0.0]], [0.0625, 0.0625])
+        factors = np.array([1e-6, 1e6])
+        base = solve_qp(problem)
+        scaled = solve_qp(rescaled(problem, factors, factors))
+        assert base.status is scaled.status is QpStatus.OPTIMAL
+        np.testing.assert_allclose(scaled.step, base.step, rtol=0.0, atol=1e-9)
+
     def test_a_limit_beyond_the_float_range_is_infinite(self):
         """A row of entries near 1e-300 scales its limit past the float
         range: the row never binds if the limit is positive, and is never
