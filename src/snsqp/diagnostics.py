@@ -1,18 +1,21 @@
 """Stationarity measurement, epoch accounting, and trace export.
 
-The optimality measure reads the feasible set in its row form normals @ x <=
-limits, plus the equality rows c(x) = 0, and asks how well the (estimated)
-subgradient is balanced by the normals of the rows active at x:
+The optimality measure reads the feasible set as the subproblem does, bounds
+and ineq_matrix rows with the limits of translated_limits, plus the equality
+rows c(x) = 0, and asks how well the (estimated) subgradient is balanced by
+the normals of the bounds and rows active at x:
 
-    residual = min |g + normals_a.T @ mu + jac_a @ nu|,  mu >= 0, nu free.
+    residual = min |g + normals_a.T @ mu + jac_a @ nu|,  mu >= 0, nu free,
 
-Activity is relative: row j is active where its value c_j (the translated
-limit, or the equality value) has |c_j| <= ACTIVITY_TOL * (1 + |c_j|).  By
-Moreau's decomposition the residual is the norm of the projection of -g onto
-the polar cone {d : normals_a @ d <= 0, jac_a.T @ d = 0}: a scalar-curvature
-QP over the same rows, which the subproblem's active-set loop,
-snsqp.qp._active_set, solves exactly.  As in the subproblem, an active bound
-fixes its coordinate and an equality row stays an equality row.
+where a lower bound's normal is -e_i, an upper bound's e_i and a row's its
+row of ineq_matrix.  Activity is relative: row j is active where its value
+c_j (the translated limit, or the equality value) has
+|c_j| <= ACTIVITY_TOL * (1 + |c_j|).  By Moreau's decomposition the residual
+is the norm of the projection of -g onto the polar cone
+{d : normals_a @ d <= 0, jac_a.T @ d = 0}: a scalar-curvature QP over the
+same rows, which the subproblem's active-set loop, snsqp.qp._active_set,
+solves exactly.  As in the subproblem, an active bound fixes its coordinate
+and an equality row stays an equality row.
 
 Epoch accounting maps cumulative oracle calls to a fixed cost axis so runs
 with different batch sizes can be compared: the record with cumulative call
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, QpStatus, _active_set
+from .qp import BoxPolyhedron, QpStatus, _active_set, _row_exponent
 from .sampling import OracleError, aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -57,27 +60,28 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     """The measure at x for the set box and the equality rows eq, the pair
     (c(x), jacobian with one column per row) that eq_constraints returns.
 
-    The multipliers and the activity mask have one entry per row of
-    box.normals, then one per equality row.  One _active_set call projects
+    The multipliers and the activity mask have one entry per entry of
+    box.limits, then one per equality row.  One _active_set call projects
     -g: active bounds have limit 0, inactive ones inf, and inactive rows are
-    left out.  The loop scales the rows; g is scaled here, by a power of two
-    to a largest entry in [0.5, 1), which leaves the polar cone as it is,
-    and the residual and multipliers are scaled back.  Set multipliers the
-    final projection leaves at -1e-16 are floored at 0.
+    left out.  The loop scales the rows; g is scaled here, to the same row
+    scale (_row_exponent), which leaves the polar cone as it is, and the
+    residual and multipliers are scaled back.  Set multipliers the final
+    projection leaves at -1e-16 are floored at 0.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (box.dim,):
         raise ValueError("g must have an entry per coordinate of the set")
     # the sets are small: Python floats cost less than numpy calls
-    g_list, values, normals = g.tolist(), box.translated_limits(x).tolist(), box.normals.tolist()
+    g_list, values = g.tolist(), box.translated_limits(x).tolist()
+    rows = box.ineq_matrix.tolist() if box.n_ineq else []
     n, n_set = box.dim, len(values)
     if eq is not None:
         c_eq, jac = np.atleast_1d(np.asarray(eq[0], dtype=float)), np.asarray(eq[1], dtype=float)
         if jac.shape != (n, c_eq.size):
             raise ValueError("the equality jacobian must have shape (len(g), len(c))")
         values += c_eq.tolist()
-        normals += jac.T.tolist()
-    if not all(map(math.isfinite, g_list + values + sum(normals[n_set:], []))):
+        rows += jac.T.tolist()
+    if not all(map(math.isfinite, g_list + values + sum(rows[box.n_ineq:], []))):
         raise ValueError("gradient, equality values and jacobian must be finite")
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
     multipliers = np.zeros(len(values))
@@ -86,9 +90,9 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
 
     # loop ids: the bounds, then the active rows, with the equality rows last
     index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
-    g_exp = math.frexp(max(map(abs, g_list)))[1]
+    g_exp = _row_exponent(g_list)
     status, d, mults, _, _ = _active_set(
-        [math.ldexp(v, -g_exp) for v in g_list], 1.0, [normals[c] for c in index[2 * n:]],
+        [math.ldexp(v, -g_exp) for v in g_list], 1.0, [rows[c - 2 * n] for c in index[2 * n:]],
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]))
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")

@@ -145,19 +145,19 @@ def compute_pi(eta_beta: float, alpha: float, h: float, theta: float, m: int) ->
     return 0.5 ** power
 
 
-def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, d: np.ndarray,
-                lam: np.ndarray, theta: float, alpha: float,
+def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, c_x: np.ndarray,
+                d: np.ndarray, lam: np.ndarray, theta: float, alpha: float,
                 eta_beta: float) -> tuple:
     """Largest zeta in {1, 1/2, 1/4, ...} with acceptable merit-slope decrease.
 
-    The acceptance inequality compares the guaranteed linearized reduction of
-    theta*|c|_1 against its actual value at x + zeta*d, with slack
-    (eta_beta*alpha/2)*zeta*|d|^2.  Termination within ceil(log2(1/pi)) + 1
+    c_x is problem.eq_constraints(x)[0], which the caller has already
+    evaluated.  The acceptance inequality compares the guaranteed linearized
+    reduction of theta*|c|_1 against its actual value at x + zeta*d, with
+    slack (eta_beta*alpha/2)*zeta*|d|^2.  Termination within ceil(log2(1/pi)) + 1
     halvings is guaranteed when rho/H estimates are honest.  Past the cap of
     MAX_HALVINGS halvings, a sign that rho_estimate or lipschitz_h is
     underestimated, it returns (None, MAX_HALVINGS + 1): every trial rejected.
     """
-    c_x, _ = problem.eq_constraints(x)
     c_norm = float(np.sum(np.abs(c_x)))
     lam_c = abs(float(lam @ c_x))
     d_sq = float(d @ d)
@@ -241,7 +241,7 @@ def _run(problem, config, with_equalities):
 
         if with_equalities:
             theta = update_theta(theta, sol.eq_multipliers, config.gamma)
-            zeta, backtracks = line_search(problem, x, d, sol.eq_multipliers,
+            zeta, backtracks = line_search(problem, x, c_val, d, sol.eq_multipliers,
                                            theta, alpha, config.eta_beta)
             if zeta is None:
                 trace.stop_reason = "line_search_cap"
@@ -266,7 +266,7 @@ def _run(problem, config, with_equalities):
             zeta=zeta, beta=beta, alpha=alpha, theta=theta_col,
             batch_size=stats.batch_size, oracle_calls=oracle_calls,
             merit=merit, objective_estimate=stats.mean_value,
-            direction=d.copy(), eq_multipliers=np.copy(sol.eq_multipliers),
+            direction=d, eq_multipliers=sol.eq_multipliers,  # fresh arrays per solve
             pi=pi, backtracks=backtracks,
         ))
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qp import _frozen
+from .qp import _frozen, _require_finite
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -92,10 +92,8 @@ class LpProblem:
             raise ValueError("ineq_matrix must be (s, q) with ineq_rhs of length s")
         if lower.size != q or upper.size != q:
             raise ValueError("bounds must have the same length as cost")
-        for name, values in (("cost", cost), ("ineq_matrix", ineq_matrix),
-                             ("ineq_rhs", ineq_rhs), ("lower bounds", lower)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite")
+        _require_finite(cost=cost, ineq_matrix=ineq_matrix, ineq_rhs=ineq_rhs,
+                        **{"lower bounds": lower})
         if np.isnan(upper).any():
             raise ValueError("upper bounds must not be nan")
         if np.any(lower > upper):
@@ -140,8 +138,7 @@ def _finite_vector(values, size: int, name: str) -> np.ndarray:
     out = _frozen(np.atleast_1d(values))
     if out.shape != (size,):
         raise ValueError(f"{name} must have length {size}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} must be finite")
+    _require_finite(**{name: out})
     return out
 
 
@@ -270,8 +267,7 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     n_lp, s = rhs.shape
     if s != problem.n_rows:
         raise ValueError("rhs must have one column per inequality row")
-    if not np.isfinite(rhs).all():
-        raise ValueError("rhs must be finite")
+    _require_finite(rhs=rhs)
     rng = problem.ranges
     shifted = rhs - problem.lower_rows
     costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing

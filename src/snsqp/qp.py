@@ -19,13 +19,14 @@ decomposition is a projection onto a polar cone.  For both callers it
 scales the rows, so a subproblem solves the same however its rows are
 written, and returns one multiplier per bound and row, scaled back.
 
-Every consumer reads the set in one row form, normals @ x <= limits, built
-once per BoxPolyhedron: the lower bounds as -I, the upper bounds as I, then
-the inequality rows.  The solve returns the step, the equality multipliers
-and one nonnegative multiplier per row of normals, certified by a KKT
-residual over those rows.  Problems here are small (a few dozen variables);
-exact active-set identification is preferred over iterative methods because
-the multipliers feed merit and stationarity formulas.
+Every consumer reads the set's rows one way: the limits -lower, upper and
+ineq_rhs, built once per BoxPolyhedron, where a bound is the signed unit
+vector it is and only the inequality rows are stored as rows.  The solve
+returns the step, the equality multipliers and one nonnegative multiplier
+per bound and row, certified by a KKT residual read at the loop's row scale
+(_row_exponent).  Problems here are small (a few dozen variables); exact
+active-set identification is preferred over iterative methods because the
+multipliers feed merit and stationarity formulas.
 
 Because they are small, the working-set algebra and the KKT certificate run
 on Python floats: a numpy call costs more than the arithmetic it does on a
@@ -66,19 +67,18 @@ class QpStatus(enum.Enum):
 class BoxPolyhedron:
     """Compact convex set {x : lower <= x <= upper, ineq_matrix @ x <= ineq_rhs}.
 
-    Its row form normals @ x <= limits is built once, at construction: rows
-    0..n-1 are the lower bounds (-x_i <= -lower_i), rows n..2n-1 the upper
-    bounds (x_i <= upper_i), and rows 2n..2n+p-1 the inequality rows.  All
-    data must be finite, and the bounds keep the set compact, which keeps
-    subproblem steps and multipliers bounded.  Its arrays are read-only
-    copies, so the row form cannot fall out of step with its data.
+    Its limits are built once, at construction: entries 0..n-1 are the
+    lower bounds' (-x_i <= -lower_i), n..2n-1 the upper bounds'
+    (x_i <= upper_i), and 2n..2n+p-1 the inequality rows'.  All data must be
+    finite, and the bounds keep the set compact, which keeps subproblem
+    steps and multipliers bounded.  Its arrays are read-only copies, so the
+    limits cannot fall out of step with their data.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
-    normals: np.ndarray = field(init=False, repr=False)
     limits: np.ndarray = field(init=False, repr=False)
     #: the largest |x_j| for which ineq_matrix @ x stays below 1e300 in
     #: every term and partial sum (inf without rows)
@@ -103,8 +103,6 @@ class BoxPolyhedron:
             _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
         row_sum = float(np.abs(rows).sum(axis=1).max(initial=0.0))
         self._product_radius = 1e300 / row_sum if row_sum else math.inf
-        eye = np.eye(self.dim)
-        self.normals = _frozen(np.concatenate([-eye, eye, rows]))  # translated sets share it
         self.limits = _frozen(np.concatenate([-self.lower, self.upper, rhs]))
 
     @property
@@ -116,14 +114,22 @@ class BoxPolyhedron:
         return 0 if self.ineq_matrix is None else self.ineq_rhs.size
 
     def membership(self, x, tol: float = 1e-9) -> bool:
-        """Whether x lies in the set, within an absolute tolerance; a NaN or
-        infinite coordinate never does."""
+        """Whether every slack translated_limits(x) is at least -tol.  A NaN
+        or infinite coordinate, or a slack beyond the float range, is not a
+        member; a point of the wrong shape raises ValueError."""
         x = np.asarray(x, dtype=float)
-        return bool(np.isfinite(x).all() and np.all(self.normals @ x <= self.limits + tol))
+        if x.shape != self.lower.shape:
+            raise ValueError("x must be a vector of the set's dimension")
+        try:
+            slack = self.translated_limits(x)
+        except ValueError:  # a non-finite coordinate or slack
+            return False
+        return bool(np.all(slack >= -tol))
 
     def translate(self, x) -> "BoxPolyhedron":
-        """The set in step coordinates, {d : x + d in self}, sharing normals,
-        with its data sliced, read-only, out of translated_limits(x)."""
+        """The set in step coordinates, {d : x + d in self}, sharing
+        ineq_matrix, with its data sliced, read-only, out of
+        translated_limits(x)."""
         shifted, n = copy.copy(self), self.dim
         shifted.limits = limits = self.translated_limits(x)
         shifted.lower, shifted.upper = -limits[:n], limits[n:2 * n]
@@ -204,9 +210,11 @@ class QpProblem:
 class QpSolution:
     """Step, multipliers and certification for one subproblem.
 
-    set_multipliers has one entry per row of set.normals (lower bounds, upper
+    set_multipliers has one entry per entry of set.limits (lower bounds, upper
     bounds, inequality rows); it is nonnegative and zero off the final working
-    set.  The normal-cone element of the set is set.normals.T @ set_multipliers.
+    set.  For n = set.dim, the normal-cone element of the set is
+    set_multipliers[n:2n] - set_multipliers[:n]
+    + set.ineq_matrix.T @ set_multipliers[2n:].
     """
 
     step: np.ndarray
@@ -256,15 +264,15 @@ def solve_qp(problem: QpProblem) -> QpSolution:
 
 
 def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int):
-    """The dual active-set loop for min g.d + (alpha/2)|d|^2 over the rows
-    normals[c] . d <= limits[c] of BoxPolyhedron's row form, on Python
-    floats: the bounds, then the rows of general, whose last m are equality
-    rows.  A bound with an infinite limit never enters.
+    """The dual active-set loop for min g.d + (alpha/2)|d|^2 on Python
+    floats, over the bounds -d_i <= limits[i] and d_i <= limits[n + i], then
+    the rows a . d <= limits[c] of general, whose last m are equality rows.
+    A bound with an infinite limit never enters.
 
-    Each row of general and its limit are first scaled by a power of two,
-    exactly, to a largest entry in [0.5, 1): the solve is the same however
-    the rows are written, no a . a underflows or overflows, and the absolute
-    tolerances meet entries of order one.
+    Each row of general and its limit are first scaled to the row scale of
+    _row_exponent, exactly: the solve is the same however the rows are
+    written, no a . a underflows or overflows, and the absolute tolerances
+    meet entries of order one.
 
     The start is -g/alpha plus the least-norm correction onto the equality
     rows; if that misses them by more than VIOLATION_TOL, the status is
@@ -284,7 +292,7 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     on its coordinate.  Otherwise d and mults are None.
     """
     n, k = len(gradient), len(general)
-    exps = [math.frexp(max(map(abs, a)))[1] for a in general]
+    exps = list(map(_row_exponent, general))
     general = [[math.ldexp(v, -e) for v in a] for a, e in zip(general, exps)]
     limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
     side = [0.0] * n
@@ -314,7 +322,7 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
         else:
             a = general[entering - 2 * n]
         work = [general[c - 2 * n] for c in rows]
-        # a = work.T @ coef + (normals of the fixed bounds) + toward, with
+        # a = work.T @ coef + (unit normals of the fixed bounds) + toward, with
         # toward orthogonal to the working rows and zero on fixed coordinates
         toward, coef, dependent = _direction(work, [s == 0.0 for s in side], a)
         rank_warning = rank_warning or dependent
@@ -372,6 +380,12 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     return QpStatus.OPTIMAL, d, mults, rank_warning, iterations
 
 
+def _row_exponent(row) -> int:
+    """The one row scale: row times 2**-_row_exponent(row) has its largest
+    entry in [0.5, 1), exactly; a zero row keeps exponent 0."""
+    return math.frexp(max(map(abs, row)))[1]
+
+
 def _scaled_limit(b: float, exp: int) -> float:
     """b * 2**-exp, or b's infinity where that overflows: no finite step meets the row."""
     try:
@@ -383,11 +397,14 @@ def _scaled_limit(b: float, exp: int) -> float:
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
     """Max of stationarity, primal, dual and complementarity infinity norms.
 
-    All four come from the set's rows: the slack limits - normals @ d and the
-    normal-cone element normals.T @ set_multipliers.  Zero for an exact KKT
-    point of the subproblem, and NaN if any part is NaN.  The parts are
-    summed on Python floats, with the bound rows taken as the signed unit
-    vectors they are.
+    All four come from the set's bounds and rows and the equality rows.  Each
+    general row's slack or equality gap, and its multiplier's sign, are read
+    at the loop's row scale (_row_exponent), so the certificate does not
+    depend on how the rows are written.  The stationarity and the
+    complementarity w * s are free of that scale already and stay unscaled.
+    Zero for an exact KKT point of the subproblem, and NaN if any part is
+    NaN.  The parts are summed on Python floats, with the bounds taken as the
+    signed unit vectors they are.
     """
     box = problem.set
     n, m = box.dim, problem.n_eq
@@ -400,20 +417,24 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
                          "multiplier per equality row")
     d, mult, limits = d.tolist(), mult.tolist(), box.limits.tolist()
     rows = box.ineq_matrix.tolist() if box.n_ineq else []
-    # limits - normals @ d: lower bound rows, upper bound rows, inequality rows
+    # the slack of the lower bounds, the upper bounds and the inequality rows
     slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
              + [b - _dot(a, d) for a, b in zip(rows, limits[2 * n:])])
-    # g + alpha d + normals.T @ mult (+ eq_jacobian @ lam), by coordinate
+    # g + alpha d + (normal-cone element) (+ eq_jacobian @ lam), by coordinate
     stat = [g + problem.curvature * x + (up - lo) for g, x, lo, up in
             zip(problem.gradient.tolist(), d, mult[:n], mult[n:2 * n])]
     if rows:
         stat = [s + _dot(col, mult[2 * n:]) for s, col in zip(stat, zip(*rows))]
-    eq_gap = []
+    # each inequality row's -slack and -multiplier, at its row scale
+    exps = list(map(_row_exponent, rows))
+    scaled = [-_scaled_limit(s, e) for s, e in zip(slack[2 * n:], exps)]
+    scaled += [-_scaled_limit(w, -e) for w, e in zip(mult[2 * n:], exps)]
     if m:
         lam, jac_t = lam.tolist(), problem.eq_jacobian.T.tolist()
         stat = [s + _dot(row, lam) for s, row in zip(stat, zip(*jac_t))]
-        eq_gap = [abs(_dot(col, d) + c) for col, c in zip(jac_t, problem.eq_residual.tolist())]
-    parts = [*map(abs, stat), *map(operator.neg, slack), *eq_gap, *map(operator.neg, mult),
+        scaled += [abs(_scaled_limit(_dot(col, d) + c, _row_exponent(col)))
+                   for col, c in zip(jac_t, problem.eq_residual.tolist())]
+    parts = [*map(abs, stat), *map(operator.neg, slack[:2 * n] + mult[:2 * n]), *scaled,
              *(abs(w * s) for w, s in zip(mult, slack))]
     # |stat| keeps the max nonnegative; Python's max would drop a NaN that is not first
     return math.nan if any(map(math.isnan, parts)) else max(parts)
@@ -479,24 +500,18 @@ def _project(gradient: list, alpha: float, limits: list, side: list, work: list,
     for the row residual r = rhs - work @ d: the correction is
     vt.T @ (u.T @ r / s) and the multipliers are -alpha u @ (u.T @ r / s^2).
     A row with a zero free part moves nothing and gets multiplier +0.0.
-
-    Two or more rows take a second pass on the residual left by the first:
-    numpy's SVD holds only to its backward error, a few ulps of the rows,
-    which the absolute KKT certificate scales back up with a row written
-    large.  One row's closed form needs no second pass.
     """
     n = len(gradient)
     d = [-limits[i] if k < 0.0 else limits[n + i] if k > 0.0 else -g / alpha
          for i, (k, g) in enumerate(zip(side, gradient))]
     u, s, vt = _factor(work, [k == 0.0 for k in side])
+    residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
     # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0
-    scaled = [0.0] * len(s)  # -alpha coords / s, summed over the passes
-    for _ in range(1 + (len(work) > 1)):
-        residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
-        for j, (col, sv, v) in enumerate(zip(zip(*u), s, vt)):
-            c = _dot(col, residual) / sv
-            d = [x + c * y for x, y in zip(d, v)]
-            scaled[j] -= alpha * (c / sv)
+    scaled = []  # -alpha coords / s
+    for col, sv, v in zip(zip(*u), s, vt):
+        c = _dot(col, residual) / sv
+        d = [x + c * y for x, y in zip(d, v)]
+        scaled.append(-alpha * (c / sv))
     return d, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 

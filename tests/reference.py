@@ -99,6 +99,15 @@ def _solve_kkt_guess(box, g, alpha, fixed, free, act, eq_jac, eq_res, tol):
     return d
 
 
+def set_rows(box) -> np.ndarray:
+    """The set's bounds and rows as one dense matrix, in the order of
+    box.limits: the lower bounds as -I, the upper bounds as I, then
+    ineq_matrix.  set_rows(box) @ x <= box.limits is the set."""
+    eye = np.eye(box.dim)
+    rows = box.ineq_matrix if box.n_ineq else np.zeros((0, box.dim))
+    return np.concatenate([-eye, eye, rows])
+
+
 def enumerate_lp(problem: LpProblem, tol: float = 1e-9) -> float:
     """Optimal value by vertex enumeration; requires a bounded optimum.
 

@@ -38,6 +38,8 @@ from snsqp.driver import IterationRecord, IterationTrace, SolverConfig
 from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import FixedSize, draw_scenarios
 
+from reference import set_rows
+
 
 def column_stationarity(g, constraints_value, constraints_jacobian):
     """The measure in column form, rows c_j(x) >= 0 with constraint gradients
@@ -369,14 +371,15 @@ class TestPolyhedronRows:
         mu, nu = report.multipliers[:n_set], report.multipliers[n_set:]
         assert np.all(mu >= 0.0)
         assert np.all(report.multipliers[~report.active_mask] == 0.0)
-        columns = np.hstack([-box.normals.T, jac, -jac])[
+        rows = set_rows(box)
+        columns = np.hstack([-rows.T, jac, -jac])[
             :, np.concatenate([expected_active, expected_active[n_set:]])]
         # scipy's NNLS crashes the interpreter on a matrix with no columns
         residual_ref = nnls(columns, g)[1] if columns.size else np.linalg.norm(g)
         scale = max(1.0, np.linalg.norm(g),
-                    np.linalg.norm(np.abs(box.normals.T) @ mu + np.abs(jac) @ np.abs(nu)))
+                    np.linalg.norm(np.abs(rows.T) @ mu + np.abs(jac) @ np.abs(nu)))
         assert abs(report.residual - residual_ref) <= 1e-12 * scale
-        own = np.linalg.norm(g + box.normals.T @ mu + jac @ nu)
+        own = np.linalg.norm(g + rows.T @ mu + jac @ nu)
         assert abs(own - report.residual) <= 1e-12 * scale
 
 

@@ -134,7 +134,7 @@ class TestLineSearch:
         # a direction that satisfies the linearized constraint: c + J'd = 0
         d = np.array([-0.6, -0.4])
         assert abs(c[0] + jac[:, 0] @ d) < 1e-12
-        zeta, backtracks = line_search(problem, x, d, lam=np.array([0.3]),
+        zeta, backtracks = line_search(problem, x, c, d, lam=np.array([0.3]),
                                        theta=2.0, alpha=1.0, eta_beta=0.5)
         assert zeta == pytest.approx(1.0)
         assert backtracks == 0
@@ -145,7 +145,7 @@ class TestLineSearch:
         x = np.array([1.0, 0.0])
         c, jac = problem.eq_constraints(x)       # c = 0 at x1 = 1
         d = np.array([-8.0, 0.0])                 # J'd = -16, way past the bend
-        zeta, backtracks = line_search(problem, x, d, lam=np.array([1.0]),
+        zeta, backtracks = line_search(problem, x, c, d, lam=np.array([1.0]),
                                        theta=1.0, alpha=2.0, eta_beta=0.5)
         assert backtracks > 0
         assert zeta == pytest.approx(0.5 ** backtracks)
@@ -159,7 +159,8 @@ class TestLineSearch:
 
     def test_zero_direction_accepted_immediately(self):
         problem = build_quadratic_equality_problem()
-        zeta, backtracks = line_search(problem, np.array([1.0, 0.0]),
+        x = np.array([1.0, 0.0])
+        zeta, backtracks = line_search(problem, x, problem.eq_constraints(x)[0],
                                        np.zeros(2), lam=np.array([0.0]),
                                        theta=1.0, alpha=2.0, eta_beta=0.5)
         assert zeta == pytest.approx(1.0)

@@ -22,7 +22,7 @@ from snsqp.qp import (
     solve_qp,
 )
 
-from reference import enumerate_qp
+from reference import enumerate_qp, set_rows
 
 
 def random_box(rng, n, p=0):
@@ -56,7 +56,7 @@ class TestBoxOnly:
         np.testing.assert_allclose(sol.step, [-0.5, 1.0])
         assert sol.set_multipliers.shape == (4,)
         assert not sol.set_multipliers.any()
-        np.testing.assert_array_equal(box.normals.T @ sol.set_multipliers, 0.0)
+        np.testing.assert_array_equal(set_rows(box).T @ sol.set_multipliers, 0.0)
 
 
 class TestAgainstEnumeration:
@@ -127,13 +127,13 @@ class TestCertification:
                                 eq_residual=-(jac.T @ target))
             sol = solve_qp(problem)
             assert sol.status is QpStatus.OPTIMAL
-            v = box.normals.T @ sol.set_multipliers
+            v = set_rows(box).T @ sol.set_multipliers
             resid = (problem.gradient + problem.curvature * sol.step
                      + jac @ sol.eq_multipliers + v)
             assert np.max(np.abs(resid)) <= 1e-6
             assert np.min(sol.set_multipliers) >= 0.0
             # zero off the working set: a row with slack carries no multiplier
-            slack = box.limits - box.normals @ sol.step
+            slack = box.limits - set_rows(box) @ sol.step
             assert not np.any(sol.set_multipliers[slack > 1e-9])
 
 
@@ -184,14 +184,16 @@ class TestSetValidation:
         assert shifted.membership(np.zeros(2))
 
     def test_rows_are_built_once(self):
+        """The limits are built once; the bounds are read as the signed unit
+        vectors they are, so no dense row matrix is built, and a translated
+        set shares ineq_matrix."""
         box = BoxPolyhedron(lower=[0.0, -1.0], upper=[2.0, 1.0],
                             ineq_matrix=[[1.0, 3.0]], ineq_rhs=[4.0])
-        np.testing.assert_array_equal(
-            box.normals, [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 3.0]])
+        assert not hasattr(box, "normals")
         np.testing.assert_array_equal(box.limits, [0.0, 1.0, 2.0, 1.0, 4.0])
         x = np.array([0.5, 0.5])
         shifted = box.translate(x)
-        assert shifted.normals is box.normals
+        assert shifted.ineq_matrix is box.ineq_matrix
         # the same operations as a set built from the shifted data
         rebuilt = BoxPolyhedron(box.lower - x, box.upper - x, box.ineq_matrix,
                                 box.ineq_rhs - box.ineq_matrix @ x)
@@ -211,7 +213,7 @@ class TestSetValidation:
         np.testing.assert_array_equal(box.ineq_matrix, [[1.0, 1.0]])
         shifted = box.translate([0.5, 0.25])
         for owner in (box, shifted):
-            for name in ("lower", "upper", "ineq_matrix", "ineq_rhs", "normals", "limits"):
+            for name in ("lower", "upper", "ineq_matrix", "ineq_rhs", "limits"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(owner, name)[0] = 5.0
         assert box.membership([1.0, 0.5]) and not box.membership([3.0, 0.0])
@@ -293,6 +295,22 @@ class TestSetValidation:
             x[i] = value
             assert not box.membership(x)
             assert not box.membership(x, tol=np.inf)
+
+    def test_membership_of_a_far_point_is_false(self):
+        """A finite point whose row slack overflows is not a member.  A
+        product over a dense row matrix warned "overflow encountered in
+        matmul" here, which the suite turns into an error."""
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                            ineq_matrix=[[1.0, 3.0]], ineq_rhs=[1.0])
+        assert not box.membership((1e308, 1e308))
+        assert not box.membership((1e308, 1e308), tol=np.inf)
+
+    @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_membership_rejects_a_wrong_shaped_point(self, x):
+        box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                            ineq_matrix=[[1.0, 3.0]], ineq_rhs=[1.0])
+        with pytest.raises(ValueError):
+            box.membership(x)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -606,15 +624,17 @@ class TestScaleRule:
 
     @staticmethod
     def check_powers_of_two(data, problem):
-        """Bitwise the same step and bound multipliers; each row's
-        multiplier exactly times 2**-k.  The status is not compared: the
-        certificate kkt_residual is absolute in the units of the rows, so
-        beyond about 2**26 a row's roundoff alone can fail it."""
+        """The same status and bitwise the same certificate, step and bound
+        multipliers; each row's multiplier exactly times 2**-k.  The
+        certificate reads each row at the loop's row scale, so it is the
+        same however the rows are written."""
         exponent = st.integers(-30, 30)
         rows = np.array([data.draw(exponent) for _ in range(problem.set.n_ineq)], dtype=int)
         cols = np.array([data.draw(exponent) for _ in range(problem.n_eq)], dtype=int)
         base = solve_qp(problem)
         scaled = solve_qp(rescaled(problem, np.ldexp(1.0, rows), np.ldexp(1.0, cols)))
+        assert scaled.status is base.status
+        assert np.float64(scaled.kkt_residual).tobytes() == np.float64(base.kkt_residual).tobytes()
         assert scaled.step.tobytes() == base.step.tobytes()
         n2 = 2 * problem.set.dim
         assert scaled.set_multipliers[:n2].tobytes() == base.set_multipliers[:n2].tobytes()
@@ -658,8 +678,8 @@ class TestScaleRule:
     def test_a_duplicated_column_written_large_keeps_its_status(self):
         """Four working rows, two of them one equality column written at
         1e-6 and 1e6, go through numpy's SVD.  Its backward error alone,
-        times a row written at 1e6, failed the certificate before the second
-        pass of the projection."""
+        times a row written at 1e6, failed a certificate that read the rows
+        in their own units."""
         box = BoxPolyhedron([0.0, 0.0, 0.0, 0.0], [0.0, 0.25, 0.25, 0.25],
                             [[-3.0, 0.0, -1.0, 0.0], [2.0, -3.0, -3.0, 0.0]], [-0.0625, -0.1875])
         problem = QpProblem([0.0, 0.0, 0.75, 0.0], 0.5, box,
@@ -669,6 +689,18 @@ class TestScaleRule:
         scaled = solve_qp(rescaled(problem, factors, factors))
         assert base.status is scaled.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(scaled.step, base.step, rtol=0.0, atol=1e-9)
+
+    def test_an_equality_column_written_at_2_27_is_optimal(self):
+        """Bitwise the step and the certificate of the unscaled problem.  A
+        certificate that read the equality gap in the column's own units
+        made it 2.2e-8, over TOL, a NUMERICAL_FAILURE."""
+        box = BoxPolyhedron(lower=[-1.0, -0.25], upper=[0.75, 0.5])
+        problem = QpProblem([0.0, -1.75], 2.0, box, [[1.0], [-1.75]], [0.125])
+        base = solve_qp(problem)
+        scaled = solve_qp(rescaled(problem, [], np.array([2.0 ** 27])))
+        assert base.status is scaled.status is QpStatus.OPTIMAL
+        assert scaled.step.tobytes() == base.step.tobytes()
+        assert scaled.kkt_residual == base.kkt_residual
 
     def test_a_limit_beyond_the_float_range_is_infinite(self):
         """A row of entries near 1e-300 scales its limit past the float
