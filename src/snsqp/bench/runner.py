@@ -84,10 +84,6 @@ def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
     }
 
 
-def _run_single_args(args) -> dict:
-    return run_single(*args)
-
-
 def run_grid(strategies, n_seeds: int, budget: int, epoch: int, out_dir,
              seed_base: int = 0, alpha0: float = pps.ALPHA0, eta: float = 1.0,
              workers: int = 1) -> list:
@@ -100,9 +96,9 @@ def run_grid(strategies, n_seeds: int, budget: int, epoch: int, out_dir,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_single_args, jobs))
+            rows = list(pool.map(run_single, *zip(*jobs)))
     else:
-        rows = [_run_single_args(job) for job in jobs]
+        rows = [run_single(*job) for job in jobs]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

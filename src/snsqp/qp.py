@@ -21,12 +21,14 @@ written, and returns one multiplier per bound and row, scaled back.
 
 Every consumer reads the set's rows one way: the limits -lower, upper and
 ineq_rhs, built once per BoxPolyhedron, where a bound is the signed unit
-vector it is and only the inequality rows are stored as rows.  The solve
-returns the step, the equality multipliers and one nonnegative multiplier
-per bound and row, certified by a KKT residual read at the loop's row scale
-(_row_exponent).  Problems here are small (a few dozen variables); exact
-active-set identification is preferred over iterative methods because the
-multipliers feed merit and stationarity formulas.
+vector it is and only the inequality rows are stored as rows.  A subproblem
+has one row form, _row_form: those limits and rows, then the equality rows.
+The solve returns the step, the equality multipliers and one nonnegative
+multiplier per bound and row, certified on the lists it was solved on by one
+KKT residual, _kkt, in which the equality rows are rows, read at the loop's
+row scale (_row_exponent).  Problems here are small (a few dozen variables);
+exact active-set identification is preferred over iterative methods because
+the multipliers feed merit and stationarity formulas.
 
 Because they are small, the working-set algebra and the KKT certificate run
 on Python floats: a numpy call costs more than the arithmetic it does on a
@@ -80,9 +82,6 @@ class BoxPolyhedron:
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     limits: np.ndarray = field(init=False, repr=False)
-    #: the largest |x_j| for which ineq_matrix @ x stays below 1e300 in
-    #: every term and partial sum (inf without rows)
-    _product_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lower = _frozen(np.atleast_1d(self.lower))
@@ -94,15 +93,13 @@ class BoxPolyhedron:
             raise ValueError("requires lower <= upper componentwise")
         if (self.ineq_matrix is None) != (self.ineq_rhs is None):
             raise ValueError("ineq_matrix and ineq_rhs must be given together")
-        rows, rhs = np.zeros((0, self.dim)), np.zeros(0)
+        rhs = np.zeros(0)
         if self.ineq_matrix is not None:
             self.ineq_matrix = rows = _frozen(np.atleast_2d(self.ineq_matrix))
             self.ineq_rhs = rhs = _frozen(np.atleast_1d(self.ineq_rhs))
             if rows.shape != (rhs.size, self.dim):
                 raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
             _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
-        row_sum = float(np.abs(rows).sum(axis=1).max(initial=0.0))
-        self._product_radius = 1e300 / row_sum if row_sum else math.inf
         self.limits = _frozen(np.concatenate([-self.lower, self.upper, rhs]))
 
     @property
@@ -155,11 +152,8 @@ class BoxPolyhedron:
         limits = ([-(lo - v) for lo, v in zip(self.lower.tolist(), xs)]
                   + [up - v for up, v in zip(self.upper.tolist(), xs)])
         if self.ineq_rhs is not None:
-            if not xs or max(map(abs, xs)) <= self._product_radius:
-                products = (self.ineq_matrix @ x).tolist()  # cannot overflow
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                    products = (self.ineq_matrix @ x).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                products = (self.ineq_matrix @ x).tolist()
             limits += map(operator.sub, self.ineq_rhs.tolist(), products)
         if not all(map(math.isfinite, limits)):
             n, values = self.dim, np.array(limits)
@@ -228,39 +222,50 @@ class QpSolution:
 
 def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the subproblem with _active_set on its row form and certify the
-    result by kkt_residual.
+    loop's own step and multipliers by _kkt on the same lists.
 
-    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.
+    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.  A
+    solve that does not end OPTIMAL returns zeros and an infinite residual.
     QpSolution.iterations counts the constraints added plus those dropped.
     """
-    box, m = problem.set, problem.n_eq
-    gradient, alpha = problem.gradient.tolist(), problem.curvature
+    gradient, alpha, m = problem.gradient.tolist(), problem.curvature, problem.n_eq
+    general, limits = _row_form(problem)
     # on Python floats, so that an overflow raises no numpy warning
-    if not math.isfinite(max(map(abs, gradient), default=0.0) / alpha):
-        return _failed_solution(problem, QpStatus.NUMERICAL_FAILURE)
-    limits = box.limits.tolist()
-    general = box.ineq_matrix.tolist() if box.n_ineq else []
-    if m:
-        general += problem.eq_jacobian.T.tolist()
-        limits += (-problem.eq_residual).tolist()
-    status, d, mults, rank_warning, iterations = _active_set(gradient, alpha, general, limits, m)
-    if status is not QpStatus.OPTIMAL:
-        return _failed_solution(problem, status, rank_warning, iterations)
-    n_set = box.limits.size
-    solution = QpSolution(
+    if math.isfinite(max(map(abs, gradient), default=0.0) / alpha):
+        result = _active_set(gradient, alpha, general, limits, m)
+    else:
+        result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
+    status, d, mults, rank_warning, iterations = result
+    residual = math.inf
+    if status is QpStatus.OPTIMAL:
+        residual = _kkt(gradient, alpha, general, limits, m, d, mults)
+        if not residual <= TOL * max(1.0, *map(abs, gradient)):  # NaN fails too
+            status = QpStatus.NUMERICAL_FAILURE
+    else:
+        d, mults = [0.0] * len(gradient), [0.0] * len(limits)
+    n_set = problem.set.limits.size
+    return QpSolution(
         step=np.array(d),
         eq_multipliers=np.array(mults[n_set:]),
         set_multipliers=np.array(mults[:n_set]),
-        kkt_residual=0.0,
-        status=QpStatus.OPTIMAL,
+        kkt_residual=residual,
+        status=status,
         rank_warning=rank_warning,
         iterations=iterations,
     )
-    solution.kkt_residual = kkt_residual(problem, solution)
-    scale = max(1.0, *map(abs, gradient))
-    if not solution.kkt_residual <= TOL * scale:  # NaN fails too
-        solution.status = QpStatus.NUMERICAL_FAILURE
-    return solution
+
+
+def _row_form(problem: QpProblem):
+    """The subproblem's (general, limits) lists as _active_set reads them:
+    the set's limits and ineq_matrix rows, then one row per column of
+    eq_jacobian with limit -eq_residual."""
+    box = problem.set
+    general = box.ineq_matrix.tolist() if box.n_ineq else []
+    limits = box.limits.tolist()
+    if problem.n_eq:
+        general += problem.eq_jacobian.T.tolist()
+        limits += (-problem.eq_residual).tolist()
+    return general, limits
 
 
 def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int):
@@ -395,17 +400,9 @@ def _scaled_limit(b: float, exp: int) -> float:
 
 
 def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
-    """Max of stationarity, primal, dual and complementarity infinity norms.
-
-    All four come from the set's bounds and rows and the equality rows.  Each
-    general row's slack or equality gap, and its multiplier's sign, are read
-    at the loop's row scale (_row_exponent), so the certificate does not
-    depend on how the rows are written.  The stationarity and the
-    complementarity w * s are free of that scale already and stay unscaled.
-    Zero for an exact KKT point of the subproblem, and NaN if any part is
-    NaN.  The parts are summed on Python floats, with the bounds taken as the
-    signed unit vectors they are.
-    """
+    """Max of stationarity, primal, dual and complementarity infinity norms:
+    _kkt on the subproblem's row form.  Zero for an exact KKT point of the
+    subproblem, and NaN if any part is NaN."""
     box = problem.set
     n, m = box.dim, problem.n_eq
     d = np.asarray(candidate.step, dtype=float)
@@ -415,27 +412,44 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
         raise ValueError("the candidate needs a step entry per coordinate, a set "
                          "multiplier per row of the set and an equality "
                          "multiplier per equality row")
-    d, mult, limits = d.tolist(), mult.tolist(), box.limits.tolist()
-    rows = box.ineq_matrix.tolist() if box.n_ineq else []
-    # the slack of the lower bounds, the upper bounds and the inequality rows
+    general, limits = _row_form(problem)
+    mults = mult.tolist() + (lam.tolist() if m else [])
+    return _kkt(problem.gradient.tolist(), problem.curvature, general, limits, m,
+                d.tolist(), mults)
+
+
+def _kkt(gradient: list, alpha: float, general: list, limits: list, m: int,
+         d: list, mults: list) -> float:
+    """The KKT residual of the step d and the multipliers mults, one per
+    constraint id, over _active_set's lists, whose last m general rows are
+    equality rows.
+
+    Each general row's slack, and each inequality row's multiplier sign, are
+    read at the loop's row scale (_row_exponent), so the certificate does
+    not depend on how the rows are written; an equality row's gap is its
+    negated slack, and its multiplier is free in sign.  The stationarity and
+    the complementarity w * s are free of that scale already and stay
+    unscaled.  The bounds are the signed unit vectors they are.
+    """
+    n, p = len(gradient), len(general) - m
+    n_set, exps = 2 * n + p, list(map(_row_exponent, general))
+    # the slack of the lower bounds, the upper bounds and the general rows
     slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
-             + [b - _dot(a, d) for a, b in zip(rows, limits[2 * n:])])
-    # g + alpha d + (normal-cone element) (+ eq_jacobian @ lam), by coordinate
-    stat = [g + problem.curvature * x + (up - lo) for g, x, lo, up in
-            zip(problem.gradient.tolist(), d, mult[:n], mult[n:2 * n])]
-    if rows:
-        stat = [s + _dot(col, mult[2 * n:]) for s, col in zip(stat, zip(*rows))]
-    # each inequality row's -slack and -multiplier, at its row scale
-    exps = list(map(_row_exponent, rows))
-    scaled = [-_scaled_limit(s, e) for s, e in zip(slack[2 * n:], exps)]
-    scaled += [-_scaled_limit(w, -e) for w, e in zip(mult[2 * n:], exps)]
-    if m:
-        lam, jac_t = lam.tolist(), problem.eq_jacobian.T.tolist()
-        stat = [s + _dot(row, lam) for s, row in zip(stat, zip(*jac_t))]
-        scaled += [abs(_scaled_limit(_dot(col, d) + c, _row_exponent(col)))
-                   for col, c in zip(jac_t, problem.eq_residual.tolist())]
-    parts = [*map(abs, stat), *map(operator.neg, slack[:2 * n] + mult[:2 * n]), *scaled,
-             *(abs(w * s) for w, s in zip(mult, slack))]
+             + [b - _dot(a, d) for a, b in zip(general, limits[2 * n:])])
+    # g + alpha d + (normal-cone element) + (equality rows' part), by
+    # coordinate, summed over the inequality rows and then the equality rows
+    stat = [g + alpha * x + (up - lo) for g, x, lo, up in
+            zip(gradient, d, mults[:n], mults[n:2 * n])]
+    for rows, w in ((general[:p], mults[2 * n:n_set]), (general[p:], mults[n_set:])):
+        if rows:
+            stat = [s + _dot(col, w) for s, col in zip(stat, zip(*rows))]
+    # each inequality row's -slack and -multiplier and each equality row's
+    # |gap|, at its row scale
+    scaled = [-_scaled_limit(s, e) for s, e in zip(slack[2 * n:n_set], exps)]
+    scaled += [-_scaled_limit(w, -e) for w, e in zip(mults[2 * n:n_set], exps)]
+    scaled += [abs(_scaled_limit(s, e)) for s, e in zip(slack[n_set:], exps[p:])]
+    parts = [*map(abs, stat), *map(operator.neg, slack[:2 * n] + mults[:2 * n]), *scaled,
+             *(abs(w * s) for w, s in zip(mults, slack[:n_set]))]
     # |stat| keeps the max nonnegative; Python's max would drop a NaN that is not first
     return math.nan if any(map(math.isnan, parts)) else max(parts)
 
@@ -513,19 +527,6 @@ def _project(gradient: list, alpha: float, limits: list, side: list, work: list,
         d = [x + c * y for x, y in zip(d, v)]
         scaled.append(-alpha * (c / sv))
     return d, [_dot(row, scaled) for row in u], len(s) < len(work)
-
-
-def _failed_solution(problem: QpProblem, status: QpStatus, rank_warning: bool = False,
-                     iterations: int = 0) -> QpSolution:
-    return QpSolution(
-        step=np.zeros(problem.set.dim),
-        eq_multipliers=np.zeros(problem.n_eq),
-        set_multipliers=np.zeros(problem.set.limits.size),
-        kkt_residual=np.inf,
-        status=status,
-        rank_warning=rank_warning,
-        iterations=iterations,
-    )
 
 
 def _frozen(values) -> np.ndarray:

@@ -102,17 +102,29 @@ class TestAgainstEnumeration:
 
 class TestCertification:
     def test_kkt_residual_small_and_consistent(self):
+        """The solve's certificate is kkt_residual's, bit for bit, with
+        zero, one or two equality rows through a point of the set."""
         rng = np.random.default_rng(5523)
-        for _ in range(60):
+        for trial in range(60):
             n = int(rng.integers(2, 5))
             p = int(rng.integers(0, 3))
+            m = int(rng.integers(0, 3))
             box = random_box(rng, n, p)
+            eq = {}
+            if m:
+                jac = rng.normal(size=(n, m))
+                while True:  # a point in the box that meets the rows too
+                    target = box.lower + (box.upper - box.lower) * rng.uniform(0.2, 0.8, n)
+                    if box.membership(target, tol=0.0):
+                        break
+                eq = dict(eq_jacobian=jac, eq_residual=-(jac.T @ target))
             problem = QpProblem(gradient=rng.normal(size=n),
-                                curvature=float(rng.uniform(0.5, 3.0)), set=box)
+                                curvature=float(rng.uniform(0.5, 3.0)), set=box, **eq)
             sol = solve_qp(problem)
+            assert sol.status is QpStatus.OPTIMAL, f"trial {trial}"
             recomputed = kkt_residual(problem, sol)
             assert recomputed <= 1e-6
-            assert abs(recomputed - sol.kkt_residual) <= 1e-10
+            assert sol.kkt_residual == recomputed
 
     def test_stationarity_identity_with_equalities(self):
         """g + alpha d + J lam + v = 0 with v in the normal cone."""
@@ -264,18 +276,18 @@ class TestSetValidation:
             box.translate(x)
 
     @pytest.mark.parametrize("row, rhs, x", [
-        ([10.0, 0.0], 4.0, [1e300, 0.0]),          # past the product radius
+        ([10.0, 0.0], 4.0, [1e300, 0.0]),          # a product of 1e301
         ([10.0, -3.0], 4.0, [-1e307, 5e306]),
         ([1e-300, 3.0], -2.0, [1e307, -1e299]),
-        ([10.0, 0.0], 4.0, [1e299 / 1.0000001, 0.0]),  # just inside it
+        ([10.0, 0.0], 4.0, [1e299 / 1.0000001, 0.0]),  # a product just below 1e300
         ([1.0, 0.0], float(np.finfo(float).max), [-1e300, 0.0]),  # h - W x overflows
         ([1.0, 1.0], -float(np.finfo(float).max), [5e299, 5e299]),
     ])
     def test_translated_limits_near_the_float_range(self, row, rhs, x):
-        """Only an x whose row products could overflow enters np.errstate.
-        Either way the limits are numpy's ineq_rhs - ineq_matrix @ x bit for
-        bit, and an overflow raises the ValueError and no warning (the
-        suite turns a RuntimeWarning into an error)."""
+        """The row products are taken inside np.errstate for every x.  The
+        limits are numpy's ineq_rhs - ineq_matrix @ x bit for bit, and an
+        overflow raises the ValueError and no warning (the suite turns a
+        RuntimeWarning into an error)."""
         box = BoxPolyhedron([-1.0, -1.0], [1.0, 1.0], [row], [rhs])
         x = np.array(x)
         with np.errstate(over="ignore"):
@@ -780,11 +792,12 @@ def test_certificate_above_tol_is_numerical_failure(monkeypatch):
     np.testing.assert_array_equal(sol.step, certified.step)
 
 
-@pytest.mark.parametrize("field", ["step", "set_multipliers"])
+@pytest.mark.parametrize("field", ["step", "set_multipliers", "eq_multipliers"])
 def test_kkt_residual_is_nan_on_a_nan_candidate(field):
     """A NaN entry must fail the certificate, not drop out of a max."""
     box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
-    problem = QpProblem(gradient=[0.5, 3.0], curvature=1.0, set=box)
+    problem = QpProblem(gradient=[0.5, 3.0], curvature=1.0, set=box,
+                        eq_jacobian=[[1.0], [1.0]], eq_residual=[-0.5])
     sol = solve_qp(problem)
     assert sol.status is QpStatus.OPTIMAL
     entries = getattr(sol, field)
