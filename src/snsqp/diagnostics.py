@@ -2,8 +2,9 @@
 
 The optimality measure reads the feasible set as the subproblem does, bounds
 and ineq_matrix rows with the limits of translated_limits, plus the equality
-rows c(x) = 0, and asks how well the (estimated) subgradient is balanced by
-the normals of the bounds and rows active at x:
+rows c(x) = 0, laid out by the subproblem's own builder, snsqp.qp._row_form.
+It asks how well the (estimated) subgradient is balanced by the normals of
+the bounds and rows active at x:
 
     residual = min |g + normals_a.T @ mu + jac_a @ nu|,  mu >= 0, nu free,
 
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import IterationTrace
-from .qp import BoxPolyhedron, QpStatus, _active_set, _row_exponent
+from .qp import BoxPolyhedron, QpStatus, _active_set, _row_exponent, _row_form
 from .sampling import OracleError, aggregate, draw_scenarios
 
 #: seed of the frozen scenario batch behind every reported stationarity value
@@ -73,15 +74,15 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
         raise ValueError("g must have an entry per coordinate of the set")
     # the sets are small: Python floats cost less than numpy calls
     g_list, values = g.tolist(), box.translated_limits(x).tolist()
-    rows = box.ineq_matrix.tolist() if box.n_ineq else []
     n, n_set = box.dim, len(values)
+    c_eq = jac = None
     if eq is not None:
         c_eq, jac = np.atleast_1d(np.asarray(eq[0], dtype=float)), np.asarray(eq[1], dtype=float)
         if jac.shape != (n, c_eq.size):
             raise ValueError("the equality jacobian must have shape (len(g), len(c))")
-        values += c_eq.tolist()
-        rows += jac.T.tolist()
-    if not all(map(math.isfinite, g_list + values + sum(rows[box.n_ineq:], []))):
+    # an equality row's value is -c_j here; only its magnitude is read
+    rows, values = _row_form(values, box, jac, c_eq)
+    if not all(map(math.isfinite, g_list + values + sum(rows, []))):
         raise ValueError("gradient, equality values and jacobian must be finite")
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
     multipliers = np.zeros(len(values))

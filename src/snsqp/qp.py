@@ -19,14 +19,16 @@ decomposition is a projection onto a polar cone.  For both callers it
 scales the rows, so a subproblem solves the same however its rows are
 written, and returns one multiplier per bound and row, scaled back.
 
-Every consumer reads the set's rows one way: the limits -lower, upper and
-ineq_rhs, built once per BoxPolyhedron, where a bound is the signed unit
-vector it is and only the inequality rows are stored as rows.  A subproblem
-has one row form, _row_form: those limits and rows, then the equality rows.
-The solve returns the step, the equality multipliers and one nonnegative
-multiplier per bound and row, certified on the lists it was solved on by one
-KKT residual, _kkt, in which the equality rows are rows, read at the loop's
-row scale (_row_exponent).  Problems here are small (a few dozen variables);
+The set has one form: a frozen BoxPolyhedron always holds its rows, zero of
+them when it has none, and its limits -lower, upper and ineq_rhs, built once,
+where a bound is the signed unit vector it is and only the inequality rows
+are stored as rows.  One builder, _row_form, lays out the lists the loop
+reads, those limits and rows, then the equality rows, for the subproblem,
+its certificate and the stationarity measure alike.  The solve returns the
+step, the equality multipliers and one nonnegative multiplier per bound and
+row, certified on the lists it was solved on by one KKT residual, _kkt, in
+which the equality rows are rows, read at the loop's row scale
+(_row_exponent).  Problems here are small (a few dozen variables);
 exact active-set identification is preferred over iterative methods because
 the multipliers feed merit and stationarity formulas.
 
@@ -41,7 +43,6 @@ problems one equality row.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 import operator
@@ -65,16 +66,19 @@ class QpStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxPolyhedron:
     """Compact convex set {x : lower <= x <= upper, ineq_matrix @ x <= ineq_rhs}.
 
-    Its limits are built once, at construction: entries 0..n-1 are the
-    lower bounds' (-x_i <= -lower_i), n..2n-1 the upper bounds'
-    (x_i <= upper_i), and 2n..2n+p-1 the inequality rows'.  All data must be
-    finite, and the bounds keep the set compact, which keeps subproblem
-    steps and multipliers bounded.  Its arrays are read-only copies, so the
-    limits cannot fall out of step with their data.
+    It has one form: a set given no rows (None) holds zero rows, an
+    ineq_matrix of shape (0, n) and an empty ineq_rhs.  Its limits are built
+    once, at construction: entries 0..n-1 are the lower bounds'
+    (-x_i <= -lower_i), n..2n-1 the upper bounds' (x_i <= upper_i), and
+    2n..2n+p-1 the inequality rows'.  It needs at least one coordinate, all
+    data must be finite, and the bounds keep the set compact, which keeps
+    subproblem steps and multipliers bounded.  The set is frozen and its
+    arrays are read-only copies, so the limits cannot fall out of step with
+    their data.
     """
 
     lower: np.ndarray
@@ -84,23 +88,22 @@ class BoxPolyhedron:
     limits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lower = _frozen(np.atleast_1d(self.lower))
-        self.upper = _frozen(np.atleast_1d(self.upper))
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper must be vectors of the same shape")
-        _require_finite(lower=self.lower, upper=self.upper)  # a compact set
-        if np.any(self.lower > self.upper):
+        lower, upper = _frozen(np.atleast_1d(self.lower)), _frozen(np.atleast_1d(self.upper))
+        if lower.ndim != 1 or lower.shape != upper.shape or not lower.size:
+            raise ValueError("lower and upper must be nonempty vectors of the same shape")
+        _require_finite(lower=lower, upper=upper)  # a compact set
+        if np.any(lower > upper):
             raise ValueError("requires lower <= upper componentwise")
         if (self.ineq_matrix is None) != (self.ineq_rhs is None):
             raise ValueError("ineq_matrix and ineq_rhs must be given together")
-        rhs = np.zeros(0)
-        if self.ineq_matrix is not None:
-            self.ineq_matrix = rows = _frozen(np.atleast_2d(self.ineq_matrix))
-            self.ineq_rhs = rhs = _frozen(np.atleast_1d(self.ineq_rhs))
-            if rows.shape != (rhs.size, self.dim):
-                raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
-            _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
-        self.limits = _frozen(np.concatenate([-self.lower, self.upper, rhs]))
+        rows, rhs = (np.zeros((0, lower.size)), ()) if self.ineq_matrix is None else (
+            np.atleast_2d(self.ineq_matrix), np.atleast_1d(self.ineq_rhs))
+        rows, rhs = _frozen(rows), _frozen(rhs)
+        if rows.shape != (rhs.size, lower.size):
+            raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
+        _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
+        self.__dict__.update(lower=lower, upper=upper, ineq_matrix=rows, ineq_rhs=rhs,
+                             limits=_frozen(np.concatenate([-lower, upper, rhs])))
 
     @property
     def dim(self) -> int:
@@ -108,7 +111,7 @@ class BoxPolyhedron:
 
     @property
     def n_ineq(self) -> int:
-        return 0 if self.ineq_matrix is None else self.ineq_rhs.size
+        return self.ineq_rhs.size
 
     def membership(self, x, tol: float = 1e-9) -> bool:
         """Whether every slack translated_limits(x) is at least -tol.  A NaN
@@ -123,16 +126,16 @@ class BoxPolyhedron:
             return False
         return bool(np.all(slack >= -tol))
 
-    def translate(self, x) -> "BoxPolyhedron":
+    def translate(self, x) -> BoxPolyhedron:
         """The set in step coordinates, {d : x + d in self}, sharing
         ineq_matrix, with its data sliced, read-only, out of
         translated_limits(x)."""
-        shifted, n = copy.copy(self), self.dim
-        shifted.limits = limits = self.translated_limits(x)
-        shifted.lower, shifted.upper = -limits[:n], limits[n:2 * n]
-        shifted.lower.flags.writeable = False
-        if self.ineq_rhs is not None:
-            shifted.ineq_rhs = limits[2 * n:]
+        n, limits = self.dim, self.translated_limits(x)
+        lower = -limits[:n]
+        lower.flags.writeable = False
+        shifted = object.__new__(BoxPolyhedron)
+        shifted.__dict__.update(self.__dict__, lower=lower, upper=limits[n:2 * n],
+                                ineq_rhs=limits[2 * n:], limits=limits)
         return shifted
 
     def translated_limits(self, x) -> np.ndarray:
@@ -151,7 +154,7 @@ class BoxPolyhedron:
             raise ValueError("x must be a finite vector of the set's dimension")
         limits = ([-(lo - v) for lo, v in zip(self.lower.tolist(), xs)]
                   + [up - v for up, v in zip(self.upper.tolist(), xs)])
-        if self.ineq_rhs is not None:
+        if self.ineq_rhs.size:  # a set without rows skips np.errstate
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 products = (self.ineq_matrix @ x).tolist()
             limits += map(operator.sub, self.ineq_rhs.tolist(), products)
@@ -208,7 +211,8 @@ class QpSolution:
     bounds, inequality rows); it is nonnegative and zero off the final working
     set.  For n = set.dim, the normal-cone element of the set is
     set_multipliers[n:2n] - set_multipliers[:n]
-    + set.ineq_matrix.T @ set_multipliers[2n:].
+    + set.ineq_matrix.T @ set_multipliers[2n:],
+    on every set: one without rows has an ineq_matrix of shape (0, n).
     """
 
     step: np.ndarray
@@ -228,10 +232,12 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     solve that does not end OPTIMAL returns zeros and an infinite residual.
     QpSolution.iterations counts the constraints added plus those dropped.
     """
-    gradient, alpha, m = problem.gradient.tolist(), problem.curvature, problem.n_eq
-    general, limits = _row_form(problem)
+    box, alpha, m = problem.set, problem.curvature, problem.n_eq
+    gradient = problem.gradient.tolist()
+    general, limits = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
+                                problem.eq_residual)
     # on Python floats, so that an overflow raises no numpy warning
-    if math.isfinite(max(map(abs, gradient), default=0.0) / alpha):
+    if math.isfinite(max(map(abs, gradient)) / alpha):
         result = _active_set(gradient, alpha, general, limits, m)
     else:
         result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
@@ -243,7 +249,7 @@ def solve_qp(problem: QpProblem) -> QpSolution:
             status = QpStatus.NUMERICAL_FAILURE
     else:
         d, mults = [0.0] * len(gradient), [0.0] * len(limits)
-    n_set = problem.set.limits.size
+    n_set = box.limits.size
     return QpSolution(
         step=np.array(d),
         eq_multipliers=np.array(mults[n_set:]),
@@ -255,16 +261,16 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     )
 
 
-def _row_form(problem: QpProblem):
-    """The subproblem's (general, limits) lists as _active_set reads them:
-    the set's limits and ineq_matrix rows, then one row per column of
-    eq_jacobian with limit -eq_residual."""
-    box = problem.set
-    general = box.ineq_matrix.tolist() if box.n_ineq else []
-    limits = box.limits.tolist()
-    if problem.n_eq:
-        general += problem.eq_jacobian.T.tolist()
-        limits += (-problem.eq_residual).tolist()
+def _row_form(limits: list, box: BoxPolyhedron, eq_jacobian=None, eq_values=None):
+    """The (general, limits) lists as _active_set reads them: limits, one per
+    entry of box.limits (the set's own, or translated to a point), with the
+    set's ineq_matrix rows, then, for an equality pair, one row per column of
+    eq_jacobian with limit -eq_values.  The subproblem, its certificate and
+    the stationarity measure all take their lists from here."""
+    general = box.ineq_matrix.tolist()
+    if eq_jacobian is not None:
+        general += eq_jacobian.T.tolist()
+        limits = limits + (-eq_values).tolist()
     return general, limits
 
 
@@ -412,7 +418,8 @@ def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
         raise ValueError("the candidate needs a step entry per coordinate, a set "
                          "multiplier per row of the set and an equality "
                          "multiplier per equality row")
-    general, limits = _row_form(problem)
+    general, limits = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
+                                problem.eq_residual)
     mults = mult.tolist() + (lam.tolist() if m else [])
     return _kkt(problem.gradient.tolist(), problem.curvature, general, limits, m,
                 d.tolist(), mults)

@@ -104,8 +104,7 @@ def set_rows(box) -> np.ndarray:
     box.limits: the lower bounds as -I, the upper bounds as I, then
     ineq_matrix.  set_rows(box) @ x <= box.limits is the set."""
     eye = np.eye(box.dim)
-    rows = box.ineq_matrix if box.n_ineq else np.zeros((0, box.dim))
-    return np.concatenate([-eye, eye, rows])
+    return np.concatenate([-eye, eye, box.ineq_matrix])
 
 
 def enumerate_lp(problem: LpProblem, tol: float = 1e-9) -> float:

@@ -487,6 +487,20 @@ class TestStart:
             cold.status, cold.objective, cold.iterations)
         np.testing.assert_array_equal(sol.basis, cold.basis)
 
+    def test_ill_conditioned_start_gives_the_cold_solve(self):
+        """A basis that inverts but whose 1-norm condition number passes
+        START_CONDITION_LIMIT is no Start, and the solve from that pair is
+        the cold solve bit for bit.  Columns x1 and x2 of rows (1, 1) and
+        (1, 1 + 1e-13) make such a basis."""
+        problem = LpProblem(cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+                            ineq_rhs=[1.0, 1.0], lower=[0.0, 0.0], upper=[10.0, 10.0])
+        pair = ([0, 1], [])
+        matrix = problem.columns[:, pair[0]]
+        np.linalg.inv(matrix)  # invertible: the inverse does not raise
+        assert np.linalg.cond(matrix, 1) > lp.START_CONDITION_LIMIT
+        assert lp.check_start(problem, pair) is None
+        assert_same_solution(solve_lp(problem, pair), solve_lp(problem))
+
     def test_infeasible_problem_with_a_start(self):
         problem = LpProblem(cost=[1.0, 1.0],
                             ineq_matrix=[[1.0, 1.0], [-1.0, -1.0]],

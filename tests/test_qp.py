@@ -148,6 +148,29 @@ class TestCertification:
             slack = box.limits - set_rows(box) @ sol.step
             assert not np.any(sol.set_multipliers[slack > 1e-9])
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_normal_cone_formula_holds_on_every_set(self, p, m):
+        """QpSolution's formula, read on the set's own fields, on sets with
+        and without rows: g + alpha d + mu[n:2n] - mu[:n]
+        + ineq_matrix.T @ mu[2n:] + eq_jacobian @ lam = 0.  A set without
+        rows held None there, and the formula raised AttributeError."""
+        rng = np.random.default_rng(4040 + 10 * p + m)
+        n = 3
+        for _ in range(30):
+            box = random_box(rng, n, p)
+            # an equality row through a member of the set: a solve's step
+            member = solve_qp(QpProblem(rng.normal(size=n), 1.0, box)).step
+            jac = rng.normal(size=(n, m))
+            eq = dict(eq_jacobian=jac, eq_residual=-(jac.T @ member)) if m else {}
+            problem = QpProblem(rng.normal(scale=3.0, size=n), 1.5, box, **eq)
+            sol = solve_qp(problem)
+            assert sol.status is QpStatus.OPTIMAL
+            mu = sol.set_multipliers
+            resid = (problem.gradient + problem.curvature * sol.step + mu[n:2 * n] - mu[:n]
+                     + box.ineq_matrix.T @ mu[2 * n:] + jac @ sol.eq_multipliers)
+            assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(problem.gradient)))
+
 
 class TestFeasibilityHandling:
     def test_rows_cut_off_origin(self):
@@ -230,6 +253,41 @@ class TestSetValidation:
                     getattr(owner, name)[0] = 5.0
         assert box.membership([1.0, 0.5]) and not box.membership([3.0, 0.0])
 
+    def test_fields_are_frozen(self):
+        """Assigning any field of a set, or of a translated set, raises.
+        Assigned, upper = (5, 5) on the unit box left limits reading 1 while
+        membership([3, 0]) read the new bound and said True."""
+        box = BoxPolyhedron([0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [1.5])
+        for owner in (box, box.translate([0.5, 0.25])):
+            for f in dataclasses.fields(owner):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(owner, f.name, np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(box.upper, [1.0, 1.0])
+        assert not box.membership([3.0, 0.0])
+
+    def test_a_set_without_rows_holds_zero_rows(self):
+        """A set given no rows, None, stores zero rows, as does its
+        translated set: an (0, n) ineq_matrix and an empty ineq_rhs, both
+        read-only, and the same limits as a set given the zero rows."""
+        box = BoxPolyhedron([0.0, -1.0], [2.0, 1.0])
+        given = BoxPolyhedron([0.0, -1.0], [2.0, 1.0], np.zeros((0, 2)), [])
+        shifted = box.translate([0.5, 0.5])
+        for owner in (box, given, shifted):
+            assert owner.ineq_matrix.shape == (0, 2) and owner.ineq_rhs.shape == (0,)
+            assert owner.n_ineq == 0
+            assert not owner.ineq_matrix.flags.writeable and not owner.ineq_rhs.flags.writeable
+        assert shifted.ineq_matrix is box.ineq_matrix
+        assert given.limits.tobytes() == box.limits.tobytes()
+
+    def test_rejects_a_set_without_coordinates(self):
+        """A set of dimension 0 is rejected where it is built.  Accepted, its
+        subproblem ended NUMERICAL_FAILURE: the loop's budget of
+        MAX_ITER_PER_ROW rounds per coordinate and row was 0 rounds."""
+        with pytest.raises(ValueError, match="nonempty vectors"):
+            BoxPolyhedron([], [])
+        with pytest.raises(ValueError, match="nonempty vectors"):
+            BoxPolyhedron(np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), p=st.integers(0, 2))
     def test_translated_limits_are_the_numpy_expressions(self, data, n, p):
@@ -250,8 +308,7 @@ class TestSetValidation:
         assert shifted.limits.tobytes() == expected.tobytes()
         assert shifted.lower.tobytes() == (lower - x).tobytes()
         assert shifted.upper.tobytes() == (upper - x).tobytes()
-        if p:
-            assert shifted.ineq_rhs.tobytes() == (rhs - rows @ x).tobytes()
+        assert shifted.ineq_rhs.tobytes() == (rhs - rows @ x).tobytes()
 
     @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0],
                                    [0.0, 0.0, 0.0], [[0.0, 0.0]]])
@@ -620,13 +677,13 @@ def rescaled(problem, row_factors, eq_factors):
     """The problem with inequality row i and its limit times row_factors[i],
     and equality column j and its residual times eq_factors[j]."""
     box, kwargs = problem.set, {}
-    if box.n_ineq:
-        box = BoxPolyhedron(box.lower, box.upper, box.ineq_matrix * np.c_[row_factors],
-                            box.ineq_rhs * row_factors)
+    scaled = BoxPolyhedron(box.lower, box.upper, box.ineq_matrix * np.c_[row_factors],
+                           box.ineq_rhs * row_factors)
     if problem.n_eq:
         kwargs = dict(eq_jacobian=problem.eq_jacobian * eq_factors,
                       eq_residual=problem.eq_residual * eq_factors)
-    return QpProblem(gradient=problem.gradient, curvature=problem.curvature, set=box, **kwargs)
+    return QpProblem(gradient=problem.gradient, curvature=problem.curvature, set=scaled,
+                     **kwargs)
 
 
 class TestScaleRule:

@@ -323,6 +323,14 @@ class TestSchedules:
         for k in (1, 5, 1000):
             assert next_sample_size(strat, stats, 1.0, 1.0, k) == 17
 
+    def test_unknown_strategy_raises_type_error(self):
+        """Only the three strategy classes size a batch: anything else, the
+        text of a strategy included, is a TypeError that names it."""
+        stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
+        for strategy in (object(), "fixed:10", 10):
+            with pytest.raises(TypeError, match="unknown sampling strategy"):
+                next_sample_size(strategy, stats, 1.0, 1.0, 1)
+
     def test_polynomial_ramp_values(self):
         strat = PolynomialSize(exponent=1.25, cap=1000)
         stats = SampleStats(0.0, np.zeros(1), 0.0, 2)
