@@ -23,6 +23,7 @@ intercepts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +43,12 @@ RHO_ESTIMATE = 10.0
 ALPHA0 = 15.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PpsInstance:
     """The benchmark's data.  Its arrays are read-only copies, so they cannot
     fall out of step with recourse, crash_starts and regime_prices, which
-    are built from them once, at construction."""
+    are built from them once, at construction.  Two instances compare by
+    identity."""
 
     factories: int
     stores: int
@@ -60,11 +62,11 @@ class PpsInstance:
     price_bounds: tuple = (1.0, 10.0)
     quantity_floor: float = 1.0
     #: the recourse LP, built and checked once from the fields above
-    recourse: lp.LpProblem = field(init=False, compare=False, repr=False)
+    recourse: lp.LpProblem = field(init=False, repr=False)
     #: the crash starts of _recourse_start on it, each checked once
-    crash_starts: tuple = field(init=False, compare=False, repr=False)
+    crash_starts: tuple = field(init=False, repr=False)
     #: the prices where _recourse_start's regimes end: min s, then min s + min c
-    regime_prices: tuple = field(init=False, compare=False, repr=False)
+    regime_prices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("production_costs", "shipment_costs", "slope_intervals",
@@ -108,27 +110,42 @@ def build_pps_instance() -> PpsInstance:
 
 
 def _truncated_normal(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
-                      count: int) -> np.ndarray:
+                      count: int, out: np.ndarray = None, *, mean: np.ndarray = None,
+                      sigma: np.ndarray = None) -> np.ndarray:
     """Rejection sampling, vectorized over `count` draws per interval.
 
-    lo/hi have shape (m,); the result has shape (count, m).  Acceptance is
-    about 95.4% per attempt (2-sigma window), so a handful of rounds suffice;
-    exhausting the hard cap means a broken generator and raises.
+    lo/hi have shape (m,); the draws fill and return out, a (count, m) array
+    or view (a new array when None).  mean and sigma, the midpoint and
+    width/4 of each interval, may be given precomputed.  Round one fills
+    out with mean + sigma * z; later rounds copy only the entries still
+    rejected.  Every round draws a full (count, m) block of standard
+    normals, so the generator's stream does not depend on which entries were
+    rejected.  Acceptance is about 95.4% per attempt (2-sigma window), so a
+    handful of rounds suffice; exhausting the hard cap means a broken
+    generator and raises.
     """
-    mean = 0.5 * (lo + hi)
-    sigma = (hi - lo) / 4.0
-    out = np.empty((count, lo.size))
-    pending = np.ones((count, lo.size), dtype=bool)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        draw = mean + sigma * rng.standard_normal((count, lo.size))
-        ok = pending & (draw >= lo) & (draw <= hi)
-        out[ok] = draw[ok]
-        pending &= ~ok
-        if not pending.any():
-            return out
-    a, b = (float(v[pending.any(axis=0)][0]) for v in (lo, hi))
-    raise RuntimeError(f"truncated-normal rejection sampling on [{a!r}, {b!r}] "
-                       f"accepted no draw in {_MAX_REJECTION_ROUNDS} rounds")
+    if mean is None:
+        mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
+    if out is None:
+        out = np.empty((count, lo.size))
+    # round one is formed contiguously and copied into out whole: faster
+    # than writing and testing through a strided view of a wider batch
+    draw = mean + sigma * rng.standard_normal(out.shape)
+    out[...] = draw
+    pending = ~((draw >= lo) & (draw <= hi))  # a nan is rejected too
+    rounds = 1
+    while pending.any():
+        if rounds == _MAX_REJECTION_ROUNDS:
+            a, b = (float(v[pending.any(axis=0)][0]) for v in (lo, hi))
+            raise RuntimeError(f"truncated-normal rejection sampling on [{a!r}, {b!r}] "
+                               f"accepted no draw in {_MAX_REJECTION_ROUNDS} rounds")
+        draw = mean + sigma * rng.standard_normal(out.shape)
+        ok = (draw >= lo) & (draw <= hi)
+        ok &= pending
+        np.copyto(out, draw, where=ok)
+        pending ^= ok
+        rounds += 1
+    return out
 
 
 def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:
@@ -137,14 +154,22 @@ def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:
 
 
 def scenario_sampler(instance: PpsInstance):
-    """Sampler callback: (rng, count) -> array of shape (count, 2*stores)."""
-    slope_lo, slope_hi = instance.slope_intervals.T
-    int_lo, int_hi = instance.intercept_intervals.T
+    """Sampler callback: (rng, count) -> array of shape (count, 2*stores).
+
+    The slopes are drawn first, then the intercepts, each by _truncated_normal
+    into its block of one new array."""
+    n = instance.stores
+    blocks = []
+    for intervals, columns in ((instance.slope_intervals, slice(None, n)),
+                               (instance.intercept_intervals, slice(n, None))):
+        lo, hi = np.ascontiguousarray(intervals.T)
+        blocks.append((columns, lo, hi, 0.5 * (lo + hi), (hi - lo) / 4.0))
 
     def sample(rng: np.random.Generator, count: int):
-        slopes = _truncated_normal(rng, slope_lo, slope_hi, count)
-        intercepts = _truncated_normal(rng, int_lo, int_hi, count)
-        return np.hstack([slopes, intercepts])
+        out = np.empty((count, 2 * n))
+        for columns, lo, hi, mean, sigma in blocks:
+            _truncated_normal(rng, lo, hi, count, out[:, columns], mean=mean, sigma=sigma)
+        return out
 
     return sample
 
@@ -251,16 +276,27 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
     bases; only the cost and the right-hand sides are built per call, on
-    instance.recourse.  Each cold solve starts from the immutable crash
-    start that _recourse_start picks for p and this batch's demands.  The
-    p-derivative comes from the envelope theorem: the z part of the cost
-    vector has derivative -1 per unit shipped, and the demand right-hand
-    sides have derivative slope_j, weighted by their duals; both terms are
-    read per basis of the batch (shipped totals from the basic values).
-    Returns two (batch,) arrays; raises RuntimeError naming the first
-    scenario whose LP is not solved to optimality.
+    instance.recourse.  The cost is built once, not copied again by
+    with_vectors; a price that makes it non-finite raises ValueError("cost
+    must be finite").  The batch starts from the immutable crash start that
+    _recourse_start picks for p and this batch's demands; when that start
+    fits every row and prices optimal it serves the whole batch, and else
+    each cold solve starts from it.  The p-derivative comes from the
+    envelope theorem: the z part of the cost vector has derivative -1 per
+    unit shipped, and the demand right-hand sides have derivative slope_j,
+    weighted by their duals; both terms are read per basis of the batch
+    (shipped totals from the basic values).  Returns two (batch,) arrays;
+    raises RuntimeError naming the first scenario whose LP is not solved to
+    optimality.
     """
-    problem = instance.recourse.with_vectors(cost=_recourse_cost(instance, p))
+    cost = _recourse_cost(instance, p)
+    # at p >= 0 only the cheapest shipment's s - p can overflow; a nan or a
+    # negative price is checked on the whole cost
+    if not (math.isfinite(instance.regime_prices[0] - p) if p >= 0
+            else np.isfinite(cost).all()):
+        raise ValueError("cost must be finite")
+    cost.flags.writeable = False
+    problem = instance.recourse._with(cost=cost)
     rhs = _recourse_rhs(instance, p, scenarios)
     start = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)

@@ -31,7 +31,7 @@ from typing import List
 import numpy as np
 
 from .model import ConstrainedStochasticProblem, _require_int, merit_value, predicted_decrease
-from .qp import QpProblem, QpStatus, solve_qp
+from .qp import QpProblem, QpStatus, _frozen, solve_qp
 from .sampling import (
     OracleError,
     SamplingStrategy,
@@ -47,7 +47,9 @@ MAX_HALVINGS = 64
 
 @dataclass
 class SolverConfig:
-    """Run settings shared by both loops."""
+    """Run settings shared by both loops.  x0 is kept as a read-only copy, so
+    a later write to the caller's array changes neither the config nor what
+    a trace without records reports as final_x."""
 
     x0: np.ndarray
     alpha0: float
@@ -61,7 +63,7 @@ class SolverConfig:
     max_iterations: int = 10 ** 6
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
+        self.x0 = _frozen(self.x0)
         # written so that NaN and inf fail every test
         if not 0 < self.alpha0 < math.inf:
             raise ValueError("alpha0 must be positive and finite")

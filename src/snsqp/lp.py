@@ -33,6 +33,10 @@ basic bounds to FEAS_TOL; the start is then priced once, and is the optimum
 without a simplex when no column enters (Bixby, "Solving real-world linear
 programs", Oper. Res. 50(1), 2002, on known bases); else phase 2 runs from
 it.  A start that fails a check is ignored, and the slack basis is used.
+solve_lp_multi_rhs takes the bunching one step further: it forms a Start's
+basic values for the whole batch in one product, and when they fit every
+row and one pricing finds no entering column, the start serves the batch
+with no solve_lp call.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """min cost.x  s.t.  ineq_matrix @ x <= ineq_rhs,  lower <= x <= upper.
 
@@ -71,7 +75,7 @@ class LpProblem:
     every solve of these rows and bounds shares: the column block
     [ineq_matrix | I], the column ranges (upper - lower, then +inf per
     slack) and ineq_matrix @ lower.  with_vectors swaps in a new cost or
-    right-hand side and keeps them.
+    right-hand side and keeps them.  Two problems compare by identity.
     """
 
     cost: np.ndarray
@@ -79,9 +83,9 @@ class LpProblem:
     ineq_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    ranges: np.ndarray = field(init=False, repr=False, compare=False)
-    lower_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    ranges: np.ndarray = field(init=False, repr=False)
+    lower_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cost, ineq_rhs, lower, upper = (_frozen(np.atleast_1d(vector)) for vector in (
@@ -169,10 +173,12 @@ class LpBatchSolution:
     """Solutions of LPs that differ only in their right-hand side, stored by basis.
 
     solves holds one LpSolution per solve_lp call, made in row order for the
-    first row no earlier basis fits.  Row i has the status, basis, at_upper
-    and duals of solves[group[i]], its basic values xb[i] in that basis's
-    order, and its optimal value objective[i].  A row that is not OPTIMAL is
-    the one its solve was made for, with zero xb and a nan objective.
+    first row no earlier basis fits, or only the solution of a start that
+    serves every row, as solve_lp would make it for row 0.  Row i has the
+    status, basis, at_upper and duals of solves[group[i]], its basic values
+    xb[i] in that basis's order, and its optimal value objective[i].  A row
+    that is not OPTIMAL is the one its solve was made for, with zero xb and a
+    nan objective.
     """
 
     solves: list
@@ -255,13 +261,17 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
 
     The LPs share cost, rows and bounds (problem.ineq_rhs is not used), so an
     optimal basis of one is dual feasible for all of them, and optimal for
-    every right-hand side that keeps its basic values within bounds.  The
-    first unresolved row is cold-solved by solve_lp from `start`.  Then
-    B^-1 (b0 - N_U u_U) is formed for every unresolved row in one product with
-    the solve's basis inverse, so a row's values do not depend on the pivots
-    that found its basis.  Rows whose values lie within bounds to FEAS_TOL
-    join its group, with objective c.l + c_U (u_U - l_U) + c_B xb; the rest
-    repeat from the first rejected row.
+    every right-hand side that keeps its basic values within bounds.  A Start
+    checked on problem.columns is first tried on the whole batch: when its
+    basic values fit every row and one pricing finds no entering column, it
+    serves the batch with no cold solve, and solves[0] is the LpSolution
+    solve_lp would make of it for row 0.  Otherwise the first unresolved row
+    is cold-solved by solve_lp from `start`.  Either way, B^-1 (b0 - N_U u_U)
+    is formed for every unresolved row in one product with the basis
+    inverse, so a row's values do not depend on the pivots that found its
+    basis.  Rows whose values lie within bounds to FEAS_TOL join its group,
+    with objective c.l + c_U (u_U - l_U) + c_B xb; the rest repeat from the
+    first rejected row.
     """
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     n_lp, s = rhs.shape
@@ -272,8 +282,23 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     shifted = rhs - problem.lower_rows
     costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing
     fixed_cost = float(problem.cost @ problem.lower)
+    group = np.zeros(n_lp, dtype=np.intp)
+    if n_lp and isinstance(start, Start) and start.columns is problem.columns:
+        basis, upper, b_inv = start.basis, start.at_upper, start.inverse
+        bound = rng[basis] + FEAS_TOL
+        net = _net_of_upper(problem, shifted, upper)
+        values = net @ b_inv.T
+        xb = b_inv @ net[0]  # row 0 as solve_lp forms it
+        if (((values >= -FEAS_TOL) & (values <= bound)).all()
+                and ((xb >= -FEAS_TOL) & (xb <= bound)).all()):
+            y, j = _price(costs, basis, b_inv, problem.columns, start.sign, bland=False)
+            if j is None:  # one basis serves every row
+                sol = _optimum(problem, basis, upper, b_inv, xb, y, 0)
+                nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
+                return LpBatchSolution([sol], group, values,
+                                       nonbasic_cost + values @ costs[basis])
 
-    solves, group = [], np.zeros(n_lp, dtype=np.intp)
+    solves = []
     xb, objective = np.zeros((n_lp, s)), np.full(n_lp, np.nan)
     pending = np.arange(n_lp)
     while pending.size:
@@ -291,8 +316,6 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
         fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
         # nonbasic variables sit at the bound they sit at in the cold solve
         nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
-        if pending.size == n_lp and fits.all():  # one basis serves every row
-            return LpBatchSolution(solves, group, values, nonbasic_cost + values @ costs[basis])
         won, values = pending[fits], values[fits]
         xb[won] = values
         objective[won] = nonbasic_cost + values @ costs[basis]

@@ -66,7 +66,7 @@ class QpStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxPolyhedron:
     """Compact convex set {x : lower <= x <= upper, ineq_matrix @ x <= ineq_rhs}.
 
@@ -78,7 +78,7 @@ class BoxPolyhedron:
     data must be finite, and the bounds keep the set compact, which keeps
     subproblem steps and multipliers bounded.  The set is frozen and its
     arrays are read-only copies, so the limits cannot fall out of step with
-    their data.
+    their data.  Two sets compare by identity.
     """
 
     lower: np.ndarray
@@ -108,10 +108,6 @@ class BoxPolyhedron:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def n_ineq(self) -> int:
-        return self.ineq_rhs.size
 
     def membership(self, x, tol: float = 1e-9) -> bool:
         """Whether every slack translated_limits(x) is at least -tol.  A NaN
@@ -166,13 +162,14 @@ class BoxPolyhedron:
         return _frozen(limits)
 
 
-@dataclass
+@dataclass(eq=False)
 class QpProblem:
     """One subproblem: gradient estimate, scalar curvature, optional equality rows.
 
     eq_jacobian columns are the constraint gradients (shape n x m); the
     linearized constraints read eq_jacobian.T @ d = -eq_residual.  The set is
-    already translated to step coordinates by the caller.
+    already translated to step coordinates by the caller.  Two problems
+    compare by identity.
     """
 
     gradient: np.ndarray

@@ -6,8 +6,8 @@ systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
 The rest are independent checks: LP optimality residuals (with the
 expansion of one batch row into its own LP solution), finite
-differences, quadrature moments, grid minima, the closed-form PPS recourse
-and a sampled weak-convexity modulus.
+differences, quadrature moments, grid minima, the plain two-call PPS
+sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9) -> tuple:
     """
     box, g, alpha = problem.set, problem.gradient, problem.curvature
     n = box.dim
-    n_rows = box.n_ineq
+    n_rows = box.ineq_rhs.size
     eq_jac = problem.eq_jacobian
     best_val, best_d = np.inf, None
 
@@ -226,6 +226,30 @@ def truncated_normal_moments(a: float, b: float) -> tuple:
     mean /= mass
     second, _ = quad(lambda u: (u - mean) ** 2 * density(u), a, b)
     return mean, second / mass
+
+
+def plain_scenario_sampler(instance: PpsInstance):
+    """The PPS sampler in its plainest form: one rejection routine per block,
+    called for the slopes and then the intercepts, and the two blocks
+    stacked.  Each round draws a full (count, m) block of standard normals
+    and keeps its accepted entries; pps.scenario_sampler must give the same
+    bits from the same generator."""
+    def truncated_normal(rng, lo, hi, count):
+        mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
+        out = np.empty((count, lo.size))
+        pending = np.ones((count, lo.size), dtype=bool)
+        while pending.any():
+            draw = mean + sigma * rng.standard_normal((count, lo.size))
+            ok = pending & (draw >= lo) & (draw <= hi)
+            out[ok] = draw[ok]
+            pending &= ~ok
+        return out
+
+    def sample(rng, count):
+        return np.hstack([truncated_normal(rng, *instance.slope_intervals.T, count),
+                          truncated_normal(rng, *instance.intercept_intervals.T, count)])
+
+    return sample
 
 
 def grid_minimum(fn, lower: np.ndarray, upper: np.ndarray, steps: int) -> tuple:

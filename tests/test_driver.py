@@ -202,6 +202,19 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="dimension"):
             run_algorithm1(problem, config)
 
+    def test_config_keeps_a_read_only_copy_of_x0(self):
+        """A later write to the caller's array changes neither config.x0 nor
+        the final_x of a run that ends before its first record."""
+        x0 = np.array([0.5, 0.5])
+        config = SolverConfig(x0=x0, alpha0=0.25, strategy=FixedSize(2), budget=100)
+        trace = run_algorithm1(nan_on_call(1), config)
+        assert trace.stop_reason == "oracle_error" and trace.records == []
+        x0[:] = 9.0
+        np.testing.assert_array_equal(config.x0, [0.5, 0.5])
+        np.testing.assert_array_equal(trace.final_x, [0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            config.x0[0] = 1.0
+
     def test_config_field_validation(self):
         base = dict(x0=np.zeros(2), alpha0=1.0, strategy=FixedSize(4), budget=10)
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""The package surface: what `import snsqp` exports, and the README's
-library example, run as written."""
+"""The package surface: what `import snsqp` exports, the README's library
+example, run as written, and how the data objects compare."""
 
 import ast
 import contextlib
@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 
 import snsqp
+from snsqp.bench.pps import build_pps_instance
+from snsqp.lp import LpProblem
+from snsqp.qp import QpProblem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,22 @@ def test_readme_library_example_runs():
     assert trace.stop_reason == "stall"
     np.testing.assert_array_equal(trace.final_x, [-2.0, 0.0])
     assert out.getvalue() == f"{trace.final_x} stall\n"
+
+
+def test_data_objects_with_array_fields_compare_by_identity():
+    """== on two equal objects with array fields is False, not numpy's
+    "truth value of an array is ambiguous" error, and an object equals
+    itself."""
+    def box():
+        return snsqp.BoxPolyhedron([0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [1.5])
+
+    builders = (
+        box,
+        lambda: LpProblem([-1.0, -1.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0]),
+        lambda: QpProblem([1.0, -1.0], 2.0, box()),
+        build_pps_instance,
+    )
+    for build in builders:
+        first, second = build(), build()
+        assert first == first and not first == second and first != second
+        assert len({first, first, second}) == 2

@@ -29,6 +29,7 @@ from snsqp.diagnostics import REFERENCE_SEED, reference_batch
 from snsqp.sampling import OracleError, aggregate, draw_scenarios
 
 from reference import (
+    plain_scenario_sampler,
     recourse_closed_form,
     second_stage_lp,
     suggest_rho,
@@ -173,6 +174,17 @@ class TestScenarioDistribution:
         with pytest.raises(RuntimeError, match=r"\[16\.0, 17\.0\]"):
             _truncated_normal(OutOfRange(), np.array([16.0]), np.array([17.0]), 1)
 
+    @pytest.mark.parametrize("size", [1, 2, 10, 1000])
+    def test_sampler_matches_the_plain_two_call_sampler(self, instance, problem, size):
+        """Each block is drawn into its place in the batch; the draws are
+        bitwise those of two plain calls whose results are stacked."""
+        plain = plain_scenario_sampler(instance)
+        for seed, iteration in ((0, 0), (1, 7), (42, 3), (2 ** 31, 1)):
+            drawn = draw_scenarios(problem.scenario_sampler, seed, iteration, size)
+            stacked = draw_scenarios(plain, seed, iteration, size)
+            assert drawn.shape == stacked.shape == (size, 10)
+            assert drawn.tobytes() == stacked.tobytes()
+
     def test_sampler_is_deterministic(self, problem):
         a = draw_scenarios(problem.scenario_sampler, 4, 11, 50)
         b = draw_scenarios(problem.scenario_sampler, 4, 11, 50)
@@ -229,6 +241,22 @@ class TestRecourseLp:
                                          *split_scenarios(instance, scenarios))
         np.testing.assert_allclose(grads[:, 1], -x + derivs, rtol=0, atol=1e-8)
         assert np.all(grads[:, 0] == instance.first_stage_cost - p)
+
+    @pytest.mark.parametrize("price", [np.nan, np.inf, -np.inf])
+    def test_non_finite_price_raises(self, instance, problem, price):
+        scenarios = draw_scenarios(problem.scenario_sampler, 0, 1, 10)
+        with pytest.raises(ValueError, match="cost must be finite"):
+            recourse_lp(instance, price, scenarios)
+
+    @pytest.mark.parametrize("shipment, price", [(-1e308, 1e308), (1e308, -1e308)])
+    def test_price_that_overflows_the_cost_raises(self, instance, problem, shipment,
+                                                  price):
+        """A finite price whose shipment margin s - p overflows, either way."""
+        extreme = dataclasses.replace(instance, shipment_costs=np.full((5, 5), shipment))
+        scenarios = draw_scenarios(problem.scenario_sampler, 0, 1, 10)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="cost must be finite"):
+            recourse_lp(extreme, price, scenarios)
 
     def test_one_cold_solve_serves_a_batch(self, instance, problem):
         scenarios = draw_scenarios(problem.scenario_sampler, 0, 1, 1000)
@@ -310,11 +338,14 @@ class TestPinnedPivots:
 
     def test_one_cold_solve_per_price_on_the_reference_batch(self, instance, problem,
                                                              monkeypatch):
+        """At each pinned price one basis serves the reference batch: its
+        crash start, which needs no solve_lp call, so the pins are read from
+        the batch's solves."""
         batch = reference_batch(problem)
-        solves, _ = record_solves(monkeypatch)
+        _, batches = record_solves(monkeypatch)
         for k, p in enumerate(PIN_PRICES):
             recourse_lp(instance, p, batch)
-            (sol,) = solves[k:]
+            (sol,) = batches[k].solves
             assert (sol.iterations, tuple(sol.basis)) == CRASH_SOLVES[k], f"p = {p}"
 
 
@@ -347,17 +378,35 @@ def test_optimal_crash_starts_build_no_simplex(instance, problem, monkeypatch, s
 @pytest.mark.parametrize("size", [10, 1000])
 def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, size):
     """The benchmark's lp.recourse_* spans time the recourse LP by wrapping
-    snsqp.lp.solve_lp.  A cold solve that bypassed that name would drop out
-    of them without any error, so the wrapped name must see every cold solve
-    that len(LpBatchSolution.solves) counts, through recourse_lp and through
-    the problem's oracle."""
+    snsqp.lp.solve_lp.  A crash start that serves its whole batch makes no
+    solve_lp call; a cold solve that bypassed that name would drop out of
+    the spans without any error.  So, through recourse_lp and through the
+    problem's oracle, the wrapped name must see every solve that
+    len(LpBatchSolution.solves) counts, except the one of a start serving
+    its whole batch.  The last price's batch holds a row whose demand is
+    below the crash start's floor units, so the start fits only some rows
+    and its cold solves must be seen."""
     scenarios = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, size)
+    short = scenario(np.full(5, -1.0), np.full(5, 5.0))  # demand 2 at p = 3
+    mixed = np.vstack([scenarios, short])
     solves, batches = record_solves(monkeypatch)
-    for p in (1.5, 3.0, 6.5):
-        recourse_lp(instance, p, scenarios)
-        problem.oracle(np.array([2.0, p]), scenarios)
-    assert len(batches) == 6
-    assert len(solves) == sum(len(batch.solves) for batch in batches) >= 6
+    calls, starts = [], []
+    for p, batch in ((1.5, scenarios), (3.0, scenarios), (6.5, scenarios), (3.0, mixed)):
+        start = pps._recourse_start(instance, p, batch[:, 5:] + p * batch[:, :5])
+        for evaluate in (lambda: recourse_lp(instance, p, batch),
+                         lambda: problem.oracle(np.array([2.0, p]), batch)):
+            before = len(solves)
+            evaluate()
+            calls.append(len(solves) - before)
+            starts.append(start)
+    assert len(batches) == 8
+    for batch, seen, start in zip(batches, calls, starts):
+        (first, *_) = batch.solves
+        whole = (len(batch.solves) == 1 and first.iterations == 0
+                 and np.array_equal(first.basis, start.basis))
+        assert seen == len(batch.solves) - whole
+    assert calls[:6] == [0] * 6
+    assert calls[6] == calls[7] == len(batches[7].solves) >= 2
 
 
 def cold_recourse(instance, p, scenarios):
@@ -370,6 +419,40 @@ def cold_recourse(instance, p, scenarios):
                        - sol.duals[:instance.stores] @ slope
                        for sol, slope in zip(sols, slopes)])
     return values, derivs, sols
+
+
+def same_bytes(actual, expected) -> bool:
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (actual.dtype, actual.shape, actual.tobytes()) == (
+        expected.dtype, expected.shape, expected.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.sampled_from([1, 2, 10, 37, 1000]), short_row=st.booleans())
+def test_a_start_serving_its_batch_gives_the_loops_bits(instance, problem, p, seed,
+                                                         size, short_row):
+    """solve_lp_multi_rhs with a checked Start against the same start given
+    as a (basis, at_upper) pair, which always takes the loop of cold
+    solves: xb, objective, group and solves[0] agree bit for bit, whether
+    the start serves the whole batch or, with a row whose demand is below
+    the floor units, only some of it."""
+    scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, size)
+    if short_row:
+        slope = np.full(5, -1.0)
+        scenarios = np.vstack([scenarios, scenario(slope, 2.0 - p * slope)])
+    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    rhs = pps._recourse_rhs(instance, p, scenarios)
+    start = pps._recourse_start(instance, p, rhs[:, :instance.stores])
+    priced = lp.solve_lp_multi_rhs(at_p, rhs, start)
+    looped = lp.solve_lp_multi_rhs(at_p, rhs, (start.basis, start.at_upper))
+    for name in ("xb", "objective", "group"):
+        assert same_bytes(getattr(priced, name), getattr(looped, name)), name
+    assert len(priced.solves) == len(looped.solves)
+    first, want = priced.solves[0], looped.solves[0]
+    assert (first.status, first.iterations) == (want.status, want.iterations)
+    for name in ("primal", "duals", "objective", "basis", "at_upper", "basis_inverse"):
+        assert same_bytes(getattr(first, name), getattr(want, name)), name
 
 
 class TestCrashStart:
