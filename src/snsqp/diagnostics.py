@@ -91,10 +91,11 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
 
     # loop ids: the bounds, then the active rows, with the equality rows last
     index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
-    g_exp = _row_exponent(g_list)
+    g_exp, active = _row_exponent(g_list), [rows[c - 2 * n] for c in index[2 * n:]]
     status, d, mults, _, _ = _active_set(
-        [math.ldexp(v, -g_exp) for v in g_list], 1.0, [rows[c - 2 * n] for c in index[2 * n:]],
-        [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]))
+        [math.ldexp(v, -g_exp) for v in g_list], 1.0, active,
+        [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
+        list(map(_row_exponent, active)))
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")
     for c, w in zip(index, mults):

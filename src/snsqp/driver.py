@@ -11,7 +11,8 @@ this implementation fixes nu_k = 1, mu_k = 0 and alpha_k = alpha0 (clamped
 to eta_alpha*rho after the first iteration), so beta = min(zeta, pi).
 
 Both record one trace row per iteration and stop on an oracle-call budget,
-an iteration cap, a stall (ten consecutive steps of norm <= 1e-8), a
+an iteration cap, a stall (ten consecutive steps of norm <= 1e-8, counted as
+they are taken: a larger step resets the count), a
 subproblem that is infeasible or whose solve fails (for example when -g/alpha
 overflows), a line search that reaches its cap of halvings, or an oracle
 failure (oracle_error: an OracleError out of aggregate, whose message the
@@ -38,6 +39,7 @@ from .sampling import (
     aggregate,
     draw_scenarios,
     next_sample_size,
+    scenario_generator,
 )
 
 STALL_WINDOW = 10
@@ -129,22 +131,27 @@ def update_theta(theta_prev: float, lam: np.ndarray, gamma: float) -> float:
     """Penalty update: never decreases, always dominates |lam|_inf + gamma."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    lam_norm = float(np.max(np.abs(lam))) if np.size(lam) else 0.0
+    # np.max is this reduction behind a Python wrapper: the same bits
+    lam_norm = float(np.maximum.reduce(np.abs(lam), axis=None)) if np.size(lam) else 0.0
     return max(theta_prev, lam_norm + gamma)
 
 
 def compute_pi(eta_beta: float, alpha: float, h: float, theta: float, m: int) -> float:
     """Step-length floor: the largest power of 1/2 at most eta_beta*alpha/(h*theta*m).
 
-    h = 0 (or m = 0) makes the ratio infinite and the floor is 1.
+    h = 0 (or m = 0) makes the ratio infinite and the floor is 1.  A ratio
+    that is 0, as when h*theta*m overflows, gives 0; a subnormal ratio gives
+    its own power of 1/2.
     """
     if h == 0.0 or m == 0:
         return 1.0
     ratio = eta_beta * alpha / (h * theta * m)
     if ratio >= 1.0:
         return 1.0
-    power = math.ceil(math.log2(1.0 / ratio))
-    return 0.5 ** power
+    if not ratio > 0.0:
+        return 0.0
+    # ratio lies in [2**(e-1), 2**e) for e = frexp(ratio)[1], exactly
+    return math.ldexp(0.5, math.frexp(ratio)[1])
 
 
 def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, c_x: np.ndarray,
@@ -160,14 +167,16 @@ def line_search(problem: ConstrainedStochasticProblem, x: np.ndarray, c_x: np.nd
     MAX_HALVINGS halvings, a sign that rho_estimate or lipschitz_h is
     underestimated, it returns (None, MAX_HALVINGS + 1): every trial rejected.
     """
-    c_norm = float(np.sum(np.abs(c_x)))
+    # np.sum is this reduction behind a Python wrapper: the same bits
+    c_norm = float(np.add.reduce(np.abs(c_x), axis=None))
     lam_c = abs(float(lam @ c_x))
     d_sq = float(d @ d)
     zeta = 1.0
     for backtracks in range(MAX_HALVINGS + 1):
         c_trial, _ = problem.eq_constraints(x + zeta * d)
         lhs = theta * c_norm - zeta * lam_c
-        rhs = theta * float(np.sum(np.abs(c_trial))) - 0.5 * eta_beta * alpha * zeta * d_sq
+        rhs = (theta * float(np.add.reduce(np.abs(c_trial), axis=None))
+               - 0.5 * eta_beta * alpha * zeta * d_sq)
         if lhs >= rhs:
             return zeta, backtracks
         zeta *= 0.5
@@ -205,7 +214,8 @@ def _run(problem, config, with_equalities):
     x = x0.copy()   # always a member of the feasible set
     alpha, theta = config.alpha0, config.theta0
     sample_size = config.strategy.initial_size()
-    oracle_calls = 0
+    oracle_calls = small_steps = 0
+    rng = scenario_generator()  # re-keyed by every draw
     trace = IterationTrace(problem=problem, config=config)
     # the constraint count enters the step floor; frozen from the start point
     n_eq = len(problem.eq_constraints(x0)[0]) if with_equalities else 0
@@ -219,7 +229,7 @@ def _run(problem, config, with_equalities):
             break
 
         scenarios = draw_scenarios(problem.scenario_sampler, config.master_seed,
-                                   k, sample_size)
+                                   k, sample_size, rng)
         oracle_calls += len(scenarios)
         try:
             stats = aggregate(problem, x, scenarios)
@@ -258,12 +268,14 @@ def _run(problem, config, with_equalities):
             theta_col = 0.0
 
         x = x + beta * d
-        # kill roundoff drift across the box faces; the step itself is feasible
-        np.clip(x, problem.set.lower, problem.set.upper, out=x)
+        # kill roundoff drift across the box faces; the step itself is feasible.
+        # np.clip's ufunc gives these bits, NaN and signed zeros included
+        np.minimum(np.maximum(x, problem.set.lower, out=x), problem.set.upper, out=x)
+        step_norm = float(np.linalg.norm(d))
 
         trace.records.append(IterationRecord(
             k=k, x=x.copy(),
-            step_norm=float(np.linalg.norm(d)),
+            step_norm=step_norm,
             pred_decrease=predicted_decrease(stats.mean_subgradient, alpha, d),
             zeta=zeta, beta=beta, alpha=alpha, theta=theta_col,
             batch_size=stats.batch_size, oracle_calls=oracle_calls,
@@ -278,11 +290,10 @@ def _run(problem, config, with_equalities):
         # alpha0 may sit up to 1e-12 above eta_alpha*rho; later iterations do not
         alpha = min(alpha, config.eta_alpha * rho)
 
-        if len(trace.records) >= STALL_WINDOW:
-            recent = trace.records[-STALL_WINDOW:]
-            if max(r.step_norm for r in recent) <= STALL_TOL:
-                trace.stop_reason = "stall"
-                break
+        small_steps = small_steps + 1 if step_norm <= STALL_TOL else 0
+        if small_steps >= STALL_WINDOW:
+            trace.stop_reason = "stall"
+            break
 
     trace.oracle_calls = oracle_calls
     return trace

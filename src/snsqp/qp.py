@@ -233,15 +233,16 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     gradient = problem.gradient.tolist()
     general, limits = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
                                 problem.eq_residual)
+    exps = list(map(_row_exponent, general))
     # on Python floats, so that an overflow raises no numpy warning
     if math.isfinite(max(map(abs, gradient)) / alpha):
-        result = _active_set(gradient, alpha, general, limits, m)
+        result = _active_set(gradient, alpha, general, limits, m, exps)
     else:
         result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
     status, d, mults, rank_warning, iterations = result
     residual = math.inf
     if status is QpStatus.OPTIMAL:
-        residual = _kkt(gradient, alpha, general, limits, m, d, mults)
+        residual = _kkt(gradient, alpha, general, limits, m, exps, d, mults)
         if not residual <= TOL * max(1.0, *map(abs, gradient)):  # NaN fails too
             status = QpStatus.NUMERICAL_FAILURE
     else:
@@ -271,16 +272,17 @@ def _row_form(limits: list, box: BoxPolyhedron, eq_jacobian=None, eq_values=None
     return general, limits
 
 
-def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int):
+def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int,
+                exps: list):
     """The dual active-set loop for min g.d + (alpha/2)|d|^2 on Python
     floats, over the bounds -d_i <= limits[i] and d_i <= limits[n + i], then
     the rows a . d <= limits[c] of general, whose last m are equality rows.
     A bound with an infinite limit never enters.
 
-    Each row of general and its limit are first scaled to the row scale of
-    _row_exponent, exactly: the solve is the same however the rows are
-    written, no a . a underflows or overflows, and the absolute tolerances
-    meet entries of order one.
+    Each row of general and its limit are first scaled to the row scale
+    exps, the _row_exponent of each row, exactly: the solve is the same
+    however the rows are written, no a . a underflows or overflows, and the
+    absolute tolerances meet entries of order one.
 
     The start is -g/alpha plus the least-norm correction onto the equality
     rows; if that misses them by more than VIOLATION_TOL, the status is
@@ -300,7 +302,6 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     on its coordinate.  Otherwise d and mults are None.
     """
     n, k = len(gradient), len(general)
-    exps = list(map(_row_exponent, general))
     general = [[math.ldexp(v, -e) for v in a] for a, e in zip(general, exps)]
     limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
     side = [0.0] * n
@@ -402,41 +403,21 @@ def _scaled_limit(b: float, exp: int) -> float:
         return math.copysign(math.inf, b)
 
 
-def kkt_residual(problem: QpProblem, candidate: QpSolution) -> float:
-    """Max of stationarity, primal, dual and complementarity infinity norms:
-    _kkt on the subproblem's row form.  Zero for an exact KKT point of the
-    subproblem, and NaN if any part is NaN."""
-    box = problem.set
-    n, m = box.dim, problem.n_eq
-    d = np.asarray(candidate.step, dtype=float)
-    mult = np.asarray(candidate.set_multipliers, dtype=float)
-    lam = np.asarray(candidate.eq_multipliers, dtype=float)
-    if d.shape != (n,) or mult.shape != box.limits.shape or (m and lam.shape != (m,)):
-        raise ValueError("the candidate needs a step entry per coordinate, a set "
-                         "multiplier per row of the set and an equality "
-                         "multiplier per equality row")
-    general, limits = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
-                                problem.eq_residual)
-    mults = mult.tolist() + (lam.tolist() if m else [])
-    return _kkt(problem.gradient.tolist(), problem.curvature, general, limits, m,
-                d.tolist(), mults)
-
-
 def _kkt(gradient: list, alpha: float, general: list, limits: list, m: int,
-         d: list, mults: list) -> float:
+         exps: list, d: list, mults: list) -> float:
     """The KKT residual of the step d and the multipliers mults, one per
     constraint id, over _active_set's lists, whose last m general rows are
     equality rows.
 
     Each general row's slack, and each inequality row's multiplier sign, are
-    read at the loop's row scale (_row_exponent), so the certificate does
-    not depend on how the rows are written; an equality row's gap is its
-    negated slack, and its multiplier is free in sign.  The stationarity and
+    read at the loop's row scale, the exps _active_set was given, so the
+    certificate does not depend on how the rows are written; an equality
+    row's gap is its negated slack, and its multiplier is free in sign.  The stationarity and
     the complementarity w * s are free of that scale already and stay
     unscaled.  The bounds are the signed unit vectors they are.
     """
     n, p = len(gradient), len(general) - m
-    n_set, exps = 2 * n + p, list(map(_row_exponent, general))
+    n_set = 2 * n + p
     # the slack of the lower bounds, the upper bounds and the general rows
     slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
              + [b - _dot(a, d) for a, b in zip(general, limits[2 * n:])])
@@ -543,5 +524,6 @@ def _frozen(values) -> np.ndarray:
 def _require_finite(**fields: np.ndarray) -> None:
     """Raise ValueError naming the first field with a NaN or infinite entry."""
     for name, value in fields.items():
-        if not np.isfinite(value).all():
+        # the reduction of ndarray.all without its Python wrapper
+        if not np.logical_and.reduce(np.isfinite(value), axis=None):
             raise ValueError(f"{name} must be finite")

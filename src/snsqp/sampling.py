@@ -1,8 +1,11 @@
 """Scenario batches: seeded draws, aggregation, and sample-size schedules.
 
 Batches are reproducible by construction: the stream for iteration k of a run
-is a counter-based generator keyed by a 64-bit mix of (master_seed, k), so
-the draw does not depend on history, execution order, or worker count.
+is a counter-based generator (Philox) keyed by a 64-bit mix of
+(master_seed, k), so the draw does not depend on history, execution order, or
+worker count.  A run owns one generator and re-keys it for every draw: the
+key picks the stream and the counter restarts at zero, which gives the bits
+of a generator built fresh for that key at a fraction of the cost.
 
 Three batch-size schedules are provided: a constant size, a polynomial ramp
 ceil(k^exponent), and an adaptive rule that grows the batch exactly when the
@@ -24,6 +27,7 @@ from .model import ConstrainedStochasticProblem, _require_int
 logger = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+_ZEROS = (0, 0, 0, 0)
 #: smallest batch: the sample variance needs two scenarios
 MIN_BATCH = 2
 
@@ -135,15 +139,30 @@ def substream_key(master_seed: int, iteration: int) -> int:
     return (a << 64) | b
 
 
-def draw_scenarios(sampler, master_seed: int, iteration: int, count: int) -> np.ndarray:
+def scenario_generator() -> np.random.Generator:
+    """A generator for draw_scenarios to re-key; one serves every draw of a run."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def draw_scenarios(sampler, master_seed: int, iteration: int, count: int,
+                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Draw an i.i.d. batch from the substream owned by (master_seed, iteration).
 
-    The batch is returned read-only, so an oracle cannot change it for a
-    later evaluation: the reference batch serves a whole run.
+    rng, from scenario_generator, is re-keyed to that substream first, so
+    what it drew before does not matter; without it a new one is built.  The
+    batch is returned read-only, so an oracle cannot change it for a later
+    evaluation: the reference batch serves a whole run.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.Generator(np.random.Philox(key=substream_key(master_seed, iteration)))
+    if rng is None:
+        rng = scenario_generator()
+    key = substream_key(master_seed, iteration)
+    # Philox(key=key)'s state: a zero counter and an empty output buffer
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (key & _MASK64, key >> 64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     batch = sampler(rng, count)
     batch.flags.writeable = False
     return batch
@@ -177,7 +196,9 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
         raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
                           f"for {n_scen} scenarios in dimension {problem.dimension}")
-    if not (np.isfinite(values).all() and np.isfinite(grads).all()):
+    # the reductions of ndarray.all without its Python wrapper
+    if not (np.logical_and.reduce(np.isfinite(values), axis=None)
+            and np.logical_and.reduce(np.isfinite(grads), axis=None)):
         finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
         raise OracleError(f"oracle returned a non-finite value or subgradient at "
                           f"scenario index {int(np.argmin(finite))}")

@@ -4,9 +4,9 @@ Nothing here is clever on purpose.  The QP reference enumerates every
 combination of active bounds and rows and solves the resulting equality
 systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
-The rest are independent checks: LP optimality residuals (with the
-expansion of one batch row into its own LP solution), finite
-differences, quadrature moments, grid minima, the plain two-call PPS
+The rest are independent checks: a dense QP KKT residual, LP optimality
+residuals (with the expansion of one batch row into its own LP solution),
+finite differences, quadrature moments, grid minima, the plain two-call PPS
 sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
 """
 
@@ -105,6 +105,29 @@ def set_rows(box) -> np.ndarray:
     ineq_matrix.  set_rows(box) @ x <= box.limits is the set."""
     eye = np.eye(box.dim)
     return np.concatenate([-eye, eye, box.ineq_matrix])
+
+
+def kkt_residual(problem: QpProblem, solution) -> float:
+    """Max of the stationarity, primal, dual and complementarity infinity
+    norms of a candidate (step, set_multipliers, eq_multipliers) for
+
+        min g.d + (alpha/2)|d|^2  s.t.  set_rows(set) @ d <= set.limits,
+                                        eq_jacobian.T @ d = -eq_residual,
+
+    from that definition on dense arrays, unscaled.  Zero for an exact KKT
+    point, and NaN if any entry of the candidate is NaN.
+    """
+    rows, d = set_rows(problem.set), np.asarray(solution.step, dtype=float)
+    mu = np.asarray(solution.set_multipliers, dtype=float)
+    stationarity = problem.gradient + problem.curvature * d + rows.T @ mu
+    eq_gap = np.zeros(0)
+    if problem.n_eq:
+        lam = np.asarray(solution.eq_multipliers, dtype=float)
+        stationarity = stationarity + problem.eq_jacobian @ lam
+        eq_gap = problem.eq_jacobian.T @ d + problem.eq_residual
+    slack = problem.set.limits - rows @ d
+    return float(np.max(np.concatenate([
+        np.abs(stationarity), -slack, np.abs(eq_gap), -mu, np.abs(mu * slack), [0.0]])))
 
 
 def enumerate_lp(problem: LpProblem, tol: float = 1e-9) -> float:

@@ -339,3 +339,40 @@ def test_console_script_wiring(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "curve.csv").exists()
+
+
+def test_runs_in_one_process_write_what_separate_processes_write(tmp_path, monkeypatch,
+                                                                 capsys):
+    """Each run owns its scenario generator: runs A, B, A in one process
+    write, byte for byte, the CSVs and standard output that A and B write
+    each in a fresh process."""
+    configs = {"A": {"problem": "quadratic-eq", "strategy": "fixed:10", "budget": 400,
+                     "seed": 3, "out": "."},
+               "B": {"problem": "pps", "strategy": "adaptive", "budget": 600, "seed": 1,
+                     "out": "."}}
+    src = str(Path(snsqp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def outputs(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    fresh = {}
+    for name, cfg in configs.items():
+        run_dir = tmp_path / f"fresh_{name}"
+        run_dir.mkdir()
+        (run_dir / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "snsqp.bench.cli", "run", "run.json"],
+                              cwd=run_dir, env=env, capture_output=True)
+        assert proc.returncode == 0
+        fresh[name] = outputs(run_dir), proc.stdout
+
+    for i, name in enumerate("ABA"):
+        run_dir = tmp_path / f"in_process_{i}"
+        run_dir.mkdir()
+        (run_dir / "run.json").write_text(json.dumps(configs[name]), encoding="utf-8")
+        monkeypatch.chdir(run_dir)
+        assert cli_main(["run", "run.json"]) == 0
+        files, stdout = fresh[name]
+        assert capsys.readouterr().out.encode() == stdout
+        assert outputs(run_dir) == files

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,32 @@ class TestComputePi:
             ratio = eta_beta * alpha / (h * theta * m)
             assert pi <= min(ratio, 1.0) + 1e-15
             assert pi > 0.5 * min(ratio, 1.0) - 1e-15
+
+
+    def test_a_ratio_one_ulp_below_a_power_of_half_gets_the_next_power(self):
+        """The largest power of 1/2 at most the ratio, exactly: 2**-k for
+        2**-k itself, 2**-(k+1) one ulp below it.  The power taken from
+        log2(1/ratio) rounded to 2**-k, above the ratio, for 996 of these k."""
+        for k in range(1, 1000):
+            power = math.ldexp(1.0, -k)
+            assert compute_pi(power, 1.0, 1.0, 1.0, 1) == power
+            assert compute_pi(math.nextafter(power, 0.0), 1.0, 1.0, 1.0, 1) == power / 2
+
+    @pytest.mark.parametrize("args", [(0.5, 1e-300, 1e10, 1.0, 1), (5e-324, 1.0, 1.0, 1.0, 1),
+                                      (3e-310, 1.0, 1.0, 1.0, 1)])
+    def test_a_subnormal_ratio_gets_its_power_of_half(self, args):
+        """1/ratio overflows for a subnormal ratio; the floor is still the
+        largest power of 1/2 at most the ratio."""
+        eta_beta, alpha, h, theta, m = args
+        ratio = eta_beta * alpha / (h * theta * m)
+        assert 0.0 < ratio < sys.float_info.min
+        pi = compute_pi(*args)
+        assert math.frexp(pi)[0] == 0.5 and pi <= ratio < 2 * pi
+
+    def test_an_overflowing_denominator_gives_zero(self):
+        """h*theta*m past the float range makes the ratio 0: no step is
+        guaranteed, so the floor is 0."""
+        assert compute_pi(0.5, 1.0, 1e300, 1e10, 1) == 0.0
 
 
 class TestUpdateAlpha:
@@ -305,6 +332,52 @@ def unit_slope(upper, **rows):
         dimension=n, scenario_sampler=lambda rng, count: np.zeros(count),
         oracle=lambda x, xi: (np.full(len(xi), -float(x.sum())), np.full((len(xi), n), -1.0)),
         set=BoxPolyhedron(lower=np.zeros(n), upper=upper, **rows), rho_estimate=1.0)
+
+
+def scripted_steps(steps):
+    """min over [-1, 1] whose k-th subproblem step at alpha 1 is steps[k-1]:
+    the oracle returns the gradient -steps[k-1] on its k-th call, wherever x
+    is.  It is stateful, so each run needs a fresh problem."""
+    script = iter(steps)
+
+    def oracle(x, xi):
+        return np.zeros(len(xi)), np.full((len(xi), 1), -next(script))
+
+    return ConstrainedStochasticProblem(
+        dimension=1, scenario_sampler=lambda rng, count: np.zeros(count), oracle=oracle,
+        set=BoxPolyhedron(lower=[-1.0], upper=[1.0]), rho_estimate=1.0)
+
+
+class TestStall:
+    """The stall stop counts consecutive steps of norm at most STALL_TOL;
+    a larger step, even by one ulp, resets the count."""
+
+    SMALL = driver.STALL_TOL
+    LARGER = math.nextafter(driver.STALL_TOL, 1.0)
+
+    def run(self, steps):
+        config = SolverConfig(x0=np.zeros(1), alpha0=1.0, strategy=FixedSize(2),
+                              budget=2 * len(steps))
+        trace = run_algorithm1(scripted_steps(steps), config)
+        # the script is what the loop took
+        assert [rec.step_norm for rec in trace.records] == steps[:len(trace.records)]
+        return trace
+
+    def test_fires_on_the_tenth_consecutive_small_step(self):
+        trace = self.run([self.LARGER] + [self.SMALL] * 10 + [self.LARGER] * 3)
+        assert trace.stop_reason == "stall"
+        assert len(trace.records) == 11
+
+    def test_nine_small_steps_do_not_stall(self):
+        trace = self.run([self.LARGER] + [self.SMALL] * 9)
+        assert trace.stop_reason == "budget"
+        assert len(trace.records) == 10
+
+    def test_a_larger_step_resets_the_count(self):
+        steps = ([self.SMALL] * 9 + [self.LARGER]) * 3 + [self.SMALL] * 10 + [self.LARGER]
+        trace = self.run(steps)
+        assert trace.stop_reason == "stall"
+        assert len(trace.records) == 40
 
 
 class TestFullStepLoop:

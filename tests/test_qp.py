@@ -2,7 +2,8 @@
 
 Ground truth for small instances is exhaustive active-set enumeration; the
 box-only case additionally has the closed form clip(-g/alpha, lower, upper).
-Every optimum is re-certified through the standalone kkt_residual check.
+Every optimum is re-certified through the independent dense KKT residual,
+reference.kkt_residual.
 """
 
 import dataclasses
@@ -18,11 +19,10 @@ from snsqp.qp import (
     QpStatus,
     _direction,
     _project,
-    kkt_residual,
     solve_qp,
 )
 
-from reference import enumerate_qp, set_rows
+from reference import enumerate_qp, kkt_residual, set_rows
 
 
 def random_box(rng, n, p=0):
@@ -102,8 +102,9 @@ class TestAgainstEnumeration:
 
 class TestCertification:
     def test_kkt_residual_small_and_consistent(self):
-        """The solve's certificate is kkt_residual's, bit for bit, with
-        zero, one or two equality rows through a point of the set."""
+        """The solve's certificate and the dense reference residual are both
+        small and agree to roundoff, with zero, one or two equality rows
+        through a point of the set."""
         rng = np.random.default_rng(5523)
         for trial in range(60):
             n = int(rng.integers(2, 5))
@@ -124,7 +125,8 @@ class TestCertification:
             assert sol.status is QpStatus.OPTIMAL, f"trial {trial}"
             recomputed = kkt_residual(problem, sol)
             assert recomputed <= 1e-6
-            assert sol.kkt_residual == recomputed
+            # both read the roundoff of one KKT point, the certificate at its row scale
+            assert abs(sol.kkt_residual - recomputed) <= 1e-12
 
     def test_stationarity_identity_with_equalities(self):
         """g + alpha d + J lam + v = 0 with v in the normal cone."""
@@ -405,14 +407,6 @@ class TestSetValidation:
         with pytest.raises(ValueError, match=r"eq_jacobian must be \(n, m\)"):
             QpProblem(gradient=[1.0], curvature=1.0, set=box,
                       eq_jacobian=[[1.0, 2.0]], eq_residual=[0.0])
-        problem = QpProblem(gradient=[1.0], curvature=1.0, set=box,
-                            eq_jacobian=[[1.0]], eq_residual=[-0.5])
-        sol = solve_qp(problem)
-        for field, value in (("step", np.zeros(2)), ("set_multipliers", np.zeros(3)),
-                             ("eq_multipliers", np.zeros(2))):
-            wrong = dataclasses.replace(sol, **{field: value})
-            with pytest.raises(ValueError, match="the candidate needs a step entry"):
-                kkt_residual(problem, wrong)
 
 
 #: (working rows drawn, whether the first is added again) for the factor tests

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snsqp.bench import pps
+from snsqp.bench.synthetic import build_quadratic_equality_problem
 from snsqp.diagnostics import fill_stationarity, reference_batch, reference_stationarity
 from snsqp.driver import SolverConfig, run_algorithm1
 from snsqp.model import ConstrainedStochasticProblem
@@ -26,6 +28,7 @@ from snsqp.sampling import (
     aggregate,
     draw_scenarios,
     next_sample_size,
+    scenario_generator,
     substream_key,
     variance_test,
 )
@@ -33,6 +36,14 @@ from snsqp.sampling import (
 
 def uniform_sampler(rng, count):
     return rng.uniform(-1.0, 1.0, size=(count, 3))
+
+
+#: the three sampler families the runs draw from, and one that reads the
+#: generator's buffered uint32 half
+SAMPLERS = {"uniform": uniform_sampler,
+            "quadratic-eq": build_quadratic_equality_problem().scenario_sampler,
+            "pps": pps.scenario_sampler(pps.build_pps_instance()),
+            "uint32": lambda rng, count: rng.integers(0, 2 ** 32, size=count, dtype=np.uint32)}
 
 
 def batched(per_scenario):
@@ -94,6 +105,31 @@ class TestScenarioStreams:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             draw_scenarios(uniform_sampler, master_seed=0, iteration=1, count=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampler=st.sampled_from(sorted(SAMPLERS)),
+           seed=st.integers(0, 2 ** 64 - 1), iteration=st.integers(1, 10 ** 6),
+           count=st.integers(1, 1000),
+           before=st.lists(st.tuples(st.sampled_from(["integers", "random"]),
+                                     st.integers(1, 9)), max_size=4))
+    def test_a_reused_generator_draws_a_fresh_generators_batch(self, sampler, seed,
+                                                               iteration, count, before):
+        """A generator left anywhere in its stream, mid-buffer after odd
+        uint32 or double draws, is re-keyed to exactly the state of
+        Philox(key=substream_key(seed, iteration)): the batch is bitwise the
+        one a fresh generator draws."""
+        sampler = SAMPLERS[sampler]
+        rng = scenario_generator()
+        for method, size in before:
+            if method == "integers":
+                rng.integers(0, 2 ** 31, size=size, dtype=np.uint32)
+            else:
+                rng.random(size)
+        fresh = np.random.Generator(np.random.Philox(key=substream_key(seed, iteration)))
+        expected = sampler(fresh, count)
+        reused = draw_scenarios(sampler, seed, iteration, count, rng)
+        assert reused.tobytes() == expected.tobytes()
+        assert draw_scenarios(sampler, seed, iteration, count).tobytes() == expected.tobytes()
 
 
 class TestReadOnlyBatches:
