@@ -65,6 +65,9 @@ class PpsInstance:
     recourse: lp.LpProblem = field(init=False, repr=False)
     #: the crash starts of _recourse_start on it, each checked once
     crash_starts: tuple = field(init=False, repr=False)
+    #: each crash start's shipped-variable mask over its basis, as float64,
+    #: nested as crash_starts is
+    crash_masks: tuple = field(init=False, repr=False)
     #: the prices where _recourse_start's regimes end: min s, then min s + min c
     regime_prices: tuple = field(init=False, repr=False)
 
@@ -87,6 +90,10 @@ class PpsInstance:
                 raise ValueError("each interval's lower end must lie below its upper end")
         object.__setattr__(self, "recourse", _recourse_problem(self))
         object.__setattr__(self, "crash_starts", _crash_starts(self))
+        slack, floor, top_up = self.crash_starts
+        object.__setattr__(self, "crash_masks", (
+            _shipped_mask(self, slack), tuple(_shipped_mask(self, s) for s in floor),
+            tuple(_shipped_mask(self, s) for s in top_up)))
         ship = float(self.shipment_costs.min())
         object.__setattr__(self, "regime_prices",
                            (ship, ship + float(self.production_costs.min())))
@@ -223,8 +230,9 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
     return rhs
 
 
-def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
-    """The checked crash start for the recourse LPs of a batch at price p.
+def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray) -> tuple:
+    """The checked crash start for the recourse LPs of a batch at price p,
+    and its shipped-variable mask.
 
     demand has shape (batch, stores).  The rule is the optimal policy for
     uniform shipment costs s and production costs c (the three regimes of
@@ -239,17 +247,18 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray):
 
     j* is the store whose smallest demand in the batch is largest, so one
     basis fits every row whose demand covers the floor units.  Each start is
-    one of instance.crash_starts, checked once, and the regime ends are
-    instance.regime_prices, computed once.  With non-uniform shipment
-    costs the rule is only a guess, which the simplex finishes from.
+    one of instance.crash_starts, checked once, with its mask from
+    instance.crash_masks, and the regime ends are instance.regime_prices,
+    computed once.  With non-uniform shipment costs the rule is only a
+    guess, which the simplex finishes from.
     """
     no_shipping, floor_only = instance.regime_prices
-    slack, floor, top_up = instance.crash_starts
     if p <= no_shipping:
-        return slack
+        return instance.crash_starts[0], instance.crash_masks[0]
     # numpy reduces a narrow block much faster along rows than down columns
     j_star = int(np.ascontiguousarray(demand.T).min(axis=1).argmax())
-    return (floor if p <= floor_only else top_up)[j_star]
+    regime = 1 if p <= floor_only else 2
+    return instance.crash_starts[regime][j_star], instance.crash_masks[regime][j_star]
 
 
 def _crash_starts(instance: PpsInstance) -> tuple:
@@ -270,6 +279,12 @@ def _crash_starts(instance: PpsInstance) -> tuple:
     return start(slacks), tuple(floor), tuple(top_up)
 
 
+def _shipped_mask(instance: PpsInstance, start: lp.Start) -> np.ndarray:
+    """1.0 at each basis position that holds a shipment z_ij, else 0.0 (read-only)."""
+    basis = start.basis
+    return _frozen((basis >= instance.factories) & (basis < instance.recourse.n_vars))
+
+
 def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple:
     """Recourse values and their p-derivatives for a batch, by linear programming.
 
@@ -285,8 +300,9 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     envelope theorem: the z part of the cost vector has derivative -1 per
     unit shipped, and the demand right-hand sides have derivative slope_j,
     weighted by their duals; both terms are read per basis of the batch
-    (shipped totals from the basic values).  Returns two (batch,) arrays;
-    raises RuntimeError naming the first scenario whose LP is not solved to
+    (shipped totals from the basic values, through the start's held mask
+    when the start serves the batch).  Returns two (batch,) arrays; raises
+    RuntimeError naming the first scenario whose LP is not solved to
     optimality.
     """
     cost = _recourse_cost(instance, p)
@@ -298,10 +314,12 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     cost.flags.writeable = False
     problem = instance.recourse._with(cost=cost)
     rhs = _recourse_rhs(instance, p, scenarios)
-    start = _recourse_start(instance, p, rhs[:, :instance.stores])
+    start, shipped = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)
     m, n = instance.factories, instance.stores
     slopes, _ = split_scenarios(instance, scenarios)
+    if len(sol.solves) == 1 and sol.solves[0].basis is start.basis:  # an optimal start
+        return sol.objective, -(sol.xb @ shipped) - slopes @ sol.solves[0].duals[:n]
     dr_dp = np.empty(len(rhs))
     for g, solve in enumerate(sol.solves):
         if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order

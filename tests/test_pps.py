@@ -392,7 +392,7 @@ def test_every_cold_solve_goes_through_solve_lp(instance, problem, monkeypatch, 
     solves, batches = record_solves(monkeypatch)
     calls, starts = [], []
     for p, batch in ((1.5, scenarios), (3.0, scenarios), (6.5, scenarios), (3.0, mixed)):
-        start = pps._recourse_start(instance, p, batch[:, 5:] + p * batch[:, :5])
+        start, _ = pps._recourse_start(instance, p, batch[:, 5:] + p * batch[:, :5])
         for evaluate in (lambda: recourse_lp(instance, p, batch),
                          lambda: problem.oracle(np.array([2.0, p]), batch)):
             before = len(solves)
@@ -443,7 +443,7 @@ def test_a_start_serving_its_batch_gives_the_loops_bits(instance, problem, p, se
         scenarios = np.vstack([scenarios, scenario(slope, 2.0 - p * slope)])
     at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
     rhs = pps._recourse_rhs(instance, p, scenarios)
-    start = pps._recourse_start(instance, p, rhs[:, :instance.stores])
+    start, _ = pps._recourse_start(instance, p, rhs[:, :instance.stores])
     priced = lp.solve_lp_multi_rhs(at_p, rhs, start)
     looped = lp.solve_lp_multi_rhs(at_p, rhs, (start.basis, start.at_upper))
     for name in ("xb", "objective", "group"):
@@ -453,6 +453,28 @@ def test_a_start_serving_its_batch_gives_the_loops_bits(instance, problem, p, se
     assert (first.status, first.iterations) == (want.status, want.iterations)
     for name in ("primal", "duals", "objective", "basis", "at_upper", "basis_inverse"):
         assert same_bytes(getattr(first, name), getattr(want, name)), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(1.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.sampled_from([1, 10, 1000]))
+def test_a_served_batch_reads_its_starts_held_mask(instance, problem, p, seed, size):
+    """Each crash start holds its shipped-variable mask as a read-only float
+    array.  When the start serves the whole batch, recourse_lp's
+    p-derivative reads it and gives the bits of the boolean mask that a
+    cold-solved basis builds."""
+    scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, size)
+    rhs = pps._recourse_rhs(instance, p, scenarios)
+    start, mask = pps._recourse_start(instance, p, rhs[:, :instance.stores])
+    built = (start.basis >= instance.factories) & (start.basis < instance.recourse.n_vars)
+    assert mask.dtype == np.float64 and not mask.flags.writeable
+    assert same_bytes(mask, built.astype(float))
+    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    sol = lp.solve_lp_multi_rhs(at_p, rhs, start)
+    assume(len(sol.solves) == 1 and sol.solves[0].iterations == 0)
+    slopes, _ = split_scenarios(instance, scenarios)
+    _, derivs = recourse_lp(instance, p, scenarios)
+    assert same_bytes(derivs, -(sol.xb @ built) - slopes @ sol.solves[0].duals[:5])
 
 
 class TestCrashStart:
