@@ -18,7 +18,10 @@ Scenario coordinates are truncated normals on the stated intervals with
 mean = midpoint and sigma = width/4 (the distribution's center and spread
 are an assumption; the source data only names the intervals).  A batch of
 scenarios is an array of shape (N, 2*stores): the slopes, then the
-intercepts.
+intercepts.  One rejection pass draws all 2*stores columns: a first block of
+N x 2*stores normals, then, round by round, one normal per entry still
+rejected, in row-major order (exact rejection, per entry, from the same
+truncated normal).
 """
 
 from __future__ import annotations
@@ -117,40 +120,38 @@ def build_pps_instance() -> PpsInstance:
 
 
 def _truncated_normal(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
-                      count: int, out: np.ndarray = None, *, mean: np.ndarray = None,
+                      count: int, *, mean: np.ndarray = None,
                       sigma: np.ndarray = None) -> np.ndarray:
     """Rejection sampling, vectorized over `count` draws per interval.
 
-    lo/hi have shape (m,); the draws fill and return out, a (count, m) array
-    or view (a new array when None).  mean and sigma, the midpoint and
-    width/4 of each interval, may be given precomputed.  Round one fills
-    out with mean + sigma * z; later rounds copy only the entries still
-    rejected.  Every round draws a full (count, m) block of standard
-    normals, so the generator's stream does not depend on which entries were
-    rejected.  Acceptance is about 95.4% per attempt (2-sigma window), so a
-    handful of rounds suffice; exhausting the hard cap means a broken
-    generator and raises.
+    lo/hi have shape (m,); returns a new (count, m) array whose column j lies
+    in [lo[j], hi[j]].  mean and sigma, the midpoint and width/4 of each
+    interval, may be given precomputed.  Round one draws one (count, m)
+    block of standard normals z and forms mean + sigma * z.  Each later round
+    draws exactly one normal per entry still pending, in row-major order,
+    forms mean[j] + sigma[j] * z for that entry's column j, and writes back
+    only the accepted values.  Each entry is thus drawn by exact rejection
+    from its own truncated normal; a nan draw is rejected.  Acceptance is
+    about 95.4% per attempt (2-sigma window), so a handful of rounds
+    suffice; exhausting the hard cap means a broken generator and raises,
+    naming the interval of the first entry still pending.
     """
     if mean is None:
         mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
-    if out is None:
-        out = np.empty((count, lo.size))
-    # round one is formed contiguously and copied into out whole: faster
-    # than writing and testing through a strided view of a wider batch
-    draw = mean + sigma * rng.standard_normal(out.shape)
-    out[...] = draw
-    pending = ~((draw >= lo) & (draw <= hi))  # a nan is rejected too
+    out = mean + sigma * rng.standard_normal((count, lo.size))
+    flat = out.reshape(-1)  # a view: out is new and contiguous
+    pending = np.flatnonzero(~((out >= lo) & (out <= hi)))  # a nan is rejected too
     rounds = 1
-    while pending.any():
+    while pending.size:
+        column = pending % lo.size
         if rounds == _MAX_REJECTION_ROUNDS:
-            a, b = (float(v[pending.any(axis=0)][0]) for v in (lo, hi))
+            a, b = float(lo[column[0]]), float(hi[column[0]])
             raise RuntimeError(f"truncated-normal rejection sampling on [{a!r}, {b!r}] "
                                f"accepted no draw in {_MAX_REJECTION_ROUNDS} rounds")
-        draw = mean + sigma * rng.standard_normal(out.shape)
-        ok = (draw >= lo) & (draw <= hi)
-        ok &= pending
-        np.copyto(out, draw, where=ok)
-        pending ^= ok
+        draw = mean[column] + sigma[column] * rng.standard_normal(pending.size)
+        ok = (draw >= lo[column]) & (draw <= hi[column])
+        flat[pending[ok]] = draw[ok]
+        pending = pending[~ok]
         rounds += 1
     return out
 
@@ -163,20 +164,14 @@ def split_scenarios(instance: PpsInstance, scenarios: np.ndarray) -> tuple:
 def scenario_sampler(instance: PpsInstance):
     """Sampler callback: (rng, count) -> array of shape (count, 2*stores).
 
-    The slopes are drawn first, then the intercepts, each by _truncated_normal
-    into its block of one new array."""
-    n = instance.stores
-    blocks = []
-    for intervals, columns in ((instance.slope_intervals, slice(None, n)),
-                               (instance.intercept_intervals, slice(n, None))):
-        lo, hi = np.ascontiguousarray(intervals.T)
-        blocks.append((columns, lo, hi, 0.5 * (lo + hi), (hi - lo) / 4.0))
+    One _truncated_normal call draws every column: the slopes' intervals,
+    then the intercepts'."""
+    lo, hi = np.ascontiguousarray(
+        np.vstack([instance.slope_intervals, instance.intercept_intervals]).T)
+    mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
 
     def sample(rng: np.random.Generator, count: int):
-        out = np.empty((count, 2 * n))
-        for columns, lo, hi, mean, sigma in blocks:
-            _truncated_normal(rng, lo, hi, count, out[:, columns], mean=mean, sigma=sigma)
-        return out
+        return _truncated_normal(rng, lo, hi, count, mean=mean, sigma=sigma)
 
     return sample
 

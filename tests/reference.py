@@ -252,25 +252,29 @@ def truncated_normal_moments(a: float, b: float) -> tuple:
 
 
 def plain_scenario_sampler(instance: PpsInstance):
-    """The PPS sampler in its plainest form: one rejection routine per block,
-    called for the slopes and then the intercepts, and the two blocks
-    stacked.  Each round draws a full (count, m) block of standard normals
-    and keeps its accepted entries; pps.scenario_sampler must give the same
-    bits from the same generator."""
-    def truncated_normal(rng, lo, hi, count):
-        mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
-        out = np.empty((count, lo.size))
-        pending = np.ones((count, lo.size), dtype=bool)
-        while pending.any():
-            draw = mean + sigma * rng.standard_normal((count, lo.size))
-            ok = pending & (draw >= lo) & (draw <= hi)
-            out[ok] = draw[ok]
-            pending &= ~ok
-        return out
+    """The PPS sampler in its plainest form.  Round one draws one (count, m)
+    block of standard normals for all m = 2*stores intervals, the slopes'
+    then the intercepts'.  Each later round draws one normal per entry still
+    pending, taken in row-major order, and a Python loop over those (i, j)
+    entries keeps each accepted value.  pps.scenario_sampler must give the
+    same bits from the same generator."""
+    lo, hi = np.vstack([instance.slope_intervals, instance.intercept_intervals]).T
+    mean, sigma = 0.5 * (lo + hi), (hi - lo) / 4.0
 
     def sample(rng, count):
-        return np.hstack([truncated_normal(rng, *instance.slope_intervals.T, count),
-                          truncated_normal(rng, *instance.intercept_intervals.T, count)])
+        out = mean + sigma * rng.standard_normal((count, lo.size))
+        pending = [(i, j) for i in range(count) for j in range(lo.size)
+                   if not lo[j] <= out[i, j] <= hi[j]]
+        while pending:
+            rejected = []
+            for (i, j), z in zip(pending, rng.standard_normal(len(pending))):
+                value = mean[j] + sigma[j] * z
+                if lo[j] <= value <= hi[j]:
+                    out[i, j] = value
+                else:
+                    rejected.append((i, j))
+            pending = rejected
+        return out
 
     return sample
 

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from snsqp import lp
 from snsqp.bench import pps
@@ -174,16 +174,63 @@ class TestScenarioDistribution:
         with pytest.raises(RuntimeError, match=r"\[16\.0, 17\.0\]"):
             _truncated_normal(OutOfRange(), np.array([16.0]), np.array([17.0]), 1)
 
-    @pytest.mark.parametrize("size", [1, 2, 10, 1000])
-    def test_sampler_matches_the_plain_two_call_sampler(self, instance, problem, size):
-        """Each block is drawn into its place in the batch; the draws are
-        bitwise those of two plain calls whose results are stacked."""
-        plain = plain_scenario_sampler(instance)
-        for seed, iteration in ((0, 0), (1, 7), (42, 3), (2 ** 31, 1)):
-            drawn = draw_scenarios(problem.scenario_sampler, seed, iteration, size)
-            stacked = draw_scenarios(plain, seed, iteration, size)
-            assert drawn.shape == stacked.shape == (size, 10)
-            assert drawn.tobytes() == stacked.tobytes()
+    def test_exhausted_cap_names_the_first_pending_entrys_interval(self):
+        """Entries (0, 1) and (1, 0) stay pending; the first in row-major
+        order is in column 1, so its interval is the one named."""
+        class Crossed:
+            def standard_normal(self, shape):
+                if shape == (2, 2):
+                    return np.array([[0.0, 10.0], [10.0, 0.0]])
+                return np.full(shape, 10.0)
+
+        with pytest.raises(RuntimeError, match=r"\[21\.0, 22\.0\]"):
+            _truncated_normal(Crossed(), np.array([16.0, 21.0]), np.array([17.0, 22.0]), 2)
+
+    def test_a_nan_draw_is_rejected_and_redrawn(self):
+        """Round one's nan entries are redrawn, one normal each, in row-major
+        order; the entries it accepted keep their values."""
+        class NanFirst:
+            def __init__(self):
+                self.shapes = []
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                if len(self.shapes) == 1:
+                    return np.array([[np.nan, 0.0], [1.0, np.nan]])
+                return np.array([-1.0, 1.0])
+
+        rng = NanFirst()
+        out = _truncated_normal(rng, np.array([16.0, 21.0]), np.array([17.0, 22.0]), 2)
+        assert rng.shapes == [(2, 2), 2]
+        np.testing.assert_array_equal(out, [[16.25, 21.5], [16.75, 21.75]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), iteration=st.integers(0, 2 ** 31),
+           size=st.integers(1, 1000))
+    @example(seed=0, iteration=0, size=1000)
+    @example(seed=1, iteration=7, size=10)
+    @example(seed=42, iteration=3, size=2)
+    @example(seed=2 ** 31, iteration=1, size=1)
+    def test_sampler_matches_the_plain_sampler(self, instance, problem, seed,
+                                               iteration, size):
+        """The vectorized redraw of the pending entries gives, bit for bit,
+        the draws of the plain per-entry loop from the same generator."""
+        drawn = draw_scenarios(problem.scenario_sampler, seed, iteration, size)
+        plain = draw_scenarios(plain_scenario_sampler(instance), seed, iteration, size)
+        assert drawn.shape == plain.shape == (size, 10)
+        assert drawn.tobytes() == plain.tobytes()
+
+    def test_every_column_matches_its_intervals_moments(self, instance, problem):
+        """Each of the 2*stores columns of a batch is the truncated normal of
+        its own interval: a redraw that read another column's mean or sigma
+        would shift the column's mean or variance."""
+        scenarios = draw_scenarios(problem.scenario_sampler, 2718, 0, 40_000)
+        intervals = np.vstack([instance.slope_intervals, instance.intercept_intervals])
+        for (a, b), draws in zip(intervals, scenarios.T):
+            mean_q, var_q = truncated_normal_moments(a, b)
+            se = np.sqrt(var_q / draws.size)
+            assert abs(draws.mean() - mean_q) <= 4.0 * se, (a, b)
+            assert draws.var(ddof=1) == pytest.approx(var_q, rel=0.03), (a, b)
 
     def test_sampler_is_deterministic(self, problem):
         a = draw_scenarios(problem.scenario_sampler, 4, 11, 50)

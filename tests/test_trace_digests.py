@@ -23,8 +23,8 @@ from snsqp.qp import QpStatus, solve_qp
 
 #: sha256 of the (trace CSV, epoch CSV) of each run
 PINS = {
-    "pps": ("076b9e37d889fb9995730e6f3a726d29ce1d36bbb86304cc1e32ff2c9f87c939",
-            "eaf1dd84cd19e2eb4fbda986596e5440b0c8b268dd58017cc7ac0d4f1de006d8"),
+    "pps": ("3e1835d5d7ea827ae2f226ffe9f5bb8bc54fb6137856718827cc59bf79997036",
+            "eebf7e0499f6cddd990c34851a5819fe1819b81d80e4e1c3162722f2b7a0988f"),
     "quadratic-eq": ("871d64db71110430246e134b0159d5dce866fa15850a66acaab340651a0348fa",
                      "b435f3ebd9fd6c43427d0e781464509e7fb9db1b00f08b5d09adba3c2f00773a"),
     "affine-eq": ("f9cc4ed808c5faf3cb365474dfc6c4b49f24cf86316bfedb566f48b568dc1910",
