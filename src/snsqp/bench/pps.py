@@ -94,9 +94,12 @@ class PpsInstance:
         object.__setattr__(self, "recourse", _recourse_problem(self))
         object.__setattr__(self, "crash_starts", _crash_starts(self))
         slack, floor, top_up = self.crash_starts
-        object.__setattr__(self, "crash_masks", (
-            _shipped_mask(self, slack), tuple(_shipped_mask(self, s) for s in floor),
-            tuple(_shipped_mask(self, s) for s in top_up)))
+
+        def mask(start):
+            return _frozen(_shipped(self, start.basis))
+
+        object.__setattr__(self, "crash_masks",
+                           (mask(slack), tuple(map(mask, floor)), tuple(map(mask, top_up))))
         ship = float(self.shipment_costs.min())
         object.__setattr__(self, "regime_prices",
                            (ship, ship + float(self.production_costs.min())))
@@ -274,10 +277,9 @@ def _crash_starts(instance: PpsInstance) -> tuple:
     return start(slacks), tuple(floor), tuple(top_up)
 
 
-def _shipped_mask(instance: PpsInstance, start: lp.Start) -> np.ndarray:
-    """1.0 at each basis position that holds a shipment z_ij, else 0.0 (read-only)."""
-    basis = start.basis
-    return _frozen((basis >= instance.factories) & (basis < instance.recourse.n_vars))
+def _shipped(instance: PpsInstance, basis: np.ndarray) -> np.ndarray:
+    """True at each position of a recourse basis that holds a shipment z_ij."""
+    return (basis >= instance.factories) & (basis < instance.recourse.n_vars)
 
 
 def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple:
@@ -309,21 +311,21 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     cost.flags.writeable = False
     problem = instance.recourse._with(cost=cost)
     rhs = _recourse_rhs(instance, p, scenarios)
-    start, shipped = _recourse_start(instance, p, rhs[:, :instance.stores])
+    start, mask = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)
-    m, n = instance.factories, instance.stores
+    n = instance.stores
     slopes, _ = split_scenarios(instance, scenarios)
+    # no recourse variable has a finite upper bound, so a nonbasic shipment
+    # ships 0 and a basic one its value
     if len(sol.solves) == 1 and sol.solves[0].basis is start.basis:  # an optimal start
-        return sol.objective, -(sol.xb @ shipped) - slopes @ sol.solves[0].duals[:n]
+        return sol.objective, -(sol.xb @ mask) - slopes @ sol.solves[0].duals[:n]
     dr_dp = np.empty(len(rhs))
     for g, solve in enumerate(sol.solves):
         if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order
             raise RuntimeError(f"second-stage LP of scenario {int((sol.group == g).argmax())} "
                                f"ended {solve.status.value}")
         rows = slice(None) if len(sol.solves) == 1 else sol.group == g
-        # no recourse variable has a finite upper bound, so a nonbasic
-        # shipment ships 0 and a basic one its value
-        shipped = sol.xb[rows] @ ((solve.basis >= m) & (solve.basis < problem.n_vars))
+        shipped = sol.xb[rows] @ _shipped(instance, solve.basis)
         dr_dp[rows] = -shipped - slopes[rows] @ solve.duals[:n]
     return sol.objective, dr_dp
 
