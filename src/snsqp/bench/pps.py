@@ -224,7 +224,7 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
     capacity rows; one row per scenario (a 1-D scenario gives a 1-D rhs)."""
     slopes, intercepts = split_scenarios(instance, scenarios)
     rhs = np.zeros(scenarios.shape[:-1] + (instance.stores + instance.factories,))
-    rhs[..., :instance.stores] = slopes * p + intercepts
+    np.add(slopes * p, intercepts, out=rhs[..., :instance.stores])
     return rhs
 
 
@@ -302,31 +302,36 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     RuntimeError naming the first scenario whose LP is not solved to
     optimality.
     """
-    cost = _recourse_cost(instance, p)
+    # the cost over the LP's columns at p = 0, with p taken off each shipment
+    # cost: _recourse_cost, then a zero per slack
+    q = instance.recourse.n_vars
+    cost = instance.recourse.column_cost.copy()
+    shipments = cost[instance.factories:q]
+    shipments -= p
     # at p >= 0 only the cheapest shipment's s - p can overflow; a nan or a
     # negative price is checked on the whole cost
     if not (math.isfinite(instance.regime_prices[0] - p) if p >= 0
-            else np.isfinite(cost).all()):
+            else np.isfinite(shipments).all()):
         raise ValueError("cost must be finite")
     cost.flags.writeable = False
-    problem = instance.recourse._with(cost=cost)
+    problem = instance.recourse._with(cost=cost[:q], column_cost=cost)
     rhs = _recourse_rhs(instance, p, scenarios)
     start, mask = _recourse_start(instance, p, rhs[:, :instance.stores])
     sol = lp.solve_lp_multi_rhs(problem, rhs, start)
     n = instance.stores
     slopes, _ = split_scenarios(instance, scenarios)
     # no recourse variable has a finite upper bound, so a nonbasic shipment
-    # ships 0 and a basic one its value
+    # ships 0 and a basic one its value; ndarray.dot is @ with less overhead
     if len(sol.solves) == 1 and sol.solves[0].basis is start.basis:  # an optimal start
-        return sol.objective, -(sol.xb @ mask) - slopes @ sol.solves[0].duals[:n]
+        return sol.objective, -sol.xb.dot(mask) - slopes.dot(sol.solves[0].duals[:n])
     dr_dp = np.empty(len(rhs))
     for g, solve in enumerate(sol.solves):
         if solve.status is not lp.LpStatus.OPTIMAL:  # solves go in row order
             raise RuntimeError(f"second-stage LP of scenario {int((sol.group == g).argmax())} "
                                f"ended {solve.status.value}")
         rows = slice(None) if len(sol.solves) == 1 else sol.group == g
-        shipped = sol.xb[rows] @ _shipped(instance, solve.basis)
-        dr_dp[rows] = -shipped - slopes[rows] @ solve.duals[:n]
+        shipped = sol.xb[rows].dot(_shipped(instance, solve.basis))
+        dr_dp[rows] = -shipped - slopes[rows].dot(solve.duals[:n])
     return sol.objective, dr_dp
 
 
@@ -336,8 +341,8 @@ def pps_oracle(instance: PpsInstance, first_stage, scenarios: np.ndarray) -> tup
     recourse, dr_dp = recourse_lp(instance, p, scenarios)
     grads = np.empty((len(scenarios), 2))
     grads[:, 0] = instance.first_stage_cost - p
-    grads[:, 1] = -x + dr_dp
-    return (instance.first_stage_cost - p) * x + recourse, grads
+    np.add(-x, dr_dp, out=grads[:, 1])
+    return np.add((instance.first_stage_cost - p) * x, recourse, out=recourse), grads
 
 
 def build_pps_problem() -> ConstrainedStochasticProblem:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -173,11 +174,45 @@ def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tupl
     Epoch rows cover 0 .. ceil(budget/epoch_size) - 1 when the run ended by
     budget (the full cost axis), otherwise up to the last record's epoch.
     Each epoch carries its last record, an epoch without records the one
-    before it; epochs before the first record carry the first record.
+    before it; epochs before the first record carry the first record.  Each
+    dict holds the list row that write_run_csv writes.
     """
+    header = _header(trace)
+    return tuple([dict(zip(header, row)) for row in rows]
+                 for rows in _rows(trace, epoch_size))
+
+
+def write_run_csv(trace: IterationTrace, out_dir, run_id: str,
+                  epoch_size: int = DEFAULT_EPOCH) -> tuple:
+    """Write {run_id}_trace.csv and {run_id}_epochs.csv; returns both paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace_path = out_dir / f"{run_id}_trace.csv"
+    epochs_path = out_dir / f"{run_id}_epochs.csv"
+    header = _header(trace)
+    for path, rows in zip((trace_path, epochs_path), _rows(trace, epoch_size)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return trace_path, epochs_path
+
+
+def _header(trace: IterationTrace) -> list:
+    """TRACE_COLUMNS, then x0 .. x{n-1} for the trace's dimension."""
+    dim = trace.problem.dimension if trace.problem is not None else (
+        trace.records[0].x.size if trace.records else 0)
+    return [*TRACE_COLUMNS, *(f"x{i}" for i in range(dim))]
+
+
+def _rows(trace: IterationTrace, epoch_size: int) -> tuple:
+    """The per-iteration and the per-epoch list rows of export_trace."""
     records = trace.records
     ends = _epoch_ends(records, epoch_size)
-    iter_rows = [_row(rec, _epoch(rec, epoch_size)) for rec in records]
+    # each column's record attribute; the epoch column's "k" is overwritten by _row
+    fields = operator.attrgetter(*("k" if col == "epoch" else "batch_size" if col == "N"
+                                   else col for col in TRACE_COLUMNS))
+    iter_rows = [_row(rec, _epoch(rec, epoch_size), fields) for rec in records]
     epoch_rows = []
     if records:
         if trace.stop_reason == "budget" and trace.config is not None:
@@ -188,37 +223,14 @@ def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tupl
         for e in range(n_epochs):
             if e in ends:
                 current = records[ends[e]]
-            epoch_rows.append(_row(current, e))
+            epoch_rows.append(_row(current, e, fields))
     return iter_rows, epoch_rows
 
 
-def write_run_csv(trace: IterationTrace, out_dir, run_id: str,
-                  epoch_size: int = DEFAULT_EPOCH) -> tuple:
-    """Write {run_id}_trace.csv and {run_id}_epochs.csv; returns both paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    iter_rows, epoch_rows = export_trace(trace, epoch_size)
-    dim = trace.problem.dimension if trace.problem is not None else (
-        trace.records[0].x.size if trace.records else 0)
-    header = list(TRACE_COLUMNS) + [f"x{i}" for i in range(dim)]
-
-    trace_path = out_dir / f"{run_id}_trace.csv"
-    epochs_path = out_dir / f"{run_id}_epochs.csv"
-    for path, rows in ((trace_path, iter_rows), (epochs_path, epoch_rows)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-    return trace_path, epochs_path
-
-
-def _row(rec, epoch: int) -> dict:
-    """The TRACE_COLUMNS of rec, then x0 .. x{n-1}; floats are written by repr."""
-    row = {}
-    for col in TRACE_COLUMNS:
-        value = (epoch if col == "epoch" else rec.batch_size if col == "N"
-                 else getattr(rec, col))
-        row[col] = repr(value) if isinstance(value, float) else value
-    for i, xi in enumerate(rec.x):
-        row[f"x{i}"] = repr(float(xi))
+def _row(rec, epoch: int, fields) -> list:
+    """The TRACE_COLUMNS of rec, read by fields, then x0 .. x{n-1}; floats
+    are written by repr."""
+    row = [repr(value) if isinstance(value, float) else value for value in fields(rec)]
+    row[TRACE_COLUMNS.index("epoch")] = epoch
+    row += map(repr, rec.x.tolist())
     return row

@@ -271,7 +271,10 @@ def _run(problem, config, with_equalities):
         # kill roundoff drift across the box faces; the step itself is feasible.
         # np.clip's ufunc gives these bits, NaN and signed zeros included
         np.minimum(np.maximum(x, problem.set.lower, out=x), problem.set.upper, out=x)
-        step_norm = float(np.linalg.norm(d))
+        # np.linalg.norm(d) is sqrt(d.dot(d)): the same bits, and the
+        # adaptive rule below reads the same product
+        d_sq = float(d.dot(d))
+        step_norm = math.sqrt(d_sq)
 
         trace.records.append(IterationRecord(
             k=k, x=x.copy(),
@@ -285,8 +288,7 @@ def _run(problem, config, with_equalities):
         ))
 
         # the adaptive rule sizes the NEXT batch from this iteration's stats
-        sample_size = next_sample_size(config.strategy, stats, alpha,
-                                       float(d @ d), k + 1)
+        sample_size = next_sample_size(config.strategy, stats, alpha, d_sq, k + 1)
         # alpha0 may sit up to 1e-12 above eta_alpha*rho; later iterations do not
         alpha = min(alpha, config.eta_alpha * rho)
 

@@ -36,7 +36,9 @@ it.  A start that fails a check is ignored, and the slack basis is used.
 solve_lp_multi_rhs takes the bunching one step further: it forms a Start's
 basic values for the whole batch in one product, and when they fit every
 row and one pricing finds no entering column, the start serves the batch
-with no solve_lp call.
+with no solve_lp call.  Products are written ndarray.dot: the BLAS call of
+@ with less overhead, and the same bits but for the sign of an exact zero
+from an operand of one entry (an LP of one row or one variable).
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class LpProblem:
     arrays are copied and made read-only.  Construction also builds what
     every solve of these rows and bounds shares: the column block
     [ineq_matrix | I], the column ranges (upper - lower, then +inf per
-    slack) and ineq_matrix @ lower.  with_vectors swaps in a new cost or
-    right-hand side and keeps them.  Two problems compare by identity.
+    slack), ineq_matrix @ lower, and column_cost, the cost then 0 per
+    slack, of which cost is a view.  with_vectors swaps in a new cost or
+    right-hand side and keeps the rest.  Two problems compare by identity.
     """
 
     cost: np.ndarray
@@ -86,6 +89,7 @@ class LpProblem:
     columns: np.ndarray = field(init=False, repr=False)
     ranges: np.ndarray = field(init=False, repr=False)
     lower_rows: np.ndarray = field(init=False, repr=False)
+    column_cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cost, ineq_rhs, lower, upper = (_frozen(np.atleast_1d(vector)) for vector in (
@@ -102,13 +106,11 @@ class LpProblem:
             raise ValueError("upper bounds must not be nan")
         if np.any(lower > upper):
             raise ValueError("requires lower <= upper")
-        for name, value in (
-                ("cost", cost), ("ineq_matrix", ineq_matrix), ("ineq_rhs", ineq_rhs),
-                ("lower", lower), ("upper", upper),
-                ("columns", _frozen(np.hstack([ineq_matrix, np.eye(s)]))),
-                ("ranges", _frozen(np.concatenate([upper - lower, np.full(s, np.inf)]))),
-                ("lower_rows", _frozen(ineq_matrix @ lower))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            ineq_matrix=ineq_matrix, ineq_rhs=ineq_rhs, lower=lower, upper=upper,
+            columns=_frozen(np.hstack([ineq_matrix, np.eye(s)])),
+            ranges=_frozen(np.concatenate([upper - lower, np.full(s, np.inf)])),
+            lower_rows=_frozen(ineq_matrix.dot(lower)), **_column_cost(cost, s))
 
     @property
     def n_vars(self) -> int:
@@ -126,16 +128,23 @@ class LpProblem:
         """
         changes = {}
         if cost is not None:
-            changes["cost"] = _finite_vector(cost, self.n_vars, "cost")
+            changes = _column_cost(_finite_vector(cost, self.n_vars, "cost"), self.n_rows)
         if ineq_rhs is not None:
             changes["ineq_rhs"] = _finite_vector(ineq_rhs, self.n_rows, "ineq_rhs")
         return self._with(**changes)
 
     def _with(self, **vectors) -> LpProblem:
-        """A copy with some vectors replaced, unchecked: the caller checked them."""
+        """A copy with some vectors replaced, unchecked: the caller checked them
+        (and gives a new cost as _column_cost does)."""
         copy = object.__new__(LpProblem)
         copy.__dict__.update(self.__dict__, **vectors)
         return copy
+
+
+def _column_cost(cost: np.ndarray, s: int) -> dict:
+    """The read-only column_cost of a checked cost and s slacks, and cost as its view."""
+    column_cost = _frozen(np.concatenate([cost, np.zeros(s)]))
+    return {"cost": column_cost[:cost.size], "column_cost": column_cost}
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -189,12 +198,14 @@ class LpBatchSolution:
 
 class Start(NamedTuple):
     """A start that check_start has checked on `columns`, in read-only arrays: its
-    basis, at_upper, basis inverse and pricing sign (_Simplex's state * movable)."""
+    basis, at_upper, basis inverse, pricing sign (_Simplex's state * movable)
+    and the basic ranges plus FEAS_TOL (None when all are infinite)."""
 
     basis: np.ndarray
     at_upper: np.ndarray
     inverse: np.ndarray
     sign: np.ndarray
+    bound: np.ndarray | None
     columns: np.ndarray
 
 
@@ -216,10 +227,10 @@ def solve_lp(problem: LpProblem, start: tuple | Start = None) -> LpSolution:
     checked = None
     if start is not None:
         basis, at_upper, b_inv = start.basis, start.at_upper, start.inverse
-        xb = b_inv @ _net_of_upper(problem, b0, at_upper)
-        if ((xb >= -FEAS_TOL) & (xb <= problem.ranges[basis] + FEAS_TOL)).all():
-            y, j = _price(np.concatenate([problem.cost, np.zeros(s)]), basis, b_inv,
-                          problem.columns, start.sign, bland=False)
+        xb = b_inv.dot(_net_of_upper(problem, b0, at_upper))
+        if _fits(xb, start.bound):
+            y, j = _price(problem.column_cost, basis, b_inv, problem.columns, start.sign,
+                          bland=False)
             if j is None:
                 return _optimum(problem, basis, at_upper, b_inv, xb, y, 0)
             checked = basis.copy(), at_upper, b_inv.copy(), xb  # pivots work in place
@@ -240,8 +251,8 @@ def solve_lp(problem: LpProblem, start: tuple | Start = None) -> LpSolution:
         # values and duals from a fresh inverse of the final basis, independent
         # of the pivots that led there; an optimal slack basis has it already
         b_inv = np.linalg.inv(problem.columns[:, basis])
-        xb = b_inv @ _net_of_upper(problem, b0, at_upper)
-        y = core.cost[core.basis] @ b_inv
+        xb = b_inv.dot(_net_of_upper(problem, b0, at_upper))
+        y = core.cost[core.basis].dot(b_inv)
     return _optimum(problem, basis, at_upper, b_inv, xb, y, core.pivots)
 
 
@@ -251,7 +262,7 @@ def _optimum(problem: LpProblem, basis, at_upper, b_inv, xb, y, pivots) -> LpSol
     vals[at_upper] = problem.ranges[at_upper]
     vals[basis] = xb
     x = problem.lower + vals[:problem.n_vars]
-    return LpSolution(x, -y, float(problem.cost @ x), LpStatus.OPTIMAL, pivots,
+    return LpSolution(x, -y, float(problem.cost.dot(x)), LpStatus.OPTIMAL, pivots,
                       basis, at_upper, b_inv)
 
 
@@ -278,25 +289,22 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
     if s != problem.n_rows:
         raise ValueError("rhs must have one column per inequality row")
     _require_finite(rhs=rhs)
-    rng = problem.ranges
+    costs, rng = problem.column_cost, problem.ranges
     shifted = rhs - problem.lower_rows
-    costs = np.concatenate([problem.cost, np.zeros(s)])  # slacks cost nothing
-    fixed_cost = float(problem.cost @ problem.lower)
+    fixed_cost = float(problem.cost.dot(problem.lower))
     group = np.zeros(n_lp, dtype=np.intp)
     if n_lp and isinstance(start, Start) and start.columns is problem.columns:
         basis, upper, b_inv = start.basis, start.at_upper, start.inverse
-        bound = rng[basis] + FEAS_TOL
         net = _net_of_upper(problem, shifted, upper)
-        values = net @ b_inv.T
-        xb = b_inv @ net[0]  # row 0 as solve_lp forms it
-        if (((values >= -FEAS_TOL) & (values <= bound)).all()
-                and ((xb >= -FEAS_TOL) & (xb <= bound)).all()):
+        values = net.dot(b_inv.T)
+        xb = b_inv.dot(net[0])  # row 0 as solve_lp forms it
+        if _fits(values, start.bound) and _fits(xb, start.bound):
             y, j = _price(costs, basis, b_inv, problem.columns, start.sign, bland=False)
             if j is None:  # one basis serves every row
                 sol = _optimum(problem, basis, upper, b_inv, xb, y, 0)
-                nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
+                nonbasic_cost = fixed_cost + costs[upper].dot(rng[upper])
                 return LpBatchSolution([sol], group, values,
-                                       nonbasic_cost + values @ costs[basis])
+                                       nonbasic_cost + values.dot(costs[basis]))
 
     solves = []
     xb, objective = np.zeros((n_lp, s)), np.full(n_lp, np.nan)
@@ -311,16 +319,23 @@ def solve_lp_multi_rhs(problem: LpProblem, rhs: np.ndarray,
 
         basis, upper = sol.basis, sol.at_upper
         b = shifted if pending.size == n_lp else shifted[pending]
-        values = _net_of_upper(problem, b, upper) @ sol.basis_inverse.T
+        values = _net_of_upper(problem, b, upper).dot(sol.basis_inverse.T)
         fits = ((values >= -FEAS_TOL) & (values <= rng[basis] + FEAS_TOL)).all(axis=1)
         fits[0] = True  # the cold-solved row, optimal within the simplex's tolerances
         # nonbasic variables sit at the bound they sit at in the cold solve
-        nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
+        nonbasic_cost = fixed_cost + costs[upper].dot(rng[upper])
         won, values = pending[fits], values[fits]
         xb[won] = values
-        objective[won] = nonbasic_cost + values @ costs[basis]
+        objective[won] = nonbasic_cost + values.dot(costs[basis])
         pending = pending[~fits]
     return LpBatchSolution(solves=solves, group=group, xb=xb, objective=objective)
+
+
+def _fits(values: np.ndarray, bound: np.ndarray | None) -> bool:
+    """Whether every basic value lies in [-FEAS_TOL, bound], a Start's bound; nan does not."""
+    # ndarray.min (inf for no rows) and ndarray.all without their Python wrappers
+    return bool(np.minimum.reduce(values, axis=None, initial=math.inf) >= -FEAS_TOL
+                and (bound is None or np.logical_and.reduce(values <= bound, axis=None)))
 
 
 def check_start(problem: LpProblem, start: tuple) -> Start | None:
@@ -356,9 +371,12 @@ def check_start(problem: LpProblem, start: tuple) -> Start | None:
     sign = np.full(q + s, -1.0)
     sign[at_upper], sign[basis] = 1.0, 0.0
     sign *= rng > 0.0
-    for part in (basis, at_upper, b_inv, sign):
+    bound = rng[basis] + FEAS_TOL
+    for part in (basis, at_upper, b_inv, sign, bound):
         part.flags.writeable = False
-    return Start(basis, at_upper, b_inv, sign, problem.columns)
+    if np.isinf(bound).all():
+        bound = None
+    return Start(basis, at_upper, b_inv, sign, bound, problem.columns)
 
 
 def _net_of_upper(problem: LpProblem, b0: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
@@ -366,13 +384,13 @@ def _net_of_upper(problem: LpProblem, b0: np.ndarray, at_upper: np.ndarray) -> n
     their upper bounds (b0 itself when there are none)."""
     if not at_upper.size:  # subtracting the empty product's zeros changes no bit
         return b0
-    return b0 - problem.columns[:, at_upper] @ problem.ranges[at_upper]
+    return b0 - problem.columns[:, at_upper].dot(problem.ranges[at_upper])
 
 
 def _price(cost, basis, b_inv, columns, sign, bland: bool) -> tuple:
     """Duals y = c_B B^-1 and the column entering by the pivot rules, or None."""
-    y = cost[basis] @ b_inv
-    viol = sign * (cost - y @ columns)
+    y = cost[basis].dot(b_inv)
+    viol = sign * (cost - y.dot(columns))
     if bland:
         nz = (viol > PIVOT_TOL).nonzero()[0]
         return y, int(nz[0]) if nz.size else None
@@ -451,7 +469,7 @@ class _Simplex:
 
     def _pivot(self, j: int) -> bool:
         """Bring column j toward the basis; False signals an unbounded ray."""
-        col = self.b_inv @ self.cols[:, j]
+        col = self.b_inv.dot(self.cols[:, j])
         from_upper = bool(self.state[j] > 0)
         delta = -col if from_upper else col
 
@@ -496,5 +514,5 @@ class _Simplex:
     def _refactor(self):
         self.b_inv = np.linalg.inv(self.cols[:, self.basis])
         nb_upper = self.state > 0
-        rhs = self.b0 - self.cols[:, nb_upper] @ self.rng[nb_upper]
-        self.xb = self.b_inv @ rhs
+        rhs = self.b0 - self.cols[:, nb_upper].dot(self.rng[nb_upper])
+        self.xb = self.b_inv.dot(rhs)

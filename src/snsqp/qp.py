@@ -162,13 +162,14 @@ class BoxPolyhedron:
         return _frozen(limits)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """One subproblem: gradient estimate, scalar curvature, optional equality rows.
 
     eq_jacobian columns are the constraint gradients (shape n x m); the
     linearized constraints read eq_jacobian.T @ d = -eq_residual.  The set is
-    already translated to step coordinates by the caller.  Two problems
+    already translated to step coordinates by the caller.  The problem is
+    frozen; its arrays are converted to float, not copied.  Two problems
     compare by identity.
     """
 
@@ -179,21 +180,26 @@ class QpProblem:
     eq_residual: np.ndarray | None = None
 
     def __post_init__(self):
-        self.gradient = np.atleast_1d(np.asarray(self.gradient, dtype=float))
-        self.curvature = float(self.curvature)
-        if not 0.0 < self.curvature < math.inf:
+        gradient = np.atleast_1d(np.asarray(self.gradient, dtype=float))
+        curvature = float(self.curvature)
+        if not 0.0 < curvature < math.inf:
             raise ValueError("curvature must be positive (strict convexity) and finite")
-        if self.gradient.shape != (self.set.dim,):
+        if gradient.shape != (self.set.dim,):
             raise ValueError("gradient dimension does not match the set")
-        _require_finite(gradient=self.gradient)
-        if (self.eq_jacobian is None) != (self.eq_residual is None):
+        # a few entries: Python's test costs less than numpy's calls
+        if not all(map(math.isfinite, gradient.tolist())):
+            raise ValueError("gradient must be finite")
+        eq_jacobian, eq_residual = self.eq_jacobian, self.eq_residual
+        if (eq_jacobian is None) != (eq_residual is None):
             raise ValueError("eq_jacobian and eq_residual must be given together")
-        if self.eq_jacobian is not None:
-            self.eq_jacobian = np.atleast_2d(np.asarray(self.eq_jacobian, dtype=float))
-            self.eq_residual = np.atleast_1d(np.asarray(self.eq_residual, dtype=float))
-            if self.eq_jacobian.shape != (self.set.dim, self.eq_residual.size):
+        if eq_jacobian is not None:
+            eq_jacobian = np.atleast_2d(np.asarray(eq_jacobian, dtype=float))
+            eq_residual = np.atleast_1d(np.asarray(eq_residual, dtype=float))
+            if eq_jacobian.shape != (self.set.dim, eq_residual.size):
                 raise ValueError("eq_jacobian must be (n, m) with eq_residual of length m")
-            _require_finite(eq_jacobian=self.eq_jacobian, eq_residual=self.eq_residual)
+            _require_finite(eq_jacobian=eq_jacobian, eq_residual=eq_residual)
+        self.__dict__.update(gradient=gradient, curvature=curvature,
+                             eq_jacobian=eq_jacobian, eq_residual=eq_residual)
 
     @property
     def n_eq(self) -> int:
@@ -226,8 +232,11 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     loop's own step and multipliers by _kkt on the same lists.
 
     If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.  A
-    solve that does not end OPTIMAL returns zeros and an infinite residual.
-    QpSolution.iterations counts the constraints added plus those dropped.
+    solve whose loop does not end OPTIMAL returns zeros and an infinite
+    residual.  A solve whose loop ends OPTIMAL but whose certificate exceeds
+    TOL * max(1, |g|_inf) is a NUMERICAL_FAILURE too, and keeps the loop's
+    step, multipliers and finite residual.  QpSolution.iterations counts the
+    constraints added plus those dropped.
     """
     box, alpha, m = problem.set, problem.curvature, problem.n_eq
     gradient = problem.gradient.tolist()
@@ -235,7 +244,8 @@ def solve_qp(problem: QpProblem) -> QpSolution:
                                 problem.eq_residual)
     exps = list(map(_row_exponent, general))
     # on Python floats, so that an overflow raises no numpy warning
-    if math.isfinite(max(map(abs, gradient)) / alpha):
+    g_max = max(map(abs, gradient))
+    if math.isfinite(g_max / alpha):
         result = _active_set(gradient, alpha, general, limits, m, exps)
     else:
         result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
@@ -243,7 +253,7 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     residual = math.inf
     if status is QpStatus.OPTIMAL:
         residual = _kkt(gradient, alpha, general, limits, m, exps, d, mults)
-        if not residual <= TOL * max(1.0, *map(abs, gradient)):  # NaN fails too
+        if not residual <= TOL * max(1.0, g_max):  # NaN fails too
             status = QpStatus.NUMERICAL_FAILURE
     else:
         d, mults = [0.0] * len(gradient), [0.0] * len(limits)

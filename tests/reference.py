@@ -6,21 +6,26 @@ systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
 The rest are independent checks: a dense QP KKT residual, LP optimality
 residuals (with the expansion of one batch row into its own LP solution),
-finite differences, quadrature moments, grid minima, the plain two-call PPS
+finite differences, quadrature moments, grid minima, the plain PPS
 sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
+Two keep an earlier formulation to check a faster one bit for bit: the
+served recourse batch, and the trace export through csv.DictWriter.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
 from snsqp.bench import pps
 from snsqp.bench.pps import PpsInstance
-from snsqp.lp import LpBatchSolution, LpProblem, LpSolution, LpStatus
+from snsqp.diagnostics import TRACE_COLUMNS
+from snsqp.lp import FEAS_TOL, PIVOT_TOL, LpBatchSolution, LpProblem, LpSolution, LpStatus
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import QpProblem
 from snsqp.sampling import draw_scenarios
@@ -222,6 +227,104 @@ def batch_row(problem: LpProblem, batch: LpBatchSolution, i: int) -> LpSolution:
     return LpSolution(problem.lower + values[:problem.n_vars], solve.duals,
                       float(batch.objective[i]), solve.status,
                       basis=solve.basis, at_upper=solve.at_upper)
+
+
+def served_batch(problem: LpProblem, rhs: np.ndarray, start) -> LpBatchSolution | None:
+    """solve_lp_multi_rhs's batch where the checked Start serves every row,
+    as the served path was written before the Start held its fit bound and
+    the problem its column cost: products by @, the slack costs padded, the
+    bound rebuilt and both range tests in full per call.  None where the
+    start does not serve the batch."""
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
+    n_lp, s = rhs.shape
+    rng = problem.ranges
+    costs = np.concatenate([problem.cost, np.zeros(s)])
+    fixed_cost = float(problem.cost @ problem.lower)
+    basis, upper, b_inv = start.basis, start.at_upper, start.inverse
+    bound = rng[basis] + FEAS_TOL
+    net = rhs - problem.lower_rows
+    if upper.size:
+        net = net - problem.columns[:, upper] @ rng[upper]
+    values = net @ b_inv.T
+    xb = b_inv @ net[0]
+    if not (((values >= -FEAS_TOL) & (values <= bound)).all()
+            and ((xb >= -FEAS_TOL) & (xb <= bound)).all()):
+        return None
+    y = costs[basis] @ b_inv
+    viol = start.sign * (costs - y @ problem.columns)
+    if viol[viol.argmax()] > PIVOT_TOL:
+        return None
+    full = np.zeros(problem.n_vars + s)
+    full[upper] = rng[upper]
+    full[basis] = xb
+    x = problem.lower + full[:problem.n_vars]
+    sol = LpSolution(x, -y, float(problem.cost @ x), LpStatus.OPTIMAL, 0, basis, upper, b_inv)
+    nonbasic_cost = fixed_cost + costs[upper] @ rng[upper]
+    return LpBatchSolution([sol], np.zeros(n_lp, dtype=np.intp), values,
+                           nonbasic_cost + values @ costs[basis])
+
+
+def served_recourse(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple | None:
+    """recourse_lp's (values, p-derivatives) for a batch its crash start
+    serves, as written before the oracle built its cost and right-hand
+    sides in place: the cost by _recourse_cost and with_vectors, the demand
+    caps written into a zero block, and served_batch.  None where the start
+    does not serve the batch."""
+    n = instance.stores
+    problem = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    slopes, intercepts = scenarios[:, :n], scenarios[:, n:]
+    rhs = np.zeros((len(scenarios), n + instance.factories))
+    rhs[:, :n] = slopes * p + intercepts
+    start, mask = pps._recourse_start(instance, p, rhs[:, :n])
+    sol = served_batch(problem, rhs, start)
+    if sol is None:
+        return None
+    return sol.objective, -(sol.xb @ mask) - slopes @ sol.solves[0].duals[:n]
+
+
+def dict_run_csv(trace, out_dir, run_id: str, epoch_size: int) -> tuple:
+    """write_run_csv as csv.DictWriter wrote it from one dict per row: the
+    TRACE_COLUMNS of each record, floats by repr, then x0 .. x{n-1} by
+    repr(float); per epoch the last record so far, over the whole budget
+    when the run stopped on it.  Writes {run_id}_trace.csv and
+    {run_id}_epochs.csv under out_dir and returns the two paths."""
+    records = trace.records
+    dim = trace.problem.dimension if trace.problem is not None else (
+        records[0].x.size if records else 0)
+    header = list(TRACE_COLUMNS) + [f"x{i}" for i in range(dim)]
+
+    def row(rec, epoch):
+        out = {}
+        for col in TRACE_COLUMNS:
+            value = (epoch if col == "epoch" else rec.batch_size if col == "N"
+                     else getattr(rec, col))
+            out[col] = repr(value) if isinstance(value, float) else value
+        for i, xi in enumerate(rec.x):
+            out[f"x{i}"] = repr(float(xi))
+        return out
+
+    def epoch_of(rec):
+        return (rec.oracle_calls - 1) // epoch_size
+
+    ends = {epoch_of(rec): i for i, rec in enumerate(records)}
+    iter_rows = [row(rec, epoch_of(rec)) for rec in records]
+    epoch_rows = []
+    if records:
+        if trace.stop_reason == "budget" and trace.config is not None:
+            n_epochs = math.ceil(trace.config.budget / epoch_size)
+        else:
+            n_epochs = max(ends) + 1
+        current = records[0]
+        for e in range(n_epochs):
+            current = records[ends[e]] if e in ends else current
+            epoch_rows.append(row(current, e))
+    paths = (Path(out_dir) / f"{run_id}_trace.csv", Path(out_dir) / f"{run_id}_epochs.csv")
+    for path, rows in zip(paths, (iter_rows, epoch_rows)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=header)
+            writer.writeheader()
+            writer.writerows(rows)
+    return paths
 
 
 def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

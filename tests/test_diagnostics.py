@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from snsqp.driver import IterationRecord, IterationTrace, SolverConfig
 from snsqp.qp import BoxPolyhedron
 from snsqp.sampling import FixedSize, draw_scenarios
 
-from reference import set_rows
+from reference import dict_run_csv, set_rows
 
 
 def column_stationarity(g, constraints_value, constraints_jacobian):
@@ -479,6 +481,50 @@ class TestCsvExport:
                 rows = list(csv.reader(fh))
             assert len(rows) == 1
             assert rows[0] == list(TRACE_COLUMNS)
+
+
+#: floats the CSV must spell exactly: signed zeros, subnormals, the extremes,
+#: nan and the infinities, as Python floats and as numpy float64 (whose repr
+#: differs from its str)
+_FIELD_FLOATS = (st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e-300, math.nan, math.inf, -math.inf]))
+_FIELD_VALUES = _FIELD_FLOATS | _FIELD_FLOATS.map(np.float64)
+
+
+@st.composite
+def _traces(draw):
+    """A trace of 0-12 records with arbitrary float fields and rising call
+    counts, a stop reason, with or without a budget and a problem to size x."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    calls = sorted(draw(st.lists(st.integers(1, 5000), min_size=n, max_size=n)))
+    records = [IterationRecord(
+        k=k, x=np.array(draw(st.lists(_FIELD_FLOATS, min_size=dim, max_size=dim))),
+        batch_size=draw(st.integers(1, 1000)), oracle_calls=c,
+        **{name: draw(_FIELD_VALUES) for name in (
+            "step_norm", "pred_decrease", "zeta", "beta", "alpha", "theta", "merit",
+            "objective_estimate", "stationarity")})
+        for k, c in enumerate(calls, 1)]
+    budget = draw(st.none() | st.integers(1, 5000))
+    config = None if budget is None else SolverConfig(
+        x0=np.zeros(dim), alpha0=1.0, strategy=FixedSize(10), budget=budget)
+    return IterationTrace(
+        records=records, config=config,
+        stop_reason=draw(st.sampled_from(["budget", "stall", "max_iterations",
+                                          "oracle_error", "subproblem_failed"])),
+        problem=draw(st.sampled_from([None, types.SimpleNamespace(dimension=dim)])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace=_traces(), epoch_size=st.sampled_from([1, 7, 100, 500]))
+def test_the_csv_files_keep_the_dict_writers_bytes(trace, epoch_size):
+    """write_run_csv's trace and epoch files hold, byte for byte, what
+    csv.DictWriter wrote from dict rows (reference.dict_run_csv): every
+    float field by repr, nan, the infinities, -0.0 and subnormals included,
+    for empty traces, budget and other stops and several epoch sizes."""
+    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
+        written = write_run_csv(trace, ours, "run", epoch_size)
+        for path, want in zip(written, dict_run_csv(trace, theirs, "run", epoch_size)):
+            assert path.read_bytes() == want.read_bytes(), path.name
 
 
 class TestReferenceMeasure:

@@ -32,6 +32,8 @@ from reference import (
     plain_scenario_sampler,
     recourse_closed_form,
     second_stage_lp,
+    served_batch,
+    served_recourse,
     suggest_rho,
     truncated_normal_moments,
 )
@@ -530,6 +532,37 @@ def test_a_served_batch_reads_its_starts_held_mask(instance, problem, p, seed, s
     slopes, _ = split_scenarios(instance, scenarios)
     _, derivs = recourse_lp(instance, p, scenarios)
     assert same_bytes(derivs, -(sol.xb @ built) - slopes @ sol.solves[0].duals[:5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from([1, 2, 10, 1000]))
+def test_the_served_batch_keeps_the_earlier_formulations_bits(instance, problem, data, seed,
+                                                              size):
+    """On batches the crash start serves, at prices in all three regimes of
+    _recourse_start and exactly at their ends, recourse_lp's values and
+    p-derivatives, and solve_lp_multi_rhs's solves[0], xb, objective and
+    group, have the bits of the earlier formulation in reference.py: the
+    served path with the fit bound and the slack costs rebuilt per call,
+    both range tests in full, and products by @."""
+    no_shipping, floor_only = instance.regime_prices
+    p = data.draw(st.sampled_from([no_shipping, floor_only]) | st.floats(1.0, no_shipping)
+                  | st.floats(no_shipping, floor_only) | st.floats(floor_only, 10.0), label="p")
+    scenarios = draw_scenarios(problem.scenario_sampler, seed, 0, size)
+    want = served_recourse(instance, p, scenarios)
+    assume(want is not None)
+    for got, expected in zip(recourse_lp(instance, p, scenarios), want):
+        assert same_bytes(got, expected)
+    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    rhs = pps._recourse_rhs(instance, p, scenarios)
+    start, _ = pps._recourse_start(instance, p, rhs[:, :instance.stores])
+    batch, reference = lp.solve_lp_multi_rhs(at_p, rhs, start), served_batch(at_p, rhs, start)
+    for name in ("xb", "objective", "group"):
+        assert same_bytes(getattr(batch, name), getattr(reference, name)), name
+    assert len(batch.solves) == 1
+    first, expected = batch.solves[0], reference.solves[0]
+    assert (first.status, first.iterations) == (expected.status, expected.iterations)
+    for name in ("primal", "duals", "objective", "basis", "at_upper", "basis_inverse"):
+        assert same_bytes(getattr(first, name), getattr(expected, name)), name
 
 
 class TestCrashStart:

@@ -409,6 +409,20 @@ class TestSetValidation:
                       eq_jacobian=[[1.0, 2.0]], eq_residual=[0.0])
 
 
+    def test_problem_fields_are_frozen(self):
+        """A subproblem is frozen like its set: assigning any field raises,
+        and the fields keep what construction converted (a list gradient is
+        a float array, an integer curvature a float)."""
+        box = BoxPolyhedron([0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [1.5])
+        problem = QpProblem(gradient=[1, -2], curvature=2, set=box.translate([0.5, 0.25]),
+                            eq_jacobian=[[1.0], [0.0]], eq_residual=[0.0])
+        for f in dataclasses.fields(problem):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(problem, f.name, getattr(problem, f.name))
+        assert problem.gradient.dtype == np.float64 and type(problem.curvature) is float
+        assert problem.eq_jacobian.shape == (2, 1) and problem.n_eq == 1
+
+
 #: (working rows drawn, whether the first is added again) for the factor tests
 WORKING_SETS = [pytest.param(1, False, id="one-row"), pytest.param(2, False, id="two-rows"),
                 pytest.param(3, False, id="three-rows"),
