@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -154,6 +155,12 @@ def _cmd_run(args) -> int:
     out_dir = Path(_nonempty_str(cfg, "out", "run_out"))
     run_id = _nonempty_str(
         cfg, "run_id", f"{cfg['problem']}_{runner.run_id_for(strategy_text, seed)}")
+    if any(sep in run_id for sep in (os.sep, os.altsep) if sep):
+        raise ConfigError("config.run_id", "must not contain a path separator")
+    # the nearest existing ancestor is where write_run_csv's mkdir starts
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError("config.out", f"{existing} is not a directory")
 
     config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
                           strategy=strategy, budget=budget, master_seed=seed, **kwargs)

@@ -30,6 +30,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
 from typing import Optional
 
@@ -65,9 +66,10 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     The multipliers and the activity mask have one entry per entry of
     box.limits, then one per equality row.  One _active_set call projects
     -g: active bounds have limit 0, inactive ones inf, and inactive rows are
-    left out.  The loop scales the rows; g is scaled here, to the same row
-    scale (_row_exponent), which leaves the polar cone as it is, and the
-    residual and multipliers are scaled back.  Set multipliers the final
+    left out.  The loop reads the active rows at their row scale, the set's
+    as it holds them; g is scaled here, to the same row scale
+    (_row_exponent), which leaves the polar cone as it is, and the residual
+    and multipliers are scaled back.  Set multipliers the final
     projection leaves at -1e-16 are floored at 0.
     """
     g = np.asarray(g, dtype=float)
@@ -82,8 +84,8 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
         if jac.shape != (n, c_eq.size):
             raise ValueError("the equality jacobian must have shape (len(g), len(c))")
     # an equality row's value is -c_j here; only its magnitude is read
-    rows, values = _row_form(values, box, jac, c_eq)
-    if not all(map(math.isfinite, g_list + values + sum(rows, []))):
+    rows, values, exps, scaled = _row_form(values, box, jac, c_eq)
+    if not all(map(math.isfinite, chain(g_list, values, *rows))):
         raise ValueError("gradient, equality values and jacobian must be finite")
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
     multipliers = np.zeros(len(values))
@@ -91,12 +93,13 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
         return StationarityReport(float(np.linalg.norm(g)), multipliers, np.array(act))
 
     # loop ids: the bounds, then the active rows, with the equality rows last
-    index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
-    g_exp, active = _row_exponent(g_list), [rows[c - 2 * n] for c in index[2 * n:]]
+    active = act[2 * n:]
+    index = [*range(2 * n), *compress(range(2 * n, len(values)), active)]
+    g_exp = _row_exponent(g_list)
     status, d, mults, _, _ = _active_set(
-        [math.ldexp(v, -g_exp) for v in g_list], 1.0, active,
+        [math.ldexp(v, -g_exp) for v in g_list], 1.0, [*compress(scaled, active)],
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
-        list(map(_row_exponent, active)))
+        [*compress(exps, active)])
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")
     for c, w in zip(index, mults):

@@ -74,8 +74,13 @@ def _require_int(**fields) -> None:
 
 
 def predicted_decrease(gradient: np.ndarray, curvature: float, d: np.ndarray) -> float:
-    """Model decrease for the full step d (positive means the model improves)."""
-    return float(-(gradient @ d) - 0.5 * curvature * (d @ d))
+    """Model decrease for the full step d (positive means the model improves).
+
+    d.d is ndarray.dot, the BLAS product with less call overhead than
+    matmul; g.d stays matmul, which for one entry can give an exact zero
+    the other sign than ndarray.dot.
+    """
+    return float(-(gradient @ d) - 0.5 * curvature * d.dot(d))
 
 
 def merit_value(objective_value: float, c_value: np.ndarray, theta: float) -> float:

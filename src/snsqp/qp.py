@@ -15,20 +15,25 @@ the working rows on the free coordinates are factored.
 
 The loop, _active_set, is the package's one active-set method: it also
 computes the stationarity measure of snsqp.diagnostics, which by Moreau's
-decomposition is a projection onto a polar cone.  For both callers it
-scales the rows, so a subproblem solves the same however its rows are
-written, and returns one multiplier per bound and row, scaled back.
+decomposition is a projection onto a polar cone.  For both callers it reads
+the rows at their row scale (_row_exponent), so a subproblem solves the same
+however its rows are written, and returns one multiplier per bound and row,
+scaled back.
 
 The set has one form: a frozen BoxPolyhedron always holds its rows, zero of
 them when it has none, and its limits -lower, upper and ineq_rhs, built once,
 where a bound is the signed unit vector it is and only the inequality rows
-are stored as rows.  One builder, _row_form, lays out the lists the loop
+are stored as rows.  It also holds those rows once as Python floats, with
+each row's exponent and scaled copy (row_form), which a translated set
+shares, so no solve converts or scales them again; only the equality rows
+are scaled per call.  One builder, _row_form, lays out the lists the loop
 reads, those limits and rows, then the equality rows, for the subproblem,
 its certificate and the stationarity measure alike.  The solve returns the
 step, the equality multipliers and one nonnegative multiplier per bound and
 row, certified on the lists it was solved on by one KKT residual, _kkt, in
-which the equality rows are rows, read at the loop's row scale
-(_row_exponent).  Problems here are small (a few dozen variables);
+which the equality rows are rows, read at the loop's row scale.  _kkt takes
+one pass over the rows and one over the coordinates and keeps only the
+largest part.  Problems here are small (a few dozen variables);
 exact active-set identification is preferred over iterative methods because
 the multipliers feed merit and stationarity formulas.
 
@@ -74,11 +79,14 @@ class BoxPolyhedron:
     ineq_matrix of shape (0, n) and an empty ineq_rhs.  Its limits are built
     once, at construction: entries 0..n-1 are the lower bounds'
     (-x_i <= -lower_i), n..2n-1 the upper bounds' (x_i <= upper_i), and
-    2n..2n+p-1 the inequality rows'.  It needs at least one coordinate, all
-    data must be finite, and the bounds keep the set compact, which keeps
-    subproblem steps and multipliers bounded.  The set is frozen and its
-    arrays are read-only copies, so the limits cannot fall out of step with
-    their data.  Two sets compare by identity.
+    2n..2n+p-1 the inequality rows'.  So are its rows as the kernel reads
+    them, row_form = (rows, exps, scaled): each row a tuple of floats, its
+    _row_exponent, and the row times 2**-exponent.  It needs at least one
+    coordinate, all data must be finite, and the bounds keep the set
+    compact, which keeps subproblem steps and multipliers bounded.  The set
+    is frozen, its arrays are read-only copies and its held rows tuples, so
+    neither the limits nor the rows can fall out of step with their data.
+    Two sets compare by identity.
     """
 
     lower: np.ndarray
@@ -86,6 +94,7 @@ class BoxPolyhedron:
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     limits: np.ndarray = field(init=False, repr=False)
+    row_form: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lower, upper = _frozen(np.atleast_1d(self.lower)), _frozen(np.atleast_1d(self.upper))
@@ -103,7 +112,8 @@ class BoxPolyhedron:
             raise ValueError("ineq_matrix must be (p, n) with ineq_rhs of length p")
         _require_finite(ineq_matrix=rows, ineq_rhs=rhs)
         self.__dict__.update(lower=lower, upper=upper, ineq_matrix=rows, ineq_rhs=rhs,
-                             limits=_frozen(np.concatenate([-lower, upper, rhs])))
+                             limits=_frozen(np.concatenate([-lower, upper, rhs])),
+                             row_form=_scaled_rows(tuple(map(tuple, rows.tolist()))))
 
     @property
     def dim(self) -> int:
@@ -240,46 +250,38 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     """
     box, alpha, m = problem.set, problem.curvature, problem.n_eq
     gradient = problem.gradient.tolist()
-    general, limits = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
-                                problem.eq_residual)
-    exps = list(map(_row_exponent, general))
+    general, limits, exps, scaled = _row_form(box.limits.tolist(), box, problem.eq_jacobian,
+                                              problem.eq_residual)
     # on Python floats, so that an overflow raises no numpy warning
     g_max = max(map(abs, gradient))
-    if math.isfinite(g_max / alpha):
-        result = _active_set(gradient, alpha, general, limits, m, exps)
-    else:
-        result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
-    status, d, mults, rank_warning, iterations = result
-    residual = math.inf
+    status, d, mults, rank_warning, iterations = (
+        _active_set(gradient, alpha, scaled, limits, m, exps) if math.isfinite(g_max / alpha)
+        else (QpStatus.NUMERICAL_FAILURE, None, None, False, 0))
     if status is QpStatus.OPTIMAL:
         residual = _kkt(gradient, alpha, general, limits, m, exps, d, mults)
         if not residual <= TOL * max(1.0, g_max):  # NaN fails too
             status = QpStatus.NUMERICAL_FAILURE
     else:
-        d, mults = [0.0] * len(gradient), [0.0] * len(limits)
-    n_set = box.limits.size
-    return QpSolution(
-        step=np.array(d),
-        eq_multipliers=np.array(mults[n_set:]),
-        set_multipliers=np.array(mults[:n_set]),
-        kkt_residual=residual,
-        status=status,
-        rank_warning=rank_warning,
-        iterations=iterations,
-    )
+        d, mults, residual = [0.0] * len(gradient), [0.0] * len(limits), math.inf
+    mults, n_set = np.array(mults), box.limits.size
+    return QpSolution(step=np.array(d), eq_multipliers=mults[n_set:],
+                      set_multipliers=mults[:n_set], kkt_residual=residual, status=status,
+                      rank_warning=rank_warning, iterations=iterations)
 
 
 def _row_form(limits: list, box: BoxPolyhedron, eq_jacobian=None, eq_values=None):
-    """The (general, limits) lists as _active_set reads them: limits, one per
-    entry of box.limits (the set's own, or translated to a point), with the
-    set's ineq_matrix rows, then, for an equality pair, one row per column of
-    eq_jacobian with limit -eq_values.  The subproblem, its certificate and
-    the stationarity measure all take their lists from here."""
-    general = box.ineq_matrix.tolist()
+    """The lists _active_set and _kkt read, (general, limits, exps, scaled):
+    the set's held rows, then, for an equality pair, one row per column of
+    eq_jacobian; limits, one per entry of box.limits (the set's own, or
+    translated to a point), then -eq_values; and each row's _row_exponent
+    and the row scaled by it.  The subproblem, its certificate and the
+    stationarity measure all take their lists from here."""
+    general, exps, scaled = box.row_form
     if eq_jacobian is not None:
-        general += eq_jacobian.T.tolist()
-        limits = limits + (-eq_values).tolist()
-    return general, limits
+        eq, eq_exps, eq_scaled = _scaled_rows(tuple(eq_jacobian.T.tolist()))
+        general, exps, scaled = general + eq, exps + eq_exps, scaled + eq_scaled
+        limits = limits + [-v for v in eq_values.tolist()]
+    return general, limits, exps, scaled
 
 
 def _active_set(gradient: list, alpha: float, general: list, limits: list, m: int,
@@ -289,8 +291,9 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     the rows a . d <= limits[c] of general, whose last m are equality rows.
     A bound with an infinite limit never enters.
 
-    Each row of general and its limit are first scaled to the row scale
-    exps, the _row_exponent of each row, exactly: the solve is the same
+    The rows of general come scaled to their row scale, times 2**-exps for
+    exps the _row_exponent of each row (as _row_form lays them out), and
+    each row's limit is scaled here to match, exactly: the solve is the same
     however the rows are written, no a . a underflows or overflows, and the
     absolute tolerances meet entries of order one.
 
@@ -307,34 +310,34 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     factor the working rows through _factor.
 
     Returns (status, d, mults, rank_warning, iterations).  When OPTIMAL,
-    mults has one multiplier per constraint id, in the units of general,
-    zero off the final working set; a bound's is the stationarity residual
-    on its coordinate.  Otherwise d and mults are None.
+    mults has one multiplier per constraint id, in the units of the rows
+    before scaling, zero off the final working set; a bound's is the
+    stationarity residual on its coordinate.  Otherwise d and mults are
+    None.
     """
     n, k = len(gradient), len(general)
-    general = [[math.ldexp(v, -e) for v in a] for a, e in zip(general, exps)]
     limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
-    side = [0.0] * n
     rows = list(range(2 * n + k - m, 2 * n + k))  # then inequality rows, in order of entry
     eq_rows, eq_limits = general[k - m:], limits[2 * n + k - m:]
     if not all(map(math.isfinite, eq_limits)):  # no finite step meets such a row
         return QpStatus.INFEASIBLE, None, None, False, 0
-    d, row_mults, rank_warning = _project(gradient, alpha, limits, side, eq_rows, eq_limits)
+    d, row_mults, rank_warning = _project(gradient, alpha, limits, [0.0] * n, eq_rows, eq_limits)
     if m and max(abs(_dot(a, d) - b) for a, b in zip(eq_rows, eq_limits)) > VIOLATION_TOL:
         return QpStatus.INFEASIBLE, None, None, rank_warning, 0
-    nu = [0.0] * len(limits)  # working multipliers over alpha, by constraint id
-    entering, iterations = None, 0
+    # side: the bound each coordinate is fixed at (0: free); nu: the working
+    # multipliers over alpha, by constraint id
+    side, nu, entering, iterations = [0.0] * n, [0.0] * len(limits), None, 0
     for _ in range(MAX_ITER_PER_ROW * (n + k)):
         if entering is None:
             # fixed coordinates sit on their bounds; working rows hold to roundoff
-            excess = [v - b for v, b in zip(
-                [-x for x in d] + d + [_dot(a, d) for a in general], limits)]
+            excess = list(map(operator.sub, [-x for x in d] + d + [_dot(a, d) for a in general],
+                              limits))
             for c in rows:
                 excess[c] = 0.0
-            # ties go to the lowest id
-            entering = max(range(len(excess)), key=excess.__getitem__)
-            if excess[entering] <= VIOLATION_TOL:
+            worst = max(excess)
+            if worst <= VIOLATION_TOL:
                 break
+            entering = excess.index(worst)  # ties go to the lowest id
         if entering < 2 * n:  # a bound's normal is a signed unit vector
             a = [0.0] * n
             a[entering % n] = 1.0 if entering >= n else -1.0
@@ -369,8 +372,7 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
         if full <= partial:
             if entering < 2 * n:
                 i = entering % n
-                side[i] = a[i]
-                d[i] = a[i] * limits[entering]  # the bound itself
+                side[i], d[i] = a[i], a[i] * limits[entering]  # d_i on the bound itself
             else:
                 rows.append(entering)
             entering = None
@@ -405,6 +407,13 @@ def _row_exponent(row) -> int:
     return math.frexp(max(map(abs, row)))[1]
 
 
+def _scaled_rows(rows: tuple) -> tuple:
+    """(rows, exps, scaled), tuples: the rows, the _row_exponent of each,
+    and each row times 2**-exponent, exactly."""
+    exps = tuple(map(_row_exponent, rows))
+    return rows, exps, tuple([tuple([math.ldexp(v, -e) for v in a]) for a, e in zip(rows, exps)])
+
+
 def _scaled_limit(b: float, exp: int) -> float:
     """b * 2**-exp, or b's infinity where that overflows: no finite step meets the row."""
     try:
@@ -417,36 +426,43 @@ def _kkt(gradient: list, alpha: float, general: list, limits: list, m: int,
          exps: list, d: list, mults: list) -> float:
     """The KKT residual of the step d and the multipliers mults, one per
     constraint id, over _active_set's lists, whose last m general rows are
-    equality rows.
+    equality rows: the largest of |stationarity| per coordinate, each
+    bound's and inequality row's -slack, -multiplier and |w * s|, and each
+    equality row's |gap|, in one pass over the rows and one over the
+    coordinates, with no list of the parts.
 
     Each general row's slack, and each inequality row's multiplier sign, are
     read at the loop's row scale, the exps _active_set was given, so the
     certificate does not depend on how the rows are written; an equality
-    row's gap is its negated slack, and its multiplier is free in sign.  The stationarity and
-    the complementarity w * s are free of that scale already and stay
-    unscaled.  The bounds are the signed unit vectors they are.
+    row's multiplier is free in sign.  The stationarity and the
+    complementarity w * s are free of that scale already and stay unscaled.
+    The bounds are the signed unit vectors they are.  Any NaN part makes the
+    residual NaN: each part that can be NaN turns NaN one of the |.| terms,
+    and their sum, probe, is NaN exactly then.
     """
-    n, p = len(gradient), len(general) - m
-    n_set = 2 * n + p
-    # the slack of the lower bounds, the upper bounds and the general rows
-    slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
-             + [b - _dot(a, d) for a, b in zip(general, limits[2 * n:])])
+    # worst, the max so far, starts at +0.0: |stat| >= 0 is a part
+    n, p, worst, probe = len(gradient), len(general) - m, 0.0, 0.0
+    for j, (a, b, e) in enumerate(zip(general, limits[2 * n:], exps)):
+        s, w = b - _dot(a, d), mults[2 * n + j]
+        c = abs(w * s) if j < p else abs(_scaled_limit(s, e))  # |w * s|, or |gap|
+        if j < p:
+            worst = max(worst, -_scaled_limit(s, e), -_scaled_limit(w, -e))
+        worst, probe = max(worst, c), probe + c
     # g + alpha d + (normal-cone element) + (equality rows' part), by
     # coordinate, summed over the inequality rows and then the equality rows
-    stat = [g + alpha * x + (up - lo) for g, x, lo, up in
-            zip(gradient, d, mults[:n], mults[n:2 * n])]
-    for rows, w in ((general[:p], mults[2 * n:n_set]), (general[p:], mults[n_set:])):
-        if rows:
-            stat = [s + _dot(col, w) for s, col in zip(stat, zip(*rows))]
-    # each inequality row's -slack and -multiplier and each equality row's
-    # |gap|, at its row scale
-    scaled = [-_scaled_limit(s, e) for s, e in zip(slack[2 * n:n_set], exps)]
-    scaled += [-_scaled_limit(w, -e) for w, e in zip(mults[2 * n:n_set], exps)]
-    scaled += [abs(_scaled_limit(s, e)) for s, e in zip(slack[n_set:], exps[p:])]
-    parts = [*map(abs, stat), *map(operator.neg, slack[:2 * n] + mults[:2 * n]), *scaled,
-             *(abs(w * s) for w, s in zip(mults, slack[:n_set]))]
-    # |stat| keeps the max nonnegative; Python's max would drop a NaN that is not first
-    return math.nan if any(map(math.isnan, parts)) else max(parts)
+    w_rows, w_eq = mults[2 * n:2 * n + p], mults[2 * n + p:]
+    for g, x, lo, up, lo_b, up_b, col in zip(gradient, d, mults, mults[n:], limits, limits[n:],
+                                             zip(*general) if general else [()] * n):
+        stat = g + alpha * x + (up - lo)
+        if p:
+            stat += _dot(col, w_rows)
+        if m:
+            stat += _dot(col[p:], w_eq)
+        lo_s, up_s, stat = lo_b + x, up_b - x, abs(stat)
+        lo_c, up_c = abs(lo * lo_s), abs(up * up_s)
+        worst = max(worst, stat, -lo_s, -up_s, -lo, -up, lo_c, up_c)
+        probe += stat + lo_c + up_c
+    return math.nan if math.isnan(probe) else worst
 
 
 def _dot(u, v) -> float:
@@ -459,7 +475,8 @@ def _factor(work: list, free: list):
     Python lists, without the singular values below RANK_THRESHOLD times the
     largest: the one factorization of a working set and its one rank rule.
 
-    No row gives empty lists.  One row has the closed form u = [[1]],
+    It needs a row: _direction and _project return before it for none,
+    where nothing is factored.  One row has the closed form u = [[1]],
     s = [|a_f|], vt = [a_f / |a_f|] for a_f its free part, with the norm
     taken by math.hypot, which neither underflows nor overflows on the way;
     a zero a_f has no singular value, the one the threshold drops.  Two or
@@ -470,8 +487,6 @@ def _factor(work: list, free: list):
         u, s, vt = np.linalg.svd(np.array(work) * free, full_matrices=False)
         keep = s > RANK_THRESHOLD * s[0]
         return u[:, keep].tolist(), s[keep].tolist(), (vt[keep] * free).tolist()
-    if not work:
-        return [], [], []
     part = [a if f else 0.0 for a, f in zip(work[0], free)]
     norm = math.hypot(*part)
     if not norm > 0.0:
@@ -489,6 +504,8 @@ def _direction(work: list, free: list, normal: list):
     then the least-norm split, 0 for a row with a zero free part.
     """
     toward = [a if f else 0.0 for a, f in zip(normal, free)]
+    if not work:
+        return toward, [], False
     u, s, vt = _factor(work, free)
     scaled = []  # coords / s
     # vt's rows are orthonormal: taking one off leaves the next coordinate as it was
@@ -513,6 +530,8 @@ def _project(gradient: list, alpha: float, limits: list, side: list, work: list,
     n = len(gradient)
     d = [-limits[i] if k < 0.0 else limits[n + i] if k > 0.0 else -g / alpha
          for i, (k, g) in enumerate(zip(side, gradient))]
+    if not work:
+        return d, [], False
     u, s, vt = _factor(work, [k == 0.0 for k in side])
     residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
     # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0

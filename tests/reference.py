@@ -8,8 +8,11 @@ The rest are independent checks: a dense QP KKT residual, LP optimality
 residuals (with the expansion of one batch row into its own LP solution),
 finite differences, quadrature moments, grid minima, the plain PPS
 sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
-Two keep an earlier formulation to check a faster one bit for bit: the
-served recourse batch, and the trace export through csv.DictWriter.
+Three keep an earlier formulation to check a faster one bit for bit: the
+served recourse batch, the trace export through csv.DictWriter, and the
+subproblem kernel (the active-set loop and its KKT certificate, with the
+subproblem and the stationarity measure around them) as written before the
+set held its rows and the certificate took one pass.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +28,11 @@ from scipy.integrate import quad
 
 from snsqp.bench import pps
 from snsqp.bench.pps import PpsInstance
-from snsqp.diagnostics import TRACE_COLUMNS
+from snsqp.diagnostics import ACTIVITY_TOL, TRACE_COLUMNS
 from snsqp.lp import FEAS_TOL, PIVOT_TOL, LpBatchSolution, LpProblem, LpSolution, LpStatus
 from snsqp.model import ConstrainedStochasticProblem
-from snsqp.qp import QpProblem
+from snsqp.qp import (MAX_ITER_PER_ROW, RANK_THRESHOLD, TOL, VIOLATION_TOL, QpProblem,
+                      QpSolution, QpStatus, _dot, _row_exponent, _scaled_limit)
 from snsqp.sampling import draw_scenarios
 
 
@@ -325,6 +330,225 @@ def dict_run_csv(trace, out_dir, run_id: str, epoch_size: int) -> tuple:
             writer.writeheader()
             writer.writerows(rows)
     return paths
+
+
+def kernel_solve(problem: QpProblem) -> QpSolution:
+    """solve_qp as it was written before the set held its rows: the rows
+    and their exponents derived on every call, the loop kernel_active_set,
+    the certificate kernel_kkt."""
+    box, alpha, m = problem.set, problem.curvature, problem.n_eq
+    gradient, limits = problem.gradient.tolist(), box.limits.tolist()
+    general = box.ineq_matrix.tolist()
+    if problem.eq_jacobian is not None:
+        general += problem.eq_jacobian.T.tolist()
+        limits = limits + (-problem.eq_residual).tolist()
+    exps = list(map(_row_exponent, general))
+    g_max = max(map(abs, gradient))
+    if math.isfinite(g_max / alpha):
+        result = kernel_active_set(gradient, alpha, general, limits, m, exps)
+    else:
+        result = QpStatus.NUMERICAL_FAILURE, None, None, False, 0
+    status, d, mults, rank_warning, iterations = result
+    residual = math.inf
+    if status is QpStatus.OPTIMAL:
+        residual = kernel_kkt(gradient, alpha, general, limits, m, exps, d, mults)
+        if not residual <= TOL * max(1.0, g_max):
+            status = QpStatus.NUMERICAL_FAILURE
+    else:
+        d, mults = [0.0] * len(gradient), [0.0] * len(limits)
+    n_set = box.limits.size
+    return QpSolution(np.array(d), np.array(mults[n_set:]), np.array(mults[:n_set]),
+                      residual, status, rank_warning, iterations)
+
+
+def kernel_stationarity(g: np.ndarray, box, x: np.ndarray, eq: tuple | None = None) -> tuple:
+    """stationarity_error's (residual, multipliers) as it was written before
+    the set held its rows, through kernel_active_set."""
+    g_list, values = np.asarray(g, dtype=float).tolist(), box.translated_limits(x).tolist()
+    n, n_set = box.dim, len(values)
+    rows = box.ineq_matrix.tolist()
+    if eq is not None:
+        rows += np.asarray(eq[1], dtype=float).T.tolist()
+        values = values + (-np.atleast_1d(np.asarray(eq[0], dtype=float))).tolist()
+    act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
+    multipliers = np.zeros(len(values))
+    if not any(act):
+        return float(np.linalg.norm(g)), multipliers
+    index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
+    g_exp, active = _row_exponent(g_list), [rows[c - 2 * n] for c in index[2 * n:]]
+    status, d, mults, _, _ = kernel_active_set(
+        [math.ldexp(v, -g_exp) for v in g_list], 1.0, active,
+        [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
+        list(map(_row_exponent, active)))
+    if status is not QpStatus.OPTIMAL:
+        raise RuntimeError(f"polar-cone projection ended {status.value}")
+    for c, w in zip(index, mults):
+        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
+    return math.ldexp(math.hypot(*d), g_exp), multipliers
+
+
+def kernel_active_set(gradient: list, alpha: float, general: list, limits: list, m: int,
+                      exps: list):
+    """qp._active_set as it was written before the set held its rows: it
+    takes the rows unscaled and scales each by its exponent on every call."""
+    n, k = len(gradient), len(general)
+    general = [[math.ldexp(v, -e) for v in a] for a, e in zip(general, exps)]
+    limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
+    side = [0.0] * n
+    rows = list(range(2 * n + k - m, 2 * n + k))  # then inequality rows, in order of entry
+    eq_rows, eq_limits = general[k - m:], limits[2 * n + k - m:]
+    if not all(map(math.isfinite, eq_limits)):  # no finite step meets such a row
+        return QpStatus.INFEASIBLE, None, None, False, 0
+    d, row_mults, rank_warning = _project(gradient, alpha, limits, side, eq_rows, eq_limits)
+    if m and max(abs(_dot(a, d) - b) for a, b in zip(eq_rows, eq_limits)) > VIOLATION_TOL:
+        return QpStatus.INFEASIBLE, None, None, rank_warning, 0
+    nu = [0.0] * len(limits)  # working multipliers over alpha, by constraint id
+    entering, iterations = None, 0
+    for _ in range(MAX_ITER_PER_ROW * (n + k)):
+        if entering is None:
+            # fixed coordinates sit on their bounds; working rows hold to roundoff
+            excess = [v - b for v, b in zip(
+                [-x for x in d] + d + [_dot(a, d) for a in general], limits)]
+            for c in rows:
+                excess[c] = 0.0
+            # ties go to the lowest id
+            entering = max(range(len(excess)), key=excess.__getitem__)
+            if excess[entering] <= VIOLATION_TOL:
+                break
+        if entering < 2 * n:  # a bound's normal is a signed unit vector
+            a = [0.0] * n
+            a[entering % n] = 1.0 if entering >= n else -1.0
+        else:
+            a = general[entering - 2 * n]
+        work = [general[c - 2 * n] for c in rows]
+        # a = work.T @ coef + (unit normals of the fixed bounds) + toward, with
+        # toward orthogonal to the working rows and zero on fixed coordinates
+        toward, coef, dependent = _direction(work, [s == 0.0 for s in side], a)
+        rank_warning = rank_warning or dependent
+        # what a unit step takes from each working multiplier, by constraint
+        # id; the equality rows' multipliers are free in sign and never leave
+        shrink = {i + n * (s > 0.0): s * (a[i] - _dot([w[i] for w in work], coef))
+                  for i, s in enumerate(side) if s}
+        shrink.update(zip(rows[m:], coef[m:]))
+        # step lengths in multiplier units: onto the violated constraint, and
+        # to the first working multiplier that reaches zero
+        tiny = RANK_THRESHOLD * math.hypot(*a)
+        reach = _dot(toward, toward)
+        full = (_dot(a, d) - limits[entering]) / reach if reach > tiny * tiny else math.inf
+        falls = sorted(c for c, v in shrink.items() if v > tiny)
+        ratios = [nu[c] / shrink[c] for c in falls]
+        partial = min(ratios, default=math.inf)
+        t = min(full, partial)
+        if t == math.inf:
+            return QpStatus.INFEASIBLE, None, None, rank_warning, iterations
+        d = [x - t * y for x, y in zip(d, toward)]
+        for c, v in shrink.items():
+            nu[c] -= t * v
+        nu[entering] += t  # zero when it started to enter: it was not working
+        iterations += 1
+        if full <= partial:
+            if entering < 2 * n:
+                i = entering % n
+                side[i] = a[i]
+                d[i] = a[i] * limits[entering]  # the bound itself
+            else:
+                rows.append(entering)
+            entering = None
+        else:
+            leaving = falls[ratios.index(partial)]
+            nu[leaving] = 0.0
+            if leaving < 2 * n:
+                side[leaving % n] = 0.0
+            else:
+                rows.remove(leaving)
+    else:
+        return QpStatus.NUMERICAL_FAILURE, None, None, rank_warning, iterations
+    work = [general[c - 2 * n] for c in rows]
+    if iterations:  # else d is the start: the same projection
+        d, row_mults, dependent = _project(gradient, alpha, limits, side, work,
+                                           [limits[c] for c in rows])
+        rank_warning = rank_warning or dependent
+    # the step and multipliers come from the final working set alone, so the
+    # step meets its working rows to roundoff
+    mults = [0.0] * len(limits)
+    for i, (s, g, x) in enumerate(zip(side, gradient, d)):
+        if s:
+            mults[i + n * (s > 0.0)] = -s * (g + alpha * x + _dot([w[i] for w in work], row_mults))
+    for c, w in zip(rows, row_mults):
+        mults[c] = math.ldexp(w, -exps[c - 2 * n])
+    return QpStatus.OPTIMAL, d, mults, rank_warning, iterations
+
+
+def kernel_kkt(gradient: list, alpha: float, general: list, limits: list, m: int,
+               exps: list, d: list, mults: list) -> float:
+    """qp._kkt as it was written before the one-pass certificate: the slack,
+    stationarity, scaled and parts lists, then one max."""
+    n, p = len(gradient), len(general) - m
+    n_set = 2 * n + p
+    # the slack of the lower bounds, the upper bounds and the general rows
+    slack = ([b + x for b, x in zip(limits, d)] + [b - x for b, x in zip(limits[n:], d)]
+             + [b - _dot(a, d) for a, b in zip(general, limits[2 * n:])])
+    # g + alpha d + (normal-cone element) + (equality rows' part), by
+    # coordinate, summed over the inequality rows and then the equality rows
+    stat = [g + alpha * x + (up - lo) for g, x, lo, up in
+            zip(gradient, d, mults[:n], mults[n:2 * n])]
+    for rows, w in ((general[:p], mults[2 * n:n_set]), (general[p:], mults[n_set:])):
+        if rows:
+            stat = [s + _dot(col, w) for s, col in zip(stat, zip(*rows))]
+    # each inequality row's -slack and -multiplier and each equality row's
+    # |gap|, at its row scale
+    scaled = [-_scaled_limit(s, e) for s, e in zip(slack[2 * n:n_set], exps)]
+    scaled += [-_scaled_limit(w, -e) for w, e in zip(mults[2 * n:n_set], exps)]
+    scaled += [abs(_scaled_limit(s, e)) for s, e in zip(slack[n_set:], exps[p:])]
+    parts = [*map(abs, stat), *map(operator.neg, slack[:2 * n] + mults[:2 * n]), *scaled,
+             *(abs(w * s) for w, s in zip(mults, slack[:n_set]))]
+    # |stat| keeps the max nonnegative; Python's max would drop a NaN that is not first
+    return math.nan if any(map(math.isnan, parts)) else max(parts)
+
+
+def _factor(work: list, free: list):
+    """qp._factor as kernel_active_set's _direction and _project call it,
+    empty lists for no rows."""
+    if len(work) > 1:
+        u, s, vt = np.linalg.svd(np.array(work) * free, full_matrices=False)
+        keep = s > RANK_THRESHOLD * s[0]
+        return u[:, keep].tolist(), s[keep].tolist(), (vt[keep] * free).tolist()
+    if not work:
+        return [], [], []
+    part = [a if f else 0.0 for a, f in zip(work[0], free)]
+    norm = math.hypot(*part)
+    if not norm > 0.0:
+        return [[]], [], []
+    return [[1.0]], [norm], [[a / norm for a in part]]
+
+
+def _direction(work: list, free: list, normal: list):
+    """qp._direction as kernel_active_set calls it."""
+    toward = [a if f else 0.0 for a, f in zip(normal, free)]
+    u, s, vt = _factor(work, free)
+    scaled = []  # coords / s
+    # vt's rows are orthonormal: taking one off leaves the next coordinate as it was
+    for sv, v in zip(s, vt):
+        c = _dot(v, toward)
+        toward = [x - c * y for x, y in zip(toward, v)]
+        scaled.append(c / sv)
+    return toward, [_dot(row, scaled) for row in u], len(s) < len(work)
+
+
+def _project(gradient: list, alpha: float, limits: list, side: list, work: list, rhs: list):
+    """qp._project as kernel_active_set calls it."""
+    n = len(gradient)
+    d = [-limits[i] if k < 0.0 else limits[n + i] if k > 0.0 else -g / alpha
+         for i, (k, g) in enumerate(zip(side, gradient))]
+    u, s, vt = _factor(work, [k == 0.0 for k in side])
+    residual = [b - _dot(a, d) for a, b in zip(work, rhs)]
+    # -alpha inside the sums: a row with no singular value sums to +0.0, not -0.0
+    scaled = []  # -alpha coords / s
+    for col, sv, v in zip(zip(*u), s, vt):
+        c = _dot(col, residual) / sv
+        d = [x + c * y for x, y in zip(d, v)]
+        scaled.append(-alpha * (c / sv))
+    return d, [_dot(row, scaled) for row in u], len(s) < len(work)
 
 
 def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

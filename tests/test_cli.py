@@ -132,6 +132,29 @@ class TestRunCommand:
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("run_id", "sub/dir"), ("out", "file"), ("out", "file/runs"),
+    ])
+    def test_unwritable_output_path_fails_before_the_solve(self, capsys, tmp_path,
+                                                          monkeypatch, field, value):
+        """A run_id with a path separator, or an out that is or lies under a
+        file, fails with exit 2 before the solve.  Accepted, the whole solve
+        ran and writing the CSVs raised FileNotFoundError, FileExistsError
+        or NotADirectoryError."""
+        def no_solve(*args):
+            raise AssertionError("the solver ran on an invalid config")
+
+        monkeypatch.setattr(driver, "draw_scenarios", no_solve)
+        (tmp_path / "file").write_text("")
+        config = {"problem": "affine-eq", "strategy": "fixed:10", "budget": 200,
+                  "out": str(tmp_path / "runs")}
+        config[field] = value if field == "run_id" else str(tmp_path / value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"error: config.{field}: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_equality_problem_runs_and_writes_csvs(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

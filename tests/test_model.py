@@ -6,6 +6,7 @@ worked out by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snsqp.model import ConstrainedStochasticProblem, merit_value, predicted_decrease
 from snsqp.qp import BoxPolyhedron
@@ -44,6 +45,19 @@ class TestPredictedDecrease:
             beta = float(rng.uniform(0.01, 1.0))
             assert (predicted_decrease(g, a, beta * d)
                     >= beta * predicted_decrease(g, a, d) - 1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3),
+           curvature=st.floats(1e-3, 1e3))
+    def test_keeps_the_bits_of_matmul(self, data, n, curvature):
+        """d.d by ndarray.dot writes the bytes d @ d wrote: on signed
+        zeros, subnormals and sizes 1-3, the decrease is bit for bit the
+        expression it replaced."""
+        entry = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                          st.floats(-1e100, 1e100), st.floats(-1e-300, 1e-300))
+        g, d = (np.array([data.draw(entry) for _ in range(n)]) for _ in range(2))
+        old = float(-(g @ d) - 0.5 * curvature * (d @ d))
+        assert np.float64(predicted_decrease(g, curvature, d)).tobytes() == np.float64(old).tobytes()
 
 
 class TestMeritValue:

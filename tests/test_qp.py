@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from snsqp import qp
+from snsqp.diagnostics import stationarity_error
 from snsqp.qp import (
     BoxPolyhedron,
     QpProblem,
@@ -22,6 +23,7 @@ from snsqp.qp import (
     solve_qp,
 )
 
+import reference
 from reference import enumerate_qp, kkt_residual, set_rows
 
 
@@ -867,3 +869,97 @@ def test_kkt_residual_is_nan_on_a_nan_candidate(field):
     entries = getattr(sol, field)
     entries[np.argmin(entries)] = np.nan
     assert np.isnan(kkt_residual(problem, sol))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(problem, stationarity set, point, equality pair) for the kernel
+    reference: n of 1-4, 0-2 inequality rows and 0-2 equality rows with
+    integer or irregular entries, the second row or column possibly a
+    multiple of the first, and each row and column with its limit times
+    2**k for |k| <= 40.  The stationarity set has the same rows, active at
+    the point where their slack is drawn 0."""
+    n, p, m = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    lower, upper, point = draw(box_data(n))
+    if draw(st.booleans()):
+        rows, jac = integer_matrix(draw, p, n), integer_matrix(draw, n, m)
+    else:
+        entry = st.floats(-3.0, 3.0)
+        rows = np.array([[draw(entry) for _ in range(n)] for _ in range(p)]).reshape(p, n)
+        jac = np.array([[draw(entry) for _ in range(m)] for _ in range(n)]).reshape(n, m)
+    multiple = st.sampled_from([1.0, -1.0, 2.0])
+    if p == 2 and draw(st.booleans()):
+        rows[1] = draw(multiple) * rows[0]
+    if m == 2 and draw(st.booleans()):
+        jac[:, 1] = draw(multiple) * jac[:, 0]
+    if draw(st.booleans()):
+        rhs = rows @ point + np.array([draw(quarters(0, 8)) for _ in range(p)])
+        residual = -(jac.T @ point)
+    else:
+        rhs = np.array([draw(quarters(-8, 12)) for _ in range(p)])
+        residual = np.array([draw(quarters(-8, 8)) for _ in range(m)])
+    exponent = st.integers(-40, 40)
+    row_k = np.ldexp(1.0, np.array([draw(exponent) for _ in range(p)], dtype=int))
+    col_k = np.ldexp(1.0, np.array([draw(exponent) for _ in range(m)], dtype=int))
+    rows, rhs, jac, residual = rows * np.c_[row_k], rhs * row_k, jac * col_k, residual * col_k
+    problem = make_problem(draw, lower, upper, rows, rhs, jac, residual)
+    slack = np.array([draw(st.one_of(st.just(0.0), quarters(1, 8))) for _ in range(p)])
+    at_point = BoxPolyhedron(lower, upper, rows if p else None, (rows @ point + slack) if p else None)
+    values = np.array([draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -2.0])) for _ in range(m)])
+    return problem, at_point, point, (values, jac) if m else None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ValueError, OverflowError or
+    RuntimeError it raised: the kernel must raise where its reference does."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError, RuntimeError) as exc:
+        return type(exc)
+
+
+def as_bits(value):
+    """The bytes of a float or float array; an exception type as it is."""
+    return value if isinstance(value, type) else np.asarray(value, dtype=float).tobytes()
+
+
+class TestKernelReference:
+    """The kernel keeps every bit of the one it replaced, kept in
+    reference.py: the loop reading the set's held rows and the one-pass
+    certificate give the old solves, certificates and stationarity
+    measures bit for bit, and raise where they raised."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), case=kernel_cases())
+    def test_solve_certificate_and_measure_keep_their_bits(self, data, case):
+        problem, at_point, point, eq = case
+        got, want = outcome(solve_qp, problem), outcome(reference.kernel_solve, problem)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.status is want.status
+            assert (got.iterations, got.rank_warning) == (want.iterations, want.rank_warning)
+            for field in ("step", "eq_multipliers", "set_multipliers", "kkt_residual"):
+                assert as_bits(getattr(got, field)) == as_bits(getattr(want, field)), field
+        # the certificate of the loop's candidate with one entry changed: a
+        # NaN, a signed zero, an infinity or any float
+        box, m, gradient = problem.set, problem.n_eq, problem.gradient.tolist()
+        general, limits, exps, _ = qp._row_form(box.limits.tolist(), box,
+                                                problem.eq_jacobian, problem.eq_residual)
+        loop = outcome(reference.kernel_active_set, gradient, problem.curvature, general,
+                       limits, m, exps)
+        if not isinstance(loop, type) and loop[0] is QpStatus.OPTIMAL:
+            _, d, mults, _, _ = loop
+            candidate = d + mults
+            candidate[data.draw(st.integers(0, len(candidate) - 1))] = data.draw(st.one_of(
+                st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf]), st.floats(-1e3, 1e3)))
+            args = (gradient, problem.curvature, general, limits, m, exps,
+                    candidate[:len(d)], candidate[len(d):])
+            assert as_bits(outcome(qp._kkt, *args)) == as_bits(outcome(reference.kernel_kkt, *args))
+        got = outcome(stationarity_error, problem.gradient, at_point, point, eq)
+        want = outcome(reference.kernel_stationarity, problem.gradient, at_point, point, eq)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert as_bits(got.residual) == as_bits(want[0])
+            assert as_bits(got.multipliers) == as_bits(want[1])
