@@ -68,16 +68,19 @@ def run_single(strategy_text: str, seed: int, budget: int, epoch: int,
     # iterations) from dominating the wall clock
     fill_stationarity(trace, reference, epoch_size=epoch)
     write_run_csv(trace, out_dir, run_id_for(strategy_text, seed), epoch_size=epoch)
-    final_x = trace.final_x
     # the last record ends its epoch, so the fill evaluated it; a run
     # without records reports x0
-    final_stat = (trace.records[-1].stationarity if trace.records
-                  else reference_stationarity(problem, final_x, reference))
+    if trace.records:
+        final = trace.records[-1]
+        final_stat, final_obj = final.stationarity, final.reference_objective
+    else:
+        final_stat = reference_stationarity(problem, config.x0, reference)
+        final_obj = reference_objective(problem, config.x0, reference)
     return {
         "strategy": strategy_text,
         "seed": seed,
         "final_stationarity": repr(final_stat),
-        "final_objective": repr(reference_objective(problem, final_x, reference)),
+        "final_objective": repr(final_obj),
         "oracle_calls": trace.oracle_calls,
         "iterations": len(trace.records),
         "stop_reason": trace.stop_reason,

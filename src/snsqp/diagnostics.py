@@ -64,28 +64,32 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     (c(x), jacobian with one column per row) that eq_constraints returns.
 
     The multipliers and the activity mask have one entry per entry of
-    box.limits, then one per equality row.  One _active_set call projects
-    -g: active bounds have limit 0, inactive ones inf, and inactive rows are
-    left out.  The loop reads the active rows at their row scale, the set's
-    as it holds them; g is scaled here, to the same row scale
+    box.limits, then one per equality row.  Activity is read off the
+    translated limits and c(x) alone; with nothing active the residual is
+    |g| and the rows are never scaled.  Otherwise one _active_set call
+    projects -g: active bounds have limit 0, inactive ones inf, and inactive
+    rows are left out.  The loop reads the active rows at their row scale,
+    as _row_form lays them out; g is scaled here, to the same row scale
     (_row_exponent), which leaves the polar cone as it is, and the residual
-    and multipliers are scaled back.  Set multipliers the final
-    projection leaves at -1e-16 are floored at 0.
+    and multipliers are scaled back.  Set multipliers the final projection
+    leaves at -1e-16 are floored at 0.  A g of the wrong shape, a jacobian
+    that does not match c(x), or non-finite data raise ValueError; a
+    projection that does not end OPTIMAL, or whose multipliers or residual
+    scale back past the float range (as on an equality row of subnormal
+    entries), raises RuntimeError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (box.dim,):
         raise ValueError("g must have an entry per coordinate of the set")
     # the sets are small: Python floats cost less than numpy calls
     g_list, values = g.tolist(), box.translated_limits(x).tolist()
-    n, n_set = box.dim, len(values)
-    c_eq = jac = None
+    n, n_set, c_eq, jac = box.dim, len(values), None, None
     if eq is not None:
         c_eq, jac = np.atleast_1d(np.asarray(eq[0], dtype=float)), np.asarray(eq[1], dtype=float)
         if jac.shape != (n, c_eq.size):
             raise ValueError("the equality jacobian must have shape (len(g), len(c))")
-    # an equality row's value is -c_j here; only its magnitude is read
-    rows, values, exps, scaled = _row_form(values, box, jac, c_eq)
-    if not all(map(math.isfinite, chain(g_list, values, *rows))):
+        values += c_eq.tolist()  # an equality row's limit is -c_j: only |c_j| is read
+    if not all(map(math.isfinite, chain(g_list, values, () if jac is None else jac.flat))):
         raise ValueError("gradient, equality values and jacobian must be finite")
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
     multipliers = np.zeros(len(values))
@@ -96,15 +100,20 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     active = act[2 * n:]
     index = [*range(2 * n), *compress(range(2 * n, len(values)), active)]
     g_exp = _row_exponent(g_list)
+    _, _, exps, scaled = _row_form([], box, jac, c_eq)  # the rows alone
     status, d, mults, _, _ = _active_set(
         [math.ldexp(v, -g_exp) for v in g_list], 1.0, [*compress(scaled, active)],
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
         [*compress(exps, active)])
-    if status is not QpStatus.OPTIMAL:
-        raise RuntimeError(f"polar-cone projection ended {status.value}")
-    for c, w in zip(index, mults):
-        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
-    return StationarityReport(math.ldexp(math.hypot(*d), g_exp), multipliers, np.array(act))
+    try:  # a multiplier or the residual scaled back past the float range fails too
+        if status is QpStatus.OPTIMAL:
+            for c, w in zip(index, mults):
+                multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
+            residual = math.ldexp(math.hypot(*d), g_exp)
+            return StationarityReport(residual, multipliers, np.array(act))
+    except OverflowError:
+        status = QpStatus.NUMERICAL_FAILURE
+    raise RuntimeError(f"polar-cone projection ended {status.value}")
 
 
 def reference_batch(problem) -> np.ndarray:
@@ -125,19 +134,23 @@ def reference_objective(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
         return math.nan
 
 
-def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray) -> float:
+def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray, record=None) -> float:
     """Stationarity residual at x using the reference batch's mean subgradient;
-    nan where the oracle fails on the batch.
+    nan where the oracle fails on the batch.  A record given here keeps the
+    batch's mean value, the reference objective at x, in
+    record.reference_objective (nan where the oracle fails).
 
     With the frozen batch of reference_batch this estimates the
     true-subgradient measure, and is labeled as such in the docs.
     """
     try:
-        g = aggregate(problem, x, scenarios).mean_subgradient
+        stats = aggregate(problem, x, scenarios)
     except OracleError:  # a run that stopped on it keeps its outputs
         return math.nan
+    if record is not None:
+        record.reference_objective = stats.mean_value
     eq = None if problem.eq_constraints is None else problem.eq_constraints(x)
-    return stationarity_error(g, problem.set, x, eq).residual
+    return stationarity_error(stats.mean_subgradient, problem.set, x, eq).residual
 
 
 def _epoch(rec, epoch_size: int) -> int:
@@ -161,14 +174,15 @@ def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
     With epoch_size set, only the last record of each epoch is evaluated:
     export_trace builds the epoch table from the same _epoch_ends, so every
     record it carries is filled, while long traces avoid a reference-batch
-    solve per iteration.  Without it every record is filled.  A record
+    solve per iteration.  Without it every record is filled.  Each filled
+    record also keeps its reference_objective from the same batch.  A record
     where the oracle fails on the reference batch is filled with nan.
     """
     records = trace.records
     if epoch_size is not None:
         records = [records[i] for i in _epoch_ends(records, epoch_size).values()]
     for rec in records:
-        rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios)
+        rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios, rec)
 
 
 def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tuple:

@@ -109,6 +109,8 @@ class IterationRecord:
     eq_multipliers: np.ndarray = None
     pi: float = 1.0
     backtracks: int = 0
+    # the reference batch's mean value at x, kept by the stationarity fill
+    reference_objective: float = math.nan
 
 
 @dataclass

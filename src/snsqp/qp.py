@@ -241,12 +241,12 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     """Solve the subproblem with _active_set on its row form and certify the
     loop's own step and multipliers by _kkt on the same lists.
 
-    If the start -g/alpha overflows, the solve is a NUMERICAL_FAILURE.  A
-    solve whose loop does not end OPTIMAL returns zeros and an infinite
-    residual.  A solve whose loop ends OPTIMAL but whose certificate exceeds
-    TOL * max(1, |g|_inf) is a NUMERICAL_FAILURE too, and keeps the loop's
-    step, multipliers and finite residual.  QpSolution.iterations counts the
-    constraints added plus those dropped.
+    If the start -g/alpha or a multiplier overflows, the solve is a
+    NUMERICAL_FAILURE.  A solve whose loop does not end OPTIMAL returns
+    zeros and an infinite residual.  A solve whose loop ends OPTIMAL but
+    whose certificate exceeds TOL * max(1, |g|_inf) is a NUMERICAL_FAILURE
+    too, and keeps the loop's step, multipliers and finite residual.
+    QpSolution.iterations counts the constraints added plus those dropped.
     """
     box, alpha, m = problem.set, problem.curvature, problem.n_eq
     gradient = problem.gradient.tolist()
@@ -313,7 +313,8 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     mults has one multiplier per constraint id, in the units of the rows
     before scaling, zero off the final working set; a bound's is the
     stationarity residual on its coordinate.  Otherwise d and mults are
-    None.
+    None; a multiplier past the float range in those units, as on a row of
+    subnormal entries, ends the solve NUMERICAL_FAILURE.
     """
     n, k = len(gradient), len(general)
     limits = limits[:2 * n] + [_scaled_limit(b, e) for b, e in zip(limits[2 * n:], exps)]
@@ -396,8 +397,11 @@ def _active_set(gradient: list, alpha: float, general: list, limits: list, m: in
     for i, (s, g, x) in enumerate(zip(side, gradient, d)):
         if s:
             mults[i + n * (s > 0.0)] = -s * (g + alpha * x + _dot([w[i] for w in work], row_mults))
-    for c, w in zip(rows, row_mults):
-        mults[c] = math.ldexp(w, -exps[c - 2 * n])
+    try:
+        for c, w in zip(rows, row_mults):
+            mults[c] = math.ldexp(w, -exps[c - 2 * n])
+    except OverflowError:  # past the float range in the units of a row of subnormals
+        return QpStatus.NUMERICAL_FAILURE, None, None, rank_warning, iterations
     return QpStatus.OPTIMAL, d, mults, rank_warning, iterations
 
 

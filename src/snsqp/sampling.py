@@ -42,26 +42,26 @@ class SampleStats:
     sum_sq_dev is the unnormalized scatter sum |G_i - mean|^2 over the batch;
     dividing by (batch_size - 1) * batch_size estimates the variance of the
     batch mean, which is what the adaptive test compares against.  Only the
-    adaptive rule reads it, so aggregate leaves it unset and it is computed
-    on first read from the batch's subgradients and their mean.
+    adaptive rule reads it, so aggregate leaves it unset, passing the
+    batch's subgradients instead, and it is computed on first read from them
+    and mean_subgradient.
     """
 
-    __slots__ = ("mean_value", "mean_subgradient", "batch_size", "_sum_sq_dev", "_scatter_of")
+    __slots__ = ("mean_value", "mean_subgradient", "batch_size", "_sum_sq_dev", "_grads")
 
     def __init__(self, mean_value: float, mean_subgradient: np.ndarray,
-                 sum_sq_dev: float, batch_size: int):
+                 sum_sq_dev: float | None, batch_size: int, grads: np.ndarray = None):
         self.mean_value = mean_value
         self.mean_subgradient = mean_subgradient
         self.batch_size = batch_size
         self._sum_sq_dev = sum_sq_dev
-        self._scatter_of = None  # (subgradients, mean) while sum_sq_dev is unset
+        self._grads = grads  # the subgradients while sum_sq_dev is unset
 
     @property
     def sum_sq_dev(self) -> float:
         if self._sum_sq_dev is None:
-            grads, mean = self._scatter_of
-            dev = grads - mean
-            self._sum_sq_dev, self._scatter_of = float(np.sum(dev * dev)), None
+            dev = self._grads - self.mean_subgradient
+            self._sum_sq_dev, self._grads = float(np.sum(dev * dev)), None
         return self._sum_sq_dev
 
     def __repr__(self) -> str:
@@ -176,10 +176,14 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     in its values or subgradients, raises OracleError naming the first
     scenario index at fault; an oracle that raises is re-run one scenario at
     a time to find it, and the error names the whole batch when none fails
-    alone.  Finiteness is one pass over each output array; the per-scenario
-    mask is built only when that pass fails.  The scatter is computed on the
-    first read of sum_sq_dev, from the subgradient array as the oracle
-    returned it.
+    alone.  Finiteness is read off the sums: a sum over a nan or inf entry
+    is not finite, so finite sums clear the batch, and the per-scenario mask
+    is built only when a sum is not.  A finite batch whose sum overflows is
+    accepted, with an infinite mean, under numpy's overflow warning as
+    before.  Where numpy's warnings or errors raise (an error filter or
+    np.seterr), one that a nan or inf entry set off still gives OracleError.
+    The scatter is computed on the first read of sum_sq_dev, from the
+    subgradient array as the oracle returned it.
     """
     n_scen = len(scenarios)
     if n_scen < MIN_BATCH:
@@ -191,22 +195,33 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
         where = (f"on the batch of {n_scen} scenarios (no scenario fails alone)"
                  if index is None else f"at scenario index {index}")
         raise OracleError(f"oracle failed {where}: {exc}") from exc
-    values = np.asarray(values, dtype=float)
-    grads = np.asarray(grads, dtype=float)
+    values, grads = np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
     if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
         raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
                           f"for {n_scen} scenarios in dimension {problem.dimension}")
-    # the reductions of ndarray.all without its Python wrapper
-    if not (np.logical_and.reduce(np.isfinite(values), axis=None)
-            and np.logical_and.reduce(np.isfinite(grads), axis=None)):
-        finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+    try:  # np.mean's sums without its Python wrapper
+        total = np.add.reduce(values)
+        # numpy reduces C-ordered rows over axis 0 from +0.0 one row after
+        # another, as 0.0 plus accumulate's one strided pass per column does:
+        # the same bits, an all -0.0 column too; one column or another
+        # layout sums pairwise, so it keeps the reduce
+        sums = (np.add.accumulate(grads, axis=0)[-1] + 0.0 if grads.shape[1] > 1
+                and grads.flags.c_contiguous else np.add.reduce(grads, axis=0))
+    except (RuntimeWarning, FloatingPointError):  # inf - inf or an overflow, raised
+        _check_entries(values, grads)
+        raise  # the entries are finite: their sum overflowed, which raised before too
+    # on Python floats, which test the sums without a numpy overflow warning
+    if not (math.isfinite(total) and all(map(math.isfinite, sums.tolist()))):
+        _check_entries(values, grads)
+    return SampleStats(float(total / n_scen), sums / n_scen, None, n_scen, grads)
+
+
+def _check_entries(values: np.ndarray, grads: np.ndarray) -> None:
+    """Raise OracleError naming the first scenario with a nan or inf entry."""
+    finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+    if not finite.all():
         raise OracleError(f"oracle returned a non-finite value or subgradient at "
                           f"scenario index {int(np.argmin(finite))}")
-    # np.mean is this sum and division behind a Python wrapper: the same bits
-    mean_grad = np.add.reduce(grads, axis=0) / n_scen
-    stats = SampleStats(float(np.add.reduce(values) / n_scen), mean_grad, None, n_scen)
-    stats._scatter_of = grads, mean_grad
-    return stats
 
 
 def _first_failure(problem, x, scenarios):

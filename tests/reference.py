@@ -8,11 +8,12 @@ The rest are independent checks: a dense QP KKT residual, LP optimality
 residuals (with the expansion of one batch row into its own LP solution),
 finite differences, quadrature moments, grid minima, the plain PPS
 sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
-Three keep an earlier formulation to check a faster one bit for bit: the
-served recourse batch, the trace export through csv.DictWriter, and the
+Four keep an earlier formulation to check a faster one bit for bit: the
+served recourse batch, the trace export through csv.DictWriter, the
 subproblem kernel (the active-set loop and its KKT certificate, with the
 subproblem and the stationarity measure around them) as written before the
-set held its rows and the certificate took one pass.
+set held its rows and the certificate took one pass, and the batch
+aggregate as written before it read finiteness off its sums.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from snsqp.lp import FEAS_TOL, PIVOT_TOL, LpBatchSolution, LpProblem, LpSolution
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import (MAX_ITER_PER_ROW, RANK_THRESHOLD, TOL, VIOLATION_TOL, QpProblem,
                       QpSolution, QpStatus, _dot, _row_exponent, _scaled_limit)
-from snsqp.sampling import draw_scenarios
+from snsqp.sampling import MIN_BATCH, OracleError, SampleStats, _first_failure, draw_scenarios
 
 
 def enumerate_qp(problem: QpProblem, tol: float = 1e-9) -> tuple:
@@ -330,6 +331,36 @@ def dict_run_csv(trace, out_dir, run_id: str, epoch_size: int) -> tuple:
             writer.writeheader()
             writer.writerows(rows)
     return paths
+
+
+def checked_aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
+                      scenarios: np.ndarray) -> SampleStats:
+    """sampling.aggregate as it was written before it read finiteness off
+    its sums: one isfinite pass over each output array, then the axis-0
+    reduce.  Its SampleStats computes the scatter as before, from the
+    subgradients it is given and the mean."""
+    n_scen = len(scenarios)
+    if n_scen < MIN_BATCH:
+        raise ValueError(f"a batch needs at least {MIN_BATCH} scenarios")
+    try:
+        values, grads = problem.oracle(x, scenarios)
+    except Exception as exc:
+        index = _first_failure(problem, x, scenarios)
+        where = (f"on the batch of {n_scen} scenarios (no scenario fails alone)"
+                 if index is None else f"at scenario index {index}")
+        raise OracleError(f"oracle failed {where}: {exc}") from exc
+    values = np.asarray(values, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
+        raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
+                          f"for {n_scen} scenarios in dimension {problem.dimension}")
+    if not (np.logical_and.reduce(np.isfinite(values), axis=None)
+            and np.logical_and.reduce(np.isfinite(grads), axis=None)):
+        finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+        raise OracleError(f"oracle returned a non-finite value or subgradient at "
+                          f"scenario index {int(np.argmin(finite))}")
+    mean_grad = np.add.reduce(grads, axis=0) / n_scen
+    return SampleStats(float(np.add.reduce(values) / n_scen), mean_grad, None, n_scen, grads)
 
 
 def kernel_solve(problem: QpProblem) -> QpSolution:

@@ -300,9 +300,11 @@ class TestBenchCommand:
 
     def test_final_stationarity_is_the_last_records(self, tmp_path, monkeypatch):
         """The last record ends its epoch, so the epoch fill evaluated it:
-        run_single reports that value and evaluates the reference batch once
-        per filled record plus once for the final objective."""
+        run_single reports its stationarity and the reference objective the
+        fill kept on it, and evaluates the reference batch once per filled
+        record, not once more for the final objective."""
         from snsqp import diagnostics
+        from snsqp.bench import pps
         calls = []
 
         def counted(*args):
@@ -315,12 +317,17 @@ class TestBenchCommand:
         with open(tmp_path / "fixed-10_seed0_epochs.csv", newline="") as fh:
             epochs = list(csv.DictReader(fh))
         assert row["iterations"] == 12 and len(epochs) == 3
-        assert len(calls) == 3 + 1
+        assert len(calls) == 3
         assert row["final_stationarity"] == epochs[-1]["stationarity"]
+        problem = pps.build_pps_problem()
+        final_x = np.array([float(epochs[-1]["x0"]), float(epochs[-1]["x1"])])
+        assert row["final_objective"] == repr(diagnostics.reference_objective(
+            problem, final_x, diagnostics.reference_batch(problem)))
 
     def test_run_without_records_reports_the_start_point(self, tmp_path, monkeypatch):
         from snsqp.bench import pps
-        from snsqp.diagnostics import reference_batch, reference_stationarity
+        from snsqp.diagnostics import (reference_batch, reference_objective,
+                                       reference_stationarity)
         monkeypatch.setattr(runner, "run_algorithm1", lambda problem, config: (
             driver.IterationTrace(problem=problem, config=config,
                                   stop_reason="oracle_error")))
@@ -329,6 +336,8 @@ class TestBenchCommand:
         at_x0 = reference_stationarity(problem, pps.X0, reference_batch(problem))
         assert math.isfinite(at_x0)
         assert row["iterations"] == 0 and row["final_stationarity"] == repr(at_x0)
+        assert row["final_objective"] == repr(
+            reference_objective(problem, pps.X0, reference_batch(problem)))
 
     def test_bad_strategy_fails_before_running(self, capsys, tmp_path):
         rc = cli_main(["bench-pps", "--strategy", "warp:9",

@@ -348,6 +348,20 @@ class TestPolyhedronRows:
         with pytest.raises(ValueError, match="finite"):
             stationarity_error(np.array([1.0, 2.0]), box, np.zeros(2), (c, jac))
 
+    @pytest.mark.parametrize("g, column", [
+        ([1.0, 2.0, 3.0], [2.2e-311, 0.0, 0.0]),  # past the range in the row's units
+        ([1e300, 1e300, 0.0], [1e-20, 1e-20, 0.0]),  # past it once scaled back to g's
+    ])
+    def test_multiplier_past_the_float_range_raises_runtime_error(self, g, column):
+        """An active equality row whose multiplier lies past the float range,
+        from a row of subnormal entries or a tiny row against a huge g: the
+        projection ends NUMERICAL_FAILURE, reported as the documented
+        RuntimeError, not an OverflowError from math.ldexp."""
+        box = BoxPolyhedron(lower=-np.ones(3), upper=np.ones(3))
+        eq = (np.zeros(1), np.array(column).reshape(3, 1))
+        with pytest.raises(RuntimeError, match="numerical_failure"):
+            stationarity_error(np.array(g), box, np.zeros(3), eq)
+
     def test_rejects_shape_mismatch(self):
         box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
         with pytest.raises(ValueError):
@@ -581,6 +595,28 @@ class TestReferenceMeasure:
                                                 REFERENCE_SEED, 0, 64))
         assert all(math.isfinite(rec.stationarity) for rec in trace.records)
         assert all(rec.stationarity >= 0.0 for rec in trace.records)
+
+    def test_fill_keeps_the_reference_objective_of_each_filled_record(self):
+        """The fill keeps each filled record's mean value over the batch, the
+        bits reference_objective gives at its x; records the epoch fill
+        skips keep nan."""
+        from snsqp.bench.synthetic import (build_synthetic_uc2,
+                                           two_piece_crossing_spec)
+        from snsqp.driver import run_algorithm1
+        problem = build_synthetic_uc2(two_piece_crossing_spec(), noise_width=0.3)
+        config = SolverConfig(x0=np.array([1.0, 1.0]), alpha0=4.0,
+                              strategy=FixedSize(5), budget=100, master_seed=6)
+        trace = run_algorithm1(problem, config)
+        batch = draw_scenarios(problem.scenario_sampler, REFERENCE_SEED, 0, 64)
+        fill_stationarity(trace, batch, epoch_size=30)
+        filled = [rec for rec in trace.records if math.isfinite(rec.stationarity)]
+        assert 0 < len(filled) < len(trace.records) and filled[-1] is trace.records[-1]
+        for rec in trace.records:
+            if rec in filled:
+                want = reference_objective(problem, rec.x, batch)
+                assert np.float64(rec.reference_objective).tobytes() == np.float64(want).tobytes()
+            else:
+                assert math.isnan(rec.reference_objective)
 
     @pytest.mark.parametrize("calls, stop_reason, budget", [
         ([300 * k for k in range(1, 11)], "budget", 3000),   # budget stop

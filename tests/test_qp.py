@@ -201,6 +201,18 @@ class TestFeasibilityHandling:
                             eq_jacobian=np.zeros((2, 1)), eq_residual=[1.0])
         assert solve_qp(problem).status is QpStatus.INFEASIBLE
 
+    def test_equality_row_of_subnormals_ends_with_a_status(self):
+        """An equality row whose entries are all subnormal has a multiplier
+        past the float range in the row's units: the solve ends
+        NUMERICAL_FAILURE with the zero step, so a run keeps its records,
+        instead of raising OverflowError from math.ldexp."""
+        box = BoxPolyhedron(lower=-np.ones(3), upper=np.ones(3))
+        problem = QpProblem(gradient=[1.0, 2.0, 3.0], curvature=1.0, set=box,
+                            eq_jacobian=[[2.2e-311], [0.0], [0.0]], eq_residual=[0.0])
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.NUMERICAL_FAILURE
+        assert sol.step.tolist() == [0.0, 0.0, 0.0] and sol.kkt_residual == np.inf
+
     def test_equality_out_of_reach_of_box(self):
         box = BoxPolyhedron(lower=[-1.0], upper=[1.0])
         problem = QpProblem(gradient=[0.0], curvature=1.0, set=box,
@@ -927,14 +939,18 @@ class TestKernelReference:
     """The kernel keeps every bit of the one it replaced, kept in
     reference.py: the loop reading the set's held rows and the one-pass
     certificate give the old solves, certificates and stationarity
-    measures bit for bit, and raise where they raised."""
+    measures bit for bit, and raise where they raised, except that a
+    multiplier past the float range (an OverflowError there) now ends the
+    solve NUMERICAL_FAILURE and the measure in its RuntimeError."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), case=kernel_cases())
     def test_solve_certificate_and_measure_keep_their_bits(self, data, case):
         problem, at_point, point, eq = case
         got, want = outcome(solve_qp, problem), outcome(reference.kernel_solve, problem)
-        if isinstance(want, type):
+        if want is OverflowError:  # a multiplier past the float range: now a status
+            assert got.status is QpStatus.NUMERICAL_FAILURE
+        elif isinstance(want, type):
             assert got is want
         else:
             assert got.status is want.status
@@ -959,7 +975,7 @@ class TestKernelReference:
         got = outcome(stationarity_error, problem.gradient, at_point, point, eq)
         want = outcome(reference.kernel_stationarity, problem.gradient, at_point, point, eq)
         if isinstance(want, type):
-            assert got is want
+            assert got is (RuntimeError if want is OverflowError else want)
         else:
             assert as_bits(got.residual) == as_bits(want[0])
             assert as_bits(got.multipliers) == as_bits(want[1])

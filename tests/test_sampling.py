@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from snsqp.bench import pps
 from snsqp.bench.synthetic import build_quadratic_equality_problem
 from snsqp.diagnostics import fill_stationarity, reference_batch, reference_stationarity
@@ -209,6 +210,44 @@ class TestReadOnlyBatches:
             assert rec.stationarity == reference_stationarity(problem, rec.x, writable)
 
 
+@st.composite
+def oracle_outputs(draw):
+    """(values, grads) of one batch: N in [2, 3000] scenarios, n in [1, 6]
+    coordinates, grads C-ordered, F-ordered or every other column of a wider
+    array.  Entries reach 1e300 in magnitude; a column or the values may be
+    pushed to the float maximum, one sign, so that a finite batch's sum
+    overflows; a column may be all -0.0 or zeros of both signs; and up to
+    three nan or +-inf entries land at random positions."""
+    n_scen, n = draw(st.integers(2, 3000)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = draw(st.integers(-300, 299))
+    low = top - draw(st.integers(0, 30))
+
+    def entries(*shape):
+        mantissa = rng.uniform(1.0, 10.0, shape) * rng.choice([-1.0, 1.0], shape)
+        return mantissa * 10.0 ** rng.integers(low, top, shape, endpoint=True)
+
+    values, grads = entries(n_scen), entries(n_scen, n)
+    column = grads[:, draw(st.integers(0, n - 1))]
+    zeros = draw(st.sampled_from(["none", "negative", "signed"]))
+    if zeros != "none":
+        column[:] = -0.0 if zeros == "negative" else rng.choice([0.0, -0.0], n_scen)
+    if draw(st.booleans()):  # any two entries of one sign overflow their sum
+        huge = rng.uniform(0.6, 1.0, n_scen) * 1.79e308 * draw(st.sampled_from([1.0, -1.0]))
+        (values if draw(st.booleans()) else column)[:] = huge
+    for _ in range(draw(st.integers(0, 3)) * draw(st.booleans())):
+        where = values if draw(st.booleans()) else column
+        where[draw(st.integers(0, n_scen - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        grads = np.asfortranarray(grads)
+    elif layout == "strided":
+        wide = np.zeros((n_scen, 2 * n))
+        wide[:, ::2] = grads
+        grads = wide[:, ::2]
+    return values, grads
+
+
 class TestAggregate:
     def test_identical_scenarios_have_zero_scatter(self):
         problem = toy_problem(lambda x, xi: (1.5, np.array([2.0, -1.0])))
@@ -328,6 +367,40 @@ class TestAggregate:
             assert type(stats.sum_sq_dev) is float
             assert (np.float64(stats.sum_sq_dev).tobytes()
                     == np.float64(expected).tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(outputs=oracle_outputs())
+    def test_matches_the_checked_aggregate_bit_for_bit(self, outputs):
+        """The sums of one sequential pass, and finiteness read off them,
+        give every bit of the aggregate that checked each entry first
+        (reference.checked_aggregate): the means, the scatter, and the
+        OracleError message naming the first bad scenario.  So they do with
+        numpy's overflow warning raised (the suite turns RuntimeWarning into
+        an error), ignored, or raised as FloatingPointError: a finite batch
+        whose sum overflows raises where the reference raised and is
+        accepted where it was, and a warning that a nan or inf entry set off
+        still ends in the OracleError."""
+        values, grads = outputs
+        n_scen, n = grads.shape
+        problem = ConstrainedStochasticProblem(
+            dimension=n, scenario_sampler=lambda rng, count: np.zeros(count),
+            oracle=lambda x, xi: (values, grads),
+            set=BoxPolyhedron(lower=-np.ones(n), upper=np.ones(n)), rho_estimate=1.0)
+
+        def result(fn, over):
+            try:
+                with np.errstate(over=over):
+                    stats = fn(problem, np.zeros(n), np.zeros(n_scen))
+            except (OracleError, RuntimeWarning, FloatingPointError) as exc:
+                # numpy names the ufunc in its message: reduce or accumulate
+                return type(exc), str(exc) if type(exc) is OracleError else None
+            with np.errstate(all="ignore"):  # the scatter of an overflowing batch
+                return [np.float64(stats.mean_value).tobytes(),
+                        stats.mean_subgradient.tobytes(),
+                        np.float64(stats.sum_sq_dev).tobytes()]
+
+        for over in ("warn", "ignore", "raise"):
+            assert result(aggregate, over) == result(reference.checked_aggregate, over), over
 
     def test_rejects_tiny_batches(self):
         problem = toy_problem(lambda x, xi: (0.0, np.zeros(2)))
