@@ -105,14 +105,14 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
         [math.ldexp(v, -g_exp) for v in g_list], 1.0, [*compress(scaled, active)],
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
         [*compress(exps, active)])
-    try:  # a multiplier or the residual scaled back past the float range fails too
-        if status is QpStatus.OPTIMAL:
+    if status is QpStatus.OPTIMAL:
+        try:  # a multiplier or the residual scaled back past the float range fails too
             for c, w in zip(index, mults):
                 multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
             residual = math.ldexp(math.hypot(*d), g_exp)
             return StationarityReport(residual, multipliers, np.array(act))
-    except OverflowError:
-        status = QpStatus.NUMERICAL_FAILURE
+        except OverflowError:
+            status = QpStatus.NUMERICAL_FAILURE
     raise RuntimeError(f"polar-cone projection ended {status.value}")
 
 

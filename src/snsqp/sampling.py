@@ -179,9 +179,9 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     alone.  Finiteness is read off the sums: a sum over a nan or inf entry
     is not finite, so finite sums clear the batch, and the per-scenario mask
     is built only when a sum is not.  A finite batch whose sum overflows is
-    accepted, with an infinite mean, under numpy's overflow warning as
-    before.  Where numpy's warnings or errors raise (an error filter or
-    np.seterr), one that a nan or inf entry set off still gives OracleError.
+    accepted, with an infinite mean, under numpy's overflow warning.  Where
+    numpy's warnings or errors raise (an error filter or np.seterr), one
+    that a nan or inf entry set off still gives OracleError.
     The scatter is computed on the first read of sum_sq_dev, from the
     subgradient array as the oracle returned it.
     """
@@ -199,6 +199,7 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
     if values.shape != (n_scen,) or grads.shape != (n_scen, problem.dimension):
         raise OracleError(f"oracle returned shapes {values.shape} and {grads.shape} "
                           f"for {n_scen} scenarios in dimension {problem.dimension}")
+    finite = False
     try:  # np.mean's sums without its Python wrapper
         total = np.add.reduce(values)
         # numpy reduces C-ordered rows over axis 0 from +0.0 one row after
@@ -207,21 +208,16 @@ def aggregate(problem: ConstrainedStochasticProblem, x: np.ndarray,
         # layout sums pairwise, so it keeps the reduce
         sums = (np.add.accumulate(grads, axis=0)[-1] + 0.0 if grads.shape[1] > 1
                 and grads.flags.c_contiguous else np.add.reduce(grads, axis=0))
-    except (RuntimeWarning, FloatingPointError):  # inf - inf or an overflow, raised
-        _check_entries(values, grads)
-        raise  # the entries are finite: their sum overflowed, which raised before too
-    # on Python floats, which test the sums without a numpy overflow warning
-    if not (math.isfinite(total) and all(map(math.isfinite, sums.tolist()))):
-        _check_entries(values, grads)
+        # a sum over a nan or inf entry is not finite; tested on Python
+        # floats, which raise no numpy overflow warning
+        finite = math.isfinite(total) and all(map(math.isfinite, sums.tolist()))
+    finally:  # also where numpy raised on a sum: an entry at fault makes it an OracleError
+        if not finite:
+            ok = np.isfinite(values) & np.isfinite(grads).all(axis=1)
+            if not ok.all():
+                raise OracleError(f"oracle returned a non-finite value or subgradient at "
+                                  f"scenario index {int(np.argmin(ok))}")
     return SampleStats(float(total / n_scen), sums / n_scen, None, n_scen, grads)
-
-
-def _check_entries(values: np.ndarray, grads: np.ndarray) -> None:
-    """Raise OracleError naming the first scenario with a nan or inf entry."""
-    finite = np.isfinite(values) & np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        raise OracleError(f"oracle returned a non-finite value or subgradient at "
-                          f"scenario index {int(np.argmin(finite))}")
 
 
 def _first_failure(problem, x, scenarios):
