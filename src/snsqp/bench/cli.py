@@ -84,6 +84,7 @@ def _cmd_bench(args) -> int:
     strategies = args.strategy or list(runner.DEFAULT_STRATEGIES)
     for text in strategies:
         runner.parse_strategy(text, eta=args.eta)  # fail fast before any run
+    _require_directory("--out", args.out)
     rows = runner.run_grid(strategies, args.seeds, args.budget, args.epoch,
                            args.out, seed_base=args.seed_base,
                            alpha0=args.alpha0, eta=args.eta,
@@ -157,10 +158,7 @@ def _cmd_run(args) -> int:
         cfg, "run_id", f"{cfg['problem']}_{runner.run_id_for(strategy_text, seed)}")
     if any(sep in run_id for sep in (os.sep, os.altsep) if sep):
         raise ConfigError("config.run_id", "must not contain a path separator")
-    # the nearest existing ancestor is where write_run_csv's mkdir starts
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError("config.out", f"{existing} is not a directory")
+    _require_directory("config.out", out_dir)
 
     config = SolverConfig(x0=x0, alpha0=_as_float(cfg, "alpha0", default_alpha0),
                           strategy=strategy, budget=budget, master_seed=seed, **kwargs)
@@ -180,6 +178,14 @@ def _cmd_run(args) -> int:
     print(f"trace: {trace_path}")
     print(f"epochs: {epochs_path}")
     return 0
+
+
+def _require_directory(field: str, directory: Path) -> None:
+    """ConfigError unless mkdir(parents=True, exist_ok=True) can make directory:
+    its nearest existing ancestor, where that mkdir starts, must be a directory."""
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(field, f"{existing} is not a directory")
 
 
 def _positive_int(cfg: dict, key: str, default: int = None) -> int:
@@ -208,6 +214,9 @@ def _cmd_curve(args) -> int:
         raise ConfigError("points", "expected at least 2")
     if args.batch < 1:
         raise ConfigError("batch", "expected positive integer")
+    if args.out.is_dir():
+        raise ConfigError("out", f"{args.out} is a directory")
+    _require_directory("out", args.out.parent)
     instance = pps.build_pps_instance()
     scenarios = draw_scenarios(pps.scenario_sampler(instance), args.seed, 0,
                                args.batch)

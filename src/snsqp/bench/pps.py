@@ -66,11 +66,10 @@ class PpsInstance:
     quantity_floor: float = 1.0
     #: the recourse LP, built and checked once from the fields above
     recourse: lp.LpProblem = field(init=False, repr=False)
-    #: the crash starts of _recourse_start on it, each checked once
+    #: the crash starts of _recourse_start on it, each checked once and held
+    #: as a (Start, mask) pair: the mask is float64, 1 at each basis position
+    #: that holds a shipment
     crash_starts: tuple = field(init=False, repr=False)
-    #: each crash start's shipped-variable mask over its basis, as float64,
-    #: nested as crash_starts is
-    crash_masks: tuple = field(init=False, repr=False)
     #: the prices where _recourse_start's regimes end: min s, then min s + min c
     regime_prices: tuple = field(init=False, repr=False)
 
@@ -93,13 +92,6 @@ class PpsInstance:
                 raise ValueError("each interval's lower end must lie below its upper end")
         object.__setattr__(self, "recourse", _recourse_problem(self))
         object.__setattr__(self, "crash_starts", _crash_starts(self))
-        slack, floor, top_up = self.crash_starts
-
-        def mask(start):
-            return _frozen(_shipped(self, start.basis))
-
-        object.__setattr__(self, "crash_masks",
-                           (mask(slack), tuple(map(mask, floor)), tuple(map(mask, top_up))))
         ship = float(self.shipment_costs.min())
         object.__setattr__(self, "regime_prices",
                            (ship, ship + float(self.production_costs.min())))
@@ -230,7 +222,7 @@ def _recourse_rhs(instance: PpsInstance, p: float, scenarios: np.ndarray) -> np.
 
 def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray) -> tuple:
     """The checked crash start for the recourse LPs of a batch at price p,
-    and its shipped-variable mask.
+    as its held (Start, shipped-variable mask) pair.
 
     demand has shape (batch, stores).  The rule is the optimal policy for
     uniform shipment costs s and production costs c (the three regimes of
@@ -244,26 +236,27 @@ def _recourse_start(instance: PpsInstance, p: float, demand: np.ndarray) -> tupl
       factories' floor units to j*.
 
     j* is the store whose smallest demand in the batch is largest, so one
-    basis fits every row whose demand covers the floor units.  Each start is
-    one of instance.crash_starts, checked once, with its mask from
-    instance.crash_masks, and the regime ends are instance.regime_prices,
-    computed once.  With non-uniform shipment costs the rule is only a
-    guess, which the simplex finishes from.
+    basis fits every row whose demand covers the floor units.  The pair is
+    one of instance.crash_starts, checked once, and the regime ends are
+    instance.regime_prices, computed once.  With non-uniform shipment costs
+    the rule is only a guess, which the simplex finishes from.
     """
     no_shipping, floor_only = instance.regime_prices
     if p <= no_shipping:
-        return instance.crash_starts[0], instance.crash_masks[0]
+        return instance.crash_starts[0]
     # numpy reduces a narrow block much faster along rows than down columns
     j_star = int(np.ascontiguousarray(demand.T).min(axis=1).argmax())
     regime = 1 if p <= floor_only else 2
-    return instance.crash_starts[regime][j_star], instance.crash_masks[regime][j_star]
+    return instance.crash_starts[regime][j_star]
 
 
 def _crash_starts(instance: PpsInstance) -> tuple:
-    """lp.Starts of the crash bases of _recourse_start: the slack basis, then by j*
-    floor units and top-up.  Basis positions follow the rows (demand, capacity)."""
+    """(lp.Start, mask) pairs of the crash bases of _recourse_start: the slack
+    basis, then by j* floor units and top-up.  Basis positions follow the rows
+    (demand, capacity); the mask is _shipped of the basis, read-only float64."""
     def start(basis):
-        return lp.check_start(instance.recourse, (basis, ()))
+        checked = lp.check_start(instance.recourse, (basis, ()))
+        return checked, _frozen(_shipped(instance, checked.basis))
 
     m, n = instance.factories, instance.stores
     k = int(instance.production_costs.argmin())
@@ -288,8 +281,8 @@ def recourse_lp(instance: PpsInstance, p: float, scenarios: np.ndarray) -> tuple
     At one price every scenario's recourse LP has the same cost, rows and
     bounds, so lp.solve_lp_multi_rhs serves the batch from a few optimal
     bases; only the cost and the right-hand sides are built per call, on
-    instance.recourse.  The cost is built once, not copied again by
-    with_vectors; a price that makes it non-finite raises ValueError("cost
+    instance.recourse.  The cost is built once, as a view of its column
+    cost; a price that makes it non-finite raises ValueError("cost
     must be finite").  The batch starts from the immutable crash start that
     _recourse_start picks for p and this batch's demands; when that start
     fits every row and prices optimal it serves the whole batch, and else

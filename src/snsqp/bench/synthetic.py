@@ -16,24 +16,26 @@ one with a quadratic constraint of known constant 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from ..model import ConstrainedStochasticProblem
-from ..qp import BoxPolyhedron
+from ..qp import BoxPolyhedron, _frozen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPiece:
+    """offset + linear.x + (1/2) x'curvature_matrix x.  The arrays are
+    read-only copies, so a later write to the caller's arrays changes
+    neither the oracle nor rho.  Two pieces compare by identity."""
+
     offset: float
     linear: np.ndarray
     curvature_matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
-        object.__setattr__(self, "curvature_matrix",
-                           np.asarray(self.curvature_matrix, dtype=float))
+        object.__setattr__(self, "linear", _frozen(self.linear))
+        object.__setattr__(self, "curvature_matrix", _frozen(self.curvature_matrix))
         q = self.curvature_matrix
         if q.shape != (self.linear.size, self.linear.size):
             raise ValueError("curvature matrix shape must match the linear term")
@@ -43,11 +45,15 @@ class QuadraticPiece:
             raise ValueError("curvature matrix must be positive semidefinite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticUc2Spec:
-    pieces: List[QuadraticPiece]
+    """The pieces of the family, held as a tuple.  Two specs compare by
+    identity."""
+
+    pieces: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValueError("needs at least one piece")
         dims = {p.linear.size for p in self.pieces}
@@ -126,12 +132,12 @@ def two_piece_crossing_spec() -> SyntheticUc2Spec:
     The min has a downward kink on the crossing plane, so the objective is
     genuinely nonsmooth and nonconvex inside [-2, 2]^2.
     """
-    return SyntheticUc2Spec(pieces=[
+    return SyntheticUc2Spec(pieces=(
         QuadraticPiece(offset=0.0, linear=np.array([2.0, 0.5]),
                        curvature_matrix=np.diag([4.0, 2.0])),
         QuadraticPiece(offset=0.0, linear=np.array([-2.0, 0.5]),
                        curvature_matrix=np.diag([3.0, 2.0])),
-    ])
+    ))
 
 
 def build_affine_equality_problem() -> ConstrainedStochasticProblem:

@@ -1,4 +1,4 @@
-"""Stationarity measurement, epoch accounting, and trace export.
+"""Stationarity measurement, epoch accounting, and the trace CSVs.
 
 The optimality measure reads the feasible set as the subproblem does, bounds
 and ineq_matrix rows with the limits of translated_limits, plus the equality
@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
 from typing import Optional
@@ -51,32 +50,22 @@ TRACE_COLUMNS = ("k", "epoch", "oracle_calls", "step_norm", "pred_decrease",
                  "merit", "objective_estimate")
 
 
-@dataclass
-class StationarityReport:
-    residual: float
-    multipliers: np.ndarray
-    active_mask: np.ndarray
-
-
 def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
-                       eq: tuple | None = None) -> StationarityReport:
-    """The measure at x for the set box and the equality rows eq, the pair
+                       eq: tuple | None = None) -> float:
+    """The residual at x for the set box and the equality rows eq, the pair
     (c(x), jacobian with one column per row) that eq_constraints returns.
 
-    The multipliers and the activity mask have one entry per entry of
-    box.limits, then one per equality row.  Activity is read off the
-    translated limits and c(x) alone; with nothing active the residual is
-    |g| and the rows are never scaled.  Otherwise one _active_set call
-    projects -g: active bounds have limit 0, inactive ones inf, and inactive
-    rows are left out.  The loop reads the active rows at their row scale,
-    as _row_form lays them out; g is scaled here, to the same row scale
-    (_row_exponent), which leaves the polar cone as it is, and the residual
-    and multipliers are scaled back.  Set multipliers the final projection
-    leaves at -1e-16 are floored at 0.  A g of the wrong shape, a jacobian
+    Activity is read off the translated limits and c(x) alone; with nothing
+    active the residual is |g| and the rows are never scaled.  Otherwise one
+    _active_set call projects -g: active bounds have limit 0, inactive ones
+    inf, and inactive rows are left out.  The loop reads the active rows at
+    their row scale, as _row_form lays them out; g is scaled here, to the
+    same row scale (_row_exponent), which leaves the polar cone as it is,
+    and the residual is scaled back.  A g of the wrong shape, a jacobian
     that does not match c(x), or non-finite data raise ValueError; a
-    projection that does not end OPTIMAL, or whose multipliers or residual
-    scale back past the float range (as on an equality row of subnormal
-    entries), raises RuntimeError.
+    projection that does not end OPTIMAL (as on an equality row of
+    subnormal entries, whose multiplier lies past the float range), or
+    whose residual scales back past it, raises RuntimeError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (box.dim,):
@@ -92,25 +81,20 @@ def stationarity_error(g: np.ndarray, box: BoxPolyhedron, x: np.ndarray,
     if not all(map(math.isfinite, chain(g_list, values, () if jac is None else jac.flat))):
         raise ValueError("gradient, equality values and jacobian must be finite")
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
-    multipliers = np.zeros(len(values))
     if not any(act):
-        return StationarityReport(float(np.linalg.norm(g)), multipliers, np.array(act))
+        return float(np.linalg.norm(g))
 
-    # loop ids: the bounds, then the active rows, with the equality rows last
+    # the loop's limits: the bounds', then the active rows', equality rows last
     active = act[2 * n:]
-    index = [*range(2 * n), *compress(range(2 * n, len(values)), active)]
+    limits = [0.0 if a else math.inf for a in act[:2 * n]] + [0.0] * sum(active)
     g_exp = _row_exponent(g_list)
     _, _, exps, scaled = _row_form([], box, jac, c_eq)  # the rows alone
-    status, d, mults, _, _ = _active_set(
+    status, d, _, _, _ = _active_set(
         [math.ldexp(v, -g_exp) for v in g_list], 1.0, [*compress(scaled, active)],
-        [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
-        [*compress(exps, active)])
+        limits, sum(act[n_set:]), [*compress(exps, active)])
     if status is QpStatus.OPTIMAL:
-        try:  # a multiplier or the residual scaled back past the float range fails too
-            for c, w in zip(index, mults):
-                multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
-            residual = math.ldexp(math.hypot(*d), g_exp)
-            return StationarityReport(residual, multipliers, np.array(act))
+        try:  # a residual scaled back past the float range fails too
+            return math.ldexp(math.hypot(*d), g_exp)
         except OverflowError:
             status = QpStatus.NUMERICAL_FAILURE
     raise RuntimeError(f"polar-cone projection ended {status.value}")
@@ -150,7 +134,7 @@ def reference_stationarity(problem, x: np.ndarray, scenarios: np.ndarray, record
     if record is not None:
         record.reference_objective = stats.mean_value
     eq = None if problem.eq_constraints is None else problem.eq_constraints(x)
-    return stationarity_error(stats.mean_subgradient, problem.set, x, eq).residual
+    return stationarity_error(stats.mean_subgradient, problem.set, x, eq)
 
 
 def _epoch(rec, epoch_size: int) -> int:
@@ -172,7 +156,7 @@ def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
     """Populate the stationarity column in place, over the reference batch.
 
     With epoch_size set, only the last record of each epoch is evaluated:
-    export_trace builds the epoch table from the same _epoch_ends, so every
+    write_run_csv builds the epoch table from the same _epoch_ends, so every
     record it carries is filled, while long traces avoid a reference-batch
     solve per iteration.  Without it every record is filled.  Each filled
     record also keeps its reference_objective from the same batch.  A record
@@ -185,23 +169,16 @@ def fill_stationarity(trace: IterationTrace, scenarios: np.ndarray,
         rec.stationarity = reference_stationarity(trace.problem, rec.x, scenarios, rec)
 
 
-def export_trace(trace: IterationTrace, epoch_size: int = DEFAULT_EPOCH) -> tuple:
-    """Per-iteration rows and per-epoch rows as lists of column dicts.
-
-    Epoch rows cover 0 .. ceil(budget/epoch_size) - 1 when the run ended by
-    budget (the full cost axis), otherwise up to the last record's epoch.
-    Each epoch carries its last record, an epoch without records the one
-    before it; epochs before the first record carry the first record.  Each
-    dict holds the list row that write_run_csv writes.
-    """
-    header = _header(trace)
-    return tuple([dict(zip(header, row)) for row in rows]
-                 for rows in _rows(trace, epoch_size))
-
-
 def write_run_csv(trace: IterationTrace, out_dir, run_id: str,
                   epoch_size: int = DEFAULT_EPOCH) -> tuple:
-    """Write {run_id}_trace.csv and {run_id}_epochs.csv; returns both paths."""
+    """Write {run_id}_trace.csv and {run_id}_epochs.csv; returns both paths.
+
+    The trace file has one row per record.  The epoch file covers epochs
+    0 .. ceil(budget/epoch_size) - 1 when the run ended by budget (the full
+    cost axis), otherwise up to the last record's epoch.  Each epoch carries
+    its last record, an epoch without records the one before it; epochs
+    before the first record carry the first record.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"{run_id}_trace.csv"
@@ -223,7 +200,7 @@ def _header(trace: IterationTrace) -> list:
 
 
 def _rows(trace: IterationTrace, epoch_size: int) -> tuple:
-    """The per-iteration and the per-epoch list rows of export_trace."""
+    """The per-iteration and the per-epoch list rows that write_run_csv writes."""
     records = trace.records
     ends = _epoch_ends(records, epoch_size)
     # each column's record attribute; the epoch column's "k" is overwritten by _row

@@ -28,7 +28,7 @@ Starting basis.  A solve may be given a start as the (basis, at_upper) an
 LpSolution reports, or as the Start that check_start makes of one: its
 checks and basis inverse depend only on the columns and bounds, so a Start
 is checked once and trusted on every LP that shares its columns, as
-with_vectors copies do.  Per solve, B^-1 (b0 - N_U u_U) must lie within the
+LpProblem._with copies do.  Per solve, B^-1 (b0 - N_U u_U) must lie within the
 basic bounds to FEAS_TOL; the start is then priced once, and is the optimum
 without a simplex when no column enters (Bixby, "Solving real-world linear
 programs", Oper. Res. 50(1), 2002, on known bases); else phase 2 runs from
@@ -77,8 +77,7 @@ class LpProblem:
     every solve of these rows and bounds shares: the column block
     [ineq_matrix | I], the column ranges (upper - lower, then +inf per
     slack), ineq_matrix @ lower, and column_cost, the cost then 0 per
-    slack, of which cost is a view.  with_vectors swaps in a new cost or
-    right-hand side and keeps the rest.  Two problems compare by identity.
+    slack, of which cost is a view.  Two problems compare by identity.
     """
 
     cost: np.ndarray
@@ -106,11 +105,13 @@ class LpProblem:
             raise ValueError("upper bounds must not be nan")
         if np.any(lower > upper):
             raise ValueError("requires lower <= upper")
+        column_cost = _frozen(np.concatenate([cost, np.zeros(s)]))
         self.__dict__.update(
+            cost=column_cost[:q], column_cost=column_cost,
             ineq_matrix=ineq_matrix, ineq_rhs=ineq_rhs, lower=lower, upper=upper,
             columns=_frozen(np.hstack([ineq_matrix, np.eye(s)])),
             ranges=_frozen(np.concatenate([upper - lower, np.full(s, np.inf)])),
-            lower_rows=_frozen(ineq_matrix.dot(lower)), **_column_cost(cost, s))
+            lower_rows=_frozen(ineq_matrix.dot(lower)))
 
     @property
     def n_vars(self) -> int:
@@ -120,39 +121,12 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.ineq_rhs.size
 
-    def with_vectors(self, cost=None, ineq_rhs=None) -> LpProblem:
-        """This LP with a new cost and/or right-hand side.
-
-        The rows, bounds and the arrays built from them are shared; only the
-        new vectors are checked.
-        """
-        changes = {}
-        if cost is not None:
-            changes = _column_cost(_finite_vector(cost, self.n_vars, "cost"), self.n_rows)
-        if ineq_rhs is not None:
-            changes["ineq_rhs"] = _finite_vector(ineq_rhs, self.n_rows, "ineq_rhs")
-        return self._with(**changes)
-
     def _with(self, **vectors) -> LpProblem:
-        """A copy with some vectors replaced, unchecked: the caller checked them
-        (and gives a new cost as _column_cost does)."""
+        """A copy with some vectors replaced, unchecked: the caller checked them,
+        and gives a new cost as a read-only view of its new column_cost."""
         copy = object.__new__(LpProblem)
         copy.__dict__.update(self.__dict__, **vectors)
         return copy
-
-
-def _column_cost(cost: np.ndarray, s: int) -> dict:
-    """The read-only column_cost of a checked cost and s slacks, and cost as its view."""
-    column_cost = _frozen(np.concatenate([cost, np.zeros(s)]))
-    return {"cost": column_cost[:cost.size], "column_cost": column_cost}
-
-
-def _finite_vector(values, size: int, name: str) -> np.ndarray:
-    out = _frozen(np.atleast_1d(values))
-    if out.shape != (size,):
-        raise ValueError(f"{name} must have length {size}")
-    _require_finite(**{name: out})
-    return out
 
 
 @dataclass

@@ -5,14 +5,15 @@ combination of active bounds and rows and solves the resulting equality
 systems; the LP reference enumerates candidate vertices from every choice of
 n active constraints.  Both are exponential and meant for tiny instances.
 The rest are independent checks: a dense QP KKT residual, LP optimality
-residuals (with the expansion of one batch row into its own LP solution),
+residuals (with the expansion of one batch row into its own LP solution,
+and an LP copy with a new cost or right-hand side),
 finite differences, quadrature moments, grid minima, the plain PPS
 sampler, the closed-form PPS recourse and a sampled weak-convexity modulus.
 Four keep an earlier formulation to check a faster one bit for bit: the
 served recourse batch, the trace export through csv.DictWriter, the
 subproblem kernel (the active-set loop and its KKT certificate, with the
-subproblem and the stationarity measure around them) as written before the
-set held its rows and the certificate took one pass, and the batch
+subproblem and the stationarity residual around them) as written before
+the set held its rows and the certificate took one pass, and the batch
 aggregate as written before it read finiteness off its sums.
 """
 
@@ -33,7 +34,8 @@ from snsqp.diagnostics import ACTIVITY_TOL, TRACE_COLUMNS
 from snsqp.lp import FEAS_TOL, PIVOT_TOL, LpBatchSolution, LpProblem, LpSolution, LpStatus
 from snsqp.model import ConstrainedStochasticProblem
 from snsqp.qp import (MAX_ITER_PER_ROW, RANK_THRESHOLD, TOL, VIOLATION_TOL, QpProblem,
-                      QpSolution, QpStatus, _dot, _row_exponent, _scaled_limit)
+                      QpSolution, QpStatus, _dot, _frozen, _require_finite, _row_exponent,
+                      _scaled_limit)
 from snsqp.sampling import MIN_BATCH, OracleError, SampleStats, _first_failure, draw_scenarios
 
 
@@ -235,6 +237,26 @@ def batch_row(problem: LpProblem, batch: LpBatchSolution, i: int) -> LpSolution:
                       basis=solve.basis, at_upper=solve.at_upper)
 
 
+def with_vectors(problem: LpProblem, cost=None, ineq_rhs=None) -> LpProblem:
+    """problem with a new cost and/or right-hand side.  The rows, bounds and
+    the arrays built from them are shared (LpProblem._with), so a Start
+    checked on problem serves the copy; only the new vectors are checked, and
+    a new cost comes as the view of its new column_cost, as the constructor
+    builds it."""
+    changes = {}
+    for name, values, size in (("cost", cost, problem.n_vars),
+                               ("ineq_rhs", ineq_rhs, problem.n_rows)):
+        if values is not None:
+            changes[name] = _frozen(np.atleast_1d(values))
+            if changes[name].shape != (size,):
+                raise ValueError(f"{name} must have length {size}")
+            _require_finite(**{name: changes[name]})
+    if cost is not None:
+        column_cost = _frozen(np.concatenate([changes["cost"], np.zeros(problem.n_rows)]))
+        changes.update(cost=column_cost[:problem.n_vars], column_cost=column_cost)
+    return problem._with(**changes)
+
+
 def served_batch(problem: LpProblem, rhs: np.ndarray, start) -> LpBatchSolution | None:
     """solve_lp_multi_rhs's batch where the checked Start serves every row,
     as the served path was written before the Start held its fit bound and
@@ -277,7 +299,7 @@ def served_recourse(instance: PpsInstance, p: float, scenarios: np.ndarray) -> t
     caps written into a zero block, and served_batch.  None where the start
     does not serve the batch."""
     n = instance.stores
-    problem = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    problem = with_vectors(instance.recourse, cost=pps._recourse_cost(instance, p))
     slopes, intercepts = scenarios[:, :n], scenarios[:, n:]
     rhs = np.zeros((len(scenarios), n + instance.factories))
     rhs[:, :n] = slopes * p + intercepts
@@ -392,9 +414,10 @@ def kernel_solve(problem: QpProblem) -> QpSolution:
                       residual, status, rank_warning, iterations)
 
 
-def kernel_stationarity(g: np.ndarray, box, x: np.ndarray, eq: tuple | None = None) -> tuple:
-    """stationarity_error's (residual, multipliers) as it was written before
-    the set held its rows, through kernel_active_set."""
+def kernel_stationarity(g: np.ndarray, box, x: np.ndarray, eq: tuple | None = None) -> float:
+    """stationarity_error's residual as it was written before the set held
+    its rows, through kernel_active_set (the multipliers it also returned
+    then are left out, as stationarity_error leaves them out now)."""
     g_list, values = np.asarray(g, dtype=float).tolist(), box.translated_limits(x).tolist()
     n, n_set = box.dim, len(values)
     rows = box.ineq_matrix.tolist()
@@ -402,20 +425,17 @@ def kernel_stationarity(g: np.ndarray, box, x: np.ndarray, eq: tuple | None = No
         rows += np.asarray(eq[1], dtype=float).T.tolist()
         values = values + (-np.atleast_1d(np.asarray(eq[0], dtype=float))).tolist()
     act = [abs(v) <= ACTIVITY_TOL * (1.0 + abs(v)) for v in values]
-    multipliers = np.zeros(len(values))
     if not any(act):
-        return float(np.linalg.norm(g)), multipliers
+        return float(np.linalg.norm(g))
     index = [*range(2 * n), *(c for c in range(2 * n, len(values)) if act[c])]
     g_exp, active = _row_exponent(g_list), [rows[c - 2 * n] for c in index[2 * n:]]
-    status, d, mults, _, _ = kernel_active_set(
+    status, d, _, _, _ = kernel_active_set(
         [math.ldexp(v, -g_exp) for v in g_list], 1.0, active,
         [0.0 if act[c] else math.inf for c in index], sum(act[n_set:]),
         list(map(_row_exponent, active)))
     if status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polar-cone projection ended {status.value}")
-    for c, w in zip(index, mults):
-        multipliers[c] = math.ldexp(w if c >= n_set or w > 0.0 else 0.0, g_exp)
-    return math.ldexp(math.hypot(*d), g_exp), multipliers
+    return math.ldexp(math.hypot(*d), g_exp)
 
 
 def kernel_active_set(gradient: list, alpha: float, general: list, limits: list, m: int,
@@ -690,8 +710,8 @@ def recourse_closed_form(instance: PpsInstance, p: float, slopes: np.ndarray,
 
 def second_stage_lp(instance: PpsInstance, p: float, scenario: np.ndarray) -> LpProblem:
     """The recourse LP at price p for one scenario row, for cold solves."""
-    return instance.recourse.with_vectors(
-        cost=pps._recourse_cost(instance, p), ineq_rhs=pps._recourse_rhs(instance, p, scenario))
+    return with_vectors(instance.recourse, cost=pps._recourse_cost(instance, p),
+                        ineq_rhs=pps._recourse_rhs(instance, p, scenario))
 
 
 def suggest_rho(problem: ConstrainedStochasticProblem, n_pairs: int = 10 ** 4,

@@ -5,7 +5,9 @@ refusals stop before any worktree or benchmark invocation.
 """
 
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,17 @@ def test_one_pair_is_its_own_median_and_quartiles():
     summary = bench_pairs.summarize([({"wall_s": 2.0}, {"wall_s": 1.0})], DECLARED[:1])
     assert summary["wall_s"]["base"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert summary["wall_s"]["median_change"] == -0.5
+
+
+def test_environments_name_bytecode_and_each_sides_run(tmp_path):
+    """The report's own environment says whether bytecode is written, and
+    each side's is read from the result.json its last run wrote."""
+    assert bench_pairs.environment()["dont_write_bytecode"] is sys.dont_write_bytecode
+    out = tmp_path / ".perfbench_out" / "pps-fixed10"
+    out.mkdir(parents=True)
+    recorded = {"git_commit": "0" * 40, "git_dirty": False, "numpy": "2.4.6"}
+    (out / "result.json").write_text(json.dumps({"environment": recorded, "runs": []}))
+    assert bench_pairs.run_environment(tmp_path, "pps-fixed10") == recorded
 
 
 @pytest.fixture

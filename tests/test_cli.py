@@ -13,7 +13,7 @@ import pytest
 
 import snsqp
 from snsqp import driver
-from snsqp.bench import runner
+from snsqp.bench import cli, runner
 from snsqp.bench.cli import cli_main
 from snsqp.bench.runner import ADAPTIVE_CAP, parse_strategy, run_id_for
 from snsqp.sampling import AdaptiveSize, FixedSize, PolynomialSize
@@ -274,6 +274,21 @@ class TestCurveCommand:
         assert "error: batch: expected positive integer" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("out", ["", "file/c.csv", "file/sub/c.csv"],
+                             ids=["directory", "under-a-file", "deep-under-a-file"])
+    def test_unwritable_out_fails_before_the_draw(self, capsys, tmp_path, monkeypatch,
+                                                  out):
+        """An --out that is a directory, or lies under a file, fails with
+        exit 2 before any scenario is drawn.  Accepted, writing the curve
+        raised IsADirectoryError, FileExistsError or NotADirectoryError."""
+        def no_draw(*args):
+            raise AssertionError("the curve drew scenarios for an unwritable --out")
+
+        monkeypatch.setattr(cli, "draw_scenarios", no_draw)
+        (tmp_path / "file").write_text("")
+        assert cli_main(["curve", "--out", str(tmp_path / out)]) == 2
+        assert "error: out: " in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_tiny_grid_writes_summary_and_traces(self, capsys, tmp_path):
@@ -344,6 +359,22 @@ class TestBenchCommand:
                        "--out", str(tmp_path / "b")])
         assert rc == 2
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/runs"])
+    def test_out_under_a_file_fails_before_running(self, capsys, tmp_path, monkeypatch,
+                                                   out):
+        """An --out that is or lies under a file fails with exit 2 before any
+        run.  Accepted, the first run was solved and writing its CSVs raised
+        FileExistsError or NotADirectoryError."""
+        def no_run(problem, config):
+            raise AssertionError("a run started with an unwritable --out")
+
+        monkeypatch.setattr(runner, "run_algorithm1", no_run)
+        (tmp_path / "file").write_text("")
+        rc = cli_main(["bench-pps", "--strategy", "fixed:10", "--seeds", "1",
+                       "--budget", "100", "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert f"error: --out: {tmp_path / 'file'} is not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["seeds", "budget", "epoch", "workers"])
     def test_bad_integer_flag_fails_before_running(self, capsys, tmp_path,

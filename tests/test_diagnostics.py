@@ -1,9 +1,10 @@
-"""Stationarity measure and trace/epoch export.
+"""Stationarity measure and the trace/epoch CSVs.
 
 The cone-projection residual is certified four ways: hand-constructed KKT
-points (residual zero), exact recovery of planted multipliers, a dense grid
-scan over candidate multipliers as an independent minimizer, and agreement
-with scipy's NNLS on random problems.  scipy is a test-only dependency.
+points (residual zero), gradients built from planted multipliers (residual
+zero), a dense grid scan over candidate multipliers as an independent
+minimizer, and agreement with scipy's NNLS on random problems.  scipy is a
+test-only dependency.
 """
 
 import csv
@@ -27,8 +28,6 @@ from snsqp.diagnostics import (
     REFERENCE_BATCH,
     REFERENCE_SEED,
     TRACE_COLUMNS,
-    StationarityReport,
-    export_trace,
     fill_stationarity,
     reference_batch,
     reference_objective,
@@ -48,31 +47,25 @@ def column_stationarity(g, constraints_value, constraints_jacobian):
     J (n x k): min |g - J lam| over lam >= 0 on the active rows.
 
     It builds the equivalent set at x = 0, bounds -1 <= x <= 1, which are
-    never active there, and the rows -J.T @ x <= c, and returns the report
-    without the bound entries.
+    never active there, and the rows -J.T @ x <= c, and returns the residual.
     """
     jac = np.asarray(constraints_jacobian, dtype=float)
     c = np.atleast_1d(np.asarray(constraints_value, dtype=float))
     n = jac.shape[0]
     box = BoxPolyhedron(-np.ones(n), np.ones(n), -jac.T, c)
-    report = stationarity_error(g, box, np.zeros(n))
-    return StationarityReport(report.residual, report.multipliers[2 * n:],
-                              report.active_mask[2 * n:])
+    return stationarity_error(g, box, np.zeros(n))
 
 
 class TestStationarityError:
     def test_zero_gradient_is_stationary(self):
-        report = column_stationarity(np.zeros(3), np.array([0.0, 1.0]),
-                                     np.ones((3, 2)))
-        assert report.residual == pytest.approx(0.0)
-        np.testing.assert_array_equal(report.active_mask, [True, False])
+        residual = column_stationarity(np.zeros(3), np.array([0.0, 1.0]),
+                                       np.ones((3, 2)))
+        assert residual == 0.0 and isinstance(residual, float)
 
     def test_no_active_rows_returns_gradient_norm(self):
         g = np.array([3.0, -4.0])
-        report = column_stationarity(g, np.array([2.0]), np.array([[1.0], [0.0]]))
-        assert report.residual == pytest.approx(5.0)
-        assert not report.active_mask.any()
-        assert np.all(report.multipliers == 0.0)
+        residual = column_stationarity(g, np.array([2.0]), np.array([[1.0], [0.0]]))
+        assert residual == pytest.approx(5.0) and isinstance(residual, float)
 
     def test_recovers_planted_multipliers(self):
         """g built as J lam* with lam* >= 0 on active rows: residual 0."""
@@ -83,9 +76,7 @@ class TestStationarityError:
             lam_true = rng.uniform(0.5, 2.0, j)
             g = jac @ lam_true
             c = np.zeros(j)   # all rows active
-            report = column_stationarity(g, c, jac)
-            assert report.residual <= 1e-8
-            np.testing.assert_allclose(report.multipliers, lam_true, atol=1e-6)
+            assert column_stationarity(g, c, jac) <= 1e-8
 
     def test_matches_grid_scan(self):
         """Dense scan over lam >= 0 as an independent minimizer."""
@@ -94,7 +85,7 @@ class TestStationarityError:
                         [0.0, 1.0, -0.2],
                         [0.3, -0.5, 1.0]])
         c = np.zeros(3)
-        report = column_stationarity(g, c, jac)
+        residual = column_stationarity(g, c, jac)
         axis = np.arange(0.0, 2.0, 1e-3)
         best = np.inf
         for l0 in axis[::20]:
@@ -103,15 +94,16 @@ class TestStationarityError:
                     [np.full_like(axis, l0), np.full_like(axis, l1)])
                     + jac[:, 2:3] * axis)
                 best = min(best, float(np.min(np.linalg.norm(resid, axis=0))))
-        assert report.residual <= best + 1e-9
-        assert report.residual >= best - 2e-3
+        assert residual <= best + 1e-9
+        assert residual >= best - 2e-3
 
     def test_inactive_rows_get_zero_multiplier(self):
+        """Only the active row's normal e_0 may balance g = (1, 1); the
+        inactive row's e_1 would take the rest, so the residual stays 1."""
         g = np.array([1.0, 1.0])
-        c = np.array([0.0, 5.0])
-        jac = np.array([[1.0, 1.0], [1.0, 1.0]])
-        report = column_stationarity(g, c, jac)
-        assert report.multipliers[1] == 0.0
+        jac = np.eye(2)
+        assert column_stationarity(g, np.array([0.0, 5.0]), jac) == 1.0
+        assert column_stationarity(g, np.array([0.0, 0.0]), jac) == 0.0
 
     def test_relative_activity_threshold(self):
         """Active iff |c| <= tol*(1+|c|), i.e. |c| <= tol/(1-tol) = 1.000001e-6."""
@@ -121,18 +113,17 @@ class TestStationarityError:
         # 1.0000005e-6 is above tol itself but inside the relative margin
         for value, active in ((-1.0000005e-6, True), (1.0000005e-6, True),
                               (1.0000015e-6, False), (-1.0000015e-6, False)):
-            report = column_stationarity(g, np.array([value, 1.0]), jac)
-            assert report.active_mask.tolist() == [active, False]
-            assert report.residual == pytest.approx(0.0 if active else 1.0)
+            residual = column_stationarity(g, np.array([value, 1.0]), jac)
+            assert residual == pytest.approx(0.0 if active else 1.0)
 
     def test_scaling_property(self):
         """The cone is scale-invariant: residual(t g) = t residual(g)."""
         rng = np.random.default_rng(15)
         g = rng.normal(size=4)
         jac = rng.normal(size=(4, 2))
-        base = column_stationarity(g, np.zeros(2), jac).residual
+        base = column_stationarity(g, np.zeros(2), jac)
         for t in (0.5, 2.0, 10.0):
-            scaled = column_stationarity(t * g, np.zeros(2), jac).residual
+            scaled = column_stationarity(t * g, np.zeros(2), jac)
             assert scaled == pytest.approx(t * base, rel=1e-9)
 
     def test_validation(self):
@@ -178,53 +169,41 @@ class TestAgainstScipyNnls:
     # the final projection leaves the last multiplier at -7.2e-16
     @example(problem=(np.array([0.0, -1.0]), np.array([[0.5, 0.0, 0.0, 0.0, -0.5],
                                                        [3.0, 0.0, 0.0, -2.5, -3.0]])))
-    def test_residual_and_multipliers(self, problem):
+    def test_residual_matches_nnls(self, problem):
         """All rows active, so the measure is the NNLS min |g - J lam|, lam >= 0.
 
-        The residual is |g - J lam| evaluated at the returned lam, which
-        carries rounding of order eps * | |g| + |J| lam |.  Where g lies in a
-        badly conditioned cone lam is large, and that term, not |g|, sets the
-        agreement bound.  lam is unique only when J has full column rank, and
-        then a perturbation of the data moves it by at most cond(J) times
-        its relative size.
+        The residual carries rounding of order eps * | |g| + |J| lam |.
+        Where g lies in a badly conditioned cone lam is large, and that term,
+        not |g|, sets the agreement bound; lam is NNLS's own.
         """
         g, jac = problem
-        report = column_stationarity(g, np.zeros(jac.shape[1]), jac)
-        lam = report.multipliers
+        residual = column_stationarity(g, np.zeros(jac.shape[1]), jac)
         lam_ref, residual_ref = nnls(jac, g)
-        assert np.all(lam >= 0.0)
-        scale = max(1.0, np.linalg.norm(g), np.linalg.norm(np.abs(jac) @ lam))
-        assert abs(report.residual - residual_ref) <= 1e-12 * scale
-        if np.linalg.matrix_rank(jac) == jac.shape[1]:
-            bound = 1e-12 * np.linalg.cond(jac) * max(1.0, np.linalg.norm(lam_ref))
-            assert np.max(np.abs(lam - lam_ref)) <= bound
+        scale = max(1.0, np.linalg.norm(g), np.linalg.norm(np.abs(jac) @ lam_ref))
+        assert abs(residual - residual_ref) <= 1e-12 * scale
 
     def test_extreme_scales_are_exact(self):
-        """Scaling g or a column by a power of two scales the residual or the
-        multiplier exactly, even where a_j . a_j would underflow or overflow."""
+        """Scaling g by a power of two scales the residual exactly, and
+        scaling a column leaves it as it is, even where a_j . a_j would
+        underflow or overflow."""
         g = np.array([3.0, 1.0, 0.5])
         jac = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         base = column_stationarity(g, np.zeros(2), jac)
-        assert base.residual == pytest.approx(0.5, rel=1e-14)
-        np.testing.assert_allclose(base.multipliers, [1.0, 1.0], rtol=1e-14)
+        assert base == pytest.approx(0.5, rel=1e-14)
         for shift in (-1000, -600, 600):
             scaled_g = column_stationarity(np.ldexp(g, shift), np.zeros(2), jac)
-            assert scaled_g.residual == np.ldexp(base.residual, shift)
-            np.testing.assert_array_equal(scaled_g.multipliers,
-                                          np.ldexp(base.multipliers, shift))
+            assert scaled_g == np.ldexp(base, shift)
             scaled_col = column_stationarity(
                 g, np.zeros(2), jac * np.ldexp(1.0, [shift, 0]))
-            assert scaled_col.residual == base.residual
-            np.testing.assert_array_equal(
-                scaled_col.multipliers, np.ldexp(base.multipliers, [-shift, 0]))
+            assert scaled_col == base
 
     def test_opposing_pair_gives_free_sign(self):
-        """An equality row's +-J pair: one side carries the multiplier."""
+        """An equality row's +-J pair: g along either side of the row is
+        balanced, and only the part off the row is left."""
         jac = np.array([[2.0, -2.0], [0.0, 0.0]])
-        for g, expected in (([3.0, 0.5], [1.5, 0.0]), ([-3.0, 0.5], [0.0, 1.5])):
-            report = column_stationarity(np.array(g), np.zeros(2), jac)
-            np.testing.assert_allclose(report.multipliers, expected, rtol=1e-15)
-            assert report.residual == pytest.approx(0.5, rel=1e-15)
+        for g in ([3.0, 0.5], [-3.0, 0.5]):
+            residual = column_stationarity(np.array(g), np.zeros(2), jac)
+            assert residual == pytest.approx(0.5, rel=1e-15)
 
 
 def entry_point_imports(package: str,
@@ -312,21 +291,17 @@ class TestPolyhedronRows:
         # x1 at its upper bound and on the row x0 + x1 <= 1.5; -g = (1, 2)
         # is the upper-bound normal (0, 1) plus the row's normal (1, 1)
         x = np.array([0.5, 1.0])
-        report = stationarity_error(np.array([-1.0, -2.0]), box, x)
-        assert report.active_mask.tolist() == [False, False, False, True, True]
-        np.testing.assert_allclose(report.multipliers, [0.0, 0.0, 0.0, 1.0, 1.0],
-                                   atol=1e-15)
-        assert report.residual <= 1e-15
-        # off the row, an active equality row with normal (1, 0) takes the
-        # first coordinate of g with a negative multiplier, the upper bound
-        # on x1 the second
+        assert stationarity_error(np.array([-1.0, -2.0]), box, x) <= 1e-15
+        # off the row, -g = (1, 2) keeps the part the bound leaves: (1, 0)
+        assert stationarity_error(np.array([-1.0, -2.0]), box, np.array([0.25, 1.0])) == 1.0
+        # there, an active equality row with normal (1, 0) takes the first
+        # coordinate of g with a negative multiplier, the upper bound on x1
+        # the second; an inactive one (c = 3) takes nothing
         x = np.array([0.25, 1.0])
         eq = (np.array([0.0, 3.0]), np.array([[1.0, 1.0], [0.0, 0.0]]))
-        report = stationarity_error(np.array([1.0, -2.0]), box, x, eq)
-        assert report.active_mask.tolist() == [False] * 3 + [True, False] + [True, False]
-        np.testing.assert_allclose(report.multipliers, [0.0] * 3 + [2.0, 0.0, -1.0, 0.0],
-                                   atol=1e-15)
-        assert report.residual <= 1e-15
+        assert stationarity_error(np.array([1.0, -2.0]), box, x, eq) <= 1e-15
+        eq = (np.array([3.0, 3.0]), eq[1])
+        assert stationarity_error(np.array([1.0, -2.0]), box, x, eq) == 1.0
 
     def test_kkt_point_of_box_projection_is_stationary(self):
         """At x* = argmin over the box, -g sits in the normal cone: the
@@ -334,8 +309,7 @@ class TestPolyhedronRows:
         box = BoxPolyhedron(lower=[0.0, 0.0], upper=[1.0, 1.0])
         # objective x1 (minimized at the lower face): gradient (1, 0)
         x_star = np.array([0.0, 0.5])
-        report = stationarity_error(np.array([1.0, 0.0]), box, x_star)
-        assert report.residual <= 1e-10
+        assert stationarity_error(np.array([1.0, 0.0]), box, x_star) <= 1e-10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["value", "jacobian"])
@@ -348,19 +322,24 @@ class TestPolyhedronRows:
         with pytest.raises(ValueError, match="finite"):
             stationarity_error(np.array([1.0, 2.0]), box, np.zeros(2), (c, jac))
 
-    @pytest.mark.parametrize("g, column", [
-        ([1.0, 2.0, 3.0], [2.2e-311, 0.0, 0.0]),  # past the range in the row's units
-        ([1e300, 1e300, 0.0], [1e-20, 1e-20, 0.0]),  # past it once scaled back to g's
-    ])
-    def test_multiplier_past_the_float_range_raises_runtime_error(self, g, column):
-        """An active equality row whose multiplier lies past the float range,
-        from a row of subnormal entries or a tiny row against a huge g: the
-        projection ends NUMERICAL_FAILURE, reported as the documented
-        RuntimeError, not an OverflowError from math.ldexp."""
+    def test_multiplier_past_the_float_range_raises_runtime_error(self):
+        """An active equality row of subnormal entries, whose multiplier lies
+        past the float range in the row's units: the projection ends
+        NUMERICAL_FAILURE, reported as the documented RuntimeError, not an
+        OverflowError from math.ldexp."""
         box = BoxPolyhedron(lower=-np.ones(3), upper=np.ones(3))
-        eq = (np.zeros(1), np.array(column).reshape(3, 1))
+        eq = (np.zeros(1), np.array([[2.2e-311], [0.0], [0.0]]))
         with pytest.raises(RuntimeError, match="numerical_failure"):
-            stationarity_error(np.array(g), box, np.zeros(3), eq)
+            stationarity_error(np.array([1.0, 2.0, 3.0]), box, np.zeros(3), eq)
+
+    def test_a_tiny_row_against_a_huge_gradient_is_exact(self):
+        """A tiny active row against a huge g along it: the multiplier, about
+        1e320, lies past the float range once scaled back to g's units, but
+        the measure reads only the projection, and -g lies along the row, so
+        the residual is exactly 0."""
+        box = BoxPolyhedron(lower=-np.ones(3), upper=np.ones(3))
+        eq = (np.zeros(1), np.array([[1e-20], [1e-20], [0.0]]))
+        assert stationarity_error(np.array([1e300, 1e300, 0.0]), box, np.zeros(3), eq) == 0.0
 
     def test_rejects_shape_mismatch(self):
         box = BoxPolyhedron(lower=[-1.0, -1.0], upper=[1.0, 1.0])
@@ -377,26 +356,18 @@ class TestPolyhedronRows:
         of [I, -I, -W^T, E, -E]: bounds x - l >= 0 and u - x >= 0, rows
         h - Wx >= 0, and each equality row as an opposing pair.  Bounds with
         zero width, rows that repeat a bound and zero equality columns leave
-        the multipliers non-unique, so only the residual, the signs and the
-        residual of the returned multipliers are compared."""
+        the multipliers non-unique; the residual is compared on the scale of
+        NNLS's own multipliers."""
         g, box, x, eq, expected_active = problem
-        report = stationarity_error(g, box, x, eq)
+        residual = stationarity_error(g, box, x, eq)
         n, n_set = box.dim, box.limits.size
         jac = np.zeros((n, 0)) if eq is None else eq[1]
-        np.testing.assert_array_equal(report.active_mask, expected_active)
-        mu, nu = report.multipliers[:n_set], report.multipliers[n_set:]
-        assert np.all(mu >= 0.0)
-        assert np.all(report.multipliers[~report.active_mask] == 0.0)
-        rows = set_rows(box)
-        columns = np.hstack([-rows.T, jac, -jac])[
+        columns = np.hstack([-set_rows(box).T, jac, -jac])[
             :, np.concatenate([expected_active, expected_active[n_set:]])]
         # scipy's NNLS crashes the interpreter on a matrix with no columns
-        residual_ref = nnls(columns, g)[1] if columns.size else np.linalg.norm(g)
-        scale = max(1.0, np.linalg.norm(g),
-                    np.linalg.norm(np.abs(rows.T) @ mu + np.abs(jac) @ np.abs(nu)))
-        assert abs(report.residual - residual_ref) <= 1e-12 * scale
-        own = np.linalg.norm(g + rows.T @ mu + jac @ nu)
-        assert abs(own - report.residual) <= 1e-12 * scale
+        lam, residual_ref = nnls(columns, g) if columns.size else ([], np.linalg.norm(g))
+        scale = max(1.0, np.linalg.norm(g), np.linalg.norm(np.abs(columns) @ lam))
+        assert abs(residual - residual_ref) <= 1e-12 * scale
 
 
 def _record(k, calls, x, batch=10):
@@ -416,12 +387,23 @@ def _trace(records, stop_reason, budget=None):
                           problem=None, config=config)
 
 
+def written_rows(trace, out_dir, epoch_size=DEFAULT_EPOCH) -> tuple:
+    """The trace and the epoch rows that write_run_csv writes, read back as
+    dicts of strings, except k and epoch, which are read as ints."""
+    tables = []
+    for path in write_run_csv(trace, out_dir, "run", epoch_size):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append([{**row, "k": int(row["k"]), "epoch": int(row["epoch"])}
+                           for row in csv.DictReader(fh)])
+    return tuple(tables)
+
+
 class TestEpochAccounting:
-    def test_epoch_index_is_floor_of_calls_minus_one(self):
+    def test_epoch_index_is_floor_of_calls_minus_one(self, tmp_path):
         records = [_record(1, 200, [0.0, 0.0]),
                    _record(2, 400, [0.1, 0.0]),
                    _record(3, 600, [0.2, 0.0])]
-        iter_rows, epoch_rows = export_trace(_trace(records, "stall"),
+        iter_rows, epoch_rows = written_rows(_trace(records, "stall"), tmp_path,
                                              epoch_size=500)
         assert [row["epoch"] for row in iter_rows] == [0, 0, 1]
         assert [row["epoch"] for row in epoch_rows] == [0, 1]
@@ -429,12 +411,12 @@ class TestEpochAccounting:
         assert epoch_rows[0]["k"] == 2
         assert epoch_rows[1]["k"] == 3
 
-    def test_budget_stop_fills_whole_cost_axis(self):
+    def test_budget_stop_fills_whole_cost_axis(self, tmp_path):
         # batches of 1000: records at 1000, 2000, ..., 50000
         records = [_record(k, 1000 * k, [0.0, 0.0], batch=1000)
                    for k in range(1, 51)]
-        _, epoch_rows = export_trace(_trace(records, "budget", budget=50_000),
-                                     epoch_size=500)
+        _, epoch_rows = written_rows(_trace(records, "budget", budget=50_000),
+                                     tmp_path, epoch_size=500)
         assert len(epoch_rows) == 100
         assert [row["epoch"] for row in epoch_rows] == list(range(100))
         # record k lands in epoch 2k-1 and carries into 2k; epoch 0 backfills
@@ -443,26 +425,28 @@ class TestEpochAccounting:
         assert epoch_rows[3]["k"] == 2
         assert epoch_rows[99]["k"] == 50
 
-    def test_early_stop_truncates_cost_axis(self):
+    def test_early_stop_truncates_cost_axis(self, tmp_path):
         records = [_record(1, 700, [0.0, 0.0], batch=700)]
-        _, epoch_rows = export_trace(_trace(records, "stall", budget=50_000),
-                                     epoch_size=500)
+        _, epoch_rows = written_rows(_trace(records, "stall", budget=50_000),
+                                     tmp_path, epoch_size=500)
         assert len(epoch_rows) == 2   # epochs 0 and 1 only
 
-    def test_leading_epochs_backfill_from_first_record(self):
+    def test_leading_epochs_backfill_from_first_record(self, tmp_path):
         records = [_record(1, 1800, [0.5, 0.5], batch=1800),
                    _record(2, 2100, [0.6, 0.5], batch=300)]
-        _, epoch_rows = export_trace(_trace(records, "stall"), epoch_size=500)
+        _, epoch_rows = written_rows(_trace(records, "stall"), tmp_path, epoch_size=500)
         assert len(epoch_rows) == 5
         assert [row["k"] for row in epoch_rows] == [1, 1, 1, 1, 2]
 
-    def test_empty_trace_exports_nothing(self):
-        iter_rows, epoch_rows = export_trace(_trace([], "budget", budget=100))
+    def test_empty_trace_exports_nothing(self, tmp_path):
+        iter_rows, epoch_rows = written_rows(_trace([], "budget", budget=100), tmp_path)
         assert iter_rows == [] and epoch_rows == []
 
-    def test_bad_epoch_size_rejected(self):
-        with pytest.raises(ValueError):
-            export_trace(_trace([], "stall"), epoch_size=0)
+    def test_bad_epoch_size_rejected(self, tmp_path):
+        """The epoch size is checked before either file is opened."""
+        with pytest.raises(ValueError, match="epoch_size"):
+            write_run_csv(_trace([], "stall"), tmp_path, "run", epoch_size=0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsvExport:
@@ -564,7 +548,7 @@ class TestReferenceMeasure:
         loop = [problem.oracle(x, batch[i:i + 1]) for i in range(len(batch))]
         loop_value = np.mean([values[0] for values, _ in loop])
         loop_grad = np.mean([grads[0] for _, grads in loop], axis=0)
-        loop_measure = stationarity_error(loop_grad, problem.set, x).residual
+        loop_measure = stationarity_error(loop_grad, problem.set, x)
         assert reference_objective(problem, x, batch) == pytest.approx(
             loop_value, abs=1e-9)
         assert reference_stationarity(problem, x, batch) == pytest.approx(
@@ -625,7 +609,7 @@ class TestReferenceMeasure:
         ([700, 1400], "budget", 1000),                      # budget overshoot
     ])
     def test_epoch_fill_covers_every_carried_record(self, calls, stop_reason,
-                                                    budget):
+                                                    budget, tmp_path):
         """Every record an epoch row carries has its stationarity filled."""
         from snsqp.bench.synthetic import (build_synthetic_uc2,
                                            two_piece_crossing_spec)
@@ -638,7 +622,7 @@ class TestReferenceMeasure:
         fill_stationarity(trace, draw_scenarios(problem.scenario_sampler,
                                                 REFERENCE_SEED, 0, 64),
                           epoch_size=500)
-        _, epoch_rows = export_trace(trace, epoch_size=500)
+        _, epoch_rows = written_rows(trace, tmp_path, epoch_size=500)
         carried = {row["k"] for row in epoch_rows}
         assert all(math.isfinite(records[k - 1].stationarity) for k in carried)
         assert math.isfinite(records[-1].stationarity)

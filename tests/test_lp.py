@@ -22,7 +22,7 @@ from snsqp.lp import (
     solve_lp_multi_rhs,
 )
 
-from reference import batch_row, enumerate_lp, verify_lp
+from reference import batch_row, enumerate_lp, verify_lp, with_vectors
 
 
 def random_instance(rng, q, s, inf_uppers=False):
@@ -334,17 +334,25 @@ class TestNonFiniteInputs:
         assert sol.objective == pytest.approx(-4.0)
 
     def test_with_vectors_checks_the_new_vectors(self):
+        """reference.with_vectors, which the tests and served_recourse build
+        their LP copies with, checks each new vector, shares the columns, and
+        gives a new cost as the read-only view of its column cost."""
         problem = self.make()
         with pytest.raises(ValueError, match="cost must be finite"):
-            problem.with_vectors(cost=[np.nan, -1.0])
+            with_vectors(problem, cost=[np.nan, -1.0])
         with pytest.raises(ValueError, match="ineq_rhs must be finite"):
-            problem.with_vectors(ineq_rhs=[np.nan])
+            with_vectors(problem, ineq_rhs=[np.nan])
         with pytest.raises(ValueError, match="length 2"):
-            problem.with_vectors(cost=[-1.0])
-        moved = problem.with_vectors(ineq_rhs=[2.0])
+            with_vectors(problem, cost=[-1.0])
+        moved = with_vectors(problem, ineq_rhs=[2.0])
         assert solve_lp(moved).objective == pytest.approx(-2.0)
         assert moved.columns is problem.columns
         assert solve_lp(problem).objective == pytest.approx(-4.0)
+        recosted = with_vectors(problem, cost=[-2.0, -1.0])
+        np.testing.assert_array_equal(recosted.column_cost, [-2.0, -1.0, 0.0])
+        assert recosted.cost.base is recosted.column_cost
+        assert not recosted.column_cost.flags.writeable
+        assert recosted.columns is problem.columns
 
     def test_multi_rhs_checks_the_batch(self):
         problem = self.make()
@@ -446,7 +454,7 @@ class TestStart:
         LP's own optimal basis when scale is 0, else one that may not be
         primal feasible here (then the solve falls back to the slack basis)."""
         shift = scale * np.random.default_rng(seed).uniform(0.0, 1.0, problem.n_rows)
-        nearby = solve_lp(problem.with_vectors(ineq_rhs=problem.ineq_rhs + shift))
+        nearby = solve_lp(with_vectors(problem, ineq_rhs=problem.ineq_rhs + shift))
         assert nearby.status is LpStatus.OPTIMAL
         sol = solve_lp(problem, (nearby.basis, nearby.at_upper))
         target(float(solve_lp(problem).iterations - sol.iterations), label="pivots saved")
@@ -522,8 +530,8 @@ class TestStart:
         from the start.  A Start checked on another LpProblem's columns,
         even equal ones, is checked again, so it gives the pair's solve too."""
         rng = np.random.default_rng(seed)
-        nearby = solve_lp(problem.with_vectors(
-            ineq_rhs=problem.ineq_rhs + scale * rng.uniform(0.0, 1.0, problem.n_rows)))
+        nearby = solve_lp(with_vectors(
+            problem, ineq_rhs=problem.ineq_rhs + scale * rng.uniform(0.0, 1.0, problem.n_rows)))
         pair = (nearby.basis, nearby.at_upper)
         held = lp.check_start(problem, pair)
         fields = (problem.cost, problem.ineq_matrix, problem.ineq_rhs, problem.lower,
@@ -532,8 +540,8 @@ class TestStart:
         doubled = lp.check_start(LpProblem(fields[0], 2.0 * fields[1], *fields[2:]), pair)
         assert (held is None) is (equal is None)
         cost = rng.normal(size=problem.n_vars)
-        recosted = problem.with_vectors(cost=np.where(np.isinf(problem.upper),
-                                                      np.abs(cost) + 0.5, cost))
+        recosted = with_vectors(problem, cost=np.where(np.isinf(problem.upper),
+                                                       np.abs(cost) + 0.5, cost))
         for target_lp in (problem, recosted):
             expected = solve_lp(target_lp, pair)
             for start in (held, held, equal) + (() if doubled is None else (doubled,)):
@@ -611,7 +619,7 @@ class TestFixedColumnStart:
         fixed, start = self.fixed_at_optimum(problem, pick)
         cost = np.random.default_rng(seed).normal(size=fixed.n_vars)
         cost = np.where(np.isinf(fixed.upper), np.abs(cost) + 0.5, cost)
-        fixed = fixed.with_vectors(cost=cost)
+        fixed = with_vectors(fixed, cost=cost)
         sol = solve_lp(fixed, start)
         target(float(sol.iterations), label="pivots")
         self.certify(fixed, sol)

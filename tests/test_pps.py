@@ -36,6 +36,7 @@ from reference import (
     served_recourse,
     suggest_rho,
     truncated_normal_moments,
+    with_vectors,
 )
 
 
@@ -498,7 +499,7 @@ def test_a_start_serving_its_batch_gives_the_loops_bits(instance, problem, p, se
     if short_row:
         slope = np.full(5, -1.0)
         scenarios = np.vstack([scenarios, scenario(slope, 2.0 - p * slope)])
-    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    at_p = with_vectors(instance.recourse, cost=pps._recourse_cost(instance, p))
     rhs = pps._recourse_rhs(instance, p, scenarios)
     start, _ = pps._recourse_start(instance, p, rhs[:, :instance.stores])
     priced = lp.solve_lp_multi_rhs(at_p, rhs, start)
@@ -526,7 +527,7 @@ def test_a_served_batch_reads_its_starts_held_mask(instance, problem, p, seed, s
     built = (start.basis >= instance.factories) & (start.basis < instance.recourse.n_vars)
     assert mask.dtype == np.float64 and not mask.flags.writeable
     assert same_bytes(mask, built.astype(float))
-    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    at_p = with_vectors(instance.recourse, cost=pps._recourse_cost(instance, p))
     sol = lp.solve_lp_multi_rhs(at_p, rhs, start)
     assume(len(sol.solves) == 1 and sol.solves[0].iterations == 0)
     slopes, _ = split_scenarios(instance, scenarios)
@@ -552,7 +553,7 @@ def test_the_served_batch_keeps_the_earlier_formulations_bits(instance, problem,
     assume(want is not None)
     for got, expected in zip(recourse_lp(instance, p, scenarios), want):
         assert same_bytes(got, expected)
-    at_p = instance.recourse.with_vectors(cost=pps._recourse_cost(instance, p))
+    at_p = with_vectors(instance.recourse, cost=pps._recourse_cost(instance, p))
     rhs = pps._recourse_rhs(instance, p, scenarios)
     start, _ = pps._recourse_start(instance, p, rhs[:, :instance.stores])
     batch, reference = lp.solve_lp_multi_rhs(at_p, rhs, start), served_batch(at_p, rhs, start)
@@ -588,14 +589,15 @@ class TestCrashStart:
     def test_no_solve_writes_a_held_start(self, instance, problem, monkeypatch):
         """With non-uniform shipment costs a held crash start needs pivots,
         which the simplex makes on copies: two solves of the same batch agree
-        bit for bit, and the instance's held bases and inverses stay
+        bit for bit, and the instance's held bases, inverses and masks stay
         read-only and unchanged."""
         rng = np.random.default_rng(5)
         uneven = dataclasses.replace(
             instance, shipment_costs=2.0 + rng.uniform(0.0, 1.0, (5, 5)))
         slack, floor, top_up = uneven.crash_starts
         held = [slack, *floor, *top_up]
-        before = [(start.basis.tobytes(), start.inverse.tobytes()) for start in held]
+        before = [(start.basis.tobytes(), start.inverse.tobytes(), mask.tobytes())
+                  for start, mask in held]
         scenarios = draw_scenarios(problem.scenario_sampler, 3, 1, 40)
         from_held, simplex = [], lp._Simplex
 
@@ -609,10 +611,11 @@ class TestCrashStart:
             for a, b in zip(first, second):
                 assert a.tobytes() == b.tobytes()
         assert any(from_held)
-        for start, (basis, inverse) in zip(held, before):
+        for (start, mask), held_bytes in zip(held, before):
             assert not any(part.flags.writeable for part in (
-                start.basis, start.at_upper, start.inverse, start.sign))
-            assert (start.basis.tobytes(), start.inverse.tobytes()) == (basis, inverse)
+                start.basis, start.at_upper, start.inverse, start.sign, mask))
+            assert (start.basis.tobytes(), start.inverse.tobytes(),
+                    mask.tobytes()) == held_bytes
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     @pytest.mark.parametrize("where", [0, 5])

@@ -939,7 +939,7 @@ class TestKernelReference:
     """The kernel keeps every bit of the one it replaced, kept in
     reference.py: the loop reading the set's held rows and the one-pass
     certificate give the old solves, certificates and stationarity
-    measures bit for bit, and raise where they raised, except that a
+    residuals bit for bit, and raise where they raised, except that a
     multiplier past the float range (an OverflowError there) now ends the
     solve NUMERICAL_FAILURE and the measure in its RuntimeError."""
 
@@ -977,5 +977,4 @@ class TestKernelReference:
         if isinstance(want, type):
             assert got is (RuntimeError if want is OverflowError else want)
         else:
-            assert as_bits(got.residual) == as_bits(want[0])
-            assert as_bits(got.multipliers) == as_bits(want[1])
+            assert isinstance(got, float) and as_bits(got) == as_bits(want)

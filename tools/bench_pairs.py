@@ -15,8 +15,11 @@ BENCHMARK.json runs.
 The result goes to BENCH_<NAME>.json at the repository root: for each
 workload and metric, the median and quartiles of each side, the pairs the
 change wins (better in the direction BENCHMARK.json declares) and ties, and
-every pair's (base, change) values; plus both commit SHAs, the command and
-the environment.
+every pair's (base, change) values; plus both commit SHAs, the command, this
+process's environment (sys.dont_write_bytecode included) and, per workload,
+the environment each side's last run recorded in its
+.perfbench_out/<workload>/result.json.  The BLAS kernel is not recorded:
+numpy names it only through threadpoolctl.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ def invoke(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def run_environment(tree: Path, workload: str) -> dict:
+    """The environment that the last perfbench/run.py of workload in tree recorded."""
+    result = tree / ".perfbench_out" / workload / "result.json"
+    return json.loads(result.read_text(encoding="utf-8"))["environment"]
+
+
 def spread(values: list) -> dict:
     """Median and quartiles; one value is all three."""
     if len(values) < 2:
@@ -112,7 +121,7 @@ def environment() -> dict:
         pass
     return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
             "platform": platform.platform(), "python": platform.python_version(),
-            "numpy": numpy.__version__}
+            "numpy": numpy.__version__, "dont_write_bytecode": sys.dont_write_bytecode}
 
 
 def main(argv=None, root: Path = ROOT) -> int:
@@ -138,7 +147,7 @@ def main(argv=None, root: Path = ROOT) -> int:
               "seed": args.seed,
               "command": f"python3 {RUN} --workload W --trace 0 "
                          f"--seconds {args.seconds} --seed {args.seed}",
-              "environment": environment(), "workloads": {}}
+              "environment": environment(), "workloads": {}, "run_environments": {}}
     with tempfile.TemporaryDirectory() as scratch:
         base_tree = Path(scratch) / "base"
         proc = git(root, "worktree", "add", "--detach", str(base_tree), base_sha)
@@ -157,6 +166,9 @@ def main(argv=None, root: Path = ROOT) -> int:
                     print(f"{workload} pair {i + 1}/{args.pairs}: wall_s base {wall[0]} "
                           f"change {wall[1]}", flush=True)
                 report["workloads"][workload] = summarize(pairs, declared["end_to_end"])
+                report["run_environments"][workload] = {
+                    "base": run_environment(base_tree, workload),
+                    "change": run_environment(root, workload)}
         finally:
             git(root, "worktree", "remove", "--force", str(base_tree))
             git(root, "worktree", "prune")
